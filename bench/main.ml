@@ -2,617 +2,99 @@
     evaluation (see DESIGN.md §4 for the experiment index).
 
     {v
-      dune exec bench/main.exe            -- all count tables (Figures 4-7,
-                                             §3.3, register pressure)
-      dune exec bench/main.exe -- --timings   -- Bechamel wall-clock benches,
-                                                 one Test.make per table
-      dune exec bench/main.exe -- --json      -- write BENCH_counts.json and
-                                                 BENCH_timings.json
-      dune exec bench/main.exe -- --json --via-daemon SOCK
-                                              -- counts grid through a running
-                                                 rpcc serve daemon (cached)
-      dune exec bench/main.exe -- --json --via-fleet N [--plant-crash]
-                                              -- counts grid through a
-                                                 supervised N-shard fleet;
-                                                 --plant-crash SIGKILLs a
-                                                 shard mid-campaign (the
-                                                 counts stay byte-identical)
-      dune exec bench/main.exe -- --json --native [--cc-flags "-O2"]
-                                              -- every cell executed through
-                                                 the compiled-C backend:
-                                                 BENCH_counts.json stays
-                                                 byte-identical, run_ms is
-                                                 the native binary's (10x+).
-                                                 Composes with --via-daemon /
-                                                 --via-fleet: jobs carry
-                                                 [mode: native] and each shard
-                                                 answers through its own
-                                                 degradation ladder (native →
-                                                 recompile-once → interp)
-      dune exec bench/main.exe -- --json --native --plant-cc-failure
-                                              -- fault drill: a planted broken
-                                                 compiler fails every native
-                                                 attempt; the campaign must
-                                                 complete on the interpreter
-                                                 rung with exec.degraded_native
-                                                 counting the fallen cells
+      bench/main.exe                    every count table (Figures 4-7, §3.3,
+                                        register pressure, ablations)
+      bench/main.exe --json             write BENCH_counts.json and
+                                        BENCH_timings.json
+      bench/main.exe --json --native [--cc-flags "-O2"] [--plant-cc-failure]
+                                        every cell through the compiled-C
+                                        backend's degradation ladder
+                                        (native → recompile-once → interp)
+      bench/main.exe --json --via-daemon SOCK
+                                        the grid through a running
+                                        rpcc serve daemon (cached)
+      bench/main.exe --json --via-fleet N [--plant-crash]
+                                        the grid through a supervised
+                                        N-shard fleet; --plant-crash
+                                        SIGKILLs a shard mid-campaign
+      bench/main.exe --help             every flag
     v}
 
-    Adding [--verify-passes] to any mode reruns the whole experiment under
-    translation validation and aborts on the first degraded pass or
-    non-converged analysis — the full-suite soundness gate used by CI.
+    One driver serves every mode.  It hands a list of cells — one program
+    compiled and run under one configuration — to one executor
+    (in-process, daemon or fleet) and gets back one outcome per cell, in
+    order.  One function builds the counts document from those outcomes,
+    so the document is byte-identical across executors, [-j] values and
+    execution modes by construction.  Table mode runs the cells its
+    tables read on the in-process executor.
 
     Counts are exact and deterministic (the interpreter counts executed IL
     operations); wall-clock numbers are only for the compiler itself. *)
 
 open Rp_driver
 module I = Rp_exec.Interp
+module P = Rp_suite.Programs
+module Json = Rp_support.Json
+module R = Rp_support.Resilience
+module Breaker = Rp_support.Retry.Breaker
+module Clock = Rp_support.Clock
+module Native = Rp_backend.Native
 
-let counts (r : I.result) = r.I.total
+(* ------------------------------------------------------------------ *)
+(* Cells and outcomes                                                  *)
+(* ------------------------------------------------------------------ *)
 
-(* [ptr_promoted] is the static §3.3 counter for the cell's compile: how
-   many invariant-base groups pointer promotion rewrote.  Zero everywhere
-   except the [*/ptr] configs, where the suite's pointer-walk programs
-   pin nonzero values as golden. *)
-type cell = {
+(** One program compiled and run under one configuration.  [cname] names
+    the cell in the counts document, the journal, daemon requests and
+    quarantine reasons. *)
+type cell = { prog : P.program; cname : string; cfg : Config.t }
+
+(** [ptr_promoted] is the static §3.3 counter for the cell's compile: how
+    many invariant-base groups pointer promotion rewrote (nonzero only in
+    the [*/ptr] configs).  [per_func] is kept by table mode only, whose
+    mlink table reads its hot function from it. *)
+type counts = {
   ops : int;
   loads : int;
   stores : int;
   checksum : int;
   ptr_promoted : int;
+  per_func : (string * I.counts) list;
 }
 
-(* --verify-passes: run every compile of the experiment under translation
-   validation; any degraded pass or non-converged analysis aborts the
-   bench.  Off by default so baseline counts are produced by the exact
-   configurations under study. *)
-let verify = ref false
+(** What an executor returns for one cell. *)
+type outcome = {
+  answer : (counts, string) result;
+      (** the counts, or why the cell was quarantined: a trap, a resource
+          limit, a timeout, an open circuit, a daemon error *)
+  rung : [ `Native | `Interp ] option;
+      (** for a [--native] cell, the degradation-ladder rung that
+          answered *)
+  timing : timing option;  (** in-process cells computed by this run *)
+  resumed : bool;  (** taken from a [--resume] journal *)
+}
 
-let apply_verify (cfg : Config.t) =
-  if !verify then { cfg with Config.verify_passes = true } else cfg
+(** The timings of one in-process cell. *)
+and timing = {
+  st : Pipeline.stage_stats;
+  wall : float;  (** compile + run, seconds *)
+  native : (float * float * bool) option;
+      (** [--native]: cc ms, execution ms, binary-cache hit *)
+}
 
-let assert_healthy pname (st : Pipeline.stage_stats) =
-  if !verify then begin
-    if not st.Pipeline.converged then
-      Fmt.failwith "analysis did not converge for %s" pname;
-    match st.Pipeline.degraded with
-    | [] -> ()
-    | (pass, reason) :: _ ->
-      Fmt.failwith "pass %s degraded compiling %s: %s" pass pname reason
-  end
+let quarantined reason =
+  { answer = Error reason; rung = None; timing = None; resumed = false }
 
-exception Quarantined of string
-(** A benchmark program that exhausts interpreter resource limits, traps,
-    or overflows the OCaml stack is quarantined — its table section reports
-    the reason and BENCH_counts.json records it as degraded — instead of
-    aborting the whole bench run.  [assert_healthy]'s [Failure] is
-    deliberately not caught: a degraded pass under [--verify-passes] is the
-    CI soundness gate and must stay fatal. *)
+(** The paper grid: every program under every {!Config.paper_grid}
+    configuration, program-major. *)
+let grid =
+  List.concat_map
+    (fun prog ->
+      List.map (fun (cname, cfg) -> { prog; cname; cfg }) Config.paper_grid)
+    P.all
 
-type cell_result = Cok of cell | Cquarantined of string
-
-(** Compile and run, converting resource/runtime blowups to {!Quarantined}
-    (with the program named) while letting verification failures abort.
-    [should_stop] (supervised --json grid only) aborts the interpreter
-    cooperatively; the resulting resource-limit message still mentions
-    "external stop", which the supervised job uses to tell a deadline from
-    a deterministic fuel exhaustion. *)
-let run_raw ?should_stop pname (cfg : Config.t) source =
-  match
-    Pipeline.compile_and_run ?should_stop ~config:(apply_verify cfg) source
-  with
-  | exception I.Resource_limit m ->
-    raise (Quarantined (Printf.sprintf "%s: resource limit: %s" pname m))
-  | exception Rp_exec.Value.Runtime_error m ->
-    raise (Quarantined (Printf.sprintf "%s: runtime error: %s" pname m))
-  | exception Stack_overflow ->
-    raise (Quarantined (pname ^ ": interpreter stack overflow"))
-  | (prog, st, r) ->
-    assert_healthy pname st;
-    (prog, st, r)
-
-let run_config (p : Rp_suite.Programs.program) (cfg : Config.t) : cell_result =
-  match run_raw p.Rp_suite.Programs.name cfg p.Rp_suite.Programs.source with
-  | exception Quarantined m -> Cquarantined m
-  | (_, st, r) ->
-    let t = counts r in
-    Cok
-      { ops = t.I.ops; loads = t.I.loads; stores = t.I.stores;
-        checksum = r.I.checksum; ptr_promoted = st.Pipeline.ptr_promoted }
-
-(* memoize runs: the same (program, config) pair feeds several tables *)
-let cache : (string * string, cell_result) Hashtbl.t = Hashtbl.create 64
-
-let cell_result (p : Rp_suite.Programs.program) (cname : string)
-    (cfg : Config.t) : cell_result =
-  let key = (p.Rp_suite.Programs.name, cname) in
-  match Hashtbl.find_opt cache key with
-  | Some c -> c
-  | None ->
-    let c = run_config p cfg in
-    Hashtbl.replace cache key c;
-    c
-
-(* -j/--jobs: number of worker domains for the compile×run grid.  Cells
-   are computed in parallel but collected and rendered in a fixed order,
-   so every table and both JSON documents are byte-identical at any -j. *)
-let jobs = ref 1
-
-(* Supervision knobs for the --json grid (see json_export):
-   --job-timeout gives every cell a wall-clock deadline, --retries bounds
-   re-attempts before a cell is quarantined, --journal/--resume make the
-   grid crash-resumable, --breaker-threshold trips a per-program circuit
-   breaker after that many consecutive failures, and --plant-hang wedges
-   one named cell on purpose (the supervision layer's own test fixture). *)
-let job_timeout : float option ref = ref None
-let job_retries = ref 1
-let journal_path : string option ref = ref None
-let resume_path : string option ref = ref None
-let breaker_threshold = ref 3
-let plant_hang : string option ref = ref None (* "program:config" *)
-let interrupted = Atomic.make false
-
-(* --native: run the --json grid's cells through the compiled-C backend
-   instead of the interpreter.  Counts must come out byte-identical (the
-   emitted code carries the interpreter's counters); run_ms becomes the
-   native binary's wall time.  Compiled binaries are cached in the
-   content-addressed store keyed by program × config × cc identity.
-
-   Every cell goes down the backend's degradation ladder: an
-   infrastructure failure (cc crash, sandbox trip, garbled trailer,
-   corrupt cached binary) recompiles once and then falls back to the
-   interpreter, recording the degradation instead of quarantining — the
-   counts document is byte-identical regardless of which rungs fired. *)
-let native_cc : Rp_backend.Native.cc option ref = ref None
-
-(* --native --via-daemon/--via-fleet: cells carry [mode: native] to the
-   shards, which answer through their own ladders *)
-let remote_native = ref false
-
-(* cells that fell past native all the way to the interpreter; worker
-   domains tick it concurrently *)
-let degraded_native = Atomic.make 0
-
-(* forced at CLI-parse time, before the worker pool spawns: Lazy.force
-   from two domains at once is a race (CamlinternalLazy.Undefined) *)
-let native_cas =
-  lazy (Rp_support.Cas.open_ (Rp_backend.Native.default_cache_dir ()))
-
-(** The native analogue of {!run_raw}: one pipeline compile, then the
-    degradation ladder (native → recompile-once → interpreter).  Program
-    outcomes (traps, resource limits) still quarantine the cell exactly
-    as the interpreter path would — they are faithful answers, identical
-    on every rung.  Returns the native split (cc_ms, exec_ms, cache_hit,
-    mode) for the timings document. *)
-let run_native ?should_stop pname (cfg : Config.t) source cc =
-  let config = apply_verify cfg in
-  let prog, st = Pipeline.compile ~config source in
-  assert_healthy pname st;
-  let key = Pipeline.cache_key ~config source in
-  let cache = Lazy.force native_cas in
-  match
-    Rp_backend.Native.run_laddered ?deadline:!job_timeout ~cache ~key
-      ~interp:(fun () ->
-        let t0 = Rp_support.Clock.now () in
-        let r = I.run ?should_stop ?deadline:!job_timeout prog in
-        (r, (Rp_support.Clock.now () -. t0) *. 1000.))
-      ~cc:(Some cc) prog
-  with
-  | exception I.Resource_limit m ->
-    raise (Quarantined (Printf.sprintf "%s: resource limit: %s" pname m))
-  | exception Rp_exec.Value.Runtime_error m ->
-    raise (Quarantined (Printf.sprintf "%s: runtime error: %s" pname m))
-  | lad ->
-    let mode =
-      match lad.Rp_backend.Native.l_mode with
-      | `Native -> "native"
-      | `Interp ->
-        Atomic.incr degraded_native;
-        "interp"
-    in
-    ( st,
-      lad.Rp_backend.Native.l_result,
-      Some
-        ( lad.Rp_backend.Native.l_cc_ms,
-          lad.Rp_backend.Native.l_exec_ms,
-          lad.Rp_backend.Native.l_cache_hit,
-          mode ) )
-
-(** Fill the memo cache for [cells] using [!jobs] worker domains.  Workers
-    only compute ({!run_config} never prints); results land in the cache
-    in input order.  A cell whose computation raised (only possible under
-    [--verify-passes], where a degraded pass is fatal) is left uncached:
-    the table section that needs it recomputes serially and fails at the
-    same point, with the same exception, as a sequential run. *)
-let prewarm (cells : (Rp_suite.Programs.program * string * Config.t) list) =
-  let cells =
-    List.filter
-      (fun ((p : Rp_suite.Programs.program), cname, _) ->
-        not (Hashtbl.mem cache (p.Rp_suite.Programs.name, cname)))
-      cells
-  in
-  let inputs = Array.of_list cells in
-  Rp_support.Pool.run ~jobs:!jobs
-    (fun (p, _, cfg) -> run_config p cfg)
-    inputs
-  |> Array.iteri (fun i r ->
-         let ((p : Rp_suite.Programs.program), cname, _) = inputs.(i) in
-         match r with
-         | Ok c -> Hashtbl.replace cache (p.Rp_suite.Programs.name, cname) c
-         | Error _ -> ())
-
-let cell (p : Rp_suite.Programs.program) (cname : string) (cfg : Config.t) :
-    cell =
-  match cell_result p cname cfg with
-  | Cok c -> c
-  | Cquarantined m ->
-    raise (Quarantined (Printf.sprintf "%s under %s" m cname))
-
-let pct without with_ =
-  if without = 0 then 0.
-  else 100. *. float_of_int (without - with_) /. float_of_int without
-
-(* ------------------------------------------------------------------ *)
-(* Figure 4: program descriptions                                      *)
-(* ------------------------------------------------------------------ *)
-
-let figure4 () =
-  Fmt.pr "@.== Figure 4: Program Descriptions ==@.";
-  Fmt.pr "%-10s  %-6s  %-40s@." "Program" "Lines" "Description";
-  List.iter
-    (fun (p : Rp_suite.Programs.program) ->
-      let lines =
-        List.length (String.split_on_char '\n' p.Rp_suite.Programs.source)
-      in
-      Fmt.pr "%-10s  %-6d  %-40s@." p.Rp_suite.Programs.name lines
-        p.Rp_suite.Programs.description)
-    Rp_suite.Programs.all;
-  Fmt.pr "@.Paper-shape notes:@.";
-  List.iter
-    (fun (p : Rp_suite.Programs.program) ->
-      Fmt.pr "  %-10s %s@." p.Rp_suite.Programs.name p.Rp_suite.Programs.paper_note)
-    Rp_suite.Programs.all
-
-(* ------------------------------------------------------------------ *)
-(* Figures 5, 6, 7: total operations / stores / loads                  *)
-(* ------------------------------------------------------------------ *)
-
-let metric_tables () =
-  (* verify semantic preservation across the whole grid first *)
-  List.iter
-    (fun (p : Rp_suite.Programs.program) ->
-      let sums =
-        List.map
-          (fun (n, cfg) -> (cell p n cfg).checksum)
-          Config.paper_grid
-      in
-      match sums with
-      | base :: rest ->
-        if not (List.for_all (( = ) base) rest) then
-          Fmt.failwith "checksum mismatch across configurations for %s"
-            p.Rp_suite.Programs.name
-      | [] -> ())
-    Rp_suite.Programs.all;
-  let table title pick =
-    Fmt.pr "@.== %s ==@." title;
-    Fmt.pr "%-10s %-8s %12s %12s %12s %10s@." "Program" "analysis" "without"
-      "with" "difference" "% removed";
-    List.iter
-      (fun (p : Rp_suite.Programs.program) ->
-        List.iter
-          (fun analysis ->
-            let without =
-              pick (cell p (analysis ^ "/without")
-                      (List.assoc (analysis ^ "/without") Config.paper_grid))
-            in
-            let with_ =
-              pick (cell p (analysis ^ "/with")
-                      (List.assoc (analysis ^ "/with") Config.paper_grid))
-            in
-            Fmt.pr "%-10s %-8s %12d %12d %12d %10.2f@." p.Rp_suite.Programs.name
-              analysis without with_ (without - with_) (pct without with_))
-          [ "modref"; "pointer" ])
-      Rp_suite.Programs.all
-  in
-  table "Figure 5: Total Operations" (fun c -> c.ops);
-  table "Figure 6: Stores" (fun c -> c.stores);
-  table "Figure 7: Loads" (fun c -> c.loads)
-
-(* ------------------------------------------------------------------ *)
-(* §5 in-text: "register promotion removed 2.8 million loads from one  *)
-(* function in mlink"                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let mlink_function () =
-  Fmt.pr "@.== Section 5: mlink's hot function (per-function counts) ==@.";
-  Fmt.pr
-    "%-18s %-9s %10s %10s   (paper: promotion removed 2.8M loads from one \
-     function)@."
-    "Function" "promotion" "loads" "stores";
-  let p = Rp_suite.Programs.find "mlink" in
-  List.iter
-    (fun (name, cfg) ->
-      let (_, _, r) = run_raw "mlink" cfg p.Rp_suite.Programs.source in
-      List.iter
-        (fun (fn, (c : I.counts)) ->
-          if fn = "likelihood_pass" then
-            Fmt.pr "%-18s %-9s %10d %10d@." fn name c.I.loads c.I.stores)
-        r.I.per_func)
-    [
-      ("without", { Config.default with Config.promote = false });
-      ("with", Config.default);
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* §3.3: scalar promotion vs scalar + pointer-based promotion          *)
-(* ------------------------------------------------------------------ *)
-
-let section33 () =
-  Fmt.pr "@.== Section 3.3: pointer-based promotion on top of scalar ==@.";
-  Fmt.pr
-    "%-10s %14s %14s %14s %10s   (additional removals vs scalar-only; paper: \
-     ~0 everywhere except fft — the pointer-walk programs are this \
-     reproduction's additions)@."
-    "Program" "ops" "stores" "loads" "promoted";
-  let scalar_cfg = { Config.default with Config.analysis = Config.Apointer } in
-  let both_cfg = { scalar_cfg with Config.ptr_promote = true } in
-  List.iter
-    (fun (p : Rp_suite.Programs.program) ->
-      let a = cell p "s33/scalar" scalar_cfg in
-      let b = cell p "s33/both" both_cfg in
-      if a.checksum <> b.checksum then
-        Fmt.failwith "checksum mismatch (3.3) for %s" p.Rp_suite.Programs.name;
-      Fmt.pr "%-10s %14d %14d %14d %10d@." p.Rp_suite.Programs.name
-        (a.ops - b.ops) (a.stores - b.stores) (a.loads - b.loads)
-        b.ptr_promoted)
-    Rp_suite.Programs.all
-
-(* ------------------------------------------------------------------ *)
-(* §5 register pressure: the water experiment                          *)
-(* ------------------------------------------------------------------ *)
-
-let pressure () =
-  Fmt.pr "@.== Section 5: register pressure (water) ==@.";
-  Fmt.pr
-    "%-4s %-9s %12s %12s %12s   (paper: promotion causes spills and a net \
-     loss in tight register files)@."
-    "k" "promotion" "ops" "loads" "stores";
-  let water = Rp_suite.Programs.find "water" in
-  List.iter
-    (fun k ->
-      List.iter
-        (fun promote ->
-          let cfg =
-            { Config.default with Config.analysis = Config.Amodref; promote; k }
-          in
-          let c = cell water (Printf.sprintf "water/k%d/%b" k promote) cfg in
-          Fmt.pr "%-4d %-9s %12d %12d %12d@." k
-            (if promote then "with" else "without")
-            c.ops c.loads c.stores)
-        [ false; true ])
-    [ 12; 16; 24; 32 ]
-
-(* ------------------------------------------------------------------ *)
-(* Ablations for the design decisions called out in DESIGN.md §6       *)
-(* ------------------------------------------------------------------ *)
-
-let ablations () =
-  Fmt.pr "@.== Ablation 1: what interprocedural analysis buys promotion ==@.";
-  Fmt.pr
-    "%-10s %-22s %12s %12s %12s   (without analysis every call carries ⊤ \
-     MOD/REF: loops containing calls — clean's emit, bc's dispatch — lose \
-     their promotions; call-free hot loops like mlink's keep the front \
-     end's direct-access precision)@."
-    "Program" "configuration" "ops" "loads" "stores";
-  List.iter
-    (fun name ->
-      let p = Rp_suite.Programs.find name in
-      List.iter
-        (fun (cname, cfg) ->
-          let c = cell p ("abl1/" ^ cname) cfg in
-          Fmt.pr "%-10s %-22s %12d %12d %12d@." name cname c.ops c.loads
-            c.stores)
-        [
-          ("none+promotion",
-           { Config.default with Config.analysis = Config.Anone });
-          ("modref+promotion", Config.default);
-        ])
-    [ "clean"; "bc"; "mlink" ];
-  Fmt.pr "@.== Ablation 2: unconditional exit stores (the paper's literal \
-          scheme) ==@.";
-  Fmt.pr
-    "%-10s %-22s %12s %12s %12s   (always_store adds write-backs for \
-     read-only promotions)@."
-    "Program" "configuration" "ops" "loads" "stores";
-  List.iter
-    (fun name ->
-      let p = Rp_suite.Programs.find name in
-      List.iter
-        (fun (cname, cfg) ->
-          let c = cell p ("abl2/" ^ cname) cfg in
-          Fmt.pr "%-10s %-22s %12d %12d %12d@." name cname c.ops c.loads
-            c.stores)
-        [
-          ("store-if-stored", Config.default);
-          ("always-store",
-           { Config.default with Config.always_store = true });
-        ])
-    [ "go"; "bison"; "gzip(dec)" ];
-  Fmt.pr "@.== Ablation 3: the optimizer without promotion vs promotion \
-          without the optimizer ==@.";
-  Fmt.pr "%-10s %-22s %12s %12s %12s@." "Program" "configuration" "ops"
-    "loads" "stores";
-  List.iter
-    (fun name ->
-      let p = Rp_suite.Programs.find name in
-      List.iter
-        (fun (cname, cfg) ->
-          let c = cell p ("abl3/" ^ cname) cfg in
-          Fmt.pr "%-10s %-22s %12d %12d %12d@." name cname c.ops c.loads
-            c.stores)
-        [
-          ("neither",
-           { Config.default with Config.promote = false; optimize = false });
-          ("optimizer-only", { Config.default with Config.promote = false });
-          ("promotion-only", { Config.default with Config.optimize = false });
-          ("both", Config.default);
-        ])
-    [ "mlink"; "clean" ];
-  Fmt.pr "@.== Ablation 4: the §7 pressure throttle (future work, \
-          implemented) ==@.";
-  Fmt.pr
-    "%-4s %-12s %12s %12s %12s   (water; the throttle keeps the \
-     least-referenced promotable values in memory instead of spilling)@."
-    "k" "promotion" "ops" "loads" "stores";
-  let water = Rp_suite.Programs.find "water" in
-  List.iter
-    (fun k ->
-      List.iter
-        (fun (cname, cfg) ->
-          let cfg = { cfg with Config.k } in
-          let c = cell water (Printf.sprintf "abl4/%s/k%d" cname k) cfg in
-          Fmt.pr "%-4d %-12s %12d %12d %12d@." k cname c.ops c.loads c.stores)
-        [
-          ("without", { Config.default with Config.promote = false });
-          ("naive", Config.default);
-          ("throttled", { Config.default with Config.throttle = true });
-        ])
-    [ 12; 16; 24; 32 ];
-  Fmt.pr "@.== Ablation 5: global dead-store elimination (a §3.4 \
-          extension, off by default) ==@.";
-  Fmt.pr "%-10s %-12s %12s %12s %12s@." "Program" "configuration" "ops"
-    "loads" "stores";
-  List.iter
-    (fun name ->
-      let p = Rp_suite.Programs.find name in
-      List.iter
-        (fun (cname, cfg) ->
-          let c = cell p (Printf.sprintf "abl5/%s" cname) cfg in
-          Fmt.pr "%-10s %-12s %12d %12d %12d@." name cname c.ops c.loads
-            c.stores)
-        [
-          ("paper", Config.default);
-          ("paper+dse", { Config.default with Config.dse = true });
-        ])
-    [ "mlink"; "indent"; "gzip(enc)" ];
-  Fmt.pr "@.== Ablation 6: the analysis-precision ladder (with promotion) \
-          ==@.";
-  Fmt.pr
-    "%-10s %-9s %12s %12s %12s   (none < Steensgaard [20] < MOD/REF < \
-     Ruf-style points-to; the paper's claim is that the top rungs barely \
-     differ)@."
-    "Program" "analysis" "ops" "loads" "stores";
-  List.iter
-    (fun name ->
-      let p = Rp_suite.Programs.find name in
-      List.iter
-        (fun analysis ->
-          let cfg = { Config.default with Config.analysis } in
-          let c =
-            cell p (Printf.sprintf "abl6/%s" (Config.analysis_name analysis))
-              cfg
-          in
-          Fmt.pr "%-10s %-9s %12d %12d %12d@." name
-            (Config.analysis_name analysis) c.ops c.loads c.stores)
-        [ Config.Anone; Config.Asteens; Config.Amodref; Config.Apointer ])
-    [ "fft"; "bc"; "clean"; "go" ]
-
-(* ------------------------------------------------------------------ *)
-(* The cell inventory                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(** Every (program, cell-name, config) the table sections will request,
-    in request order — the parallel prewarm's work list.  Kept next to
-    the sections above; a cell missing here is still correct, just
-    computed serially on first use. *)
-let table_cells () : (Rp_suite.Programs.program * string * Config.t) list =
-  let cells = ref [] in
-  let add p cname cfg = cells := (p, cname, cfg) :: !cells in
-  (* Figures 5-7: the paper grid, every program *)
-  List.iter
-    (fun (p : Rp_suite.Programs.program) ->
-      List.iter (fun (cname, cfg) -> add p cname cfg) Config.paper_grid)
-    Rp_suite.Programs.all;
-  (* §3.3 *)
-  let scalar_cfg = { Config.default with Config.analysis = Config.Apointer } in
-  let both_cfg = { scalar_cfg with Config.ptr_promote = true } in
-  List.iter
-    (fun p ->
-      add p "s33/scalar" scalar_cfg;
-      add p "s33/both" both_cfg)
-    Rp_suite.Programs.all;
-  (* §5 register pressure *)
-  let water = Rp_suite.Programs.find "water" in
-  List.iter
-    (fun k ->
-      List.iter
-        (fun promote ->
-          add water
-            (Printf.sprintf "water/k%d/%b" k promote)
-            { Config.default with Config.analysis = Config.Amodref; promote; k })
-        [ false; true ])
-    [ 12; 16; 24; 32 ];
-  (* ablations 1-6 *)
-  List.iter
-    (fun name ->
-      let p = Rp_suite.Programs.find name in
-      add p "abl1/none+promotion"
-        { Config.default with Config.analysis = Config.Anone };
-      add p "abl1/modref+promotion" Config.default)
-    [ "clean"; "bc"; "mlink" ];
-  List.iter
-    (fun name ->
-      let p = Rp_suite.Programs.find name in
-      add p "abl2/store-if-stored" Config.default;
-      add p "abl2/always-store"
-        { Config.default with Config.always_store = true })
-    [ "go"; "bison"; "gzip(dec)" ];
-  List.iter
-    (fun name ->
-      let p = Rp_suite.Programs.find name in
-      add p "abl3/neither"
-        { Config.default with Config.promote = false; optimize = false };
-      add p "abl3/optimizer-only" { Config.default with Config.promote = false };
-      add p "abl3/promotion-only" { Config.default with Config.optimize = false };
-      add p "abl3/both" Config.default)
-    [ "mlink"; "clean" ];
-  List.iter
-    (fun k ->
-      List.iter
-        (fun (cname, cfg) ->
-          add water (Printf.sprintf "abl4/%s/k%d" cname k) { cfg with Config.k })
-        [
-          ("without", { Config.default with Config.promote = false });
-          ("naive", Config.default);
-          ("throttled", { Config.default with Config.throttle = true });
-        ])
-    [ 12; 16; 24; 32 ];
-  List.iter
-    (fun name ->
-      let p = Rp_suite.Programs.find name in
-      add p "abl5/paper" Config.default;
-      add p "abl5/paper+dse" { Config.default with Config.dse = true })
-    [ "mlink"; "indent"; "gzip(enc)" ];
-  List.iter
-    (fun name ->
-      let p = Rp_suite.Programs.find name in
-      List.iter
-        (fun analysis ->
-          add p
-            (Printf.sprintf "abl6/%s" (Config.analysis_name analysis))
-            { Config.default with Config.analysis })
-        [ Config.Anone; Config.Asteens; Config.Amodref; Config.Apointer ])
-    [ "fft"; "bc"; "clean"; "go" ];
-  List.rev !cells
-
-(* ------------------------------------------------------------------ *)
-(* --json: machine-readable exports                                    *)
-(* ------------------------------------------------------------------ *)
-
-module Json = Rp_support.Json
-
-let cell_json = function
-  | Cok c ->
+let answer_json = function
+  | Ok c ->
     Json.Obj
       [
         ("ops", Json.Int c.ops);
@@ -621,11 +103,9 @@ let cell_json = function
         ("checksum", Json.Int c.checksum);
         ("ptr_promoted", Json.Int c.ptr_promoted);
       ]
-  | Cquarantined reason -> Json.Obj [ ("degraded", Json.Str reason) ]
+  | Error reason -> Json.Obj [ ("degraded", Json.Str reason) ]
 
-(* schema v3 cells carry ptr_promoted; v2 journal records (written before
-   the field existed) are still resumable, defaulting the counter to 0 *)
-let cell_of_json = function
+let answer_of_json = function
   | Json.Obj
       [
         ("ops", Json.Int ops);
@@ -634,553 +114,474 @@ let cell_of_json = function
         ("checksum", Json.Int checksum);
         ("ptr_promoted", Json.Int ptr_promoted);
       ] ->
-    Some (Cok { ops; loads; stores; checksum; ptr_promoted })
-  | Json.Obj
-      [
-        ("ops", Json.Int ops);
-        ("loads", Json.Int loads);
-        ("stores", Json.Int stores);
-        ("checksum", Json.Int checksum);
-      ] ->
-    Some (Cok { ops; loads; stores; checksum; ptr_promoted = 0 })
-  | Json.Obj [ ("degraded", Json.Str reason) ] -> Some (Cquarantined reason)
+    Some (Ok { ops; loads; stores; checksum; ptr_promoted; per_func = [] })
+  | Json.Obj [ ("degraded", Json.Str reason) ] -> Some (Error reason)
   | _ -> None
 
-(** Host/toolchain provenance for the timings document (schema v3):
-    timings are machine-dependent, so the machine is named in the file —
-    kernel/arch, the C compiler identity (even for interpreted runs, so
-    an interp-vs-native pair taken on one host is self-describing), and
-    the OCaml word size. *)
-let host_json () =
-  let first_line_of cmd =
-    try
-      let ic = Unix.open_process_in cmd in
-      let line = try Some (input_line ic) with End_of_file -> None in
-      (match Unix.close_process_in ic with
-      | Unix.WEXITED 0 -> line
-      | _ -> None)
-    with Unix.Unix_error _ | Sys_error _ -> None
-  in
-  let uname =
-    Option.value (first_line_of "uname -srm 2>/dev/null") ~default:"unknown"
-  in
-  let cc_id =
-    match !native_cc with
-    | Some cc -> cc.Rp_backend.Native.identity
-    | None -> (
-      (* memoized per process and persisted through the CAS identity
-         cache: an all-warm campaign writes its host record without
-         spawning `cc --version` at all *)
-      match Rp_backend.Native.find_cc ~cache:(Lazy.force native_cas) () with
-      | Some cc -> cc.Rp_backend.Native.identity
-      | None -> "unavailable")
-  in
-  Json.Obj
-    [
-      ("uname", Json.Str uname);
-      ("cc", Json.Str cc_id);
-      ("word_size", Json.Int Sys.word_size);
-    ]
+(* ------------------------------------------------------------------ *)
+(* The in-process executor                                             *)
+(* ------------------------------------------------------------------ *)
 
-let has_substring hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
+type local_opts = {
+  jobs : int;
+  verify : bool;
+      (** [--verify-passes]: compile under translation validation; a
+          degraded pass or non-converged analysis aborts the bench (the
+          CI soundness gate) instead of quarantining the cell *)
+  timeout : float option;
+  retries : int;
+  threshold : int;  (** consecutive failures that open a program's circuit *)
+  plant_hang : string option;
+      (** ["program:config"]: wedge that cell on purpose, the supervision
+          layer's own test fixture *)
+  journal : string option;
+  resume : string option;
+  native : (Native.cc * Rp_support.Cas.t) option;
+      (** [--native]: the compiler and its binary store *)
+  keep_per_func : bool;  (** table mode's mlink table reads them *)
+}
 
-(** Write [BENCH_counts.json] (program × grid config × dynamic counts,
-    schema v2: plus the run's resilience counters; v3: six-config grid and
-    per-cell [ptr_promoted]; v4: per-program breaker snapshots inside
-    [resilience]; v5: the resilience object gains the fleet
-    [failovers]/[respawns] counters) and [BENCH_timings.json]
-    (program × config × per-pass wall-clock and analysis fixpoint
-    iterations, schema v2: plus per-cell wall/run time, the job count, and
-    the grid's wall-clock).  Counts are deterministic — byte-identical at
-    every [-j] — and serve as a committable baseline; timings are
-    machine-dependent and meant for relative comparison between runs on one
-    machine.
+exception Quarantined of string
 
-    Cells run under {!Rp_support.Pool.run_supervised} on [!jobs] worker
-    domains; a cell is one compile+run of one (program, config) pair, and
-    results are regrouped into (program × config) rows in grid order, so
-    document structure never depends on scheduling.  With [--job-timeout]
-    each cell gets a wall-clock deadline (enforced cooperatively through
-    the interpreter's [should_stop] polling and by the pool's wedge
-    detector); a cell that exhausts its [--retries] budget lands as a
-    degraded cell instead of aborting the grid.  A per-program circuit
-    breaker ([--breaker-threshold] consecutive failures) short-circuits
-    the remaining cells of a systematically bad program.  [--journal]
-    appends one fsynced record per finished cell; [--resume] reloads such
-    a journal and recomputes only the missing cells.  SIGINT flushes the
-    journal and exits 130.  Under [--verify-passes] a degraded pass is
-    still fatal: the first failing cell in grid order aborts, as in a
-    sequential run. *)
-let json_export () =
-  let module R = Rp_support.Resilience in
+let assert_healthy pname (st : Pipeline.stage_stats) =
+  if not st.Pipeline.converged then
+    Fmt.failwith "analysis did not converge for %s" pname;
+  match st.Pipeline.degraded with
+  | [] -> ()
+  | (pass, reason) :: _ ->
+    Fmt.failwith "pass %s degraded compiling %s: %s" pass pname reason
+
+(** Compile and run one cell.  Program outcomes — traps, resource limits,
+    stack overflow — raise {!Quarantined}, identically on every ladder
+    rung; a stop by the pool's deadline re-raises as is, so the pool
+    counts a timeout and applies its retry policy; a [--verify-passes]
+    failure raises [Failure]. *)
+let execute o ~should_stop c =
+  let pname = c.prog.P.name in
+  let config =
+    if o.verify then { c.cfg with Config.verify_passes = true } else c.cfg
+  in
+  let quarantine fmt =
+    Printf.ksprintf (fun m -> raise (Quarantined (pname ^ ": " ^ m))) fmt
+  in
+  try
+    let prog, st = Pipeline.compile ~config c.prog.P.source in
+    if o.verify then assert_healthy pname st;
+    match o.native with
+    | None -> (st, I.run ~should_stop prog, None, None)
+    | Some (cc, cache) ->
+      let lad =
+        Native.run_laddered ?deadline:o.timeout ~cache
+          ~key:(Pipeline.cache_key ~config c.prog.P.source)
+          ~interp:(fun () ->
+            let t0 = Clock.now () in
+            let r = I.run ~should_stop ?deadline:o.timeout prog in
+            (r, 1000. *. Clock.elapsed t0))
+          ~cc:(Some cc) prog
+      in
+      ( st,
+        lad.Native.l_result,
+        Some lad.Native.l_mode,
+        Some (lad.Native.l_cc_ms, lad.Native.l_exec_ms, lad.Native.l_cache_hit)
+      )
+  with
+  | I.Resource_limit m as e when I.is_external_stop m -> raise e
+  | I.Resource_limit m -> quarantine "resource limit: %s" m
+  | Rp_exec.Value.Runtime_error m -> quarantine "runtime error: %s" m
+  | Stack_overflow -> quarantine "interpreter stack overflow"
+
+(** One supervised job = one cell, under its program's circuit breaker.
+    A fatal [--verify-passes] failure comes back as [Error] instead of
+    escaping: it must abort the bench, not be retried and quarantined by
+    the pool. *)
+let job o breaker ~should_stop c =
+  let pname = c.prog.P.name in
+  if o.plant_hang = Some (pname ^ ":" ^ c.cname) then begin
+    (* never terminates on its own, but polls its deadline cooperatively *)
+    while not (should_stop ()) do
+      ignore (Sys.opaque_identity 0)
+    done;
+    raise Exit
+  end;
+  let t0 = Clock.now () in
+  match
+    Breaker.call breaker ~key:pname (fun () -> execute o ~should_stop c)
+  with
+  | Ok (st, r, rung, native) ->
+    let t = r.I.total in
+    Ok
+      {
+        answer =
+          Ok
+            { ops = t.I.ops; loads = t.I.loads; stores = t.I.stores;
+              checksum = r.I.checksum; ptr_promoted = st.Pipeline.ptr_promoted;
+              per_func = (if o.keep_per_func then r.I.per_func else []) };
+        rung;
+        timing = Some { st; wall = Clock.elapsed t0; native };
+        resumed = false;
+      }
+  | Error (Breaker.Open_circuit key) ->
+    Ok
+      (quarantined
+         (Printf.sprintf "%s under %s: circuit open for %s" pname c.cname key))
+  | Error (Quarantined m) -> Ok (quarantined m)
+  | Error (Failure m) -> Error m
+  | Error e -> raise e
+
+(* --resume: the cells a previous, possibly killed, run journaled *)
+let journaled path =
+  let tbl = Hashtbl.create 128 in
+  List.iter
+    (function
+      | Json.Obj
+          [ ("program", Json.Str p); ("config", Json.Str c); ("cell", j) ]
+        when not (Hashtbl.mem tbl (p, c)) ->
+        Option.iter (Hashtbl.add tbl (p, c)) (answer_of_json j)
+      | _ -> ())
+    (Rp_support.Journal.load path);
+  tbl
+
+(** Run [cells] on [o.jobs] worker domains under
+    {!Rp_support.Pool.run_supervised}: per-cell deadlines
+    ([--job-timeout]), bounded retries, a per-program circuit breaker,
+    one fsynced journal record per finished cell, and resumption from a
+    journal.  SIGINT flushes the journal and exits 130.  Returns the
+    outcomes in cell order and the run's resilience object.  Under
+    [--verify-passes] the first fatal cell in cell order raises
+    [Failure], as a sequential run would. *)
+let run_local o cells =
   let resil = R.create () in
-  let grid_t0 = Rp_support.Clock.now () in
-  let flat =
-    List.concat_map
-      (fun (p : Rp_suite.Programs.program) ->
-        List.map (fun (cname, cfg) -> (p, cname, cfg)) Config.paper_grid)
-      Rp_suite.Programs.all
+  let journaled =
+    match o.resume with Some path -> journaled path | None -> Hashtbl.create 1
   in
-  (* --resume: cells already finished by a previous (possibly killed) run *)
-  let resumed : (string * string, cell_result) Hashtbl.t = Hashtbl.create 64 in
-  Option.iter
-    (fun path ->
-      List.iter
-        (function
-          | Json.Obj
-              [
-                ("program", Json.Str p); ("config", Json.Str c); ("cell", cj);
-              ]
-            when not (Hashtbl.mem resumed (p, c)) ->
-            Option.iter
-              (fun cell ->
-                Hashtbl.replace resumed (p, c) cell;
-                R.tick resil R.Resumed)
-              (cell_of_json cj)
-          | _ -> ())
-        (Rp_support.Journal.load path))
-    !resume_path;
+  let outcomes =
+    Array.of_list
+      (List.map
+         (fun c ->
+           Hashtbl.find_opt journaled (c.prog.P.name, c.cname)
+           |> Option.map (fun answer ->
+                  R.tick resil R.Resumed;
+                  { answer; rung = None; timing = None; resumed = true }))
+         cells)
+  in
+  let cells = Array.of_list cells in
   let fresh =
     Array.of_list
       (List.filter
-         (fun ((p : Rp_suite.Programs.program), cname, _) ->
-           not (Hashtbl.mem resumed (p.Rp_suite.Programs.name, cname)))
-         flat)
+         (fun i -> Option.is_none outcomes.(i))
+         (List.init (Array.length cells) Fun.id))
   in
-  let jwriter = Option.map Rp_support.Journal.create !journal_path in
-  let breaker =
-    Rp_support.Retry.Breaker.create ~threshold:!breaker_threshold ()
-  in
-  let planted pname cname =
-    match !plant_hang with
-    | Some s -> s = pname ^ ":" ^ cname
-    | None -> false
-  in
-  (* One supervised job = one cell.  The last tuple slot carries a fatal
-     --verify-passes failure out of the pool: it must abort the whole
-     bench (the CI soundness gate), not degrade to a quarantined cell, so
-     it is not allowed to escape as an exception the pool would retry. *)
-  let job ~should_stop ((p : Rp_suite.Programs.program), cname, cfg) =
-    let pname = p.Rp_suite.Programs.name in
-    if planted pname cname then begin
-      (* test fixture for the supervision layer: a cell that never
-         terminates on its own but polls its deadline cooperatively *)
-      while not (should_stop ()) do
-        ignore (Sys.opaque_identity 0)
-      done;
-      raise Exit
-    end;
-    let t0 = Rp_support.Clock.now () in
-    match
-      Rp_support.Retry.Breaker.call breaker ~key:pname (fun () ->
-          match !native_cc with
-          | None ->
-            let _, st, r =
-              run_raw ~should_stop pname cfg p.Rp_suite.Programs.source
-            in
-            (st, r, None)
-          | Some cc ->
-            run_native ~should_stop pname cfg p.Rp_suite.Programs.source cc)
-    with
-    | Ok (st, r, nat) ->
-      let wall = Rp_support.Clock.elapsed t0 in
-      let t = counts r in
-      ( cname,
-        Some (st, nat),
-        Cok
-          { ops = t.I.ops; loads = t.I.loads; stores = t.I.stores;
-            checksum = r.I.checksum; ptr_promoted = st.Pipeline.ptr_promoted },
-        wall,
-        None )
-    | Error (Rp_support.Retry.Breaker.Open_circuit key) ->
-      ( cname,
-        None,
-        Cquarantined
-          (Printf.sprintf "%s under %s: circuit open for %s" pname cname key),
-        0.,
-        None )
-    | Error (Quarantined m) when has_substring m "external stop" ->
-      (* the interpreter was stopped by the pool's deadline, not by its
-         own fuel: re-raise so the pool classifies the attempt as timed
-         out and applies the retry policy *)
-      raise (Quarantined m)
-    | Error (Quarantined m) -> (cname, None, Cquarantined m, 0., None)
-    | Error (Failure m) -> (cname, None, Cquarantined m, 0., Some m)
-    | Error e -> raise e
+  let breaker = Breaker.create ~threshold:o.threshold () in
+  let jwriter = Option.map Rp_support.Journal.create o.journal in
+  let on_result k r =
+    match (r, jwriter) with
+    | Ok (Ok oc), Some w ->
+      let c = cells.(fresh.(k)) in
+      Rp_support.Journal.record w
+        (Json.Obj
+           [
+             ("program", Json.Str c.prog.P.name);
+             ("config", Json.Str c.cname);
+             ("cell", answer_json oc.answer);
+           ])
+    | _ -> ()
   in
   let results =
     Fun.protect
       ~finally:(fun () -> Option.iter Rp_support.Journal.close jwriter)
       (fun () ->
-        let on_result k o =
-          match (o, jwriter) with
-          | Ok (cname, _, c, _, None), Some w ->
-            let ((p : Rp_suite.Programs.program), _, _) = fresh.(k) in
-            Rp_support.Journal.record w
-              (Json.Obj
-                 [
-                   ("program", Json.Str p.Rp_suite.Programs.name);
-                   ("config", Json.Str cname);
-                   ("cell", cell_json c);
-                 ])
-          | _ -> ()
-        in
-        Rp_support.Pool.run_supervised ~jobs:!jobs ?timeout:!job_timeout
-          ~retries:!job_retries
-          ~cancel:(fun () -> Atomic.get interrupted)
-          ~resilience:resil ~on_result job fresh)
+        Rp_cli.with_sigint (fun () ->
+            Rp_support.Pool.run_supervised ~jobs:o.jobs ?timeout:o.timeout
+              ~retries:o.retries ~cancel:Rp_cli.interrupted ~resilience:resil
+              ~on_result (job o breaker)
+              (Array.map (fun i -> cells.(i)) fresh)))
   in
-  if Atomic.get interrupted then begin
-    let finished =
-      Hashtbl.length resumed
-      + Array.fold_left
-          (fun n o -> match o with Ok _ -> n + 1 | Error _ -> n)
-          0 results
-    in
-    let hint =
-      match !journal_path with
-      | Some p -> Printf.sprintf "; resume with --resume %s" p
-      | None -> " (no --journal, completed work is lost)"
-    in
-    Fmt.epr "interrupted after %d/%d finished cells%s@." finished
-      (List.length flat) hint;
-    exit 130
+  if Rp_cli.interrupted () then begin
+    let count p a = Array.fold_left (fun n x -> if p x then n + 1 else n) 0 a in
+    Rp_cli.exit_interrupted ~journal:o.journal
+      ~progress:
+        (Printf.sprintf "%d/%d finished cells"
+           (count Option.is_some outcomes + count Result.is_ok results)
+           (Array.length cells))
   end;
-  (* --verify-passes: the first fatal cell in grid order aborts, with the
-     same exception a sequential run would have raised *)
-  Array.iter
-    (function Ok (_, _, _, _, Some m) -> failwith m | _ -> ())
+  Array.iteri
+    (fun k r ->
+      let c = cells.(fresh.(k)) in
+      outcomes.(fresh.(k)) <-
+        Some
+          (match r with
+          | Ok (Ok oc) -> oc
+          | Ok (Error fatal) -> failwith fatal
+          | Error f ->
+            quarantined
+              (Fmt.str "%s under %s: %a" c.prog.P.name c.cname
+                 Rp_support.Pool.pp_job_failure f)))
     results;
-  R.set resil R.Breaker_trip (Rp_support.Retry.Breaker.trips breaker);
-  let grid_wall = Rp_support.Clock.elapsed grid_t0 in
-  let fi = ref 0 in
-  let cells =
-    Array.of_list
-      (List.map
-         (fun ((p : Rp_suite.Programs.program), cname, _) ->
-           match
-             Hashtbl.find_opt resumed (p.Rp_suite.Programs.name, cname)
-           with
-           | Some c -> (cname, None, c, 0., true)
-           | None ->
-             let k = !fi in
-             incr fi;
-             (match results.(k) with
-             | Ok (cname, st, c, wall, _) -> (cname, st, c, wall, false)
-             | Error f ->
-               ( cname,
-                 None,
-                 Cquarantined
-                   (Fmt.str "%s under %s: %a" p.Rp_suite.Programs.name cname
-                      Rp_support.Pool.pp_job_failure f),
-                 0.,
-                 false )))
-         flat)
-  in
-  let nconfigs = List.length Config.paper_grid in
-  let rows =
-    List.mapi
-      (fun i (p : Rp_suite.Programs.program) ->
-        ( p.Rp_suite.Programs.name,
-          List.init nconfigs (fun j -> cells.((i * nconfigs) + j)) ))
-      Rp_suite.Programs.all
-  in
-  let counts_doc =
-    Json.Obj
-      [
-        ("schema", Json.Str "rpcc-bench-counts/6");
-        ( "programs",
-          Json.Obj
-            (List.map
-               (fun (pname, per_config) ->
-                 ( pname,
-                   Json.Obj
-                     (List.map
-                        (fun (cname, _, c, _, _) -> (cname, cell_json c))
-                        per_config) ))
-               rows) );
-        (* v4: per-program breaker snapshots ride along so a grid that
-           tripped circuits says which programs and when *)
-        ( "resilience",
-          R.to_json
-            ~breakers:(Rp_support.Retry.Breaker.snapshots_json breaker)
-            resil );
-        (* v6: cells that a --native campaign served from the ladder's
-           interpreter rung.  Top-level, not per-cell, so the cells stay
-           byte-identical across modes; 0 on every healthy run of either
-           mode, nonzero only when native execution was requested and
-           genuinely unavailable (e.g. a planted cc failure) *)
-        ( "exec",
-          Json.Obj
-            [ ("degraded_native", Json.Int (Atomic.get degraded_native)) ] );
-      ]
-  in
-  let timings_doc =
-    Json.Obj
-      [
-        ("schema", Json.Str "rpcc-bench-timings/4");
-        ("jobs", Json.Int !jobs);
-        ( "mode",
-          Json.Str (match !native_cc with Some _ -> "native" | None -> "interp")
-        );
-        ("host", host_json ());
-        ( "programs",
-          Json.Obj
-            (List.map
-               (fun (pname, per_config) ->
-                 ( pname,
-                   Json.Obj
-                     (List.map
-                        (fun (cname, st, c, wall, was_resumed) ->
-                          ( cname,
-                            match st with
-                            | Some (st, nat) ->
-                              let compile_s = Pipeline.total_time st in
-                              (* the cell is one compile followed by one
-                                 run; interpreted, the run's share is wall
-                                 minus compile; native, it is the binary's
-                                 measured wall time *)
-                              Json.Obj
-                                ([
-                                   ("wall_ms", Json.Float (1000. *. wall));
-                                   ( "run_ms",
-                                     Json.Float
-                                       (match nat with
-                                       | Some (_, exec_ms, _, _) -> exec_ms
-                                       | None ->
-                                         1000. *. max 0. (wall -. compile_s))
-                                   );
-                                 ]
-                                (* v4: exec_mode names the ladder rung
-                                   that answered a --native cell; the
-                                   mode-dependent telemetry lives here,
-                                   not in the counts document, which must
-                                   stay byte-identical across modes *)
-                                @ (match nat with
-                                  | Some (cc_ms, _, hit, mode) ->
-                                    [
-                                      ("cc_ms", Json.Float cc_ms);
-                                      ("cc_cache_hit", Json.Bool hit);
-                                      ("exec_mode", Json.Str mode);
-                                    ]
-                                  | None -> [])
-                                @ [
-                                    ( "compile",
-                                      Pipeline.stats_json
-                                        (List.assoc cname Config.paper_grid)
-                                        st );
-                                  ])
-                            | None when was_resumed ->
-                              (* timing was spent in the journaled run *)
-                              Json.Obj [ ("resumed", Json.Bool true) ]
-                            | None ->
-                              let reason =
-                                match c with
-                                | Cquarantined r -> r
-                                | Cok _ -> "quarantined"
-                              in
-                              Json.Obj [ ("degraded", Json.Str reason) ] ))
-                        per_config) ))
-               rows) );
-        ( "total_compile_ms",
-          Json.Float
-            (1000.
-            *. List.fold_left
-                 (fun acc (_, per_config) ->
-                   List.fold_left
-                     (fun acc (_, st, _, _, _) ->
-                       match st with
-                       | Some (st, _) -> acc +. Pipeline.total_time st
-                       | None -> acc)
-                     acc per_config)
-                 0. rows) );
-        ("grid_wall_ms", Json.Float (1000. *. grid_wall));
-      ]
-  in
-  Json.to_file "BENCH_counts.json" counts_doc;
-  Json.to_file "BENCH_timings.json" timings_doc;
+  R.set resil R.Breaker_trip (Breaker.trips breaker);
   if R.any resil then Fmt.epr "resilience: %a@." R.pp resil;
-  Fmt.pr "wrote BENCH_counts.json (%d programs x %d configs)@."
-    (List.length rows)
-    (List.length Config.paper_grid);
+  ( Array.to_list (Array.map Option.get outcomes),
+    R.to_json ~breakers:(Breaker.snapshots_json breaker) resil )
+
+(* ------------------------------------------------------------------ *)
+(* The driver                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(** Where the grid runs.  [run] returns one outcome per cell, in cell
+    order, and the counts document's [resilience] object; [finish] writes
+    the executor's own report once the counts document is out. *)
+type executor = {
+  via : string;  (** names a remote executor in the "wrote" line *)
+  run : cell list -> outcome list * Json.t;
+  finish : outcome list -> since:float -> unit;
+}
+
+(** [{program: {config: f cell outcome}}] in grid order. *)
+let by_program outcomes f =
+  let cells = List.combine grid outcomes in
+  Json.Obj
+    (List.map
+       (fun (p : P.program) ->
+         ( p.P.name,
+           Json.Obj
+             (List.filter_map
+                (fun (c, o) ->
+                  if c.prog.P.name = p.P.name then Some (c.cname, f c o)
+                  else None)
+                cells) ))
+       P.all)
+
+(** The one driver: run the paper grid on [ex] and write
+    [BENCH_counts.json] (schema v6) from the outcomes.  [exec] counts the
+    [--native] cells the degradation ladder served from its interpreter
+    rung: top-level rather than per cell, so the cells stay byte-identical
+    across modes, and 0 on every healthy run. *)
+let export ex =
+  let since = Clock.now () in
+  let outcomes, resilience = ex.run grid in
+  let fell = List.filter (fun o -> o.rung = Some `Interp) outcomes in
+  Json.to_file "BENCH_counts.json"
+    (Json.Obj
+       [
+         ("schema", Json.Str "rpcc-bench-counts/6");
+         ("programs", by_program outcomes (fun _ o -> answer_json o.answer));
+         ("resilience", resilience);
+         ( "exec",
+           Json.Obj [ ("degraded_native", Json.Int (List.length fell)) ] );
+       ]);
+  Fmt.pr "wrote BENCH_counts.json (%d programs x %d configs)%s@."
+    (List.length P.all)
+    (List.length Config.paper_grid)
+    ex.via;
+  ex.finish outcomes ~since
+
+(** Host/toolchain provenance for the timings document: timings are
+    machine-dependent, so the machine is named in the file — kernel/arch,
+    the C compiler identity (even for interpreted runs, so an
+    interp-vs-native pair taken on one host is self-describing), and the
+    OCaml word size. *)
+let host_json o ~cas =
+  let uname =
+    try
+      let ic = Unix.open_process_in "uname -srm 2>/dev/null" in
+      let line = try Some (input_line ic) with End_of_file -> None in
+      match Unix.close_process_in ic with Unix.WEXITED 0 -> line | _ -> None
+    with Unix.Unix_error _ | Sys_error _ -> None
+  in
+  let cc =
+    match o.native with
+    | Some (cc, _) -> Some cc
+    (* memoized through the store's identity cache: an all-warm campaign
+       spawns no `cc --version` *)
+    | None -> Native.find_cc ~cache:cas ()
+  in
+  Json.Obj
+    [
+      ("uname", Json.Str (Option.value uname ~default:"unknown"));
+      ( "cc",
+        Json.Str
+          (Option.fold cc ~none:"unavailable" ~some:(fun cc ->
+               cc.Native.identity)) );
+      ("word_size", Json.Int Sys.word_size);
+    ]
+
+(** [BENCH_timings.json] (schema v4): per cell, wall and run time, the
+    native split and ladder rung under [--native], and the compile's
+    per-pass stats; plus the job count, the host and the grid's
+    wall-clock.  Machine-dependent, for comparing runs on one host. *)
+let write_timings o ~cas outcomes ~since =
+  let grid_wall = Clock.elapsed since in
+  let cell c oc =
+    match oc.timing with
+    | Some t ->
+      let compile_s = Pipeline.total_time t.st in
+      Json.Obj
+        ([
+           ("wall_ms", Json.Float (1000. *. t.wall));
+           (* interpreted, the run's share is wall minus compile;
+              native, the binary's measured time *)
+           ( "run_ms",
+             Json.Float
+               (match t.native with
+               | Some (_, exec_ms, _) -> exec_ms
+               | None -> 1000. *. max 0. (t.wall -. compile_s)) );
+         ]
+        @ (match t.native with
+          | Some (cc_ms, _, hit) ->
+            [
+              ("cc_ms", Json.Float cc_ms);
+              ("cc_cache_hit", Json.Bool hit);
+              ( "exec_mode",
+                Json.Str (if oc.rung = Some `Interp then "interp" else "native")
+              );
+            ]
+          | None -> [])
+        @ [ ("compile", Pipeline.stats_json c.cfg t.st) ])
+    | None when oc.resumed -> Json.Obj [ ("resumed", Json.Bool true) ]
+    | None ->
+      Json.Obj
+        [
+          ( "degraded",
+            Json.Str
+              (match oc.answer with Error r -> r | Ok _ -> "quarantined") );
+        ]
+  in
+  let compile_s =
+    List.fold_left
+      (fun acc oc ->
+        match oc.timing with
+        | Some t -> acc +. Pipeline.total_time t.st
+        | None -> acc)
+      0. outcomes
+  in
+  Json.to_file "BENCH_timings.json"
+    (Json.Obj
+       [
+         ("schema", Json.Str "rpcc-bench-timings/4");
+         ("jobs", Json.Int o.jobs);
+         ( "mode",
+           Json.Str (if Option.is_none o.native then "interp" else "native") );
+         ("host", host_json o ~cas);
+         ("programs", by_program outcomes cell);
+         ("total_compile_ms", Json.Float (1000. *. compile_s));
+         ("grid_wall_ms", Json.Float (1000. *. grid_wall));
+       ]);
   Fmt.pr "wrote BENCH_timings.json@."
 
+let in_process o ~cas =
+  { via = ""; run = run_local o; finish = write_timings o ~cas }
+
 (* ------------------------------------------------------------------ *)
-(* --json --via-daemon / --via-fleet: the counts grid through rpcc     *)
-(* serve, single daemon or sharded fleet                               *)
+(* The remote executors: rpcc serve, single daemon or sharded fleet    *)
 (* ------------------------------------------------------------------ *)
 
-(** The remote counts grid, shared between the single-daemon and fleet
-    exporters.  Requests go in batches of at most 32 per connection
-    (inside the daemon's default queue bound), responses come back in
-    request order, and the document is assembled in the same grid order
-    as {!json_export} — so via-daemon and via-fleet runs against healthy
-    or crashing backends all produce byte-identical [BENCH_counts.json]
-    files: responses are deterministic given the shared store, and the
-    exporter extracts only the count fields. *)
-
-let remote_flat () =
-  List.concat_map
-    (fun (p : Rp_suite.Programs.program) ->
-      List.map (fun (cname, cfg) -> (p, cname, cfg)) Config.paper_grid)
-    Rp_suite.Programs.all
-
-let remote_req i ((p : Rp_suite.Programs.program), cname, _) =
-  Json.Obj
-    ([
-       ("schema", Json.Str Rp_serve.Protocol.schema);
-       ("id", Json.Int i);
-       ("client", Json.Str "bench");
-       ("op", Json.Str "run");
-       ("src", Json.Str p.Rp_suite.Programs.source);
-       ("config", Json.Str cname);
-     ]
-    (* --native: the shard answers through its own degradation ladder
-       and reports the rung in the response's [exec] object; the counts
-       we extract are mode-independent by contract *)
-    @ (if !remote_native then [ ("mode", Json.Str "native") ] else []))
+(* With [native], each shard answers through its own degradation ladder
+   and names the rung in the response's [exec] object; the counts are
+   mode-independent by contract. *)
+let requests ~native cells =
+  List.mapi
+    (fun i c ->
+      Json.Obj
+        ([
+           ("schema", Json.Str Rp_serve.Protocol.schema);
+           ("id", Json.Int i);
+           ("client", Json.Str "bench");
+           ("op", Json.Str "run");
+           ("src", Json.Str c.prog.P.source);
+           ("config", Json.Str c.cname);
+         ]
+        @ if native then [ ("mode", Json.Str "native") ] else []))
+    cells
 
 let rec chunks n = function
   | [] -> []
   | l ->
     let rec take k = function
       | x :: rest when k > 0 ->
-        let (head, tail) = take (k - 1) rest in
+        let head, tail = take (k - 1) rest in
         (x :: head, tail)
       | rest -> ([], rest)
     in
-    let (head, tail) = take n l in
+    let head, tail = take n l in
     head :: chunks n tail
 
-let cell_of_response ((p : Rp_suite.Programs.program), cname, _) resp =
-    let pname = p.Rp_suite.Programs.name in
+(** Only the count fields are read from a response, so a cached, a
+    fresh, a native and a failed-over answer give the same outcome. *)
+let outcome_of_response c resp =
+  let int_at path =
+    match
+      List.fold_left (fun j k -> Option.bind j (Json.member k)) (Some resp) path
+    with
+    | Some (Json.Int i) -> Some i
+    | _ -> None
+  in
+  let reason fmt =
+    Printf.ksprintf (Printf.sprintf "%s under %s: %s" c.prog.P.name c.cname) fmt
+  in
+  let answer =
     match Rp_serve.Protocol.response_status resp with
     | "ok" -> (
-      let int_in doc k =
-        match Json.member k doc with Some (Json.Int i) -> Some i | _ -> None
-      in
-      let ptr_promoted =
-        match Json.member "stats" resp with
-        | Some st -> (
-          match Json.member "counters" st with
-          | Some c -> Option.value (int_in c "ptr_promoted") ~default:0
-          | None -> 0)
-        | None -> 0
-      in
-      match Json.member "result" resp with
-      | Some res -> (
-        match
-          ( int_in res "ops", int_in res "loads", int_in res "stores",
-            int_in res "checksum" )
-        with
-        | Some ops, Some loads, Some stores, Some checksum ->
-          Cok { ops; loads; stores; checksum; ptr_promoted }
-        | _ ->
-          Cquarantined
-            (Printf.sprintf "%s under %s: malformed daemon result" pname
-               cname))
-      | None ->
-        Cquarantined
-          (Printf.sprintf "%s under %s: daemon response has no result" pname
-             cname))
+      let res k = int_at [ "result"; k ] in
+      match (res "ops", res "loads", res "stores", res "checksum") with
+      | Some ops, Some loads, Some stores, Some checksum ->
+        Ok
+          {
+            ops; loads; stores; checksum;
+            ptr_promoted =
+              Option.value ~default:0
+                (int_at [ "stats"; "counters"; "ptr_promoted" ]);
+            per_func = [];
+          }
+      | _ -> Error (reason "malformed daemon result"))
     | status ->
-      let msg =
-        match Json.member "message" resp with
-        | Some (Json.Str m) -> m
-        | _ -> "no message"
-      in
-      Cquarantined
-        (Printf.sprintf "%s under %s: daemon %s: %s" pname cname status msg)
+      Error
+        (reason "daemon %s: %s" status
+           (match Json.member "message" resp with
+           | Some (Json.Str m) -> m
+           | _ -> "no message"))
+  in
+  let rung =
+    match Option.bind (Json.member "exec" resp) (Json.member "degraded") with
+    | Some (Json.Bool true) -> Some `Interp
+    | Some _ -> Some `Native
+    | None -> None
+  in
+  { answer; rung; timing = None; resumed = false }
 
-(** Assemble and write the counts document from per-cell responses —
-    identical structure and bytes whether the cells came from a local
-    grid run, one daemon, or a (possibly crashing) fleet.  Supervision
-    lives backend-side (daemon health / BENCH_fleet.json); the
-    client-side resilience counters here are structurally present and
-    zero so the document's shape matches a local run. *)
-let write_remote_counts_doc flat responses =
-  let module R = Rp_support.Resilience in
-  let cells = Array.of_list (List.map2 cell_of_response flat responses) in
-  let nconfigs = List.length Config.paper_grid in
-  let rows =
-    List.mapi
-      (fun i (p : Rp_suite.Programs.program) ->
-        ( p.Rp_suite.Programs.name,
-          List.init nconfigs (fun j ->
-              let (_, cname, _) = List.nth flat ((i * nconfigs) + j) in
-              (cname, cells.((i * nconfigs) + j))) ))
-      Rp_suite.Programs.all
-  in
-  (* cells whose shard answered from the ladder's interpreter rung
-     (exec.degraded in the response); 0 for interp campaigns (no exec
-     object) and for native campaigns where every shard answered
-     natively, so healthy documents cmp clean across modes *)
-  let degraded_native =
-    List.fold_left
-      (fun n resp ->
-        match Json.member "exec" resp with
-        | Some e -> (
-          match Json.member "degraded" e with
-          | Some (Json.Bool true) -> n + 1
-          | _ -> n)
-        | None -> n)
-      0 responses
-  in
-  let counts_doc =
-    Json.Obj
-      [
-        ("schema", Json.Str "rpcc-bench-counts/6");
-        ( "programs",
-          Json.Obj
-            (List.map
-               (fun (pname, per_config) ->
-                 ( pname,
-                   Json.Obj
-                     (List.map
-                        (fun (cname, c) -> (cname, cell_json c))
-                        per_config) ))
-               rows) );
-        ("resilience", R.to_json (R.create ()));
-        ( "exec",
-          Json.Obj [ ("degraded_native", Json.Int degraded_native) ] );
-      ]
-  in
-  Json.to_file "BENCH_counts.json" counts_doc;
-  List.length rows
-
-(** One [rpcc serve] daemon: the daemon owns supervision and timing
-    state, so only the counts document is written; the grid's
-    wall-clock is printed (warm runs show the cache). *)
-let json_export_via_daemon socket =
-  let grid_t0 = Rp_support.Clock.now () in
-  let flat = remote_flat () in
-  let requests = List.mapi remote_req flat in
-  let responses =
-    try
-      List.concat_map
-        (fun batch -> Rp_serve.Client.call ~timeout:300. ~socket batch)
-        (chunks 32 requests)
-    with
-    | Unix.Unix_error (e, _, _) ->
-      Fmt.epr "cannot reach daemon at %s: %s@." socket (Unix.error_message e);
-      exit 2
-    | Rp_serve.Client.Timeout m ->
-      Fmt.epr "daemon timeout: %s@." m;
-      exit 3
-  in
-  if List.length responses <> List.length flat then begin
-    Fmt.epr "daemon answered %d of %d requests@." (List.length responses)
-      (List.length flat);
+(* Supervision lives backend-side (daemon health, BENCH_fleet.json): the
+   counts document's resilience counters are present and zero, so its
+   shape matches an in-process run's. *)
+let answered who cells responses =
+  if List.length responses <> List.length cells then begin
+    Fmt.epr "%s answered %d of %d requests@." who (List.length responses)
+      (List.length cells);
     exit 2
   end;
-  let nrows = write_remote_counts_doc flat responses in
-  Fmt.pr "wrote BENCH_counts.json (%d programs x %d configs) via %s@." nrows
-    (List.length Config.paper_grid)
-    socket;
-  Fmt.pr "grid wall: %.1f ms@." (1000. *. Rp_support.Clock.elapsed grid_t0)
+  (List.map2 outcome_of_response cells responses, R.to_json (R.create ()))
+
+let grid_wall ~since =
+  Fmt.pr "grid wall: %.1f ms@." (1000. *. Clock.elapsed since)
+
+(** A running [rpcc serve] daemon.  Requests go in batches of at most 32
+    per connection, inside the daemon's default queue bound. *)
+let daemon ~socket ~native =
+  let run cells =
+    let responses =
+      try
+        List.concat_map
+          (Rp_serve.Client.call ~timeout:300. ~socket)
+          (chunks 32 (requests ~native cells))
+      with
+      | Unix.Unix_error (e, _, _) ->
+        Fmt.epr "cannot reach daemon at %s: %s@." socket
+          (Unix.error_message e);
+        exit 2
+      | Rp_serve.Client.Timeout m ->
+        Fmt.epr "daemon timeout: %s@." m;
+        exit 3
+    in
+    answered "daemon" cells responses
+  in
+  { via = " via " ^ socket; run; finish = (fun _ -> grid_wall) }
 
 (** Chaos-drill step two: flip one payload byte of a cached native
     binary in the fleet's shared store, leaving the stale CRC in place.
@@ -1190,25 +591,18 @@ let json_export_via_daemon socket =
     yet (interp drills, cold stores). *)
 let corrupt_native_bin cas_root =
   let objects = Filename.concat cas_root "objects" in
-  let shards = try Sys.readdir objects with Sys_error _ -> [||] in
+  let ls d = try Array.to_list (Sys.readdir d) with Sys_error _ -> [] in
   let victim =
-    Array.fold_left
-      (fun acc shard ->
-        match acc with
-        | Some _ -> acc
-        | None ->
-          let dir = Filename.concat objects shard in
-          let entries = try Sys.readdir dir with Sys_error _ -> [||] in
-          Array.fold_left
-            (fun acc f ->
-              match acc with
-              | Some _ -> acc
-              | None ->
-                if Filename.check_suffix f ".native-bin" then
-                  Some (Filename.concat dir f)
-                else None)
-            None entries)
-      None shards
+    List.find_map
+      (fun shard ->
+        let dir = Filename.concat objects shard in
+        List.find_map
+          (fun f ->
+            if Filename.check_suffix f ".native-bin" then
+              Some (Filename.concat dir f)
+            else None)
+          (ls dir))
+      (ls objects)
   in
   match victim with
   | None -> ()
@@ -1219,355 +613,579 @@ let corrupt_native_bin cas_root =
         ~finally:(fun () -> Unix.close fd)
         (fun () ->
           let len = Unix.lseek fd 0 Unix.SEEK_END in
-          if len > 0 then begin
+          let b = Bytes.create 1 in
+          if len > 0 && Unix.lseek fd (len - 1) Unix.SEEK_SET >= 0
+             && Unix.read fd b 0 1 = 1
+          then begin
+            Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0xFF));
             ignore (Unix.lseek fd (len - 1) Unix.SEEK_SET : int);
-            let b = Bytes.create 1 in
-            if Unix.read fd b 0 1 = 1 then begin
-              Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0xFF));
-              ignore (Unix.lseek fd (len - 1) Unix.SEEK_SET : int);
-              ignore (Unix.write fd b 0 1 : int)
-            end
+            ignore (Unix.write fd b 0 1 : int)
           end)
     with Unix.Unix_error _ -> ())
 
-(** A supervised shard fleet: spawn it, route the grid through the
-    rendezvous router, and write [BENCH_fleet.json] (supervisor + router
-    telemetry and the real failover/respawn counters) alongside the
-    byte-identical counts document.  [plant] SIGKILLs the second
-    batch's first-choice shard right before that batch is sent — the
-    deterministic chaos drill: the router must fail the batch over and
-    the supervisor must respawn the victim, with no effect on the
-    counts document. *)
-let json_export_via_fleet shards ~plant ~state_dir =
-  let module R = Rp_support.Resilience in
+(** Run [k] on the executor of a supervised [shards]-shard fleet, then
+    write [BENCH_fleet.json] (supervisor and router telemetry with the
+    real failover/respawn counters) and stop the fleet.  [plant] SIGKILLs
+    the second batch's first-choice shard, and corrupts a cached native
+    binary, right before that batch is sent — the deterministic chaos
+    drill: the router must fail over and the supervisor respawn, with no
+    effect on the counts document. *)
+let with_fleet ~shards ~plant ~state_dir ~jobs ~native k =
   let module Fleet = Rp_serve.Fleet in
   let module Router = Rp_serve.Fleet_client in
-  let flat = remote_flat () in
-  let requests = List.mapi remote_req flat in
-  let resil = R.create () in
-  let boot_t0 = Rp_support.Clock.now () in
+  let boot = Clock.now () in
   let fleet =
     Fleet.start
-      { Fleet.default_config with Fleet.shards; state_dir; jobs = !jobs }
+      { Fleet.default_config with Fleet.shards; state_dir; jobs }
   in
-  Fmt.pr "fleet up: %.1f ms@." (1000. *. Rp_support.Clock.elapsed boot_t0);
-  (* the grid clock starts once the fleet accepts, mirroring the
-     via-daemon path (which times against an already-running daemon) *)
-  let grid_t0 = Rp_support.Clock.now () in
+  Fmt.pr "fleet up: %.1f ms@." (1000. *. Clock.elapsed boot);
   Fun.protect
     ~finally:(fun () -> Fleet.stop fleet)
     (fun () ->
+      let resil = R.create () in
       let router =
         Router.create ~timeout:300. ~resilience:resil
           ~sockets:(Fleet.sockets fleet) ()
       in
-      let responses =
-        try
-          List.concat
-            (List.mapi
-               (fun bi batch ->
-                 let plant_hook =
-                   if plant && bi = 1 then
-                     Some
-                       (fun s ->
-                         (* two faults at once: a cached artifact goes
-                            bad AND the batch's first-choice shard dies.
-                            The survivors must quarantine + recompile
-                            and the router must fail over, with zero
-                            effect on the counts document *)
-                         corrupt_native_bin (Fleet.cas_dir fleet);
-                         Fleet.kill_shard fleet s)
-                   else None
-                 in
-                 Router.route ?plant:plant_hook router batch)
-               (* chunking exists to give the planted crash a
-                  mid-campaign batch boundary; without a drill the grid
-                  goes out as one round so each shard sees one batch *)
-               (if plant then chunks 32 requests else [ requests ]))
-        with Router.All_shards_dead ->
-          Fmt.epr "fleet: all shards dead@.";
-          exit 3
+      let chaos s =
+        corrupt_native_bin (Fleet.cas_dir fleet);
+        Fleet.kill_shard fleet s
       in
-      if List.length responses <> List.length flat then begin
-        Fmt.epr "fleet answered %d of %d requests@." (List.length responses)
-          (List.length flat);
-        exit 2
-      end;
-      let nrows = write_remote_counts_doc flat responses in
-      (* let the supervisor finish respawning any planted kill before
-         the telemetry is frozen *)
-      let deadline = Rp_support.Clock.now () +. 15. in
-      while
-        Fleet.respawns fleet < Fleet.planted fleet
-        && Rp_support.Clock.now () < deadline
-      do
-        Unix.sleepf 0.1
-      done;
-      R.merge ~into:resil (Fleet.resilience fleet);
-      let fleet_doc =
-        Json.Obj
-          [
-            ("schema", Json.Str "rpcc-fleet/1");
-            ("shards", Json.Int shards);
-            ("supervisor", Fleet.telemetry_json fleet);
-            ("router", Router.telemetry_json router);
-            ("resilience", R.to_json resil);
-          ]
+      let run cells =
+        let reqs = requests ~native cells in
+        let responses =
+          (* chunking gives the planted crash a mid-campaign batch
+             boundary; without a drill each shard sees one batch *)
+          try
+            List.concat
+              (List.mapi
+                 (fun bi batch ->
+                   Router.route
+                     ?plant:(if plant && bi = 1 then Some chaos else None)
+                     router batch)
+                 (if plant then chunks 32 reqs else [ reqs ]))
+          with Router.All_shards_dead ->
+            Fmt.epr "fleet: all shards dead@.";
+            exit 3
+        in
+        answered "fleet" cells responses
       in
-      Json.to_file "BENCH_fleet.json" fleet_doc;
-      Fmt.pr
-        "wrote BENCH_counts.json (%d programs x %d configs) via fleet of %d@."
-        nrows
-        (List.length Config.paper_grid)
-        shards;
-      Fmt.pr "wrote BENCH_fleet.json (failovers %d, respawns %d)@."
-        (Router.failovers router) (Fleet.respawns fleet);
-      Fmt.pr "grid wall: %.1f ms@." (1000. *. Rp_support.Clock.elapsed grid_t0))
+      let finish _ ~since =
+        (* let the supervisor finish respawning any planted kill before
+           the telemetry is frozen *)
+        let deadline = Clock.now () +. 15. in
+        while
+          Fleet.respawns fleet < Fleet.planted fleet && Clock.now () < deadline
+        do
+          Unix.sleepf 0.1
+        done;
+        R.merge ~into:resil (Fleet.resilience fleet);
+        Json.to_file "BENCH_fleet.json"
+          (Json.Obj
+             [
+               ("schema", Json.Str "rpcc-fleet/1");
+               ("shards", Json.Int shards);
+               ("supervisor", Fleet.telemetry_json fleet);
+               ("router", Router.telemetry_json router);
+               ("resilience", R.to_json resil);
+             ]);
+        Fmt.pr "wrote BENCH_fleet.json (failovers %d, respawns %d)@."
+          (Router.failovers router) (Fleet.respawns fleet);
+        grid_wall ~since
+      in
+      k { via = Printf.sprintf " via fleet of %d" shards; run; finish })
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel timing benches (one Test.make per table)                   *)
+(* The paper's tables                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let timings () =
-  let open Bechamel in
-  let mlink = (Rp_suite.Programs.find "mlink").Rp_suite.Programs.source in
-  let go = (Rp_suite.Programs.find "go").Rp_suite.Programs.source in
-  let compile cfg src () = ignore (Pipeline.compile ~config:cfg src) in
-  let grid name = List.assoc name Config.paper_grid in
-  let tests =
-    Test.make_grouped ~name:"tables"
-      [
-        (* Figure 4 is the front end itself *)
-        Test.make ~name:"figure4_frontend"
-          (Staged.stage (fun () ->
-               List.iter
-                 (fun (p : Rp_suite.Programs.program) ->
-                   ignore (Rp_irgen.Irgen.compile_source p.Rp_suite.Programs.source))
-                 Rp_suite.Programs.all));
-        (* Figures 5-7 all flow through the grid pipeline; time one
-           representative program per figure *)
-        Test.make ~name:"figure5_pipeline_modref"
-          (Staged.stage (compile (grid "modref/with") mlink));
-        Test.make ~name:"figure6_pipeline_pointer"
-          (Staged.stage (compile (grid "pointer/with") mlink));
-        Test.make ~name:"figure7_pipeline_go"
-          (Staged.stage (compile (grid "pointer/with") go));
-        (* §3.3 adds pointer-based promotion *)
-        Test.make ~name:"section33_ptr_promotion"
-          (Staged.stage
-             (compile
-                { Config.default with
-                  Config.analysis = Config.Apointer; ptr_promote = true }
-                (Rp_suite.Programs.find "fft").Rp_suite.Programs.source));
-        (* the pressure table exercises the allocator *)
-        Test.make ~name:"pressure_regalloc_k12"
-          (Staged.stage
-             (compile
-                { Config.default with Config.k = 12 }
-                (Rp_suite.Programs.find "water").Rp_suite.Programs.source));
-      ]
+(** A table row: the cells it reads, and how it prints them.  [print]
+    gets a lookup that raises {!Quarantined} for a quarantined cell. *)
+type row = {
+  reads : (P.program * Config.t) list;
+  print : (P.program -> Config.t -> counts) -> unit;
+}
+
+(** A table prints its head, then its rows.  A quarantined cell ends the
+    table with its reason; the remaining tables still run. *)
+type table = { head : unit -> unit; rows : row list }
+
+let row p cfg f = { reads = [ (p, cfg) ]; print = (fun get -> f (get p cfg)) }
+
+let pct without with_ =
+  if without = 0 then 0.
+  else 100. *. float_of_int (without - with_) /. float_of_int without
+
+(** The common shape: two label columns, then one cell's ops, loads and
+    stores per row. *)
+let ols ~title ~cols:(c1, w1, c2, w2) ?(note = "") rows =
+  {
+    head =
+      (fun () ->
+        Fmt.pr "@.== %s ==@." title;
+        Fmt.pr "%-*s %-*s %12s %12s %12s%s@." w1 c1 w2 c2 "ops" "loads"
+          "stores" note);
+    rows =
+      List.map
+        (fun (l1, l2, p, cfg) ->
+          row p cfg (fun c ->
+              Fmt.pr "%-*s %-*s %12d %12d %12d@." w1 l1 w2 l2 c.ops c.loads
+                c.stores))
+        rows;
+  }
+
+let tables () =
+  let d = Config.default in
+  let water = P.find "water" and mlink = P.find "mlink" in
+  let grid_cfg name = List.assoc name Config.paper_grid in
+  (* (program, label, cfg) rows for named programs × labelled configs *)
+  let each names configs =
+    List.concat_map
+      (fun name ->
+        List.map (fun (l, cfg) -> (name, l, P.find name, cfg)) configs)
+      names
   in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
+  (* water at the four register-file sizes *)
+  let ks configs =
+    List.concat_map
+      (fun k ->
+        List.map
+          (fun (l, cfg) -> (string_of_int k, l, water, { cfg with Config.k }))
+          configs)
+      [ 12; 16; 24; 32 ]
   in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) ~kde:(Some 10) ()
+  let metric title pick =
+    {
+      head =
+        (fun () ->
+          Fmt.pr "@.== %s ==@." title;
+          Fmt.pr "%-10s %-8s %12s %12s %12s %10s@." "Program" "analysis"
+            "without" "with" "difference" "% removed");
+      rows =
+        List.concat_map
+          (fun (p : P.program) ->
+            List.map
+              (fun analysis ->
+                let wo = grid_cfg (analysis ^ "/without")
+                and w = grid_cfg (analysis ^ "/with") in
+                {
+                  reads = [ (p, wo); (p, w) ];
+                  print =
+                    (fun get ->
+                      let without = pick (get p wo)
+                      and with_ = pick (get p w) in
+                      Fmt.pr "%-10s %-8s %12d %12d %12d %10.2f@." p.P.name
+                        analysis without with_ (without - with_)
+                        (pct without with_));
+                })
+              [ "modref"; "pointer" ])
+          P.all;
+    }
   in
-  let raw_results = Benchmark.all cfg instances tests in
-  let results =
-    List.map (fun instance -> Analyze.all ols instance raw_results) instances
+  let scalar = { d with Config.analysis = Config.Apointer } in
+  let both = { scalar with Config.ptr_promote = true } in
+  [
+    (* Figure 4: program descriptions *)
+    {
+      head =
+        (fun () ->
+          Fmt.pr "@.== Figure 4: Program Descriptions ==@.";
+          Fmt.pr "%-10s  %-6s  %-40s@." "Program" "Lines" "Description";
+          List.iter
+            (fun (p : P.program) ->
+              Fmt.pr "%-10s  %-6d  %-40s@." p.P.name
+                (List.length (String.split_on_char '\n' p.P.source))
+                p.P.description)
+            P.all;
+          Fmt.pr "@.Paper-shape notes:@.";
+          List.iter
+            (fun (p : P.program) ->
+              Fmt.pr "  %-10s %s@." p.P.name p.P.paper_note)
+            P.all);
+      rows = [];
+    };
+    (* semantic preservation across the whole grid, before any figure *)
+    {
+      head = ignore;
+      rows =
+        List.map
+          (fun (p : P.program) ->
+            let cfgs = List.map snd Config.paper_grid in
+            {
+              reads = List.map (fun cfg -> (p, cfg)) cfgs;
+              print =
+                (fun get ->
+                  match List.map (fun cfg -> (get p cfg).checksum) cfgs with
+                  | base :: rest when not (List.for_all (( = ) base) rest) ->
+                    Fmt.failwith
+                      "checksum mismatch across configurations for %s" p.P.name
+                  | _ -> ());
+            })
+          P.all;
+    };
+    (* Figures 5, 6, 7: total operations / stores / loads *)
+    metric "Figure 5: Total Operations" (fun c -> c.ops);
+    metric "Figure 6: Stores" (fun c -> c.stores);
+    metric "Figure 7: Loads" (fun c -> c.loads);
+    (* §5 in-text: "register promotion removed 2.8 million loads from one
+       function in mlink" *)
+    {
+      head =
+        (fun () ->
+          Fmt.pr
+            "@.== Section 5: mlink's hot function (per-function counts) ==@.";
+          Fmt.pr
+            "%-18s %-9s %10s %10s   (paper: promotion removed 2.8M loads \
+             from one function)@."
+            "Function" "promotion" "loads" "stores");
+      rows =
+        List.map
+          (fun (name, cfg) ->
+            row mlink cfg (fun c ->
+                List.iter
+                  (fun (fn, (f : I.counts)) ->
+                    if fn = "likelihood_pass" then
+                      Fmt.pr "%-18s %-9s %10d %10d@." fn name f.I.loads
+                        f.I.stores)
+                  c.per_func))
+          [ ("without", { d with Config.promote = false }); ("with", d) ];
+    };
+    (* §3.3: scalar promotion vs scalar + pointer-based promotion *)
+    {
+      head =
+        (fun () ->
+          Fmt.pr
+            "@.== Section 3.3: pointer-based promotion on top of scalar ==@.";
+          Fmt.pr
+            "%-10s %14s %14s %14s %10s   (additional removals vs \
+             scalar-only; paper: ~0 everywhere except fft — the \
+             pointer-walk programs are this reproduction's additions)@."
+            "Program" "ops" "stores" "loads" "promoted");
+      rows =
+        List.map
+          (fun (p : P.program) ->
+            {
+              reads = [ (p, scalar); (p, both) ];
+              print =
+                (fun get ->
+                  let a = get p scalar and b = get p both in
+                  if a.checksum <> b.checksum then
+                    Fmt.failwith "checksum mismatch (3.3) for %s" p.P.name;
+                  Fmt.pr "%-10s %14d %14d %14d %10d@." p.P.name (a.ops - b.ops)
+                    (a.stores - b.stores) (a.loads - b.loads) b.ptr_promoted);
+            })
+          P.all;
+    };
+    ols ~title:"Section 5: register pressure (water)"
+      ~cols:("k", 4, "promotion", 9)
+      ~note:
+        "   (paper: promotion causes spills and a net loss in tight \
+         register files)"
+      (ks [ ("without", { d with Config.promote = false }); ("with", d) ]);
+    (* ablations for the design decisions called out in DESIGN.md §6 *)
+    ols ~title:"Ablation 1: what interprocedural analysis buys promotion"
+      ~cols:("Program", 10, "configuration", 22)
+      ~note:
+        "   (without analysis every call carries ⊤ MOD/REF: loops \
+         containing calls — clean's emit, bc's dispatch — lose their \
+         promotions; call-free hot loops like mlink's keep the front end's \
+         direct-access precision)"
+      (each [ "clean"; "bc"; "mlink" ]
+         [
+           ("none+promotion", { d with Config.analysis = Config.Anone });
+           ("modref+promotion", d);
+         ]);
+    ols
+      ~title:
+        "Ablation 2: unconditional exit stores (the paper's literal scheme)"
+      ~cols:("Program", 10, "configuration", 22)
+      ~note:"   (always_store adds write-backs for read-only promotions)"
+      (each [ "go"; "bison"; "gzip(dec)" ]
+         [
+           ("store-if-stored", d);
+           ("always-store", { d with Config.always_store = true });
+         ]);
+    ols
+      ~title:
+        "Ablation 3: the optimizer without promotion vs promotion without \
+         the optimizer"
+      ~cols:("Program", 10, "configuration", 22)
+      (each [ "mlink"; "clean" ]
+         [
+           ("neither", { d with Config.promote = false; optimize = false });
+           ("optimizer-only", { d with Config.promote = false });
+           ("promotion-only", { d with Config.optimize = false });
+           ("both", d);
+         ]);
+    ols
+      ~title:"Ablation 4: the §7 pressure throttle (future work, implemented)"
+      ~cols:("k", 4, "promotion", 12)
+      ~note:
+        "   (water; the throttle keeps the least-referenced promotable \
+         values in memory instead of spilling)"
+      (ks
+         [
+           ("without", { d with Config.promote = false });
+           ("naive", d);
+           ("throttled", { d with Config.throttle = true });
+         ]);
+    ols
+      ~title:
+        "Ablation 5: global dead-store elimination (a §3.4 extension, off by \
+         default)"
+      ~cols:("Program", 10, "configuration", 12)
+      (each [ "mlink"; "indent"; "gzip(enc)" ]
+         [ ("paper", d); ("paper+dse", { d with Config.dse = true }) ]);
+    ols ~title:"Ablation 6: the analysis-precision ladder (with promotion)"
+      ~cols:("Program", 10, "analysis", 9)
+      ~note:
+        "   (none < Steensgaard [20] < MOD/REF < Ruf-style points-to; the \
+         paper's claim is that the top rungs barely differ)"
+      (each [ "fft"; "bc"; "clean"; "go" ]
+         (List.map
+            (fun analysis ->
+              (Config.analysis_name analysis, { d with Config.analysis }))
+            [ Config.Anone; Config.Asteens; Config.Amodref; Config.Apointer ]));
+  ]
+
+(** Table mode: run every cell the tables read, once each, on the
+    in-process executor — tables share cells (Figure 5's [modref/with] is
+    also Ablation 1's [modref+promotion]) — then print the tables. *)
+let print_tables o =
+  let tables = tables () in
+  let key (p : P.program) cfg = (p.P.name, Config.fingerprint cfg) in
+  let index = Hashtbl.create 128 in
+  let cells =
+    List.concat_map (fun t -> List.concat_map (fun r -> r.reads) t.rows) tables
+    |> List.filter_map (fun (prog, cfg) ->
+           if Hashtbl.mem index (key prog cfg) then None
+           else begin
+             Hashtbl.add index (key prog cfg) (Hashtbl.length index);
+             Some { prog; cname = Config.name cfg; cfg }
+           end)
   in
-  let results = Analyze.merge ols instances results in
-  Fmt.pr "@.== Compiler timings (Bechamel, monotonic clock) ==@.";
-  Hashtbl.iter
-    (fun _instance tbl ->
-      let rows = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] in
-      List.iter
-        (fun (name, result) ->
-          match Analyze.OLS.estimates result with
-          | Some (est :: _) -> Fmt.pr "%-40s %12.0f ns/run@." name est
-          | _ -> Fmt.pr "%-40s %12s@." name "n/a")
-        (List.sort compare rows))
-    results
+  let outcomes = Array.of_list (fst (run_local o cells)) in
+  let get p cfg =
+    match outcomes.(Hashtbl.find index (key p cfg)).answer with
+    | Ok c -> c
+    | Error m ->
+      raise (Quarantined (Printf.sprintf "%s under %s" m (Config.name cfg)))
+  in
+  Fmt.pr
+    "Register Promotion in C Programs (Cooper & Lu, PLDI 1997) — \
+     reproduction@.";
+  Fmt.pr
+    "Memory-operation hierarchy (Table 1): iLoad, cLoad, sLoad/sStore, \
+     Load/Store@.";
+  List.iter
+    (fun t ->
+      t.head ();
+      try List.iter (fun r -> r.print get) t.rows
+      with Quarantined m -> Fmt.pr "  quarantined: %s@." m)
+    tables;
+  Fmt.pr "@.All configurations produced identical checksums per program.@."
 
 (* ------------------------------------------------------------------ *)
+(* Command line                                                        *)
+(* ------------------------------------------------------------------ *)
 
-(** Parse [-j N] / [--jobs N] / [--jobs=N]; 0 means the machine's
-    recommended domain count. *)
-let rec parse_jobs = function
-  | [] -> 1
-  | ("-j" | "--jobs") :: v :: _ -> int_of_string v
-  | a :: rest ->
-    (match String.index_opt a '=' with
-    | Some i when String.sub a 0 i = "--jobs" ->
-      int_of_string (String.sub a (i + 1) (String.length a - i - 1))
-    | _ -> parse_jobs rest)
+type opts = {
+  json : bool;
+  jobs : int option;
+  verify : bool;
+  job_timeout : float option;
+  retries : int option;
+  breaker_threshold : int option;
+  journal : string option;
+  resume : string option;
+  plant_hang : string option;
+  via_daemon : string option;
+  via_fleet : int option;
+  native : bool;
+  plant_cc_failure : bool;
+  cc_flags : string option;
+  plant_crash : bool;
+  fleet_state : string option;
+}
 
-(** Parse [--name V] / [--name=V]. *)
-let opt_value name args =
-  let prefix = name ^ "=" in
-  let rec go = function
-    | [] -> None
-    | a :: v :: _ when a = name -> Some v
-    | a :: rest ->
-      if String.starts_with ~prefix a then
-        Some
-          (String.sub a (String.length prefix)
-             (String.length a - String.length prefix))
-      else go rest
+(** Every flag combination the selected executor would not honour, with
+    its usage message: a flag it would ignore is an error, never silently
+    dropped. *)
+let conflicts o =
+  let given = Option.is_some in
+  let remote = given o.via_daemon || given o.via_fleet in
+  let supervision =
+    given o.job_timeout || given o.retries || given o.breaker_threshold
+    || given o.journal || given o.resume || given o.plant_hang
   in
-  go args
+  [
+    (o.native && not o.json, "--native requires --json");
+    (remote && not o.json, "--via-daemon/--via-fleet require --json");
+    ( supervision && not o.json,
+      "--job-timeout/--retries/--breaker-threshold/--journal/--resume/\
+       --plant-hang require --json" );
+    ( o.plant_cc_failure && not o.native,
+      "--plant-cc-failure requires --native" );
+    (given o.cc_flags && not o.native, "--cc-flags requires --native");
+    ( given o.via_daemon && given o.via_fleet,
+      "--via-daemon and --via-fleet are mutually exclusive" );
+    ( remote && (supervision || o.verify),
+      "--via-daemon/--via-fleet supervise and verify backend-side: they take \
+       none of --job-timeout/--retries/--breaker-threshold/--journal/\
+       --resume/--plant-hang/--verify-passes" );
+    ( remote && (o.plant_cc_failure || given o.cc_flags),
+      "--plant-cc-failure/--cc-flags configure a local compiler and cannot \
+       be combined with --via-daemon/--via-fleet" );
+    ( given o.via_daemon && given o.jobs,
+      "--jobs does not apply to --via-daemon (the daemon sets its own)" );
+    ( o.plant_crash && not (given o.via_fleet),
+      "--plant-crash requires --via-fleet" );
+    ( given o.fleet_state && not (given o.via_fleet),
+      "--fleet-state requires --via-fleet" );
+    ( given o.plant_hang && not (given o.job_timeout),
+      "--plant-hang requires --job-timeout" );
+    ( (match o.plant_hang with
+      | Some s ->
+        not (List.exists (fun c -> s = c.prog.P.name ^ ":" ^ c.cname) grid)
+      | None -> false),
+      "--plant-hang must name a grid cell PROGRAM:CONFIG" );
+  ]
+
+(* --native in this process: the compiler, or with --plant-cc-failure one
+   that cannot exist, so every cell's native attempt and its recompile
+   fail and the interpreter rung answers.  The planted identity keeps its
+   binary keys clear of any real compiler's warm store. *)
+let native_cc o cas =
+  let flags =
+    match o.cc_flags with
+    | Some s -> List.filter (( <> ) "") (String.split_on_char ' ' s)
+    | None -> [ "-O1" ]
+  in
+  if o.plant_cc_failure then
+    {
+      Native.path = "/nonexistent/rpcc-planted-cc";
+      flags;
+      identity = "planted-broken-cc";
+    }
+  else
+    match Native.find_cc ~cache:cas ~flags () with
+    | Some cc -> cc
+    | None ->
+      Fmt.epr "--native: no working C compiler found (probed `cc --version`)@.";
+      exit 2
+
+let main o =
+  Option.iter
+    (fun (_, msg) -> Rp_cli.usage msg)
+    (List.find_opt fst (conflicts o));
+  let jobs = Rp_cli.jobs o.jobs in
+  let local ~keep_per_func native =
+    {
+      jobs;
+      verify = o.verify;
+      timeout = o.job_timeout;
+      retries = Rp_cli.retries o.retries;
+      threshold =
+        Option.fold ~none:3
+          ~some:(Rp_cli.positive ~flag:"--breaker-threshold")
+          o.breaker_threshold;
+      plant_hang = o.plant_hang;
+      journal = o.journal;
+      resume = o.resume;
+      native;
+      keep_per_func;
+    }
+  in
+  if not o.json then print_tables (local ~keep_per_func:true None)
+  else
+    match (o.via_daemon, o.via_fleet) with
+    | Some socket, _ -> export (daemon ~socket ~native:o.native)
+    | None, Some shards ->
+      with_fleet
+        ~shards:(Rp_cli.positive ~flag:"--via-fleet" shards)
+        ~plant:o.plant_crash
+        ~state_dir:(Option.value o.fleet_state ~default:".rpcc-fleet")
+        ~jobs ~native:o.native export
+    | None, None ->
+      (* opened once, before the worker pool spawns *)
+      let cas = Rp_support.Cas.open_ (Native.default_cache_dir ()) in
+      let native = if o.native then Some (native_cc o cas, cas) else None in
+      export (in_process (local ~keep_per_func:false native) ~cas)
+
+let opts_t =
+  let open Cmdliner in
+  let flag name doc = Arg.(value & flag (info [ name ] ~doc)) in
+  let opt c name docv doc =
+    Arg.(value & opt (some c) None (info [ name ] ~docv ~doc))
+  in
+  let make json jobs verify job_timeout retries breaker_threshold journal
+      resume plant_hang via_daemon via_fleet native plant_cc_failure cc_flags
+      plant_crash fleet_state =
+    { json; jobs; verify; job_timeout; retries; breaker_threshold; journal;
+      resume; plant_hang; via_daemon; via_fleet; native; plant_cc_failure;
+      cc_flags; plant_crash; fleet_state }
+  in
+  Term.(
+    const make
+    $ flag "json"
+        "Write the paper grid's counts to BENCH_counts.json (and, run \
+         in-process, its timings to BENCH_timings.json) instead of \
+         printing the tables."
+    $ Rp_cli.jobs_t
+    $ flag "verify-passes"
+        "Compile every cell under translation validation; a degraded pass \
+         or non-converged analysis aborts the bench (exit 2)."
+    $ Rp_cli.job_timeout_t $ Rp_cli.retries_t
+    $ opt Arg.int "breaker-threshold" "N"
+        "Consecutive failures of one program's cells that open its circuit \
+         and quarantine its remaining cells (default 3)."
+    $ Rp_cli.journal_t $ Rp_cli.resume_t
+    $ opt Arg.string "plant-hang" "PROGRAM:CONFIG"
+        "Test fixture: wedge this grid cell until its $(b,--job-timeout) \
+         fires."
+    $ opt Arg.string "via-daemon" "SOCKET"
+        "Run the grid through the rpcc serve daemon listening on $(docv)."
+    $ opt Arg.int "via-fleet" "N"
+        "Run the grid through a supervised fleet of $(docv) rpcc serve \
+         shards and write its telemetry to BENCH_fleet.json."
+    $ flag "native"
+        "Execute every cell through the compiled-C backend's degradation \
+         ladder; the counts document is byte-identical to an interpreted \
+         run."
+    $ flag "plant-cc-failure"
+        "Fault drill: a compiler that cannot run fails every native \
+         attempt, so every cell falls to the interpreter rung."
+    $ opt Arg.string "cc-flags" "FLAGS"
+        "Space-separated flags for the C compiler under $(b,--native) \
+         (default -O1)."
+    $ flag "plant-crash"
+        "Chaos drill: SIGKILL a shard and corrupt a cached native binary \
+         mid-campaign."
+    $ opt Arg.string "fleet-state" "DIR"
+        "State directory of the $(b,--via-fleet) fleet (default \
+         .rpcc-fleet).")
 
 let () =
-  let args = Array.to_list Sys.argv in
-  let rest = List.tl args in
-  let want_timings = List.mem "--timings" args in
-  let want_json = List.mem "--json" args in
-  verify := List.mem "--verify-passes" args;
-  (* uniform with rpcc serve/fuzz/gen-fuzz: 0 = auto, negative = usage
-     error (exit 2), never a silent clamp *)
-  jobs := Rp_support.Cli.jobs ~flag:"-j/--jobs" (parse_jobs rest);
-  job_timeout := Option.map float_of_string (opt_value "--job-timeout" rest);
-  Option.iter
-    (fun v -> job_retries := max 0 (int_of_string v))
-    (opt_value "--retries" rest);
-  Option.iter
-    (fun v -> breaker_threshold := max 1 (int_of_string v))
-    (opt_value "--breaker-threshold" rest);
-  journal_path := opt_value "--journal" rest;
-  resume_path := opt_value "--resume" rest;
-  plant_hang := opt_value "--plant-hang" rest;
-  let via_daemon = opt_value "--via-daemon" rest in
-  let via_fleet = Option.map int_of_string (opt_value "--via-fleet" rest) in
-  let want_native = List.mem "--native" args in
-  let plant_cc_failure = List.mem "--plant-cc-failure" args in
-  if plant_cc_failure && not want_native then begin
-    Fmt.epr "--plant-cc-failure requires --native@.";
-    exit 2
-  end;
-  if want_native then begin
-    if not want_json then begin
-      Fmt.epr "--native requires --json@.";
-      exit 2
-    end;
-    let flags =
-      match opt_value "--cc-flags" rest with
-      | Some s ->
-        List.filter (fun f -> f <> "") (String.split_on_char ' ' s)
-      | None -> [ "-O1" ]
-    in
-    if via_daemon <> None || via_fleet <> None then
-      (* rpcc-serve/2 carries the mode per job: each shard compiles and
-         executes through its own degradation ladder, so nothing is
-         probed (or planted) in this process *)
-      if plant_cc_failure then begin
-        Fmt.epr
-          "--plant-cc-failure plants a local compiler and cannot be \
-           combined with --via-daemon/--via-fleet@.";
-        exit 2
-      end
-      else remote_native := true
-    else begin
-      (if plant_cc_failure then
-         (* a compiler that cannot exist: every cell's native attempt
-            (and its recompile retry) fails, forcing the interpreter
-            rung; the fake identity keeps its binary keys clear of any
-            real compiler's warm cache, so the failure cannot be masked
-            by a cached binary *)
-         native_cc :=
-           Some
-             {
-               Rp_backend.Native.path = "/nonexistent/rpcc-planted-cc";
-               flags;
-               identity = "planted-broken-cc";
-             }
-       else
-         match
-           Rp_backend.Native.find_cc ~cache:(Lazy.force native_cas) ~flags ()
-         with
-         | Some cc -> native_cc := Some cc
-         | None ->
-           Fmt.epr
-             "--native: no working C compiler found (probed `cc --version`)@.";
-           exit 2);
-      ignore (Lazy.force native_cas : Rp_support.Cas.t)
-    end
-  end;
-  let plant_crash = List.mem "--plant-crash" args in
-  let fleet_state =
-    Option.value (opt_value "--fleet-state" rest) ~default:".rpcc-fleet"
+  let open Cmdliner in
+  let exits =
+    Cmd.Exit.info 0 ~doc:"on success."
+    :: Cmd.Exit.info 2
+         ~doc:
+           "on a usage error (a flag the selected mode does not take, a \
+            bad value), an unreachable daemon, or a fatal \
+            $(b,--verify-passes) failure."
+    :: Cmd.Exit.info 3 ~doc:"on a daemon timeout or when all shards are dead."
+    :: Cmd.Exit.info 130
+         ~doc:"when interrupted (SIGINT), after flushing the journal."
+    :: Cmd.Exit.defaults
   in
-  let remote_conflicts () =
-    (* supervision, journaling, and verification all live backend-side *)
-    if
-      !journal_path <> None || !resume_path <> None || !plant_hang <> None
-      || !verify
-    then begin
-      Fmt.epr
-        "--via-daemon/--via-fleet cannot be combined with \
-         --journal/--resume/--plant-hang/--verify-passes@.";
-      exit 2
-    end
+  let cmd =
+    Cmd.v
+      (Cmd.info "bench" ~exits
+         ~doc:"Regenerate the paper's evaluation: tables, or the counts grid.")
+      Term.(const main $ opts_t)
   in
-  if want_json then begin
-    match (via_daemon, via_fleet) with
-    | Some _, Some _ ->
-      Fmt.epr "--via-daemon and --via-fleet are mutually exclusive@.";
-      exit 2
-    | Some socket, None ->
-      remote_conflicts ();
-      if plant_crash then begin
-        Fmt.epr "--plant-crash requires --via-fleet@.";
-        exit 2
-      end;
-      json_export_via_daemon socket
-    | None, Some shards ->
-      remote_conflicts ();
-      if shards < 1 then begin
-        Fmt.epr "--via-fleet needs at least one shard@.";
-        exit 2
-      end;
-      json_export_via_fleet shards ~plant:plant_crash ~state_dir:fleet_state
-    | None, None ->
-      if plant_crash then begin
-        Fmt.epr "--plant-crash requires --via-fleet@.";
-        exit 2
-      end;
-      if !plant_hang <> None && !job_timeout = None then begin
-        Fmt.epr "--plant-hang requires --job-timeout@.";
-        exit 2
-      end;
-      (try
-         Sys.set_signal Sys.sigint
-           (Sys.Signal_handle (fun _ -> Atomic.set interrupted true))
-       with Invalid_argument _ | Sys_error _ -> ());
-      json_export ()
-  end
-  else begin
-  let only_timings = want_timings && not (List.mem "--tables" args) in
-  if not only_timings then begin
-    Fmt.pr
-      "Register Promotion in C Programs (Cooper & Lu, PLDI 1997) — \
-       reproduction@.";
-    Fmt.pr
-      "Memory-operation hierarchy (Table 1): iLoad, cLoad, sLoad/sStore, \
-       Load/Store@.";
-    (* each table section survives a quarantined program: the reason is
-       printed in place and the remaining sections still run *)
-    let section f =
-      try f () with Quarantined m -> Fmt.pr "  quarantined: %s@." m
-    in
-    (* compute the full grid in parallel before any table renders; the
-       sections below then read the memo cache in their fixed order *)
-    if !jobs > 1 then prewarm (table_cells ());
-    figure4 ();
-    section metric_tables;
-    section mlink_function;
-    section section33;
-    section pressure;
-    section ablations;
-    Fmt.pr "@.All configurations produced identical checksums per program.@."
-  end;
-  if want_timings then timings ()
-  end
+  (* ~catch:false: an escaping exception — a fatal --verify-passes
+     failure, a table's checksum check — exits 2 through OCaml's
+     uncaught-exception handler, not cmdliner's 125 *)
+  exit (Cmd.eval ~catch:false cmd)

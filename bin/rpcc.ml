@@ -287,8 +287,8 @@ let run_cmd =
           (prog, st, r)
       with
       | Rp_exec.Interp.Resource_limit m as e ->
-        if timeout <> None && String.starts_with ~prefix:"external stop" m
-        then Rp_support.Resilience.tick resil Rp_support.Resilience.Timeout;
+        if timeout <> None && Rp_exec.Interp.is_external_stop m then
+          Rp_support.Resilience.tick resil Rp_support.Resilience.Timeout;
         raise e
       | Rp_backend.Native.Error m ->
         Fmt.epr "error: native backend: %s@." m;
@@ -502,99 +502,23 @@ let seed_t =
 let trials_t ~doc =
   Arg.(value & opt int 50 & info [ "trials"; "seeds" ] ~docv:"N" ~doc)
 
-(* Both fuzz campaigns parallelize over trials with deterministic
-   collection, so -j changes wall-clock time and nothing else. *)
-let jobs_t =
-  Arg.(
-    value & opt int 1
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Run trials on $(docv) worker domains.  Reports, saved \
-           reproducers, and exit codes are identical at every $(docv); \
-           use 0 for the machine's recommended domain count.")
-
-(* Uniform across serve, bench, fuzz, and gen-fuzz: 0 = auto, negative =
-   usage error (exit 2), never a silent clamp. *)
-let resolve_jobs j = Rp_support.Cli.jobs ~flag:"--jobs" j
-
-(* Supervision flags shared by the campaign commands (fuzz, gen-fuzz). *)
-let job_timeout_t =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "job-timeout" ] ~docv:"SECONDS"
-        ~doc:
-          "Per-trial wall-clock deadline.  A trial over the deadline is \
-           aborted (cooperatively when it is interpreting; by abandoning \
-           and replacing its worker domain when it is wedged), retried \
-           per $(b,--retries), then quarantined.  Quarantined trials are \
-           reported on stderr and counted as inconclusive.")
-
-let retries_campaign_t =
-  Arg.(
-    value & opt int 1
-    & info [ "retries" ] ~docv:"N"
-        ~doc:
-          "Extra attempts for a trial that times out or crashes before it \
-           is quarantined (default 1).")
-
-let journal_t =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "journal" ] ~docv:"FILE"
-        ~doc:
-          "Append one fsynced line-JSON record per finished trial to \
-           $(docv), so an interrupted or killed campaign can be resumed \
-           with $(b,--resume) without losing completed work.")
-
-let resume_t =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "resume" ] ~docv:"FILE"
-        ~doc:
-          "Replay the finished trials recorded in a previous campaign's \
-           journal instead of re-running them, then run only the \
-           remainder.  The final report is byte-identical to an \
-           uninterrupted run.  Combine with $(b,--journal) $(docv) to \
-           keep extending the same journal.")
-
-(* SIGINT turns into cooperative cancellation: workers stop taking
-   trials, in-flight journal records are already fsynced, and the
-   command exits 130 with a resume hint. *)
-let interrupted = Atomic.make false
-
-let with_sigint f =
-  let previous =
-    Sys.signal Sys.sigint
-      (Sys.Signal_handle (fun _ -> Atomic.set interrupted true))
-  in
-  Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigint previous) f
-
-let resume_hint journal =
-  match journal with
-  | Some p -> Printf.sprintf "; resume with --resume %s" p
-  | None -> " (no --journal, completed work is lost)"
-
 let fuzz_cmd =
   let fuzz seed seeds jobs job_timeout retries journal resume =
     handle_errors @@ fun () ->
-    with_sigint @@ fun () ->
+    Rp_cli.with_sigint @@ fun () ->
     let resil = Rp_support.Resilience.create () in
     let quarantined = ref [] in
     let report =
-      Rp_fuzz.Faultgen.run ~seed ~seeds ~jobs:(resolve_jobs jobs)
-        ?timeout:job_timeout ~retries ?journal ?resume ~resilience:resil
-        ~cancel:(fun () -> Atomic.get interrupted)
+      Rp_fuzz.Faultgen.run ~seed ~seeds ~jobs:(Rp_cli.jobs jobs)
+        ?timeout:job_timeout ~retries:(Rp_cli.retries retries) ?journal
+        ?resume ~resilience:resil ~cancel:Rp_cli.interrupted
         ~on_failure:(fun i f -> quarantined := (i, f) :: !quarantined)
         ()
     in
-    if Atomic.get interrupted then begin
-      Fmt.epr "interrupted after %d finished trials%s@."
-        report.Rp_fuzz.Faultgen.trials (resume_hint journal);
-      exit 130
-    end;
+    if Rp_cli.interrupted () then
+      Rp_cli.exit_interrupted ~journal
+        ~progress:
+          (Printf.sprintf "%d finished trials" report.Rp_fuzz.Faultgen.trials);
     List.iter
       (fun (i, f) ->
         Fmt.epr "trial %d: %a@." i Rp_support.Pool.pp_job_failure f)
@@ -618,7 +542,8 @@ let fuzz_cmd =
     Term.(
       const fuzz $ seed_t
       $ trials_t ~doc:"Number of fault-injection trials."
-      $ jobs_t $ job_timeout_t $ retries_campaign_t $ journal_t $ resume_t)
+      $ Rp_cli.jobs_t $ Rp_cli.job_timeout_t $ Rp_cli.retries_t
+      $ Rp_cli.journal_t $ Rp_cli.resume_t)
 
 (* ------------------------------------------------------------------ *)
 (* Generative differential testing                                     *)
@@ -722,7 +647,7 @@ let gen_fuzz_cmd =
   let gen_fuzz seed trials mode inject fuel do_reduce budget out_dir jobs
       job_timeout retries journal resume native =
     handle_errors @@ fun () ->
-    with_sigint @@ fun () ->
+    Rp_cli.with_sigint @@ fun () ->
     let module D = Rp_fuzz.Difforacle in
     (try Sys.mkdir out_dir 0o755 with Sys_error _ -> ());
     let native_cc =
@@ -792,24 +717,23 @@ let gen_fuzz_cmd =
       Fun.protect
         ~finally:(fun () -> Option.iter Rp_support.Journal.close jwriter)
         (fun () ->
-          Rp_support.Pool.run_supervised ~jobs:(resolve_jobs jobs)
-            ?timeout:job_timeout ~retries
-            ~cancel:(fun () -> Atomic.get interrupted)
+          Rp_support.Pool.run_supervised ~jobs:(Rp_cli.jobs jobs)
+            ?timeout:job_timeout ~retries:(Rp_cli.retries retries)
+            ~cancel:Rp_cli.interrupted
             ~resilience:resil ~on_result
             (fun ~should_stop trial ->
               let src = Rp_fuzz.Gen.program_of_seed ~seed ~trial in
               D.check ~mode ~fuel ~should_stop ?inject ?native:native_cc src)
             fresh)
     in
-    if Atomic.get interrupted then begin
+    if Rp_cli.interrupted () then begin
       let finished =
         Array.fold_left
           (fun acc o -> match o with Ok _ -> acc + 1 | Error _ -> acc)
           (Hashtbl.length replayed) outcomes
       in
-      Fmt.epr "interrupted after %d/%d finished trials%s@." finished trials
-        (resume_hint journal);
-      exit 130
+      Rp_cli.exit_interrupted ~journal
+        ~progress:(Printf.sprintf "%d/%d finished trials" finished trials)
     end;
     let fresh_tbl : (int, D.outcome Rp_support.Pool.supervised) Hashtbl.t =
       Hashtbl.create 64
@@ -929,8 +853,8 @@ let gen_fuzz_cmd =
       const gen_fuzz $ seed_t
       $ trials_t ~doc:"Number of generated programs to test."
       $ mode_t $ inject_t $ oracle_fuel_t $ reduce_t $ budget_t $ out_dir_t
-      $ jobs_t $ job_timeout_t $ retries_campaign_t $ journal_t $ resume_t
-      $ native_t)
+      $ Rp_cli.jobs_t $ Rp_cli.job_timeout_t $ Rp_cli.retries_t
+      $ Rp_cli.journal_t $ Rp_cli.resume_t $ native_t)
 
 let reduce_cmd =
   let reduce file config_name cls_name mode inject iseed fuel budget out =
@@ -1026,13 +950,9 @@ let serve_cmd =
   let serve socket state_dir cas_dir shard_id jobs queue_bound job_timeout
       retries threshold cooldown =
     handle_errors @@ fun () ->
-    let jobs = Rp_support.Cli.jobs ~flag:"--jobs" jobs in
-    let queue_bound =
-      Rp_support.Cli.positive ~flag:"--queue-bound" queue_bound
-    in
-    let threshold =
-      Rp_support.Cli.positive ~flag:"--breaker-threshold" threshold
-    in
+    let jobs = Rp_cli.jobs jobs and retries = Rp_cli.retries retries in
+    let queue_bound = Rp_cli.positive ~flag:"--queue-bound" queue_bound in
+    let threshold = Rp_cli.positive ~flag:"--breaker-threshold" threshold in
     Rp_serve.Daemon.serve
       {
         Rp_serve.Daemon.socket;
@@ -1042,7 +962,7 @@ let serve_cmd =
         jobs;
         queue_bound;
         job_timeout = (if job_timeout <= 0. then None else Some job_timeout);
-        retries = max 0 retries;
+        retries;
         breaker_threshold = threshold;
         breaker_cooldown = cooldown;
       }
@@ -1123,17 +1043,17 @@ let serve_cmd =
           journal.  SIGKILL-safe (restarts warm on the same --state-dir); \
           SIGTERM/SIGINT drain gracefully.")
     Term.(
-      const serve $ socket_t $ state_dir_t $ cas_dir_t $ shard_id_t $ jobs_t
-      $ queue_bound_t $ serve_timeout_t $ retries_campaign_t $ threshold_t
-      $ cooldown_t)
+      const serve $ socket_t $ state_dir_t $ cas_dir_t $ shard_id_t
+      $ Rp_cli.jobs_t $ queue_bound_t $ serve_timeout_t $ Rp_cli.retries_t
+      $ threshold_t $ cooldown_t)
 
 let fleet_cmd =
   let fleet shards state_dir jobs job_timeout probe_interval probe_timeout
       wedged plant_crash =
     handle_errors @@ fun () ->
-    let shards = Rp_support.Cli.positive ~flag:"SHARDS" shards in
-    let jobs = Rp_support.Cli.jobs ~flag:"--jobs" jobs in
-    let wedged = Rp_support.Cli.positive ~flag:"--wedged-threshold" wedged in
+    let shards = Rp_cli.positive ~flag:"SHARDS" shards in
+    let jobs = Rp_cli.jobs jobs in
+    let wedged = Rp_cli.positive ~flag:"--wedged-threshold" wedged in
     Rp_serve.Fleet.run
       {
         Rp_serve.Fleet.shards;
@@ -1207,7 +1127,7 @@ let fleet_cmd =
           each key stays on one warm shard.  SIGTERM/SIGINT drain every \
           shard and exit 0.")
     Term.(
-      const fleet $ shards_t $ fleet_state_t $ jobs_t $ fleet_timeout_t
+      const fleet $ shards_t $ fleet_state_t $ Rp_cli.jobs_t $ fleet_timeout_t
       $ probe_interval_t $ probe_timeout_t $ wedged_t $ plant_crash_t)
 
 let client_cmd =

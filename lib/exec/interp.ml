@@ -58,6 +58,10 @@ exception Resource_limit of string
 
 let resource_limit fmt = Fmt.kstr (fun s -> raise (Resource_limit s)) fmt
 
+(* The prefix of every cooperative-abort message: this interpreter's, the
+   native backend's compiled-in copy, and the daemon's fuzz-batch stop *)
+let is_external_stop m = String.starts_with ~prefix:"external stop" m
+
 type state = {
   prog : Program.t;
   dprog : P.dprog;

@@ -38,6 +38,13 @@ exception Resource_limit of string
     interpreter resource limit rather than trapping.  Reported by [rpcc]
     with its own exit code (3). *)
 
+val is_external_stop : string -> bool
+(** Whether a {!Resource_limit} message reports a cooperative abort (a
+    [should_stop] poll or [deadline] firing; the native backend raises
+    the same message) rather than the program exhausting fuel or stack:
+    supervisors use it to tell their own deadline from a deterministic
+    limit. *)
+
 (** Run the program.
     @param fuel maximum executed operations (default 4×10⁸)
     @param check_tags dynamic tag-set verification (default on)

@@ -150,16 +150,6 @@ let compact ~journal_path jsum (records, pending) =
 (* Job execution                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(** The interpreter's cooperative-abort marker (see
-    {!Rp_exec.Interp.run}): a [Resource_limit] carrying it means the
-    supervised pool's deadline fired, not that the program itself blew a
-    resource bound. *)
-let is_external_stop msg =
-  let sub = "external stop" in
-  let n = String.length sub and m = String.length msg in
-  let rec go i = i + n <= m && (String.sub msg i n = sub || go (i + 1)) in
-  go 0
-
 (* One probe per process, memoized inside {!Rp_backend.Native.find_cc}
    (with the CAS rung making it survive restarts), so calling this per
    native job or health request costs a hashtable lookup. *)
@@ -291,7 +281,7 @@ let handle_op ~should_stop st (r : Protocol.request) : Json.t =
           (Json.to_string ~indent:false summary);
         Protocol.ok ~id:r.id ~client:r.client [ ("fuzz", summary) ])
   with
-  | Rp_exec.Interp.Resource_limit m when is_external_stop m ->
+  | Rp_exec.Interp.Resource_limit m when Rp_exec.Interp.is_external_stop m ->
     raise (Rp_exec.Interp.Resource_limit m)
   | Rp_exec.Interp.Error m -> err "trap" m
   | Rp_exec.Interp.Resource_limit m -> err "resource" m

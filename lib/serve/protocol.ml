@@ -4,10 +4,6 @@ module Json = Rp_support.Json
 
 let schema = "rpcc-serve/2"
 
-(* v1 requests (no [mode] field) are still accepted; responses always
-   speak v2 *)
-let accepted_schemas = [ schema; "rpcc-serve/1" ]
-
 type exec_mode = Interp | Native
 
 let mode_name = function Interp -> "interp" | Native -> "native"
@@ -65,7 +61,7 @@ let parse_request (doc : Json.t) : (request, string) result =
       Ok { id; client; op = mk ~src ~config }
   in
   match Json.member "schema" doc with
-  | Some (Json.Str s) when not (List.mem s accepted_schemas) ->
+  | Some (Json.Str s) when s <> schema ->
     Error (Printf.sprintf "unsupported schema %s (want %s)" s schema)
   | _ -> (
     match str "op" with

@@ -15,8 +15,8 @@
     the compiled-C backend's degradation ladder and its payload carries
     an [exec] object naming the rung that answered.  [id] is echoed
     verbatim in the response; [client] (default ["anonymous"]) names the
-    circuit-breaker key.  v1 requests ([rpcc-serve/1], which had no
-    [mode]) are still accepted; responses always speak v2.
+    circuit-breaker key.  A request naming any other schema is answered
+    with an [unsupported schema] usage error.
 
     Response: [{"schema", "id", "client", "status", ...}] where [status]
     is [ok] (op-specific payload fields follow), [error] (fields [code]

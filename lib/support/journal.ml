@@ -20,7 +20,7 @@ let write_all fd s =
   in
   go 0
 
-(* A v2 record line wraps the payload in {"crc32": "...", "r": payload},
+(* A record line wraps the payload in {"crc32": "...", "r": payload},
    with the CRC computed over the payload's own compact serialization —
    exactly the bytes between the wrapper's ["r":] and the closing brace,
    so the loader can re-derive them from the parse. *)
@@ -52,15 +52,15 @@ let close w =
 
 let path w = w.path
 
-(* Classify one parsed line: a v2 wrapper is unwrapped after its CRC
-   checks out; anything else is a CRC-less v1 record, taken as-is. *)
+(* Classify one parsed line: a wrapper is unwrapped after its CRC checks
+   out; anything else is corrupt. *)
 let unwrap = function
   | Json.Obj [ ("crc32", Json.Str h); ("r", payload) ] -> (
     let bytes = Json.to_string ~indent:false payload in
     match Crc32.of_hex h with
     | Some c when c = Crc32.string bytes -> Ok payload
     | _ -> Error "crc32 mismatch")
-  | j -> Ok j
+  | _ -> Error "not a CRC-wrapped record"
 
 let load ?(on_skip = fun ~line:_ _ -> ()) path =
   if not (Sys.file_exists path) then []

@@ -10,14 +10,13 @@
     Writers are thread-safe: worker domains may {!record} concurrently
     (records are serialized under an internal lock, never interleaved).
 
-    {b Record format.}  Each line is a v2 wrapper
+    {b Record format.}  Each line is a wrapper
     [{"crc32": "xxxxxxxx", "r": <record>}]: the CRC-32 of the record's
     compact serialization travels with it, so a bit flip or torn write
     {e anywhere} in the file — not just a truncated final line — is
     detected on load and the damaged record is skipped (and surfaced via
-    [on_skip]) instead of being parsed as garbage.  CRC-less v1 journals
-    (any line that is not a v2 wrapper) keep loading for [--resume]
-    compatibility. *)
+    [on_skip]) instead of being parsed as garbage.  A line that is not a
+    wrapper is corrupt like any other. *)
 
 type writer
 
@@ -37,8 +36,8 @@ val load : ?on_skip:(line:int -> string -> unit) -> string -> Json.t list
 (** Parse every line of [path] in order, returning the unwrapped payload
     records.  A missing file is an empty journal.  An unparseable
     {e final} line (the record being written when the process died) is
-    dropped silently; a corrupt {e interior} line — unparseable, or a v2
-    record whose CRC does not match — is skipped and reported through
-    [on_skip] (1-based line number and reason), so callers can count a
-    [journal_skipped] telemetry event rather than crash or resume from
-    garbage. *)
+    dropped silently; any other corrupt line — an unparseable interior
+    line, a line that is not a wrapper, or a record whose CRC does not
+    match — is skipped and reported through [on_skip] (1-based line
+    number and reason), so callers can count a [journal_skipped]
+    telemetry event rather than crash or resume from garbage. *)

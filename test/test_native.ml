@@ -299,6 +299,41 @@ let bench_cli_tests =
            would silently probe their own real cc instead *)
         Util.check Alcotest.int "exit code" 2
           (bench_exit "--json --native --plant-cc-failure --via-fleet 2"));
+    Util.tc "bench: unknown flags are rejected, not run as table mode"
+      (fun () ->
+        Util.check Alcotest.int "exit code" 124
+          (bench_exit "--jsno --job-timout 5"));
+    Util.tc "bench: a malformed shard count is a parse error" (fun () ->
+        Util.check Alcotest.int "exit code" 124
+          (bench_exit "--json --via-fleet two"));
+    Util.tc "bench: negative --retries is rejected, not clamped" (fun () ->
+        Util.check Alcotest.int "exit code" 2
+          (bench_exit "--json --retries=-3"));
+    Util.tc "bench: --breaker-threshold 0 is rejected, not clamped"
+      (fun () ->
+        Util.check Alcotest.int "exit code" 2
+          (bench_exit "--json --breaker-threshold 0"));
+    Util.tc "bench: --job-timeout with --via-daemon is a usage error"
+      (fun () ->
+        Util.check Alcotest.int "exit code" 2
+          (bench_exit "--json --via-daemon /tmp/nope.sock --job-timeout 5"));
+    Util.tc "bench: --retries with --via-fleet is a usage error" (fun () ->
+        Util.check Alcotest.int "exit code" 2
+          (bench_exit "--json --via-fleet 2 --retries 1"));
+    Util.tc "bench: --breaker-threshold with --via-daemon is a usage error"
+      (fun () ->
+        Util.check Alcotest.int "exit code" 2
+          (bench_exit
+             "--json --via-daemon /tmp/nope.sock --breaker-threshold 2"));
+    Util.tc "bench: --cc-flags without --native is a usage error" (fun () ->
+        Util.check Alcotest.int "exit code" 2 (bench_exit "--cc-flags=-O2"));
+    Util.tc "bench: --fleet-state without --via-fleet is a usage error"
+      (fun () ->
+        Util.check Alcotest.int "exit code" 2
+          (bench_exit "--json --fleet-state /tmp/nope-fleet"));
+    Util.tc "bench: --plant-hang must name a grid cell" (fun () ->
+        Util.check Alcotest.int "exit code" 2
+          (bench_exit "--json --job-timeout 1 --plant-hang mlink:nope"));
   ]
 
 let () =

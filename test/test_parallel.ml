@@ -336,10 +336,19 @@ let test_gen_fuzz_cli_jobs_invariant () =
   let o1 = run 1 "j1" and o4 = run 4 "j4" in
   Util.check Alcotest.string "identical gen-fuzz stdout at -j1 and -j4" o1 o4
 
+let read_file path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+(* The committed baselines ([../BENCH_*.json] are declared test deps) are
+   what the code emits: the counts document byte for byte, the timings
+   document by schema (its numbers are machine-dependent). *)
 let test_bench_counts_jobs_invariant () =
   let bench = Filename.concat (Sys.getcwd ()) "../bench/main.exe" in
   in_temp_dir "bench" @@ fun dir ->
-  let counts jobs =
+  let run jobs =
     let sub = Filename.concat dir (Printf.sprintf "j%d" jobs) in
     (try Sys.mkdir sub 0o755 with Sys_error _ -> ());
     ignore
@@ -347,15 +356,23 @@ let test_bench_counts_jobs_invariant () =
          (Printf.sprintf "cd %s && %s --json --jobs %d 2>&1"
             (Filename.quote sub) (Filename.quote bench) jobs)
         : string);
-    let ic = open_in_bin (Filename.concat sub "BENCH_counts.json") in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
+    sub
   in
-  let c1 = counts 1 and c4 = counts 4 in
+  let d1 = run 1 and d4 = run 4 in
+  let counts d = read_file (Filename.concat d "BENCH_counts.json") in
+  let c1 = counts d1 in
   Util.check Alcotest.bool "BENCH_counts.json byte-identical at -j1 and -j4"
-    true (String.equal c1 c4)
+    true (String.equal c1 (counts d4));
+  Util.check Alcotest.bool "committed BENCH_counts.json is what -j1 writes"
+    true (String.equal c1 (read_file "../BENCH_counts.json"));
+  let schema path =
+    match Rp_support.Json.(member "schema" (of_file path)) with
+    | Some (Rp_support.Json.Str s) -> s
+    | _ -> Alcotest.failf "%s has no schema" path
+  in
+  Util.check Alcotest.string "committed BENCH_timings.json schema"
+    (schema (Filename.concat d1 "BENCH_timings.json"))
+    (schema "../BENCH_timings.json")
 
 let () =
   Alcotest.run "parallel"

@@ -155,14 +155,18 @@ let test_gen_fuzz_kill_and_resume () =
 let test_bench_planted_hang_degrades_one_cell () =
   let bench = Filename.concat (Sys.getcwd ()) "../bench/main.exe" in
   in_temp_dir "bench" @@ fun dir ->
-  let counts sub args =
+  let docs sub args =
     let d = Filename.concat dir sub in
     (try Sys.mkdir d 0o755 with Sys_error _ -> ());
     let (st, _) = run_capture ~dir:d (bench :: "--json" :: args) in
     Alcotest.(check int) (sub ^ " exit 0") 0 st;
-    Json.of_file (Filename.concat d "BENCH_counts.json")
+    ( Json.of_file (Filename.concat d "BENCH_counts.json"),
+      Json.of_file (Filename.concat d "BENCH_timings.json") )
   in
-  let baseline = counts "base" [ "--jobs"; "4" ] in
+  let counts sub args = fst (docs sub args) in
+  let journal = Filename.concat dir "grid.jsonl" in
+  (try Sys.remove journal with Sys_error _ -> ());
+  let baseline = counts "base" [ "--jobs"; "4"; "--journal"; journal ] in
   (* the timeout must be generous enough that only the planted cell hits
      it even on a loaded machine: an honest cell timing out on its first
      attempt would perturb the resilience counters (its retry still keeps
@@ -219,7 +223,61 @@ let test_bench_planted_hang_degrades_one_cell () =
                 = Some (Some cell)))
           cells
       | _ -> ())
-    (programs baseline)
+    (programs baseline);
+  (* --resume: the journaled cells are replayed, not recomputed, and the
+     programs section is byte-identical to the run that wrote them *)
+  let resumed_from sub path ~resumed ~recomputed =
+    let counts, timings = docs sub [ "--jobs"; "4"; "--resume"; path ] in
+    let section k j = Json.to_string (Option.get (Json.member k j)) in
+    Alcotest.(check string)
+      (sub ^ ": programs byte-equal")
+      (section "programs" baseline) (section "programs" counts);
+    Alcotest.(check (option int))
+      (sub ^ ": resumed cells")
+      (Some resumed)
+      (match
+         Option.bind (Json.member "resilience" counts) (Json.member "resumed")
+       with
+      | Some (Json.Int n) -> Some n
+      | _ -> None);
+    let fresh =
+      List.concat_map
+        (fun (_, cells) ->
+          match cells with
+          | Json.Obj cells ->
+            List.filter
+              (fun (_, c) -> Json.member "resumed" c = None)
+              cells
+          | _ -> [])
+        (match Json.member "programs" timings with
+        | Some (Json.Obj ps) -> ps
+        | _ -> [])
+    in
+    Alcotest.(check int) (sub ^ ": cells recomputed") recomputed
+      (List.length fresh)
+  in
+  resumed_from "resume-full" journal ~resumed:108 ~recomputed:0;
+  (* one byte flipped inside an interior record: its CRC no longer
+     matches, so that record is skipped and its cell recomputed *)
+  let lines = String.split_on_char '\n' (String.trim (read_file journal)) in
+  Alcotest.(check int) "one journal record per cell" 108 (List.length lines);
+  let flipped = Filename.concat dir "flipped.jsonl" in
+  let oc = open_out_bin flipped in
+  List.iteri
+    (fun i l ->
+      let l =
+        if i <> 50 then l
+        else
+          String.mapi
+            (fun j c ->
+              if j = String.length l / 2 then Char.chr (Char.code c lxor 1)
+              else c)
+            l
+      in
+      output_string oc (l ^ "\n"))
+    lines;
+  close_out oc;
+  resumed_from "resume-flipped" flipped ~resumed:107 ~recomputed:1
 
 let () =
   Alcotest.run "resilience"

@@ -354,7 +354,7 @@ let protocol_tests =
           | Ok _ -> Alcotest.fail "expected Run"
           | Error e -> Error e
         in
-        Util.check Alcotest.bool "absent defaults to interp (v1 compat)" true
+        Util.check Alcotest.bool "absent defaults to interp" true
           (mode_of [] = Ok Protocol.Interp);
         Util.check Alcotest.bool "explicit interp" true
           (mode_of [ ("mode", Json.Str "interp") ] = Ok Protocol.Interp);
@@ -364,7 +364,7 @@ let protocol_tests =
           (Result.is_error (mode_of [ ("mode", Json.Str "warp") ]));
         Util.check Alcotest.bool "non-string mode rejected" true
           (Result.is_error (mode_of [ ("mode", Json.Int 3) ])));
-    Util.tc "protocol: v1 requests still parse, responses stamp v2" (fun () ->
+    Util.tc "protocol: v1 requests are rejected, responses stamp v2" (fun () ->
         let v1 =
           Json.Obj
             [
@@ -374,11 +374,10 @@ let protocol_tests =
             ]
         in
         (match Protocol.parse_request v1 with
-        | Ok { Protocol.op = Protocol.Run { mode; _ }; _ } ->
-          Util.check Alcotest.bool "v1 run is interp" true
-            (mode = Protocol.Interp)
-        | Ok _ -> Alcotest.fail "expected Run"
-        | Error e -> Alcotest.fail ("v1 parse failed: " ^ e));
+        | Error e ->
+          Util.check Alcotest.string "unsupported-schema error"
+            "unsupported schema rpcc-serve/1 (want rpcc-serve/2)" e
+        | Ok _ -> Alcotest.fail "a v1 request must not parse");
         match Protocol.ok ~id:(Json.Int 1) ~client:"c" [] with
         | Json.Obj (("schema", Json.Str s) :: _) ->
           Util.check Alcotest.string "response schema" "rpcc-serve/2" s
@@ -875,7 +874,7 @@ let jobs_validation_tests =
               q (rpcc ()) ^ " gen-fuzz --trials 1 --jobs=-1 --out-dir "
               ^ q (Filename.concat dir "out") );
             ( "bench",
-              "cd " ^ q dir ^ " && " ^ q (bench ()) ^ " --json --jobs -1" );
+              "cd " ^ q dir ^ " && " ^ q (bench ()) ^ " --json --jobs=-1" );
           ]);
     Util.tc "cli: the usage message names the flag" (fun () ->
         let dir = fresh_dir "jobsmsg" in
