@@ -172,7 +172,6 @@ let execute o ~should_stop c =
     | Some (cc, cache) ->
       let lad =
         Native.run_laddered ?deadline:o.timeout ~cache
-          ~key:(Pipeline.cache_key ~config c.prog.P.source)
           ~interp:(fun () ->
             let t0 = Clock.now () in
             let r = I.run ~should_stop ?deadline:o.timeout prog in

@@ -279,10 +279,9 @@ let run_cmd =
             src
         | Some (cc, cache) ->
           let prog, st = Pipeline.compile ~config src in
-          let key = Pipeline.cache_key ~config src in
           let r =
             Rp_backend.Native.run ?fuel ?max_depth ?deadline:timeout ~cache
-              ~key ~cc prog
+              ~cc prog
           in
           (prog, st, r)
       with

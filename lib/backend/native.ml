@@ -341,42 +341,62 @@ let cc_compile ?(sandbox = default_sandbox) ~cc csrc =
       Unix.chmod bin 0o700;
       bin)
 
-let bin_key ?key ~cc csrc =
+(* A binary is keyed by exactly what cc compiles.  Configs whose
+   analyses agree emit the same C and share one binary, and a pass change
+   that alters the code alters the key by itself: no version bump has to
+   remember the store. *)
+let bin_key ~cc csrc =
   Rp_support.Cas.key
-    [
-      Cgen.version;
-      (match key with Some k -> k | None -> csrc);
-      cc.identity;
-      String.concat " " cc.flags;
-    ]
+    [ Cgen.version; csrc; cc.identity; String.concat " " cc.flags ]
 
-let compile ?sandbox ?cache ?key ~cc prog =
+(* Single flight: at most one domain per (store, binary key) runs between
+   the store read and the put, so concurrent cells that emit the same C
+   run cc once and the rest read the store.  The claim is released on
+   every exit, a failed compile included: a waiter whose leader failed
+   reads a miss and compiles for itself. *)
+let claims : (string * string, unit) Hashtbl.t = Hashtbl.create 16
+let claims_lock = Mutex.create ()
+let claim_released = Condition.create ()
+
+let with_claim id f =
+  Mutex.protect claims_lock (fun () ->
+      while Hashtbl.mem claims id do
+        Condition.wait claim_released claims_lock
+      done;
+      Hashtbl.replace claims id ());
+  Fun.protect f ~finally:(fun () ->
+      Mutex.protect claims_lock (fun () ->
+          Hashtbl.remove claims id;
+          Condition.broadcast claim_released))
+
+let compile ?sandbox ?cache ?key:_ ~cc prog =
   let csrc = Cgen.emit prog in
   match cache with
   | None -> (cc_compile ?sandbox ~cc csrc, false)
-  | Some cas -> (
-    let k = bin_key ?key ~cc csrc in
-    match Rp_support.Cas.get cas ~key:k ~kind:"native-bin" with
-    | Some bytes ->
-      let bin = Filename.temp_file "rpcc_native" ".bin" in
-      write_file bin bytes;
-      Unix.chmod bin 0o700;
-      (bin, true)
-    | None ->
-      let bin = cc_compile ?sandbox ~cc csrc in
-      Rp_support.Cas.put cas ~key:k ~kind:"native-bin" (read_file bin);
-      (bin, false))
+  | Some cas ->
+    let k = bin_key ~cc csrc in
+    with_claim (Rp_support.Cas.root cas, k) (fun () ->
+        match Rp_support.Cas.get cas ~key:k ~kind:"native-bin" with
+        | Some bytes ->
+          let bin = Filename.temp_file "rpcc_native" ".bin" in
+          write_file bin bytes;
+          Unix.chmod bin 0o700;
+          (bin, true)
+        | None ->
+          let bin = cc_compile ?sandbox ~cc csrc in
+          Rp_support.Cas.put cas ~key:k ~kind:"native-bin" (read_file bin);
+          (bin, false))
 
 (* The degradation ladder's second rung: recompile without reading the
    cache (a CRC-valid but behaviorally bad entry would just be refetched)
    but write the fresh binary back through, repairing the entry for every
-   later job on this key. *)
-let compile_fresh ?sandbox ?cache ?key ~cc prog =
+   later job on this key.  It takes no claim, just as it skips the read. *)
+let compile_fresh ?sandbox ?cache ~cc prog =
   let csrc = Cgen.emit prog in
   let bin = cc_compile ?sandbox ~cc csrc in
   (match cache with
   | Some cas ->
-    Rp_support.Cas.put cas ~key:(bin_key ?key ~cc csrc) ~kind:"native-bin"
+    Rp_support.Cas.put cas ~key:(bin_key ~cc csrc) ~kind:"native-bin"
       (read_file bin)
   | None -> ());
   bin
@@ -496,9 +516,9 @@ type timed = {
 }
 
 let run_timed ?fuel ?check_tags ?max_depth ?seed ?deadline ?sandbox ?cache
-    ?key ~cc prog =
+    ?key:_ ~cc prog =
   let t0 = Rp_support.Clock.now () in
-  let bin, cache_hit = compile ?sandbox ?cache ?key ~cc prog in
+  let bin, cache_hit = compile ?sandbox ?cache ~cc prog in
   let t1 = Rp_support.Clock.now () in
   Fun.protect
     ~finally:(fun () -> try Sys.remove bin with Sys_error _ -> ())
@@ -517,10 +537,9 @@ let run_timed ?fuel ?check_tags ?max_depth ?seed ?deadline ?sandbox ?cache
         cache_hit;
       })
 
-let run ?fuel ?check_tags ?max_depth ?seed ?deadline ?sandbox ?cache ?key ~cc
-    prog =
-  (run_timed ?fuel ?check_tags ?max_depth ?seed ?deadline ?sandbox ?cache ?key
-     ~cc prog)
+let run ?fuel ?check_tags ?max_depth ?seed ?deadline ?sandbox ?cache ~cc prog =
+  (run_timed ?fuel ?check_tags ?max_depth ?seed ?deadline ?sandbox ?cache ~cc
+     prog)
     .result
 
 (* ------------------------------------------------------------------ *)
@@ -544,7 +563,7 @@ type laddered = {
    result is therefore independent of which rungs fired; only the
    telemetry ([l_mode]/[l_degraded]) and the latency differ. *)
 let run_laddered ?fuel ?check_tags ?max_depth ?seed ?deadline ?sandbox ?cache
-    ?key ~interp ~cc prog =
+    ~interp ~cc prog =
   let fallback reason =
     let result, run_ms = interp () in
     {
@@ -561,7 +580,7 @@ let run_laddered ?fuel ?check_tags ?max_depth ?seed ?deadline ?sandbox ?cache
   | Some cc -> (
     match
       run_timed ?fuel ?check_tags ?max_depth ?seed ?deadline ?sandbox ?cache
-        ?key ~cc prog
+        ~cc prog
     with
     | t ->
       {
@@ -575,7 +594,7 @@ let run_laddered ?fuel ?check_tags ?max_depth ?seed ?deadline ?sandbox ?cache
     | exception Error first -> (
       match
         let t0 = Rp_support.Clock.now () in
-        let bin = compile_fresh ?sandbox ?cache ?key ~cc prog in
+        let bin = compile_fresh ?sandbox ?cache ~cc prog in
         let t1 = Rp_support.Clock.now () in
         Fun.protect
           ~finally:(fun () -> try Sys.remove bin with Sys_error _ -> ())

@@ -93,14 +93,25 @@ val compile :
   cc:cc ->
   Rp_ir.Program.t ->
   string * bool
-(** [compile ?cache ?key ~cc prog] emits C, compiles it, and returns
+(** [compile ?cache ~cc prog] emits C, compiles it, and returns
     [(binary_path, cache_hit)].  The binary lands in a fresh temp file the
     caller should remove when done.  With [?cache], compiled binaries are
     stored content-addressed under
-    [Cas.key [Cgen.version; key-or-C-source; cc identity; cc flags]] —
-    pass {!Rp_driver.Pipeline.cache_key} output as [?key] to key on
-    program fingerprint × config fingerprint, or omit [key] to fall back
-    to hashing the emitted C itself.  Raises {!Error} if cc fails. *)
+    [Cas.key [Cgen.version; emitted C; cc identity; cc flags]], exactly
+    what cc compiles: configs whose analyses agree emit the same C and
+    share one binary, and a pass change reaches the key through the C it
+    emits.  Compiles are single-flight per (store, binary key): a domain
+    asking for a key another domain is compiling waits for it (at most
+    that compile's sandbox [wall_s]) and then reads the store, so
+    concurrent cells that emit one translation unit run cc once.  A
+    waiter whose leader failed compiles for itself.  Raises {!Error} if
+    cc fails.
+
+    [?key] is ignored.  It stays only because [perfbench/traced.ml]
+    still passes one, and goes when that file next changes.  Honouring
+    it would put a second keying scheme in the one store: the traced
+    run's untraced campaign would miss every binary its traced passes
+    filled. *)
 
 val exec_bin :
   ?fuel:int ->
@@ -130,7 +141,6 @@ val run :
   ?deadline:float ->
   ?sandbox:sandbox ->
   ?cache:Rp_support.Cas.t ->
-  ?key:string ->
   cc:cc ->
   Rp_ir.Program.t ->
   Rp_exec.Interp.result
@@ -139,7 +149,11 @@ val run :
 
 type timed = {
   result : Rp_exec.Interp.result;
-  cc_ms : float;  (** emit + compile (0.0 on a binary-cache hit) *)
+  cc_ms : float;
+      (** all of {!compile}: emit, then either cc (a store miss) or the
+          store read and the write of the binary to its temp file (a
+          hit, a few ms, not 0).  Time spent waiting for another domain
+          compiling the same C counts here too. *)
   exec_ms : float;
       (** the binary's self-timed [main] duration: the native [run_ms],
           symmetric with the interpreter's (which excludes compile) —
@@ -162,7 +176,8 @@ val run_timed :
   Rp_ir.Program.t ->
   timed
 (** Like {!run} but splitting compile time from execution time, for the
-    bench harness's [run_ms] accounting. *)
+    bench harness's [run_ms] accounting.  [?key] is ignored, as on
+    {!compile}, and for the same reason. *)
 
 (* ---- graceful degradation ---------------------------------------- *)
 
@@ -185,7 +200,6 @@ val run_laddered :
   ?deadline:float ->
   ?sandbox:sandbox ->
   ?cache:Rp_support.Cas.t ->
-  ?key:string ->
   interp:(unit -> Rp_exec.Interp.result * float) ->
   cc:cc option ->
   Rp_ir.Program.t ->

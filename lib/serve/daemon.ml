@@ -192,13 +192,15 @@ let handle_op ~should_stop st (r : Protocol.request) : Json.t =
       compile_family ~src ~config (fun c ->
           [ ("result", result_json c); ("stats", c.Pipeline.stats) ])
     | Protocol.Run { src; config; mode = Protocol.Native } -> (
-      (* native jobs share the interp path's cache key and artifacts —
-         both engines compute the same answer by contract — so a warm
-         shard serves either mode from one entry, and the rendezvous
-         router keeps this shard's binary cache hot for the cold ones.
-         The degradation ladder means a native request never fails for
-         infrastructure reasons: it answers slower, from a lower rung,
-         and says so in the [exec] object. *)
+      (* native jobs share the interp path's result artifacts and their
+         source × config key — both engines compute the same answer by
+         contract — so a warm shard serves either mode from one entry.
+         Only a cold job reaches the binary store, which keys a binary by
+         the C it was compiled from: configs that emit the same code, and
+         shards on one store, share it.  The degradation ladder means a
+         native request never fails for infrastructure reasons: it
+         answers slower, from a lower rung, and says so in the [exec]
+         object. *)
       match Protocol.config_of_name config with
       | None -> err "usage" ("unknown config " ^ config)
       | Some cfg ->
@@ -207,7 +209,6 @@ let handle_op ~should_stop st (r : Protocol.request) : Json.t =
           let lad =
             Rp_backend.Native.run_laddered ?deadline:st.cfg.job_timeout
               ~cache:st.cas
-              ~key:(Pipeline.cache_key ~config:cfg src)
               ~interp:(fun () ->
                 let t0 = Rp_support.Clock.now () in
                 let r = Rp_exec.Interp.run ~should_stop p in

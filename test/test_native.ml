@@ -1,6 +1,7 @@
 (** The compiled-C backend: identifier mangling, the strict trailer
     parser, interpreter-equivalence over generated programs across the
-    paper grid, and the bench harness's --native CLI contract.
+    paper grid, the binary store's content keys and single-flight
+    compiles, and the bench harness's --native CLI contract.
 
     Everything that needs a system C compiler is gated on
     {!Rp_backend.Native.find_cc} and skips visibly when there is none;
@@ -272,6 +273,112 @@ let error_path_tests cc =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Binary store: content keys and single-flight compiles               *)
+(* ------------------------------------------------------------------ *)
+
+(* A private, empty binary store for one test, removed afterwards. *)
+let with_store name f =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "rp-native-%s-%d" name (Unix.getpid ()))
+  in
+  let rm () = ignore (Sys.command ("rm -rf " ^ Filename.quote dir)) in
+  rm ();
+  Fun.protect ~finally:rm (fun () -> f (Rp_support.Cas.open_ dir))
+
+let binaries cache =
+  let objects = Filename.concat (Rp_support.Cas.root cache) "objects" in
+  let ls d = try Array.to_list (Sys.readdir d) with Sys_error _ -> [] in
+  List.length
+    (List.concat_map
+       (fun shard ->
+         List.filter
+           (fun f -> Filename.check_suffix f ".native-bin")
+           (ls (Filename.concat objects shard)))
+       (ls objects))
+
+(* allroots' six grid cells emit one translation unit: compiled
+   concurrently on a cold store, cc runs once and the other five read
+   the binary it stored. *)
+let dedupe_test cc =
+  Util.tc_slow "binary store: allroots' six grid cells run cc once" (fun () ->
+      let src = (Rp_suite.Programs.find "allroots").Rp_suite.Programs.source in
+      let progs =
+        Array.of_list
+          (List.map
+             (fun (_, config) -> fst (Pipeline.compile ~config src))
+             Config.paper_grid)
+      in
+      with_store "dedupe" @@ fun cache ->
+      let compiled =
+        Rp_support.Pool.run_exn ~jobs:4 (Native.compile ~cache ~cc) progs
+      in
+      let count hit =
+        Array.fold_left (fun n (_, h) -> if h = hit then n + 1 else n) 0
+          compiled
+      in
+      Util.check Alcotest.int "misses" 1 (count false);
+      Util.check Alcotest.int "hits" 5 (count true);
+      Util.check Alcotest.int "native-bin objects" 1 (binaries cache);
+      Array.iteri
+        (fun i (bin, _) ->
+          Fun.protect
+            ~finally:(fun () -> try Sys.remove bin with Sys_error _ -> ())
+            (fun () ->
+              let rn = Native.exec_bin bin and ri = I.run progs.(i) in
+              Util.check Alcotest.string "output" ri.I.output rn.I.output;
+              Util.check Alcotest.int "checksum" ri.I.checksum rn.I.checksum;
+              Util.check Alcotest.bool "totals" true (ri.I.total = rn.I.total)))
+        compiled)
+
+(* needs no C compiler: every claimant's cc fails, and each must still
+   get the claim in turn, fail on its own, and let the next one go *)
+let failed_leader_test =
+  Util.tc "binary store: a failing leader releases its claim" (fun () ->
+      let broken =
+        {
+          Native.path = "/nonexistent/rpcc-test-cc";
+          flags = [];
+          identity = "test-broken-cc";
+        }
+      in
+      let src = "int main() { print_int(7); return 0; }" in
+      let progs =
+        Array.init 4 (fun _ -> fst (Pipeline.compile ~config:Config.default src))
+      in
+      with_store "leader" @@ fun cache ->
+      (* a leaked claim blocks its waiters for good: run the pool on a
+         domain of its own and fail, rather than hang, if it never ends *)
+      let outcomes = Atomic.make None in
+      let d =
+        Domain.spawn (fun () ->
+            Atomic.set outcomes
+              (Some
+                 (Rp_support.Pool.run ~jobs:4
+                    (Native.compile ~cache ~cc:broken)
+                    progs)))
+      in
+      let deadline = Unix.gettimeofday () +. 60. in
+      let rec wait () =
+        match Atomic.get outcomes with
+        | Some o -> o
+        | None when Unix.gettimeofday () > deadline ->
+          Alcotest.fail "deadlock: a claim outlived its failed compile"
+        | None ->
+          Unix.sleepf 0.01;
+          wait ()
+      in
+      let outcomes = wait () in
+      Domain.join d;
+      outcomes
+      |> Array.iter (function
+           | Error (Native.Error _) -> ()
+           | Error e -> Alcotest.failf "unexpected %s" (Printexc.to_string e)
+           | Ok _ -> Alcotest.fail "a missing compiler produced a binary");
+      Util.check Alcotest.int "native-bin objects" 0 (binaries cache))
+
+(* ------------------------------------------------------------------ *)
 (* bench --native CLI contract                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -346,7 +453,7 @@ let () =
       ]
     | Some cc ->
       QCheck_alcotest.to_alcotest ~long:true (equivalence_prop cc)
-      :: error_path_tests cc
+      :: dedupe_test cc :: error_path_tests cc
   in
   Alcotest.run "native"
     [
@@ -355,5 +462,6 @@ let () =
       ( "trailer-adversarial",
         [ QCheck_alcotest.to_alcotest trailer_adversarial_prop ] );
       ("equivalence", native_tests);
+      ("binary-store", [ failed_leader_test ]);
       ("bench-cli", bench_cli_tests);
     ]
