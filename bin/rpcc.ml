@@ -1007,7 +1007,8 @@ let serve_cmd =
       value & opt int 64
       & info [ "queue-bound" ] ~docv:"N"
           ~doc:
-            "Admit at most $(docv) jobs per connection batch; the rest \
+            "Admit at most $(docv) jobs that are not yet answered, \
+             counted across all connections; requests beyond that \
              receive 'overloaded' responses instead of queueing \
              unboundedly.")
   in
@@ -1037,9 +1038,10 @@ let serve_cmd =
     (Cmd.info "serve" ~exits
        ~doc:
          "Run the crash-tolerant compile/run daemon: line-JSON batches \
-          over a Unix-domain socket, dispatched to the supervised worker \
-          pool, backed by a content-addressed cache and a request \
-          journal.  SIGKILL-safe (restarts warm on the same --state-dir); \
+          over a Unix-domain socket, served concurrently and dispatched \
+          to one persistent supervised worker pool of --jobs domains, \
+          backed by a content-addressed cache and a request journal.  \
+          SIGKILL-safe (restarts warm on the same --state-dir); \
           SIGTERM/SIGINT drain gracefully.")
     Term.(
       const serve $ socket_t $ state_dir_t $ cas_dir_t $ shard_id_t

@@ -1,16 +1,18 @@
 (** The [rpcc serve] daemon.  See daemon.mli for the contract.
 
-    Concurrency model: the main domain owns the socket, the journal, and
-    the per-connection request/response assembly; each connection's
-    admitted jobs run on the supervised worker pool.  Job bodies touch
-    only thread-safe state (the CAS, the breaker, the resilience
-    counters); the plain counters below are main-domain-only. *)
+    Concurrency model: the main domain runs one [select] loop that owns
+    the listener, every connection, the journal, and the request/response
+    assembly; admitted jobs run on the daemon's persistent supervised
+    pool, which wakes the loop through its fd when a job resolves.  Job
+    bodies touch only thread-safe state (the CAS, the breaker, the
+    resilience counters); the plain counters below are main-domain-only. *)
 
 module Json = Rp_support.Json
 module Cas = Rp_support.Cas
 module Pool = Rp_support.Pool
 module Journal = Rp_support.Journal
 module Resilience = Rp_support.Resilience
+module Clock = Rp_support.Clock
 module Breaker = Rp_support.Retry.Breaker
 module Config = Rp_driver.Config
 module Pipeline = Rp_driver.Pipeline
@@ -34,7 +36,7 @@ let default_config =
     state_dir = ".rpcc-serve";
     cas_dir = None;
     shard_id = None;
-    jobs = 0;
+    jobs = 1;
     queue_bound = 64;
     job_timeout = Some 30.;
     retries = 1;
@@ -62,11 +64,13 @@ type state = {
   resil : Resilience.t;
   breaker : Breaker.t;
   jsum : journal_summary;
-  started : float;  (** {!Rp_support.Clock.now} at startup, for uptime *)
+  started : float;  (** {!Clock.now} at startup, for uptime *)
   mutable served : int;  (** [ok] responses written *)
   mutable errors : int;  (** [error] responses written *)
   mutable overloaded : int;  (** requests bounced by the queue bound *)
   mutable rejected : int;  (** requests bounced by an open breaker *)
+  mutable queued : int;
+      (** jobs admitted and not yet answered, across all connections *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -210,9 +214,9 @@ let handle_op ~should_stop st (r : Protocol.request) : Json.t =
             Rp_backend.Native.run_laddered ?deadline:st.cfg.job_timeout
               ~cache:st.cas
               ~interp:(fun () ->
-                let t0 = Rp_support.Clock.now () in
+                let t0 = Clock.now () in
                 let r = Rp_exec.Interp.run ~should_stop p in
-                (r, (Rp_support.Clock.now () -. t0) *. 1000.))
+                (r, (Clock.now () -. t0) *. 1000.))
               ~cc:(native_cc st) p
           in
           (exec_info :=
@@ -325,7 +329,7 @@ let health_json st ~id ~client =
               | None -> Json.Null );
             ( "uptime_s",
               Json.Float
-                (Float.round (Rp_support.Clock.elapsed st.started *. 1e3)
+                (Float.round (Clock.elapsed st.started *. 1e3)
                 /. 1e3) );
             ("pass_version", Json.Str Pipeline.pass_version);
             (* probed once per process (memoized in find_cc, persisted
@@ -369,13 +373,30 @@ type slot =
   | Deferred_health of Json.t * string  (** (id, client): built post-batch *)
   | Job_slot of int  (** index into the admitted-jobs array *)
 
-let read_lines ic =
-  let rec go acc =
-    match input_line ic with
-    | line -> go (line :: acc)
-    | exception End_of_file -> List.rev acc
-  in
-  go []
+(** Where a connection is in its exchange. *)
+type phase =
+  | Reading of Buffer.t  (** the batch so far, until the client's EOF *)
+  | Running of {
+      slots : slot list;
+      jobs : Protocol.request array;
+      batch : Json.t Pool.batch;
+    }
+  | Writing of { out : string; mutable off : int }
+
+type conn = {
+  fd : Unix.file_descr;
+  mutable phase : phase;
+  mutable deadline : float;
+      (** {!Clock} reading; [infinity] while the batch runs (the pool
+          enforces job deadlines) *)
+}
+
+(** The batch's request lines, as [input_line] would return them: a
+    final unterminated line counts. *)
+let lines_of data =
+  match List.rev (String.split_on_char '\n' data) with
+  | "" :: rest -> List.rev rest
+  | all -> List.rev all
 
 let journal_event st ~ev (r : Protocol.request) extra =
   Journal.record st.journal
@@ -389,12 +410,9 @@ let journal_event st ~ev (r : Protocol.request) extra =
         ]
        @ extra))
 
-let handle_connection st cfd =
-  (* a client that connects and then stalls must not wedge the daemon *)
-  Unix.setsockopt_float cfd Unix.SO_RCVTIMEO 30.;
-  let ic = Unix.in_channel_of_descr cfd in
-  let oc = Unix.out_channel_of_descr cfd in
-  let lines = read_lines ic in
+(** Parse a connection's batch, shed what the queue bound does not
+    admit, journal [recv] for the rest and submit them to the pool. *)
+let admit st pool data =
   let admitted = ref [] in
   let n_admitted = ref 0 in
   let slots =
@@ -417,7 +435,7 @@ let handle_connection st cfd =
           | Ok ({ Protocol.op = Protocol.Health; _ } as r) ->
             Deferred_health (r.Protocol.id, r.Protocol.client)
           | Ok r ->
-            if !n_admitted >= st.cfg.queue_bound then
+            if st.queued + !n_admitted >= st.cfg.queue_bound then
               Immediate (Protocol.overloaded ~id ~client)
             else begin
               (* journaled before execution: a crash mid-compute leaves a
@@ -427,19 +445,22 @@ let handle_connection st cfd =
               incr n_admitted;
               Job_slot (!n_admitted - 1)
             end))
-      lines
+      (lines_of data)
   in
-  let jobs_arr = Array.of_list (List.rev !admitted) in
-  let outcomes =
-    if Array.length jobs_arr = 0 then [||]
-    else
-      Pool.run_supervised ~jobs:st.cfg.jobs ?timeout:st.cfg.job_timeout
-        ~retries:st.cfg.retries ~resilience:st.resil
-        (fun ~should_stop r -> job ~should_stop st r)
-        jobs_arr
+  let jobs = Array.of_list (List.rev !admitted) in
+  st.queued <- st.queued + Array.length jobs;
+  let batch =
+    Pool.submit pool (fun ~should_stop r -> job ~should_stop st r) jobs
   in
+  Running { slots; jobs; batch }
+
+(** A finished batch's response lines, in request order: journal [done]
+    for each job, and build [health] now, so it counts the responses
+    before it. *)
+let answer st ~slots ~jobs outcomes =
+  st.queued <- st.queued - Array.length jobs;
   let job_response i =
-    let r = jobs_arr.(i) in
+    let r = jobs.(i) in
     let resp =
       match outcomes.(i) with
       | Ok resp -> resp
@@ -457,6 +478,7 @@ let handle_connection st cfd =
       [ ("resp", Json.Str (Protocol.response_status resp)) ];
     resp
   in
+  let out = Buffer.create 1024 in
   List.iter
     (fun slot ->
       let resp =
@@ -471,10 +493,10 @@ let handle_connection st cfd =
       | "overloaded" -> st.overloaded <- st.overloaded + 1
       | "rejected" -> st.rejected <- st.rejected + 1
       | _ -> ());
-      output_string oc (Json.to_string ~indent:false resp);
-      output_char oc '\n')
+      Buffer.add_string out (Json.to_string ~indent:false resp);
+      Buffer.add_char out '\n')
     slots;
-  flush oc
+  Buffer.contents out
 
 (* ------------------------------------------------------------------ *)
 (* The accept loop                                                     *)
@@ -518,6 +540,23 @@ let rec mkdir_p dir =
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
+(** A connection's budget to send its batch, and again to take its
+    answers: a stalled or silent client costs its own connection only. *)
+let io_timeout = 30.
+
+(** The most connections the loop holds open at once.  [select] can
+    watch only descriptors below [FD_SETSIZE] (1024), which is also the
+    usual soft limit on open files: at this many, the loop stops
+    accepting, and further clients wait in the listen backlog. *)
+let max_connections = 512
+
+(** The event loop's longest sleep.  SIGTERM/SIGINT normally interrupt
+    [select]; this bound covers a signal that lands while the loop is
+    busy outside [select], or whose handler runs on a worker domain.
+    Completions wake the loop through the pool's fd and never wait on
+    it. *)
+let stop_check = 0.1
+
 let serve (cfg : config) =
   (* the journal needs state_dir even when the CAS lives elsewhere
      (fleet shards share one store but keep private journals) *)
@@ -543,11 +582,12 @@ let serve (cfg : config) =
         Breaker.create ~threshold:cfg.breaker_threshold
           ~cooldown:cfg.breaker_cooldown ();
       jsum;
-      started = Rp_support.Clock.now ();
+      started = Clock.now ();
       served = 0;
       errors = 0;
       overloaded = 0;
       rejected = 0;
+      queued = 0;
     }
   in
   let stop = Atomic.make false in
@@ -557,25 +597,134 @@ let serve (cfg : config) =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
   remove_stale_socket cfg.socket;
-  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  (* close-on-exec throughout: a cc child of a native job must not hold
+     another client's connection open past its answer *)
+  let lfd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind lfd (Unix.ADDR_UNIX cfg.socket);
   Unix.listen lfd 64;
+  Unix.set_nonblock lfd;
+  let pool =
+    Pool.create ~jobs:cfg.jobs ?timeout:cfg.job_timeout ~retries:cfg.retries
+      ~resilience:st.resil ()
+  in
   Printf.printf "rpcc-serve listening on %s (pid %d)\n%!" cfg.socket
     (Unix.getpid ());
-  while not (Atomic.get stop) do
-    match Unix.select [ lfd ] [] [] 0.2 with
-    | ([ _ ], _, _) ->
-      let (cfd, _) = Unix.accept lfd in
-      (* one bad connection (stalled reader, dead peer, junk bytes) must
-         never take the daemon down *)
-      (try handle_connection st cfd with
-      | Sys_error _ | Unix.Unix_error _ | End_of_file -> ());
-      (try Unix.close cfd with Unix.Unix_error _ -> ())
+  let conns = ref [] in
+  let listening = ref true in
+  let close_conn c =
+    (try Unix.close c.fd with Unix.Unix_error _ -> ());
+    conns := List.filter (fun c' -> c' != c) !conns
+  in
+  (* one bad connection (dead peer, junk bytes, a failed journal write)
+     costs that connection, never the daemon *)
+  let guard c f =
+    try f () with Sys_error _ | Unix.Unix_error _ | End_of_file -> close_conn c
+  in
+  let accepting () = !listening && List.length !conns < max_connections in
+  let rec accept () =
+    if accepting () then
+      match Unix.accept ~cloexec:true lfd with
+      | (fd, _) ->
+        Unix.set_nonblock fd;
+        conns :=
+          { fd; phase = Reading (Buffer.create 1024);
+            deadline = Clock.now () +. io_timeout }
+          :: !conns;
+        accept ()
+      | exception Unix.Unix_error _ -> () (* the backlog is empty *)
+  in
+  let chunk = Bytes.create 65536 in
+  let on_readable c =
+    match c.phase with
+    | Reading buf ->
+      guard c (fun () ->
+          match Unix.read c.fd chunk 0 (Bytes.length chunk) with
+          | 0 ->
+            c.phase <- admit st pool (Buffer.contents buf);
+            c.deadline <- infinity
+          | n -> Buffer.add_subbytes buf chunk 0 n
+          | exception
+              Unix.Unix_error
+                ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
+            ())
     | _ -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  done;
-  (* graceful drain: the in-flight batch above has been answered; stop
-     accepting, release the socket name, seal the journal *)
-  (try Unix.close lfd with Unix.Unix_error _ -> ());
+  in
+  let on_writable c =
+    match c.phase with
+    | Writing w ->
+      guard c (fun () ->
+          match
+            Unix.single_write_substring c.fd w.out w.off
+              (String.length w.out - w.off)
+          with
+          | n ->
+            w.off <- w.off + n;
+            if w.off = String.length w.out then close_conn c
+          | exception
+              Unix.Unix_error
+                ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
+            ())
+    | _ -> ()
+  in
+  (* answer finished batches; drop connections past their deadline *)
+  let step now c =
+    match c.phase with
+    | Running r when Pool.finished r.batch ->
+      guard c (fun () ->
+          let out =
+            answer st ~slots:r.slots ~jobs:r.jobs (Pool.results r.batch)
+          in
+          if out = "" then close_conn c
+          else begin
+            c.phase <- Writing { out; off = 0 };
+            c.deadline <- now +. io_timeout
+          end)
+    | (Reading _ | Writing _) when now >= c.deadline -> close_conn c
+    | _ -> ()
+  in
+  let fds_in phase_is =
+    List.filter_map
+      (fun c -> if phase_is c.phase then Some c.fd else None)
+      !conns
+  in
+  let rec loop () =
+    let wedge = Pool.supervise pool in
+    if Atomic.get stop && !listening then begin
+      (* drain: stop accepting; a connection still sending its batch was
+         promised nothing and journaled nothing *)
+      listening := false;
+      (try Unix.close lfd with Unix.Unix_error _ -> ());
+      List.iter
+        (fun c -> match c.phase with Reading _ -> close_conn c | _ -> ())
+        !conns
+    end;
+    let now = Clock.now () in
+    List.iter (step now) !conns;
+    if !listening || !conns <> [] then begin
+      let reading = fds_in (function Reading _ -> true | _ -> false) in
+      let writing = fds_in (function Writing _ -> true | _ -> false) in
+      let timeout =
+        List.fold_left
+          (fun t c -> Float.min t (c.deadline -. now))
+          (Option.fold ~none:stop_check ~some:(Float.min stop_check) wedge)
+          !conns
+      in
+      let listen = if accepting () then [ lfd ] else [] in
+      (match
+         Unix.select
+           ((Pool.wake_fd pool :: listen) @ reading)
+           writing [] (Float.max 0. timeout)
+       with
+      | (r, w, _) ->
+        if listen <> [] && List.mem lfd r then accept ();
+        List.iter (fun c -> if List.mem c.fd r then on_readable c) !conns;
+        List.iter (fun c -> if List.mem c.fd w then on_writable c) !conns
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
+      loop ()
+    end
+  in
+  loop ();
+  (* every admitted batch has been answered *)
+  Pool.shutdown pool;
   (try Unix.unlink cfg.socket with Unix.Unix_error _ -> ());
   Journal.close st.journal

@@ -1,10 +1,20 @@
 (** The [rpcc serve] daemon: a crash-tolerant compile/run service.
 
     Accepts {!Protocol} batches over a Unix-domain socket and dispatches
-    them to the supervised worker pool ({!Rp_support.Pool.run_supervised}
-    — per-job deadlines, bounded retries), backed by a content-addressed
-    store ({!Rp_support.Cas}) keyed on (pass version, configuration
+    them to one persistent supervised worker pool
+    ({!Rp_support.Pool.create} — per-job deadlines, bounded retries,
+    wedged-worker replacement), backed by a content-addressed store
+    ({!Rp_support.Cas}) keyed on (pass version, configuration
     fingerprint, source), with a per-client circuit breaker.
+
+    One [select] loop on the main domain serves every connection at
+    once: it reads each batch without blocking until the client's EOF
+    (30 s deadline), admits and journals it, submits it to the pool,
+    and, when the batch's last job resolves (the pool wakes the loop
+    through its fd), writes the answers in request order without
+    blocking (30 s deadline).  A stalled or silent client costs only its
+    own connection.  At most 512 connections are held open at once;
+    further clients wait in the listen backlog.
 
     Crash-tolerance contract:
     - every admitted job is journaled ({e recv}) before execution and
@@ -15,10 +25,13 @@
       {e warm}: it replays the journal tail (corrupt records skipped and
       counted), reports work that was in flight at the kill, and serves
       byte-identical responses for re-submitted jobs from the store;
-    - SIGTERM/SIGINT drain gracefully: the in-flight batch finishes and
-      is answered, the socket is closed and unlinked, the journal is
-      closed, and {!serve} returns (the CLI then exits 0);
-    - backpressure: a batch's requests beyond [queue_bound] receive
+    - SIGTERM/SIGINT drain gracefully: the daemon stops accepting,
+      closes connections still sending their batch (nothing was
+      journaled or promised to them), answers every admitted batch, then
+      stops the pool, unlinks the socket and closes the journal; {!serve}
+      returns (the CLI then exits 0);
+    - backpressure: [queue_bound] caps the jobs admitted and not yet
+      answered across all connections; requests beyond it receive
       [overloaded] responses instead of queueing unboundedly;
     - a [health] request reports served/error counters, cache
       hit/miss/quarantine rates, resilience counters with per-client
@@ -35,8 +48,9 @@ type config = {
           store.  [None] ⇒ [state_dir ^ "/cas"] *)
   shard_id : int option;
       (** fleet membership tag, echoed in [health]; [None] standalone *)
-  jobs : int;  (** worker domains for each batch *)
-  queue_bound : int;  (** max jobs admitted per batch *)
+  jobs : int;  (** worker domains in the daemon's pool (at least 1) *)
+  queue_bound : int;
+      (** max jobs admitted and not yet answered, across connections *)
   job_timeout : float option;  (** per-job wall-clock deadline, seconds *)
   retries : int;  (** extra attempts per failed job *)
   breaker_threshold : int;  (** consecutive failures tripping a client *)
@@ -44,7 +58,7 @@ type config = {
 }
 
 val default_config : config
-(** [socket = "rpcc.sock"], [state_dir = ".rpcc-serve"], auto [jobs],
+(** [socket = "rpcc.sock"], [state_dir = ".rpcc-serve"], [jobs = 1],
     [queue_bound = 64], 30 s timeout, 1 retry, threshold 3, 5 s
     cooldown. *)
 

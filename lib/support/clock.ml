@@ -1,33 +1,15 @@
-(** Monotonic wall-clock time for budgets and pass timings.
+(** Monotonic time for budgets, deadlines and pass timings.
 
-    [Unix.gettimeofday] follows the system clock, which can step backwards
-    (NTP corrections, manual resets); a deadline or a pass timer built
-    directly on it can misfire or report negative durations.  The proper
-    fix is [clock_gettime(CLOCK_MONOTONIC)], but neither the OCaml stdlib
-    nor this repo's vendored dependency set exposes it ([mtime] is not
-    available in the build image), so this module {e monotonizes} the wall
-    clock instead: every reading is clamped to be >= the largest reading
-    ever returned, process-wide, via an atomic max.
+    Readings come from [clock_gettime(CLOCK_MONOTONIC)], through
+    [bechamel.monotonic_clock]: they never step backwards when the
+    system clock is corrected (NTP, manual resets), so a deadline cannot
+    fire early and a timer cannot go negative, on any domain.  They count
+    seconds from an arbitrary fixed origin (on Linux, boot), not from the
+    Unix epoch: only differences between readings, and deadlines built
+    as [now () +. budget], mean anything. *)
 
-    Two properties callers rely on:
-    - [now] never decreases, even across domains, so elapsed-time
-      differences and deadline comparisons are always well-ordered;
-    - the returned value stays on the [gettimeofday] epoch (seconds since
-      1970-01-01), so deadlines computed as [Clock.now () +. budget] can
-      be compared against readings taken anywhere else in the process. *)
-
-(* A float payload in an [Atomic.t] is a boxed immutable value; the CAS
-   loop below is the standard lock-free atomic-max. *)
-let last = Atomic.make 0.
-
-let rec clamp t =
-  let cur = Atomic.get last in
-  if t <= cur then cur
-  else if Atomic.compare_and_set last cur t then t
-  else clamp t
-
-(** Current time in seconds, monotonic non-decreasing process-wide. *)
-let now () = clamp (Unix.gettimeofday ())
+(** Current reading, in seconds. *)
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
 (** Seconds elapsed since [t0] (a previous {!now} reading); never
     negative. *)

@@ -21,10 +21,15 @@
     interpreter's precompile cache) is safe because one domain runs one
     job at a time.
 
-    {!run_supervised} adds the supervision layer: per-job wall-clock
-    deadlines delivered cooperatively through a [should_stop] closure,
-    detection and replacement of wedged worker domains, bounded retries,
-    and quarantine — see pool.mli for the full contract. *)
+    The supervised layer is one persistent pool ({!create}): per-job
+    wall-clock deadlines delivered cooperatively through a [should_stop]
+    closure, detection and replacement of wedged worker domains, bounded
+    retries, and quarantine — see pool.mli for the full contract.  Its
+    workers outlive batches and block on a condition variable when idle;
+    each resolution writes a byte to a self-pipe, so the owner [select]s
+    for completions and otherwise sleeps only until the earliest wedge
+    deadline.  {!run_supervised} is one batch on a private pool.  Worker
+    domains keep their domain-local state across jobs and batches. *)
 
 type 'a outcome = ('a, exn) result
 
@@ -92,224 +97,359 @@ let pp_job_failure ppf = function
     Format.fprintf ppf "crashed: %s (%d attempt%s)" reason attempts
       (if attempts = 1 then "" else "s")
 
-(** Per-worker heartbeat slot, written by the owning worker and read by
-    the supervisor.  [job = -1] means idle; [started_us] is the attempt's
-    start in integer microseconds on the {!Clock} epoch. *)
-type slot = {
-  job : int Atomic.t;
-  ticket : int Atomic.t;
-  started_us : int Atomic.t;
+(** A job with its types erased: the pool schedules, times and retries
+    tasks without knowing their input or result types. *)
+type task = {
+  state : int Atomic.t;
+      (** the claim word: 0 = queued, [t > 0] = the attempt holding
+          ticket [t] is in flight, -1 = resolved.  Whoever CASes it to -1
+          owns the outcome, so a job resolves once even when its attempt
+          races a cancellation. *)
+  failed : int Atomic.t;  (** failed attempts so far *)
+  ctl : ctl;
+  exec : should_stop:(unit -> bool) -> unit -> unit;
+      (** run one attempt; the returned thunk records its [Ok] value and
+          fires [on_result] *)
+  fail : notify:bool -> job_failure -> unit;
+      (** record a final failure; [notify] fires [on_result] *)
 }
 
-let fresh_slot () =
-  { job = Atomic.make (-1); ticket = Atomic.make 0; started_us = Atomic.make 0 }
+(** What the tasks of one batch share. *)
+and ctl = {
+  pending : int Atomic.t;  (** tasks not yet resolved *)
+  stopped : bool Atomic.t;  (** cancelled: no attempt may start *)
+  cancel : (unit -> bool) option;
+}
 
-let now_us () = int_of_float (Clock.now () *. 1e6)
+(** The attempt a worker is running, as the supervisor sees it. *)
+type attempt = { task : task; ticket : int; started : float }
 
-let run_supervised ~jobs ?timeout ?(retries = 1) ?(grace = 1.0) ?(poll = 0.002)
-    ?(cancel = fun () -> false) ?resilience ?(on_result = fun _ _ -> ())
+type t = {
+  timeout : float option;
+  retries : int;
+  grace : float;
+  resilience : Resilience.t option;
+  lock : Mutex.t;
+  nonempty : Condition.t;  (** signalled when [queue] grows or on close *)
+  queue : task Queue.t;  (** under [lock] *)
+  closing : bool Atomic.t;  (** set under [lock] by {!shutdown} *)
+  tickets : int Atomic.t;
+  outstanding : int Atomic.t;  (** submitted tasks not yet resolved *)
+  wake_r : Unix.file_descr;
+  wake_w : Unix.file_descr;
+  mutable workers : (attempt option Atomic.t * unit Domain.t) list;
+      (** the live workers and their current attempts; owner-only *)
+}
+
+type 'b batch = {
+  ctl : ctl;
+  tasks : task array;
+  results : 'b supervised array;
+}
+
+let locked p g =
+  Mutex.lock p.lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock p.lock) g
+
+let tick p ev =
+  match p.resilience with Some r -> Resilience.tick r ev | None -> ()
+
+let cancelled ctl =
+  Atomic.get ctl.stopped
+  || match ctl.cancel with Some c -> c () | None -> false
+
+let wake_byte = Bytes.make 1 '!'
+
+(* the pipe is non-blocking: a full pipe already holds a pending wake *)
+let wake p =
+  try ignore (Unix.single_write p.wake_w wake_byte 0 1 : int)
+  with Unix.Unix_error _ -> ()
+
+(** Resolve a task whose claim word the caller has just CASed to -1:
+    record the outcome, then count it and wake the owner, even if
+    [on_result] raises. *)
+let settle p (task : task) record =
+  Fun.protect record ~finally:(fun () ->
+      Atomic.decr task.ctl.pending;
+      Atomic.decr p.outstanding;
+      wake p)
+
+(** Fail the attempt holding ticket [t] — called once per attempt, by
+    its worker or, for a wedged one, by the supervisor: count it, then
+    re-queue the task while its retry budget lasts, or resolve it as
+    [failure attempts].  A batch cancelled meanwhile has already resolved
+    the task, and the claim CAS then fails. *)
+let fail_attempt p (task : task) t ~event failure =
+  let attempts = 1 + Atomic.fetch_and_add task.failed 1 in
+  if attempts <= p.retries && not (cancelled task.ctl) then begin
+    if Atomic.compare_and_set task.state t 0 then begin
+      tick p event;
+      tick p Resilience.Retry;
+      locked p (fun () ->
+          Queue.push task p.queue;
+          Condition.signal p.nonempty)
+    end
+  end
+  else if Atomic.compare_and_set task.state t (-1) then begin
+    tick p event;
+    tick p Resilience.Quarantine;
+    settle p task (fun () -> task.fail ~notify:true (failure attempts))
+  end
+
+(** Run one attempt of [task] on the worker whose attempt slot is
+    [busy].  [false] when the supervisor abandoned the worker meanwhile:
+    the worker must exit. *)
+let run_attempt p busy (task : task) =
+  let t = Atomic.fetch_and_add p.tickets 1 in
+  if
+    Atomic.get task.ctl.stopped
+    || not (Atomic.compare_and_set task.state 0 t)
+  then true
+  else begin
+    let started = Clock.now () in
+    let cur = Some { task; ticket = t; started } in
+    Atomic.set busy cur;
+    let timed_out = ref false in
+    let should_stop () =
+      Atomic.get p.closing || cancelled task.ctl
+      || Atomic.get task.state <> t (* the supervisor took the job *)
+      ||
+      match p.timeout with
+      | Some tmo when Clock.elapsed started > tmo ->
+        timed_out := true;
+        true
+      | _ -> false
+    in
+    let o = try Ok (task.exec ~should_stop) with e -> Error e in
+    (* whoever clears the slot first decides: losing this CAS means the
+       supervisor declared the attempt wedged and already failed it, so
+       the result is discarded and the worker resolves nothing more *)
+    Atomic.compare_and_set busy cur None
+    && begin
+      (match o with
+      | Ok record ->
+        if Atomic.compare_and_set task.state t (-1) then settle p task record
+      | Error _ when Atomic.get p.closing || cancelled task.ctl ->
+        (* aborted by cancellation, not by its own deadline: release the
+           claim; the batch's epilogue marks it cancelled *)
+        ignore (Atomic.compare_and_set task.state t 0 : bool)
+      | Error e ->
+        let elapsed = Clock.elapsed started in
+        let timed_out =
+          !timed_out
+          || match p.timeout with Some tmo -> elapsed > tmo | None -> false
+        in
+        fail_attempt p task t
+          ~event:(if timed_out then Resilience.Timeout else Resilience.Crash)
+          (fun attempts ->
+            if timed_out then Timed_out { elapsed; attempts }
+            else Crashed { reason = Printexc.to_string e; attempts }));
+      true
+    end
+  end
+
+(** A worker: take tasks until the pool closes, blocking on [nonempty]
+    while the queue is empty, or until the supervisor abandons it. *)
+let rec work p busy =
+  let next =
+    locked p (fun () ->
+        while Queue.is_empty p.queue && not (Atomic.get p.closing) do
+          Condition.wait p.nonempty p.lock
+        done;
+        if Atomic.get p.closing then None else Some (Queue.pop p.queue))
+  in
+  match next with
+  | None -> ()
+  | Some task -> if run_attempt p busy task then work p busy
+
+let spawn_worker p =
+  let busy = Atomic.make None in
+  p.workers <- (busy, Domain.spawn (fun () -> work p busy)) :: p.workers
+
+let create ~jobs ?timeout ?(retries = 1) ?(grace = 1.0) ?resilience () =
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock wake_r;
+  Unix.set_nonblock wake_w;
+  let p =
+    {
+      timeout;
+      retries;
+      grace;
+      resilience;
+      lock = Mutex.create ();
+      nonempty = Condition.create ();
+      queue = Queue.create ();
+      closing = Atomic.make false;
+      tickets = Atomic.make 1;
+      outstanding = Atomic.make 0;
+      wake_r;
+      wake_w;
+      workers = [];
+    }
+  in
+  for _ = 1 to max 1 jobs do
+    spawn_worker p
+  done;
+  p
+
+let submit p ?cancel ?(on_result = fun _ _ -> ())
     (f : should_stop:(unit -> bool) -> 'a -> 'b) (inputs : 'a array) :
-    'b supervised array =
+    'b batch =
   let n = Array.length inputs in
   let results : 'b supervised array =
     Array.make n (Error (Crashed { reason = "cancelled"; attempts = 0 }))
   in
-  if n = 0 then results
-  else begin
-    let jobs = max 1 (min jobs n) in
-    let tick o =
-      match resilience with Some r -> Resilience.tick r o | None -> ()
+  let record i o =
+    results.(i) <- o;
+    on_result i o
+  in
+  let ctl = { pending = Atomic.make n; stopped = Atomic.make false; cancel } in
+  let tasks =
+    Array.init n (fun i ->
+        {
+          state = Atomic.make 0;
+          failed = Atomic.make 0;
+          ctl;
+          exec =
+            (fun ~should_stop ->
+              let v = f ~should_stop inputs.(i) in
+              fun () -> record i (Ok v));
+          fail =
+            (fun ~notify e ->
+              if notify then record i (Error e) else results.(i) <- Error e);
+        })
+  in
+  ignore (Atomic.fetch_and_add p.outstanding n : int);
+  locked p (fun () ->
+      Array.iter (fun task -> Queue.push task p.queue) tasks;
+      Condition.broadcast p.nonempty);
+  { ctl; tasks; results }
+
+let finished (b : _ batch) = Atomic.get b.ctl.pending = 0
+let results b = b.results
+let wake_fd p = p.wake_r
+
+(** Abandon every worker whose attempt has overrun [timeout + grace]
+    without returning: take its job away (retry or quarantine) and spawn
+    a replacement so throughput recovers.  OCaml domains cannot be
+    killed; the abandoned one finishes into the void, unjoined. *)
+let sweep p =
+  match p.timeout with
+  | None -> ()
+  | Some tmo ->
+    let limit = tmo +. p.grace in
+    List.iter
+      (fun ((busy, _) as w) ->
+        match Atomic.get busy with
+        | Some a as cur ->
+          let elapsed = Clock.elapsed a.started in
+          if elapsed >= limit && Atomic.compare_and_set busy cur None then begin
+            p.workers <- List.filter (fun w' -> w' != w) p.workers;
+            fail_attempt p a.task a.ticket ~event:Resilience.Timeout
+              (fun attempts -> Timed_out { elapsed; attempts });
+            spawn_worker p
+          end
+        | None -> ())
+      p.workers
+
+let supervise p =
+  let buf = Bytes.create 64 in
+  let rec drain () =
+    match Unix.read p.wake_r buf 0 64 with
+    | 64 -> drain ()
+    | _ -> ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> drain ()
+  in
+  drain ();
+  sweep p;
+  match p.timeout with
+  | Some tmo when Atomic.get p.outstanding > 0 ->
+    (* an attempt that starts later has a later deadline, so the
+       earliest one is among the running attempts, or [limit] away *)
+    let limit = tmo +. p.grace in
+    let now = Clock.now () in
+    let earliest =
+      List.fold_left
+        (fun acc (busy, _) ->
+          match Atomic.get busy with
+          | Some a -> Float.min acc (a.started +. limit -. now)
+          | None -> acc)
+        limit p.workers
     in
-    (* Job claim protocol: 0 = queued (claimable), t > 0 = attempt with
-       ticket t in flight, -1 = resolved.  Whoever CASes a state to -1
-       owns the final outcome; a late write from an abandoned attempt
-       fails its CAS and is discarded. *)
-    let jstate = Array.init n (fun _ -> Atomic.make 0) in
-    let attempts = Array.make n 0 in (* failed attempts so far; under qlock *)
-    let completed = Atomic.make 0 in
-    let stop = Atomic.make false in
-    let qlock = Mutex.create () in
-    let retryq : int Queue.t = Queue.create () in
-    let next = Atomic.make 0 in
-    let tickets = Atomic.make 1 in
-    let locked g =
-      Mutex.lock qlock;
-      Fun.protect ~finally:(fun () -> Mutex.unlock qlock) g
-    in
-    let resolve i (o : 'b supervised) =
-      results.(i) <- o;
-      on_result i o;
-      Atomic.incr completed
-    in
-    (* Count this failed attempt; [Some ()] when the job earned a retry
-       (and was re-queued), [None] when its budget is spent. *)
-    let retry_or_give_up i t =
-      let budget_left =
-        locked (fun () ->
-            attempts.(i) <- attempts.(i) + 1;
-            attempts.(i) <= retries)
+    Some (Float.max 0. earliest)
+  | _ -> None
+
+let shutdown p =
+  locked p (fun () ->
+      Atomic.set p.closing true;
+      Condition.broadcast p.nonempty);
+  List.iter (fun (_, d) -> Domain.join d) p.workers;
+  (* abandoned workers may still be running, but one never writes to the
+     pipe: it lost its slot's CAS, so it resolves nothing and exits, and
+     closing cannot hand its byte to a reused descriptor number *)
+  Unix.close p.wake_r;
+  Unix.close p.wake_w
+
+(** The cancellation epilogue: stop the batch and resolve every
+    unresolved task as cancelled, without firing [on_result] (the work
+    did not finish).  A claim that moves under the CAS is retried, so a
+    task a worker claims concurrently is still marked. *)
+let cancel_batch p (b : _ batch) =
+  Atomic.set b.ctl.stopped true;
+  Array.iter
+    (fun task ->
+      let rec claim () =
+        let s = Atomic.get task.state in
+        s <> -1 && (Atomic.compare_and_set task.state s (-1) || claim ())
       in
-      if budget_left && not (Atomic.get stop || cancel ()) then begin
-        if Atomic.compare_and_set jstate.(i) t 0 then begin
-          tick Resilience.Retry;
-          locked (fun () -> Queue.push i retryq);
-          true
-        end
-        else true (* someone else already re-dispatched or resolved it *)
-      end
-      else false
-    in
-    let total_attempts i = locked (fun () -> attempts.(i)) in
-    let take () =
-      match locked (fun () -> Queue.take_opt retryq) with
-      | Some i -> Some i
-      | None ->
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n then Some i else None
-    in
-    let worker (slot : slot) () =
-      let rec loop () =
-        if Atomic.get stop || Atomic.get completed >= n then ()
-        else
-          match take () with
-          | None ->
-            (* drained the fresh queue, but failures may still be
-               re-queued: idle until everything resolves *)
-            Unix.sleepf poll;
-            loop ()
-          | Some i ->
-            let t = Atomic.fetch_and_add tickets 1 in
-            if Atomic.compare_and_set jstate.(i) 0 t then begin
-              Atomic.set slot.ticket t;
-              Atomic.set slot.started_us (now_us ());
-              Atomic.set slot.job i;
-              let t0 = Clock.now () in
-              let timed_out = ref false in
-              let should_stop () =
-                Atomic.get stop || cancel ()
-                || Atomic.get jstate.(i) <> t (* supervisor took the job *)
-                ||
-                match timeout with
-                | Some tmo when Clock.elapsed t0 > tmo ->
-                  timed_out := true;
-                  true
-                | _ -> false
-              in
-              let o = try Ok (f ~should_stop inputs.(i)) with e -> Error e in
-              Atomic.set slot.job (-1);
-              (match o with
-              | Ok v ->
-                if Atomic.compare_and_set jstate.(i) t (-1) then
-                  resolve i (Ok v)
-              | Error e ->
-                let elapsed = Clock.elapsed t0 in
-                let timed_out =
-                  !timed_out
-                  ||
-                  match timeout with
-                  | Some tmo -> elapsed > tmo
-                  | None -> false
-                in
-                if Atomic.get stop || cancel () then
-                  (* aborted by cancellation, not by its own deadline:
-                     release the claim; the epilogue marks it cancelled *)
-                  ignore (Atomic.compare_and_set jstate.(i) t 0 : bool)
-                else begin
-                  tick (if timed_out then Resilience.Timeout else Resilience.Crash);
-                  if not (retry_or_give_up i t) then
-                    if Atomic.compare_and_set jstate.(i) t (-1) then begin
-                      tick Resilience.Quarantine;
-                      let attempts = total_attempts i in
-                      resolve i
-                        (Error
-                           (if timed_out then Timed_out { elapsed; attempts }
-                            else
-                              Crashed
-                                { reason = Printexc.to_string e; attempts }))
-                    end
-                end);
-              loop ()
-            end
-            else loop ()
-      in
+      if claim () then begin
+        task.fail ~notify:false
+          (Crashed { reason = "cancelled"; attempts = Atomic.get task.failed });
+        Atomic.decr b.ctl.pending;
+        Atomic.decr p.outstanding
+      end)
+    b.tasks
+
+(** How long a waiter whose batch can be cancelled sleeps at most: a
+    SIGINT handler may run on any domain, so the flag it sets need not
+    interrupt [select].  Completions and deadlines never wait on it. *)
+let cancel_check = 0.1
+
+(** Block until every task of [b] is resolved, supervising meanwhile. *)
+let wait p (b : _ batch) =
+  let rec loop () =
+    let deadline = supervise p in
+    if not (finished b) then begin
+      if (not (Atomic.get b.ctl.stopped)) && cancelled b.ctl then
+        cancel_batch p b;
+      if not (finished b) then begin
+        let timeout =
+          match b.ctl.cancel with
+          | Some _ ->
+            Option.fold ~none:cancel_check ~some:(Float.min cancel_check)
+              deadline
+          | None -> Option.value deadline ~default:(-1.) (* until a wake *)
+        in
+        match Unix.select [ p.wake_r ] [] [] timeout with
+        | _ -> ()
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+      end;
       loop ()
-    in
-    (* worker registry: (domain, heartbeat slot, abandoned) *)
-    let workers = ref [] in
-    let spawn_worker () =
-      let slot = fresh_slot () in
-      let d = Domain.spawn (worker slot) in
-      workers := (d, slot, ref false) :: !workers
-    in
-    for _ = 1 to jobs do
-      spawn_worker ()
-    done;
-    let wedge_limit = Option.map (fun tmo -> tmo +. grace) timeout in
-    (* One supervision sweep: declare dead any worker whose current
-       attempt has overrun deadline+grace without stopping, take its job
-       away (retry or quarantine), and spawn a replacement. *)
-    let sweep lim =
-      List.iter
-        (fun (_, (slot : slot), abandoned) ->
-          if not !abandoned then begin
-            let i = Atomic.get slot.job in
-            if i >= 0 then begin
-              let t = Atomic.get slot.ticket in
-              let started = float_of_int (Atomic.get slot.started_us) /. 1e6 in
-              if
-                Clock.now () -. started > lim
-                && Atomic.get slot.job = i
-                && Atomic.get slot.ticket = t
-              then begin
-                abandoned := true;
-                tick Resilience.Timeout;
-                if not (retry_or_give_up i t) then begin
-                  if Atomic.compare_and_set jstate.(i) t (-1) then begin
-                    tick Resilience.Quarantine;
-                    resolve i
-                      (Error
-                         (Timed_out
-                            {
-                              elapsed = Clock.now () -. started;
-                              attempts = total_attempts i;
-                            }))
-                  end
-                end;
-                spawn_worker ()
-              end
-            end
-          end)
-        !workers
-    in
-    let rec supervise () =
-      if Atomic.get completed >= n || cancel () then ()
-      else begin
-        Option.iter sweep wedge_limit;
-        Unix.sleepf poll;
-        supervise ()
-      end
-    in
+    end
+  in
+  loop ()
+
+let run_supervised ~jobs ?timeout ?retries ?grace ?cancel ?resilience
+    ?on_result f inputs =
+  let n = Array.length inputs in
+  if n = 0 then [||]
+  else begin
+    let p = create ~jobs:(min jobs n) ?timeout ?retries ?grace ?resilience () in
     Fun.protect
-      ~finally:(fun () ->
-        Atomic.set stop true;
-        (* join every live worker; an abandoned (wedged) domain cannot be
-           joined without hanging — it is left to finish into the void,
-           its claim-check already guarantees its result is discarded *)
-        List.iter
-          (fun (d, _, abandoned) -> if not !abandoned then Domain.join d)
-          !workers)
-      supervise;
-    (* cancellation epilogue: everything unresolved is marked cancelled,
-       without firing [on_result] — the work did not finish *)
-    if Atomic.get completed < n then
-      Array.iteri
-        (fun i st ->
-          let s = Atomic.get st in
-          if s <> -1 && Atomic.compare_and_set st s (-1) then begin
-            results.(i) <-
-              Error (Crashed { reason = "cancelled"; attempts = total_attempts i });
-            Atomic.incr completed
-          end)
-        jstate;
-    results
+      ~finally:(fun () -> shutdown p)
+      (fun () ->
+        let b = submit p ?cancel ?on_result f inputs in
+        wait p b;
+        b.results)
   end

@@ -119,6 +119,64 @@ let test_supervised_timeout_retries_then_quarantines () =
   Util.check Alcotest.int "one quarantine ticked" 1
     (Resilience.count resil Resilience.Quarantine)
 
+let test_supervised_wedged_worker_replaced () =
+  (* job 0 never polls [should_stop]: only the supervisor's sweep can take
+     it away.  With one worker, the jobs queued behind it can only finish
+     on a replacement *)
+  let release = Atomic.make false in
+  let wedged_on = Atomic.make None in (* the first worker lost *)
+  let ran_on = Array.make 4 None in
+  let resil = Resilience.create () in
+  let t0 = Unix.gettimeofday () in
+  let out =
+    Fun.protect
+      ~finally:(fun () -> Atomic.set release true)
+      (fun () ->
+        Pool.run_supervised ~jobs:1 ~timeout:0.1 ~grace:0.1 ~retries:1
+          ~resilience:resil
+          (fun ~should_stop:_ i ->
+            if i = 0 then begin
+              ignore
+                (Atomic.compare_and_set wedged_on None
+                   (Some (Domain.self ()))
+                  : bool);
+              (* capped, so a supervisor that never sweeps fails this
+                 test instead of hanging it *)
+              let cap = Unix.gettimeofday () +. 10. in
+              while (not (Atomic.get release)) && Unix.gettimeofday () < cap do
+                Unix.sleepf 0.001
+              done
+            end
+            else ran_on.(i) <- Some (Domain.self ());
+            i)
+          [| 0; 1; 2; 3 |])
+  in
+  let took = Unix.gettimeofday () -. t0 in
+  (match out.(0) with
+  | Error (Pool.Timed_out { attempts; _ }) ->
+    Util.check Alcotest.int "attempts = retries + 1" 2 attempts
+  | _ -> Alcotest.fail "slot 0 should be Error Timed_out");
+  Array.iteri
+    (fun i r ->
+      if i > 0 then
+        Util.check Alcotest.bool (Printf.sprintf "slot %d ok" i) true
+          (r = Ok i))
+    out;
+  Util.check Alcotest.bool "later jobs ran on a replacement worker" true
+    (Array.for_all
+       (fun d -> d = None || d <> Atomic.get wedged_on)
+       ran_on);
+  Util.check Alcotest.int "two timeouts ticked" 2
+    (Resilience.count resil Resilience.Timeout);
+  Util.check Alcotest.int "one retry ticked" 1
+    (Resilience.count resil Resilience.Retry);
+  Util.check Alcotest.int "one quarantine ticked" 1
+    (Resilience.count resil Resilience.Quarantine);
+  (* two wedge limits of 0.2 s; the bound leaves room for a loaded host *)
+  Util.check Alcotest.bool
+    (Printf.sprintf "sweeps at the deadline (%.2f s)" took)
+    true (took < 2.0)
+
 let test_supervised_crash_retry_then_success () =
   (* fails on its first attempt only: the retry must succeed and the slot
      must carry the successful value *)
@@ -393,6 +451,8 @@ let () =
             test_supervised_ok_portion_matches_run;
           Util.tc "cooperative timeout retries then quarantines"
             test_supervised_timeout_retries_then_quarantines;
+          Util.tc "wedged worker abandoned and replaced"
+            test_supervised_wedged_worker_replaced;
           Util.tc "transient crash retried to success"
             test_supervised_crash_retry_then_success;
           Util.tc "persistent crash exhausts retries"

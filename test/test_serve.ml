@@ -609,6 +609,73 @@ let test_daemon_backpressure () =
         [ "error"; "ok" ]
         statuses2)
 
+(** A client that connects and sends nothing must not hold up anyone
+    else: the daemon reads every connection without blocking, so a second
+    client is answered at once, and the silent one costs only itself.  A
+    flood of them cannot exhaust the daemon either: it holds at most 512
+    connections open (past [FD_SETSIZE] descriptors [select] fails), the
+    rest wait in the listen backlog, and it serves again once they
+    leave. *)
+let test_daemon_silent_client () =
+  let dir = fresh_dir "silent" in
+  let socket = Filename.concat dir "d.sock" in
+  let state = Filename.concat dir "state" in
+  let log = Filename.concat dir "serve.log" in
+  let pid = spawn_daemon ~socket ~state ~log () in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
+      ignore (Unix.waitpid [] pid))
+    (fun () ->
+      if not (Client.wait_ready ~socket ()) then
+        Alcotest.fail "daemon did not come up";
+      let silent = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.connect silent (Unix.ADDR_UNIX socket);
+      let status =
+        Fun.protect
+          ~finally:(fun () -> Unix.close silent)
+          (fun () ->
+            match
+              Client.call ~timeout:5. ~socket [ run_req ~id:1 daemon_src ]
+            with
+            | [ r ] -> Protocol.response_status r
+            | _ -> "wrong response count"
+            | exception Client.Timeout m -> m)
+      in
+      Util.check Alcotest.string "answered within 5 s beside a silent client"
+        "ok" status;
+      let health = one socket (req ~id:2 ~op:"health" []) in
+      Util.check Alcotest.string "health answers after the silent one left"
+        "ok" (Protocol.response_status health);
+      (* 570 fits the cap plus the 64-deep backlog, so every connect
+         completes *)
+      let flood =
+        List.init 570 (fun _ ->
+            let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+            Unix.connect fd (Unix.ADDR_UNIX socket);
+            fd)
+      in
+      Fun.protect
+        ~finally:(fun () -> List.iter Unix.close flood)
+        (fun () ->
+          let fd_dir = Printf.sprintf "/proc/%d/fd" pid in
+          if Sys.file_exists fd_dir then begin
+            let count () = Array.length (Sys.readdir fd_dir) in
+            (* let the accept loop settle *)
+            let rec settle prev n =
+              Unix.sleepf 0.05;
+              let c = count () in
+              if c = prev || n = 0 then c else settle c (n - 1)
+            in
+            let held = settle (-1) 40 in
+            Util.check Alcotest.bool
+              (Printf.sprintf "at most 512 connections held (%d fds)" held)
+              true (held < 512 + 32)
+          end);
+      let health = one socket (req ~id:3 ~op:"health" []) in
+      Util.check Alcotest.string "health answers after the flood left" "ok"
+        (Protocol.response_status health))
+
 let float_at path j =
   match member_path path j with
   | Json.Float f -> f
@@ -909,6 +976,8 @@ let () =
             test_daemon_warm_restart;
           Util.tc_slow "serve: batch beyond queue bound sheds load"
             test_daemon_backpressure;
+          Util.tc_slow "serve: silent clients hold up no one, flood capped"
+            test_daemon_silent_client;
           Util.tc "serve: live socket refused, stale socket cleared"
             test_socket_steal_rejected;
           Util.tc_slow "serve: journal compacted on restart, health identity"
