@@ -13,16 +13,12 @@
       bench/main.exe --json --via-daemon SOCK
                                         the grid through a running
                                         rpcc serve daemon (cached)
-      bench/main.exe --json --via-fleet N [--plant-crash]
-                                        the grid through a supervised
-                                        N-shard fleet; --plant-crash
-                                        SIGKILLs a shard mid-campaign
       bench/main.exe --help             every flag
     v}
 
     One driver serves every mode.  It hands a list of cells — one program
     compiled and run under one configuration — to one executor
-    (in-process, daemon or fleet) and gets back one outcome per cell, in
+    (in-process or daemon) and gets back one outcome per cell, in
     order.  One function builds the counts document from those outcomes,
     so the document is byte-identical across executors, [-j] values and
     execution modes by construction.  Table mode runs the cells its
@@ -350,7 +346,7 @@ let by_program outcomes f =
        P.all)
 
 (** The one driver: run the paper grid on [ex] and write
-    [BENCH_counts.json] (schema v6) from the outcomes.  [exec] counts the
+    [BENCH_counts.json] (schema v7) from the outcomes.  [exec] counts the
     [--native] cells the degradation ladder served from its interpreter
     rung: top-level rather than per cell, so the cells stay byte-identical
     across modes, and 0 on every healthy run. *)
@@ -361,7 +357,7 @@ let export ex =
   Json.to_file "BENCH_counts.json"
     (Json.Obj
        [
-         ("schema", Json.Str "rpcc-bench-counts/6");
+         ("schema", Json.Str "rpcc-bench-counts/7");
          ("programs", by_program outcomes (fun _ o -> answer_json o.answer));
          ("resilience", resilience);
          ( "exec",
@@ -470,11 +466,11 @@ let in_process o ~cas =
   { via = ""; run = run_local o; finish = write_timings o ~cas }
 
 (* ------------------------------------------------------------------ *)
-(* The remote executors: rpcc serve, single daemon or sharded fleet    *)
+(* The remote executor: a running rpcc serve daemon                  *)
 (* ------------------------------------------------------------------ *)
 
-(* With [native], each shard answers through its own degradation ladder
-   and names the rung in the response's [exec] object; the counts are
+(* With [native], the daemon answers through its degradation ladder and
+   names the rung in the response's [exec] object; the counts are
    mode-independent by contract. *)
 let requests ~native cells =
   List.mapi
@@ -504,7 +500,7 @@ let rec chunks n = function
     head :: chunks n tail
 
 (** Only the count fields are read from a response, so a cached, a
-    fresh, a native and a failed-over answer give the same outcome. *)
+    fresh and a native answer give the same outcome. *)
 let outcome_of_response c resp =
   let int_at path =
     match
@@ -546,9 +542,9 @@ let outcome_of_response c resp =
   in
   { answer; rung; timing = None; resumed = false }
 
-(* Supervision lives backend-side (daemon health, BENCH_fleet.json): the
-   counts document's resilience counters are present and zero, so its
-   shape matches an in-process run's. *)
+(* Supervision lives backend-side (daemon health): the counts document's
+   resilience counters are present and zero, so its shape matches an
+   in-process run's. *)
 let answered who cells responses =
   if List.length responses <> List.length cells then begin
     Fmt.epr "%s answered %d of %d requests@." who (List.length responses)
@@ -581,118 +577,6 @@ let daemon ~socket ~native =
     answered "daemon" cells responses
   in
   { via = " via " ^ socket; run; finish = (fun _ -> grid_wall) }
-
-(** Chaos-drill step two: flip one payload byte of a cached native
-    binary in the fleet's shared store, leaving the stale CRC in place.
-    The next shard to read the entry quarantines it ([Cas.get] verifies
-    the checksum) and the degradation ladder recompiles — the counts
-    document must not notice.  No-op when no native binary is cached
-    yet (interp drills, cold stores). *)
-let corrupt_native_bin cas_root =
-  let objects = Filename.concat cas_root "objects" in
-  let ls d = try Array.to_list (Sys.readdir d) with Sys_error _ -> [] in
-  let victim =
-    List.find_map
-      (fun shard ->
-        let dir = Filename.concat objects shard in
-        List.find_map
-          (fun f ->
-            if Filename.check_suffix f ".native-bin" then
-              Some (Filename.concat dir f)
-            else None)
-          (ls dir))
-      (ls objects)
-  in
-  match victim with
-  | None -> ()
-  | Some path -> (
-    try
-      let fd = Unix.openfile path [ Unix.O_RDWR ] 0o644 in
-      Fun.protect
-        ~finally:(fun () -> Unix.close fd)
-        (fun () ->
-          let len = Unix.lseek fd 0 Unix.SEEK_END in
-          let b = Bytes.create 1 in
-          if len > 0 && Unix.lseek fd (len - 1) Unix.SEEK_SET >= 0
-             && Unix.read fd b 0 1 = 1
-          then begin
-            Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0xFF));
-            ignore (Unix.lseek fd (len - 1) Unix.SEEK_SET : int);
-            ignore (Unix.write fd b 0 1 : int)
-          end)
-    with Unix.Unix_error _ -> ())
-
-(** Run [k] on the executor of a supervised [shards]-shard fleet, then
-    write [BENCH_fleet.json] (supervisor and router telemetry with the
-    real failover/respawn counters) and stop the fleet.  [plant] SIGKILLs
-    the second batch's first-choice shard, and corrupts a cached native
-    binary, right before that batch is sent — the deterministic chaos
-    drill: the router must fail over and the supervisor respawn, with no
-    effect on the counts document. *)
-let with_fleet ~shards ~plant ~state_dir ~jobs ~native k =
-  let module Fleet = Rp_serve.Fleet in
-  let module Router = Rp_serve.Fleet_client in
-  let boot = Clock.now () in
-  let fleet =
-    Fleet.start
-      { Fleet.default_config with Fleet.shards; state_dir; jobs }
-  in
-  Fmt.pr "fleet up: %.1f ms@." (1000. *. Clock.elapsed boot);
-  Fun.protect
-    ~finally:(fun () -> Fleet.stop fleet)
-    (fun () ->
-      let resil = R.create () in
-      let router =
-        Router.create ~timeout:300. ~resilience:resil
-          ~sockets:(Fleet.sockets fleet) ()
-      in
-      let chaos s =
-        corrupt_native_bin (Fleet.cas_dir fleet);
-        Fleet.kill_shard fleet s
-      in
-      let run cells =
-        let reqs = requests ~native cells in
-        let responses =
-          (* chunking gives the planted crash a mid-campaign batch
-             boundary; without a drill each shard sees one batch *)
-          try
-            List.concat
-              (List.mapi
-                 (fun bi batch ->
-                   Router.route
-                     ?plant:(if plant && bi = 1 then Some chaos else None)
-                     router batch)
-                 (if plant then chunks 32 reqs else [ reqs ]))
-          with Router.All_shards_dead ->
-            Fmt.epr "fleet: all shards dead@.";
-            exit 3
-        in
-        answered "fleet" cells responses
-      in
-      let finish _ ~since =
-        (* let the supervisor finish respawning any planted kill before
-           the telemetry is frozen *)
-        let deadline = Clock.now () +. 15. in
-        while
-          Fleet.respawns fleet < Fleet.planted fleet && Clock.now () < deadline
-        do
-          Unix.sleepf 0.1
-        done;
-        R.merge ~into:resil (Fleet.resilience fleet);
-        Json.to_file "BENCH_fleet.json"
-          (Json.Obj
-             [
-               ("schema", Json.Str "rpcc-fleet/1");
-               ("shards", Json.Int shards);
-               ("supervisor", Fleet.telemetry_json fleet);
-               ("router", Router.telemetry_json router);
-               ("resilience", R.to_json resil);
-             ]);
-        Fmt.pr "wrote BENCH_fleet.json (failovers %d, respawns %d)@."
-          (Router.failovers router) (Fleet.respawns fleet);
-        grid_wall ~since
-      in
-      k { via = Printf.sprintf " via fleet of %d" shards; run; finish })
 
 (* ------------------------------------------------------------------ *)
 (* The paper's tables                                                  *)
@@ -999,12 +883,9 @@ type opts = {
   resume : string option;
   plant_hang : string option;
   via_daemon : string option;
-  via_fleet : int option;
   native : bool;
   plant_cc_failure : bool;
   cc_flags : string option;
-  plant_crash : bool;
-  fleet_state : string option;
 }
 
 (** Every flag combination the selected executor would not honour, with
@@ -1012,35 +893,29 @@ type opts = {
     dropped. *)
 let conflicts o =
   let given = Option.is_some in
-  let remote = given o.via_daemon || given o.via_fleet in
+  let via_daemon = given o.via_daemon in
   let supervision =
     given o.job_timeout || given o.retries || given o.breaker_threshold
     || given o.journal || given o.resume || given o.plant_hang
   in
   [
     (o.native && not o.json, "--native requires --json");
-    (remote && not o.json, "--via-daemon/--via-fleet require --json");
+    (via_daemon && not o.json, "--via-daemon requires --json");
     ( supervision && not o.json,
       "--job-timeout/--retries/--breaker-threshold/--journal/--resume/\
        --plant-hang require --json" );
     ( o.plant_cc_failure && not o.native,
       "--plant-cc-failure requires --native" );
     (given o.cc_flags && not o.native, "--cc-flags requires --native");
-    ( given o.via_daemon && given o.via_fleet,
-      "--via-daemon and --via-fleet are mutually exclusive" );
-    ( remote && (supervision || o.verify),
-      "--via-daemon/--via-fleet supervise and verify backend-side: they take \
-       none of --job-timeout/--retries/--breaker-threshold/--journal/\
+    ( via_daemon && (supervision || o.verify),
+      "--via-daemon supervises and verifies backend-side: it takes none of \
+       --job-timeout/--retries/--breaker-threshold/--journal/\
        --resume/--plant-hang/--verify-passes" );
-    ( remote && (o.plant_cc_failure || given o.cc_flags),
+    ( via_daemon && (o.plant_cc_failure || given o.cc_flags),
       "--plant-cc-failure/--cc-flags configure a local compiler and cannot \
-       be combined with --via-daemon/--via-fleet" );
-    ( given o.via_daemon && given o.jobs,
+       be combined with --via-daemon" );
+    ( via_daemon && given o.jobs,
       "--jobs does not apply to --via-daemon (the daemon sets its own)" );
-    ( o.plant_crash && not (given o.via_fleet),
-      "--plant-crash requires --via-fleet" );
-    ( given o.fleet_state && not (given o.via_fleet),
-      "--fleet-state requires --via-fleet" );
     ( given o.plant_hang && not (given o.job_timeout),
       "--plant-hang requires --job-timeout" );
     ( (match o.plant_hang with
@@ -1097,15 +972,9 @@ let main o =
   in
   if not o.json then print_tables (local ~keep_per_func:true None)
   else
-    match (o.via_daemon, o.via_fleet) with
-    | Some socket, _ -> export (daemon ~socket ~native:o.native)
-    | None, Some shards ->
-      with_fleet
-        ~shards:(Rp_cli.positive ~flag:"--via-fleet" shards)
-        ~plant:o.plant_crash
-        ~state_dir:(Option.value o.fleet_state ~default:".rpcc-fleet")
-        ~jobs ~native:o.native export
-    | None, None ->
+    match o.via_daemon with
+    | Some socket -> export (daemon ~socket ~native:o.native)
+    | None ->
       (* opened once, before the worker pool spawns *)
       let cas = Rp_support.Cas.open_ (Native.default_cache_dir ()) in
       let native = if o.native then Some (native_cc o cas, cas) else None in
@@ -1118,11 +987,9 @@ let opts_t =
     Arg.(value & opt (some c) None (info [ name ] ~docv ~doc))
   in
   let make json jobs verify job_timeout retries breaker_threshold journal
-      resume plant_hang via_daemon via_fleet native plant_cc_failure cc_flags
-      plant_crash fleet_state =
+      resume plant_hang via_daemon native plant_cc_failure cc_flags =
     { json; jobs; verify; job_timeout; retries; breaker_threshold; journal;
-      resume; plant_hang; via_daemon; via_fleet; native; plant_cc_failure;
-      cc_flags; plant_crash; fleet_state }
+      resume; plant_hang; via_daemon; native; plant_cc_failure; cc_flags }
   in
   Term.(
     const make
@@ -1144,9 +1011,6 @@ let opts_t =
          fires."
     $ opt Arg.string "via-daemon" "SOCKET"
         "Run the grid through the rpcc serve daemon listening on $(docv)."
-    $ opt Arg.int "via-fleet" "N"
-        "Run the grid through a supervised fleet of $(docv) rpcc serve \
-         shards and write its telemetry to BENCH_fleet.json."
     $ flag "native"
         "Execute every cell through the compiled-C backend's degradation \
          ladder; the counts document is byte-identical to an interpreted \
@@ -1156,13 +1020,7 @@ let opts_t =
          attempt, so every cell falls to the interpreter rung."
     $ opt Arg.string "cc-flags" "FLAGS"
         "Space-separated flags for the C compiler under $(b,--native) \
-         (default -O1)."
-    $ flag "plant-crash"
-        "Chaos drill: SIGKILL a shard and corrupt a cached native binary \
-         mid-campaign."
-    $ opt Arg.string "fleet-state" "DIR"
-        "State directory of the $(b,--via-fleet) fleet (default \
-         .rpcc-fleet).")
+         (default -O1).")
 
 let () =
   let open Cmdliner in
@@ -1173,7 +1031,7 @@ let () =
            "on a usage error (a flag the selected mode does not take, a \
             bad value), an unreachable daemon, or a fatal \
             $(b,--verify-passes) failure."
-    :: Cmd.Exit.info 3 ~doc:"on a daemon timeout or when all shards are dead."
+    :: Cmd.Exit.info 3 ~doc:"on a daemon timeout."
     :: Cmd.Exit.info 130
          ~doc:"when interrupted (SIGINT), after flushing the journal."
     :: Cmd.Exit.defaults

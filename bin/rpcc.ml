@@ -218,14 +218,14 @@ module Json = Rp_support.Json
     converged/degraded/validated_passes keys; rpcc-stats/2 lacked
     resilience; rpcc-stats/3 lacked the canonical [config_name] key
     (its [config] pretty-print does not distinguish [+ptrpromote]);
-    rpcc-stats/4's resilience object lacked the fleet
-    [failovers]/[respawns] counters. *)
+    rpcc-stats/4's resilience object lacked the [failovers]/[respawns]
+    counters, which rpcc-stats/5 carried and rpcc-stats/6 dropped. *)
 let run_json config (st : Pipeline.stage_stats) resil
     (r : Rp_exec.Interp.result) =
   match Pipeline.stats_json config st with
   | Json.Obj fields ->
     Json.Obj
-      (("schema", Json.Str "rpcc-stats/5")
+      (("schema", Json.Str "rpcc-stats/6")
        :: fields
       @ [
           ("resilience", Rp_support.Resilience.to_json resil);
@@ -946,8 +946,8 @@ let reduce_cmd =
 (* ------------------------------------------------------------------ *)
 
 let serve_cmd =
-  let serve socket state_dir cas_dir shard_id jobs queue_bound job_timeout
-      retries threshold cooldown =
+  let serve socket state_dir jobs queue_bound job_timeout retries threshold
+      cooldown =
     handle_errors @@ fun () ->
     let jobs = Rp_cli.jobs jobs and retries = Rp_cli.retries retries in
     let queue_bound = Rp_cli.positive ~flag:"--queue-bound" queue_bound in
@@ -956,8 +956,6 @@ let serve_cmd =
       {
         Rp_serve.Daemon.socket;
         state_dir;
-        cas_dir;
-        shard_id;
         jobs;
         queue_bound;
         job_timeout = (if job_timeout <= 0. then None else Some job_timeout);
@@ -982,25 +980,6 @@ let serve_cmd =
             "Durable state: the content-addressed cache ($(docv)/cas) and \
              the request journal ($(docv)/journal.jsonl).  Restarting on \
              the same directory resumes warm.")
-  in
-  let cas_dir_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "cas-dir" ] ~docv:"DIR"
-          ~doc:
-            "Content-addressed cache root override (default \
-             --state-dir/cas).  Fleet shards point this at one shared \
-             store so any shard can serve any cached artifact.")
-  in
-  let shard_id_t =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "shard-id" ] ~docv:"N"
-          ~doc:
-            "Fleet membership tag echoed in health responses; omitted \
-             when serving standalone.")
   in
   let queue_bound_t =
     Arg.(
@@ -1044,92 +1023,8 @@ let serve_cmd =
           SIGKILL-safe (restarts warm on the same --state-dir); \
           SIGTERM/SIGINT drain gracefully.")
     Term.(
-      const serve $ socket_t $ state_dir_t $ cas_dir_t $ shard_id_t
-      $ Rp_cli.jobs_t $ queue_bound_t $ serve_timeout_t $ Rp_cli.retries_t
-      $ threshold_t $ cooldown_t)
-
-let fleet_cmd =
-  let fleet shards state_dir jobs job_timeout probe_interval probe_timeout
-      wedged plant_crash =
-    handle_errors @@ fun () ->
-    let shards = Rp_cli.positive ~flag:"SHARDS" shards in
-    let jobs = Rp_cli.jobs jobs in
-    let wedged = Rp_cli.positive ~flag:"--wedged-threshold" wedged in
-    Rp_serve.Fleet.run
-      {
-        Rp_serve.Fleet.shards;
-        state_dir;
-        rpcc = None;
-        jobs;
-        job_timeout;
-        probe_interval;
-        probe_timeout;
-        wedged_threshold = wedged;
-        plant_crash = (if plant_crash <= 0. then None else Some plant_crash);
-      }
-  in
-  let shards_t =
-    Arg.(
-      value & pos 0 int Rp_serve.Fleet.default_config.Rp_serve.Fleet.shards
-      & info [] ~docv:"SHARDS" ~doc:"Number of shard daemons to supervise.")
-  in
-  let fleet_state_t =
-    Arg.(
-      value
-      & opt string Rp_serve.Fleet.default_config.Rp_serve.Fleet.state_dir
-      & info [ "state-dir" ] ~docv:"DIR"
-          ~doc:
-            "Fleet state: per-shard sockets ($(docv)/shard-N.sock), \
-             journals ($(docv)/shard-N/), logs, and the shared \
-             content-addressed cache ($(docv)/cas).")
-  in
-  let probe_interval_t =
-    Arg.(
-      value & opt float 2.
-      & info [ "probe-interval" ] ~docv:"SECONDS"
-          ~doc:"Seconds between health-probe sweeps of the shards.")
-  in
-  let probe_timeout_t =
-    Arg.(
-      value & opt float 10.
-      & info [ "probe-timeout" ] ~docv:"SECONDS"
-          ~doc:"Client deadline for each health probe.")
-  in
-  let wedged_t =
-    Arg.(
-      value & opt int 3
-      & info [ "wedged-threshold" ] ~docv:"N"
-          ~doc:
-            "Consecutive failed probes before a shard is declared wedged, \
-             SIGKILLed, and respawned.")
-  in
-  let plant_crash_t =
-    Arg.(
-      value & opt float 0.
-      & info [ "plant-crash" ] ~docv:"SECONDS"
-          ~doc:
-            "Chaos drill: SIGKILL a deterministically chosen shard \
-             $(docv) seconds after startup and let supervision recover \
-             it (0 disables).")
-  in
-  let fleet_timeout_t =
-    Arg.(
-      value & opt float 30.
-      & info [ "job-timeout" ] ~docv:"SECONDS"
-          ~doc:"Per-job deadline forwarded to every shard.")
-  in
-  Cmd.v
-    (Cmd.info "fleet" ~exits
-       ~doc:
-         "Supervise a fleet of rpcc serve shards: per-shard sockets and \
-          journals, one shared content-addressed cache, health-probed \
-          membership, crashed or wedged shards respawned with backoff.  \
-          Clients route requests by rendezvous hash of the cache key so \
-          each key stays on one warm shard.  SIGTERM/SIGINT drain every \
-          shard and exit 0.")
-    Term.(
-      const fleet $ shards_t $ fleet_state_t $ Rp_cli.jobs_t $ fleet_timeout_t
-      $ probe_interval_t $ probe_timeout_t $ wedged_t $ plant_crash_t)
+      const serve $ socket_t $ state_dir_t $ Rp_cli.jobs_t $ queue_bound_t
+      $ serve_timeout_t $ Rp_cli.retries_t $ threshold_t $ cooldown_t)
 
 let client_cmd =
   let client socket timeout op file config_name client_name seed trials
@@ -1270,6 +1165,6 @@ let main =
          "Register promotion in C programs (Cooper & Lu, PLDI 1997) — \
           reference reimplementation.")
     [ run_cmd; dump_cmd; run_il_cmd; table_cmd; fuzz_cmd; gen_fuzz_cmd;
-      reduce_cmd; serve_cmd; fleet_cmd; client_cmd ]
+      reduce_cmd; serve_cmd; client_cmd ]
 
 let () = exit (Cmd.eval main)

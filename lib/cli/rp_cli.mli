@@ -7,9 +7,9 @@
 
     {b Campaign flags.}  The supervised campaigns — [rpcc fuzz],
     [rpcc gen-fuzz], the bench grid — share one definition of each
-    supervision flag, and [rpcc serve]/[rpcc fleet] reuse [--jobs] and
-    [--retries].  Flags come back as options so that a caller can tell
-    a flag that was given from its default. *)
+    supervision flag, and [rpcc serve] reuses [--jobs] and [--retries].
+    Flags come back as options so that a caller can tell a flag that
+    was given from its default. *)
 
 val usage : string -> 'a
 (** Print [usage: MSG] on stderr and exit 2. *)

@@ -20,8 +20,6 @@ module Pipeline = Rp_driver.Pipeline
 type config = {
   socket : string;
   state_dir : string;
-  cas_dir : string option;
-  shard_id : int option;
   jobs : int;
   queue_bound : int;
   job_timeout : float option;
@@ -34,8 +32,6 @@ let default_config =
   {
     socket = "rpcc.sock";
     state_dir = ".rpcc-serve";
-    cas_dir = None;
-    shard_id = None;
     jobs = 1;
     queue_bound = 64;
     job_timeout = Some 30.;
@@ -198,13 +194,13 @@ let handle_op ~should_stop st (r : Protocol.request) : Json.t =
     | Protocol.Run { src; config; mode = Protocol.Native } -> (
       (* native jobs share the interp path's result artifacts and their
          source × config key — both engines compute the same answer by
-         contract — so a warm shard serves either mode from one entry.
+         contract — so a warm daemon serves either mode from one entry.
          Only a cold job reaches the binary store, which keys a binary by
          the C it was compiled from: configs that emit the same code, and
-         shards on one store, share it.  The degradation ladder means a
-         native request never fails for infrastructure reasons: it
-         answers slower, from a lower rung, and says so in the [exec]
-         object. *)
+         a daemon and its restarted successor, share it.  The degradation
+         ladder means a native request never fails for infrastructure
+         reasons: it answers slower, from a lower rung, and says so in
+         the [exec] object. *)
       match Protocol.config_of_name config with
       | None -> err "usage" ("unknown config " ^ config)
       | Some cfg ->
@@ -323,10 +319,6 @@ let health_json st ~id ~client =
         Json.Obj
           [
             ("pid", Json.Int (Unix.getpid ()));
-            ( "shard_id",
-              match st.cfg.shard_id with
-              | Some i -> Json.Int i
-              | None -> Json.Null );
             ( "uptime_s",
               Json.Float
                 (Float.round (Clock.elapsed st.started *. 1e3)
@@ -558,14 +550,8 @@ let max_connections = 512
 let stop_check = 0.1
 
 let serve (cfg : config) =
-  (* the journal needs state_dir even when the CAS lives elsewhere
-     (fleet shards share one store but keep private journals) *)
   mkdir_p cfg.state_dir;
-  let cas_dir =
-    Option.value cfg.cas_dir
-      ~default:(Filename.concat cfg.state_dir "cas")
-  in
-  let cas = Cas.open_ cas_dir in
+  let cas = Cas.open_ (Filename.concat cfg.state_dir "cas") in
   let journal_path = Filename.concat cfg.state_dir "journal.jsonl" in
   let jsum =
     { records = 0; skipped = 0; replayed = 0; lost_inflight = 0;

@@ -42,12 +42,7 @@ type config = {
       (** Unix-domain socket path.  A stale leftover file is replaced; a
           socket a {e live} daemon still answers on is refused (usage
           error) — see {!remove_stale_socket} *)
-  state_dir : string;  (** holds [journal.jsonl] (and [cas/] by default) *)
-  cas_dir : string option;
-      (** store root override; fleet shards point this at one shared
-          store.  [None] ⇒ [state_dir ^ "/cas"] *)
-  shard_id : int option;
-      (** fleet membership tag, echoed in [health]; [None] standalone *)
+  state_dir : string;  (** holds [journal.jsonl] and the store [cas/] *)
   jobs : int;  (** worker domains in the daemon's pool (at least 1) *)
   queue_bound : int;
       (** max jobs admitted and not yet answered, across connections *)
@@ -76,5 +71,5 @@ val serve : config -> unit
     journal, then {e compacts} it: matched recv/done pairs and corrupt
     lines are dropped (atomic rewrite), leaving only the lost-in-flight
     records; the count dropped is reported as
-    [journal.compacted_records] in [health], alongside [uptime_s],
-    [shard_id], and the pipeline [pass_version]. *)
+    [journal.compacted_records] in [health], alongside [uptime_s] and
+    the pipeline [pass_version]. *)

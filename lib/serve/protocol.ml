@@ -34,9 +34,7 @@ let fuzz_key ~seed ~trials =
       string_of_int trials ]
 
 (* [Run]'s mode is deliberately absent from the key: both modes compute
-   the same answer by contract, so they share result-cache entries, and
-   routing native and interp jobs for one program to the same shard is
-   exactly what keeps that shard's binary cache hot. *)
+   the same answer by contract, so they share result-cache entries. *)
 let op_key (op : op) =
   match op with
   | Run { src; config; mode = _ }

@@ -73,9 +73,7 @@ val fuzz_key : seed:int -> trials:int -> string
 val op_key : op -> string
 (** The content-addressed key the op's artifacts live under ([""] for
     [Health] and unknown configs).  The daemon journals it with each
-    request record so replay can match work to cache entries; the fleet
-    router hashes it so one op always lands on the shard whose cache is
-    warm for it. *)
+    request record so replay can match work to cache entries. *)
 
 (** {2 Response constructors} *)
 

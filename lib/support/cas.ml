@@ -35,9 +35,10 @@ let open_ root =
   mkdir_p (quarantine_dir t);
   (* reap temp files orphaned by a crash mid-[put]: they were never
      renamed into place, so nothing references them.  Several processes
-     (fleet shards) may share one store, so a temp file whose embedded
-     writer pid is still alive is an in-flight put, not an orphan — and
-     must survive a sibling's restart. *)
+     (a daemon and its restarted successor, concurrent bench runs on one
+     [$TMPDIR] binary store) may share one store, so a temp file whose
+     embedded writer pid is still alive is an in-flight put, not an
+     orphan — and must survive another process opening the store. *)
   let owner_alive f =
     (* temp names are "<key>.<kind>.<pid>.<uniq>" (see [put]) *)
     match String.split_on_char '.' f with

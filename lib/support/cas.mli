@@ -29,7 +29,7 @@ type t
 val open_ : string -> t
 (** Open (creating if needed) a store rooted at the directory.  Temp
     files orphaned by a crash mid-{!put} are reaped; a temp file whose
-    writer process is still alive (another shard's in-flight put on a
+    writer process is still alive (another process's in-flight put on a
     shared store) is left alone. *)
 
 val root : t -> string

@@ -7,8 +7,6 @@ type outcome =
   | Resumed
   | Crash
   | Quarantine
-  | Failover
-  | Respawn
 
 type t = {
   timeouts : int Atomic.t;
@@ -17,8 +15,6 @@ type t = {
   resumed : int Atomic.t;
   crashed : int Atomic.t;
   quarantined : int Atomic.t;
-  failovers : int Atomic.t;
-  respawns : int Atomic.t;
 }
 
 let create () =
@@ -29,8 +25,6 @@ let create () =
     resumed = Atomic.make 0;
     crashed = Atomic.make 0;
     quarantined = Atomic.make 0;
-    failovers = Atomic.make 0;
-    respawns = Atomic.make 0;
   }
 
 let cell t = function
@@ -40,16 +34,12 @@ let cell t = function
   | Resumed -> t.resumed
   | Crash -> t.crashed
   | Quarantine -> t.quarantined
-  | Failover -> t.failovers
-  | Respawn -> t.respawns
 
 let tick t o = Atomic.incr (cell t o)
 let count t o = Atomic.get (cell t o)
 let set t o v = Atomic.set (cell t o) v
 
-let all =
-  [ Timeout; Retry; Breaker_trip; Resumed; Crash; Quarantine; Failover;
-    Respawn ]
+let all = [ Timeout; Retry; Breaker_trip; Resumed; Crash; Quarantine ]
 let any t = List.exists (fun o -> count t o > 0) all
 
 let merge ~into src =
@@ -66,14 +56,12 @@ let to_json ?breakers t =
        ("resumed", Json.Int (count t Resumed));
        ("crashed", Json.Int (count t Crash));
        ("quarantined", Json.Int (count t Quarantine));
-       ("failovers", Json.Int (count t Failover));
-       ("respawns", Json.Int (count t Respawn));
      ]
     @ match breakers with None -> [] | Some b -> [ ("breakers", b) ])
 
 let pp ppf t =
   Format.fprintf ppf
     "timeouts=%d retries=%d breaker_trips=%d resumed=%d crashed=%d \
-     quarantined=%d failovers=%d respawns=%d"
+     quarantined=%d"
     (count t Timeout) (count t Retry) (count t Breaker_trip) (count t Resumed)
-    (count t Crash) (count t Quarantine) (count t Failover) (count t Respawn)
+    (count t Crash) (count t Quarantine)

@@ -16,8 +16,6 @@ type outcome =
   | Resumed  (** a unit of work was skipped via a [--resume] journal *)
   | Crash  (** a job raised (or its worker died) *)
   | Quarantine  (** a job was given up on after its retry budget *)
-  | Failover  (** a request was re-routed off a dead fleet shard *)
-  | Respawn  (** a crashed or wedged fleet shard was replaced *)
 
 val create : unit -> t
 val tick : t -> outcome -> unit
@@ -32,7 +30,7 @@ val merge : into:t -> t -> unit
 
 val to_json : ?breakers:Json.t -> t -> Json.t
 (** [{"timeouts": _, "retries": _, "breaker_trips": _, "resumed": _,
-     "crashed": _, "quarantined": _, "failovers": _, "respawns": _}] —
+     "crashed": _, "quarantined": _}] —
     the stats-JSON [resilience] object.  Surfaces that own a circuit breaker (the bench grid, [rpcc
     serve] health) pass [?breakers] (normally
     {!Retry.Breaker.snapshots_json}) to append a [breakers] key with
@@ -41,4 +39,4 @@ val to_json : ?breakers:Json.t -> t -> Json.t
 
 val pp : Format.formatter -> t -> unit
 (** One line: [timeouts=0 retries=0 breaker_trips=0 resumed=0 crashed=0
-    quarantined=0 failovers=0 respawns=0]. *)
+    quarantined=0]. *)

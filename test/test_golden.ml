@@ -116,7 +116,7 @@ let stats_json_tests =
           (Json.keys j);
         Util.check
           Alcotest.(option string)
-          "schema marker" (Some "rpcc-stats/5")
+          "schema marker" (Some "rpcc-stats/6")
           (match Json.member "schema" j with
           | Some (Json.Str s) -> Some s
           | _ -> None);
@@ -131,7 +131,7 @@ let stats_json_tests =
           "resilience keys"
           [
             "timeouts"; "retries"; "breaker_trips"; "resumed"; "crashed";
-            "quarantined"; "failovers"; "respawns";
+            "quarantined";
           ]
           (match Json.member "resilience" j with
           | Some r -> Json.keys r

@@ -288,15 +288,7 @@ let with_store name f =
   Fun.protect ~finally:rm (fun () -> f (Rp_support.Cas.open_ dir))
 
 let binaries cache =
-  let objects = Filename.concat (Rp_support.Cas.root cache) "objects" in
-  let ls d = try Array.to_list (Sys.readdir d) with Sys_error _ -> [] in
-  List.length
-    (List.concat_map
-       (fun shard ->
-         List.filter
-           (fun f -> Filename.check_suffix f ".native-bin")
-           (ls (Filename.concat objects shard)))
-       (ls objects))
+  List.length (Util.native_bins (Rp_support.Cas.root cache))
 
 (* allroots' six grid cells emit one translation unit: compiled
    concurrently on a cold store, cc runs once and the other five read
@@ -401,18 +393,19 @@ let bench_cli_tests =
     Util.tc "bench: --plant-cc-failure without --native is a usage error"
       (fun () ->
         Util.check Alcotest.int "exit code" 2 (bench_exit "--plant-cc-failure"));
-    Util.tc "bench: --plant-cc-failure cannot ride the fleet" (fun () ->
-        (* the planted compiler is a local in-process fault; shards
-           would silently probe their own real cc instead *)
+    Util.tc "bench: --plant-cc-failure cannot ride the daemon" (fun () ->
+        (* the planted compiler is a local in-process fault; the daemon
+           would silently probe its own real cc instead *)
         Util.check Alcotest.int "exit code" 2
-          (bench_exit "--json --native --plant-cc-failure --via-fleet 2"));
+          (bench_exit
+             "--json --native --plant-cc-failure --via-daemon /tmp/nope.sock"));
     Util.tc "bench: unknown flags are rejected, not run as table mode"
       (fun () ->
         Util.check Alcotest.int "exit code" 124
           (bench_exit "--jsno --job-timout 5"));
-    Util.tc "bench: a malformed shard count is a parse error" (fun () ->
+    Util.tc "bench: a malformed --jobs is a parse error" (fun () ->
         Util.check Alcotest.int "exit code" 124
-          (bench_exit "--json --via-fleet two"));
+          (bench_exit "--json --jobs two"));
     Util.tc "bench: negative --retries is rejected, not clamped" (fun () ->
         Util.check Alcotest.int "exit code" 2
           (bench_exit "--json --retries=-3"));
@@ -424,9 +417,6 @@ let bench_cli_tests =
       (fun () ->
         Util.check Alcotest.int "exit code" 2
           (bench_exit "--json --via-daemon /tmp/nope.sock --job-timeout 5"));
-    Util.tc "bench: --retries with --via-fleet is a usage error" (fun () ->
-        Util.check Alcotest.int "exit code" 2
-          (bench_exit "--json --via-fleet 2 --retries 1"));
     Util.tc "bench: --breaker-threshold with --via-daemon is a usage error"
       (fun () ->
         Util.check Alcotest.int "exit code" 2
@@ -434,10 +424,6 @@ let bench_cli_tests =
              "--json --via-daemon /tmp/nope.sock --breaker-threshold 2"));
     Util.tc "bench: --cc-flags without --native is a usage error" (fun () ->
         Util.check Alcotest.int "exit code" 2 (bench_exit "--cc-flags=-O2"));
-    Util.tc "bench: --fleet-state without --via-fleet is a usage error"
-      (fun () ->
-        Util.check Alcotest.int "exit code" 2
-          (bench_exit "--json --fleet-state /tmp/nope-fleet"));
     Util.tc "bench: --plant-hang must name a grid cell" (fun () ->
         Util.check Alcotest.int "exit code" 2
           (bench_exit "--json --job-timeout 1 --plant-hang mlink:nope"));

@@ -128,11 +128,12 @@ let cas_tests =
            Cas.get cas2 ~key ~kind:"result" = Some "v"));
     Util.tc "cas: two processes racing the same binary key never corrupt it"
       (fun () ->
-        (* the fleet's shards share one store: two shards compiling the
-           same cell both put the identical native binary under the
-           identical key.  tmp+fsync+rename must make every interleaving
-           safe — a reader sees a complete object (either writer's),
-           never a torn one *)
+        (* processes share one store — a daemon and its restarted
+           successor, concurrent bench runs on one binary store — and
+           two of them compiling the same translation unit both put the
+           identical native binary under the identical key.
+           tmp+fsync+rename must make every interleaving safe — a reader
+           sees a complete object (either writer's), never a torn one *)
         let root = fresh_dir "cas-race" in
         let key = Cas.key [ "racing"; "binary" ] in
         (* binary-shaped payload: nulls, newlines, high bytes *)
@@ -382,101 +383,6 @@ let protocol_tests =
         | Json.Obj (("schema", Json.Str s) :: _) ->
           Util.check Alcotest.string "response schema" "rpcc-serve/2" s
         | _ -> Alcotest.fail "malformed response");
-  ]
-
-(* ------------------------------------------------------------------ *)
-(* The rendezvous router (pure ranking properties)                     *)
-(* ------------------------------------------------------------------ *)
-
-module Router = Rp_serve.Fleet_client
-
-let router_keys = List.init 256 (fun i -> Printf.sprintf "key-%d" i)
-
-let run_req_j id =
-  Json.Obj
-    [
-      ("schema", Json.Str Protocol.schema);
-      ("id", Json.Int id);
-      ("client", Json.Str "t");
-      ("op", Json.Str "run");
-      ("src", Json.Str "int main() { return 0; }");
-      ("config", Json.Str "modref/with");
-    ]
-
-(** The owner among a membership set: the highest-ranked shard that is
-    still present — what the router computes against its alive mask. *)
-let owner_among alive ~shards ~key =
-  match List.filter alive (Router.rank ~shards ~key) with
-  | s :: _ -> s
-  | [] -> Alcotest.fail "no live shard"
-
-let router_tests =
-  [
-    Util.tc "router: assignment is deterministic and total" (fun () ->
-        List.iter
-          (fun key ->
-            let o = Router.owner ~shards:5 ~key in
-            Util.check Alcotest.int key o (Router.owner ~shards:5 ~key);
-            Util.check Alcotest.bool "in range" true (o >= 0 && o < 5);
-            Util.check
-              Alcotest.(list int)
-              (key ^ " rank is a permutation")
-              [ 0; 1; 2; 3; 4 ]
-              (List.sort compare (Router.rank ~shards:5 ~key)))
-          router_keys;
-        (* keys spread: no shard owns everything *)
-        let owned = Array.make 5 0 in
-        List.iter
-          (fun key ->
-            let o = Router.owner ~shards:5 ~key in
-            owned.(o) <- owned.(o) + 1)
-          router_keys;
-        Array.iteri
-          (fun i n ->
-            Util.check Alcotest.bool
-              (Printf.sprintf "shard %d owns some keys" i)
-              true (n > 0))
-          owned);
-    Util.tc "router: a leaving shard moves only its own keys" (fun () ->
-        List.iter
-          (fun dead ->
-            List.iter
-              (fun key ->
-                let before = Router.owner ~shards:5 ~key in
-                let after =
-                  owner_among (fun s -> s <> dead) ~shards:5 ~key
-                in
-                if before <> dead then
-                  (* minimal reshuffle: every other key keeps its owner *)
-                  Util.check Alcotest.int
-                    (Printf.sprintf "%s sticks when %d leaves" key dead)
-                    before after
-                else
-                  (* the dead shard's keys fall to their second choice *)
-                  Util.check Alcotest.int
-                    (key ^ " fails over to rank 2")
-                    (List.nth (Router.rank ~shards:5 ~key) 1)
-                    after)
-              router_keys)
-          [ 0; 2; 4 ]);
-    Util.tc "router: a rejoining shard reclaims exactly its keys" (fun () ->
-        let dead = 3 in
-        List.iter
-          (fun key ->
-            let degraded = owner_among (fun s -> s <> dead) ~shards:5 ~key in
-            let rejoined = Router.owner ~shards:5 ~key in
-            if Router.owner ~shards:5 ~key <> dead then
-              Util.check Alcotest.int (key ^ " unmoved by rejoin") degraded
-                rejoined
-            else
-              Util.check Alcotest.int (key ^ " returns home") dead rejoined)
-          router_keys);
-    Util.tc "router: request_key routes same op to same shard" (fun () ->
-        let k1 = Router.request_key (run_req_j 1) in
-        let k2 = Router.request_key (run_req_j 2) in
-        (* same src+config, different id: the id must not split the key *)
-        Util.check Alcotest.string "id-independent" k1 k2;
-        Util.check Alcotest.bool "non-empty for run ops" true (k1 <> ""));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -769,16 +675,15 @@ let test_journal_compaction_and_health () =
         Pipeline.pass_version
         (match member_path [ "health"; "pass_version" ] health with
         | Json.Str s -> s
-        | _ -> "");
-      Util.check Alcotest.bool "standalone daemon has null shard_id" true
-        (member_path [ "health"; "shard_id" ] health = Json.Null))
+        | _ -> ""))
 
 (** The daemon's native job mode (rpcc-serve/2): a [mode: native] run
     answers with the interpreter-identical result plus an exec stamp;
     a warm re-request — in either mode — re-serves the cached bytes;
-    and health reports the compiler identity.  Gated on a system cc:
-    without one the ladder's interp rung is covered by the fault
-    harness instead. *)
+    health reports the compiler identity; and a corrupted cached binary
+    is quarantined and recompiled, not run and not fallen back from.
+    Gated on a system cc: without one the ladder's interp rung is
+    covered by the fault harness instead. *)
 let test_daemon_native_mode () =
   match Rp_backend.Native.find_cc () with
   | None -> ()
@@ -831,92 +736,56 @@ let test_daemon_native_mode () =
           | Json.Str s -> String.length s > 0
           | _ -> false);
         Util.check Alcotest.bool "health says native available" true
-          (member_path [ "health"; "native" ] health = Json.Bool true))
-
-(* ------------------------------------------------------------------ *)
-(* The fleet: SIGKILL one of three shards mid-campaign                 *)
-(* ------------------------------------------------------------------ *)
-
-module Fleet = Rp_serve.Fleet
-
-let test_fleet_kill_failover () =
-  let dir = fresh_dir "fleet" in
-  let fleet =
-    Fleet.start
-      { Fleet.default_config with
-        Fleet.shards = 3; state_dir = dir; jobs = 1 }
-  in
-  let stopped = ref false in
-  Fun.protect
-    ~finally:(fun () -> if not !stopped then Fleet.stop fleet)
-    (fun () ->
-      let socks = Fleet.sockets fleet in
-      Util.check Alcotest.int "three shards" 3 (List.length socks);
-      let srcs =
-        List.init 6 (fun i ->
-            Printf.sprintf
-              "int main() { int i; int s; s = 0; for (i = 0; i < %d; i++) \
-               { s = s + i; } print_int(s); return 0; }"
-              (50 + (10 * i)))
-      in
-      let batch = List.mapi (fun i s -> run_req ~id:i s) srcs in
-      let resil = Rp_support.Resilience.create () in
-      let router =
-        Router.create ~timeout:60. ~resilience:resil ~sockets:socks ()
-      in
-      let pass1 = Router.route router batch in
-      List.iter
-        (fun r ->
-          Util.check Alcotest.string "pass1 ok" "ok"
-            (Protocol.response_status r))
-        pass1;
-      (* SIGKILL the shard that owns the first request's key, then replay
-         the whole batch: the router must fail over and the answers must
-         not change by a byte (shared store, deterministic responses) *)
-      let victim =
-        Router.owner ~shards:3 ~key:(Router.request_key (List.hd batch))
-      in
-      Fleet.kill_shard fleet victim;
-      Unix.sleepf 0.05;
-      let pass2 = Router.route router batch in
-      Util.check Alcotest.string "failover answers byte-identical"
-        (String.concat "\n" (List.map Json.to_string pass1))
-        (String.concat "\n" (List.map Json.to_string pass2));
-      Util.check Alcotest.bool "router recorded the failover" true
-        (Router.failovers router > 0);
-      Util.check Alcotest.bool "resilience Failover ticked" true
-        (Rp_support.Resilience.count resil Rp_support.Resilience.Failover > 0);
-      Util.check Alcotest.int "kill was counted as planted" 1
-        (Fleet.planted fleet);
-      (* supervision brings the victim back *)
-      let deadline = Unix.gettimeofday () +. 15. in
-      while Fleet.respawns fleet < 1 && Unix.gettimeofday () < deadline do
-        Unix.sleepf 0.1
-      done;
-      Util.check Alcotest.bool "victim respawned" true
-        (Fleet.respawns fleet >= 1);
-      Util.check Alcotest.bool "resilience Respawn ticked" true
-        (Rp_support.Resilience.count (Fleet.resilience fleet)
-           Rp_support.Resilience.Respawn
-        >= 1);
-      (* after the respawn lands, the key goes home again and the fleet
-         serves it warm *)
-      if
-        Client.wait_ready ~attempts:100 ~delay:0.1
-          ~socket:(List.nth socks victim) ()
-      then begin
-        let pass3 = Router.route router batch in
-        Util.check Alcotest.string "rejoined fleet still byte-identical"
-          (String.concat "\n" (List.map Json.to_string pass1))
-          (String.concat "\n" (List.map Json.to_string pass3))
-      end;
-      Fleet.stop fleet;
-      stopped := true;
-      List.iter
-        (fun s ->
-          Util.check Alcotest.bool ("socket unlinked: " ^ s) false
-            (Sys.file_exists s))
-        socks)
+          (member_path [ "health"; "native" ] health = Json.Bool true);
+        (* binary corruption: flip the last byte of allroots' cached
+           binary.  All six of its configs emit one translation unit, so
+           another config reads that entry: the store must quarantine it
+           and the ladder recompile, still answering natively *)
+        let allroots =
+          (Rp_suite.Programs.find "allroots").Rp_suite.Programs.source
+        in
+        let native_run id config =
+          one socket
+            (req ~id ~op:"run"
+               [
+                 ("src", Json.Str allroots);
+                 ("config", Json.Str config);
+                 ("mode", Json.Str "native");
+               ])
+        in
+        let cas = Filename.concat state "cas" in
+        let before = Util.native_bins cas in
+        Util.check Alcotest.string "allroots native ok" "ok"
+          (Protocol.response_status (native_run 10 "modref/with"));
+        (match
+           List.filter (fun b -> not (List.mem b before)) (Util.native_bins cas)
+         with
+        | [ bin ] ->
+          let s = Bytes.of_string (read_file bin) in
+          let last = Bytes.length s - 1 in
+          Bytes.set s last (Char.chr (Char.code (Bytes.get s last) lxor 0xff));
+          write_file bin (Bytes.to_string s)
+        | bins ->
+          Alcotest.failf "expected one new allroots binary, found %d"
+            (List.length bins));
+        let repaired = native_run 11 "pointer/without" in
+        Util.check Alcotest.string "repaired status ok" "ok"
+          (Protocol.response_status repaired);
+        Util.check Alcotest.bool "recompiled, still native" true
+          (member_path [ "exec"; "mode" ] repaired = Json.Str "native");
+        Util.check Alcotest.bool "recompile is not a degradation" true
+          (member_path [ "exec"; "degraded" ] repaired = Json.Bool false);
+        let _, _, r =
+          Pipeline.compile_and_run
+            ~config:(List.assoc "pointer/without" Config.paper_grid)
+            allroots
+        in
+        Util.check Alcotest.int "checksum equals the interp answer"
+          r.Rp_exec.Interp.checksum
+          (int_at [ "result"; "checksum" ] repaired);
+        let health = one socket (req ~id:12 ~op:"health" []) in
+        Util.check Alcotest.bool "corrupt binary quarantined" true
+          (int_at [ "health"; "cache"; "quarantined" ] health >= 1))
 
 (* ------------------------------------------------------------------ *)
 (* Uniform --jobs validation across entry points                       *)
@@ -969,7 +838,6 @@ let () =
       ("cas", cas_tests);
       ("cache", cache_tests);
       ("protocol", protocol_tests);
-      ("router", router_tests);
       ( "daemon",
         [
           Util.tc_slow "serve: SIGKILL warm restart byte-identical, drain"
@@ -984,11 +852,6 @@ let () =
             test_journal_compaction_and_health;
           Util.tc_slow "serve: native mode end-to-end, one cache, health cc"
             test_daemon_native_mode;
-        ] );
-      ( "fleet",
-        [
-          Util.tc_slow "fleet: SIGKILL a shard mid-campaign, byte-identical"
-            test_fleet_kill_failover;
         ] );
       ("cli", jobs_validation_tests);
     ]

@@ -433,7 +433,7 @@ let resilience_tests =
           "json keys"
           [
             "timeouts"; "retries"; "breaker_trips"; "resumed"; "crashed";
-            "quarantined"; "failovers"; "respawns";
+            "quarantined";
           ]
           (match Resilience.to_json r with
           | Json.Obj kvs -> List.map fst kvs
@@ -452,7 +452,7 @@ let resilience_tests =
             "core keys then breakers"
             [
               "timeouts"; "retries"; "breaker_trips"; "resumed"; "crashed";
-              "quarantined"; "failovers"; "respawns"; "breakers";
+              "quarantined"; "breakers";
             ]
             (List.map fst kvs);
           (match List.assoc "breakers" kvs with

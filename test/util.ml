@@ -6,6 +6,22 @@ let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
 let tc_slow name f = Alcotest.test_case name `Slow f
 
+(** Every cached native binary in the content-addressed store rooted at
+    [root]. *)
+let native_bins root =
+  let objects = Filename.concat root "objects" in
+  let ls d = try Array.to_list (Sys.readdir d) with Sys_error _ -> [] in
+  List.concat_map
+    (fun d ->
+      let dir = Filename.concat objects d in
+      List.filter_map
+        (fun f ->
+          if Filename.check_suffix f ".native-bin" then
+            Some (Filename.concat dir f)
+          else None)
+        (ls dir))
+    (ls objects)
+
 (** Compile source text to IL (front end only). *)
 let front src = Rp_irgen.Irgen.compile_source src
 
