@@ -16,6 +16,12 @@
     - calls enter with depth-check-then-arity-check, frame objects are
       allocated in declaration order and released in the same order, so
       base numbering — observable through trap messages — is identical;
+    - a pointer access checks its base, then the tag set ([rt_check_ts]),
+      then liveness and bounds ([rt_checked]): the order of
+      {!Rp_exec.Memory}'s one-lookup [load]/[store].  Release drops an
+      object's cells and keeps its tag, as [Memory.release] does, and
+      [free] traps on a dead base before a non-heap one, reading a
+      per-tag heap bit ([g_isheap]; synthetic heap ids are heap);
     - operand coercions evaluate right-to-left ([as_int b] before
       [as_int a]), matching OCaml's evaluation order, so when both
       operands are bad the {e same} operand produces the trap message;
@@ -34,7 +40,7 @@ open Rp_ir
 module P = Rp_exec.Precomp
 module V = Rp_exec.Value
 
-let version = "rpcc-cgen/1"
+let version = "rpcc-cgen/2"
 
 let mangle idx name =
   let b = Bytes.of_string name in
@@ -285,6 +291,16 @@ static void rt_release(i64 b) {
   obj *o = rt_find(b);
   o->live = 0;
   free(o->cells); o->cells = 0;
+}
+
+/* free(): the base must be live and name a heap tag (synthetic heap
+   ids lie past the table, so they are heap by construction) */
+static void rt_free(i64 b) {
+  obj *o = rt_find(b);
+  if (!o->live) rt_trap("double free of '%s'", g_tagname[o->tag]);
+  if (o->tag < NTS_BITS && !g_isheap[o->tag])
+    rt_trap("free of a non-heap object '%s'", g_tagname[o->tag]);
+  rt_release(b);
 }
 
 static obj *rt_checked(i64 b, i64 off) {
@@ -558,7 +574,7 @@ let builtin_case name =
   | "free" ->
     {|    if (nargs != 1) break;
     { val v = args[0];
-      if (v.k == K_PTR && v.b == 0) { rt_release(v.a); return vundef(); }
+      if (v.k == K_PTR && v.b == 0) { rt_free(v.a); return vundef(); }
       if (v.k == K_INT && v.a == 0) return vundef();
       { char s[192]; rt_val_str(s, sizeof s, v);
         rt_trap("free of a non-base pointer %s", s); } }|}
@@ -848,6 +864,15 @@ let emit (prog : Program.t) : string =
     (fun (_, n) -> bpf buf "  \"%s\",\n" (c_escape n))
     (List.rev ctx.synth);
   bpf buf "  \"\"\n};\n";
+  (* per-tag heap bit, table order, for free()'s storage check *)
+  bpf buf "static const unsigned char g_isheap[] = {";
+  for id = 0 to ntags - 1 do
+    bpf buf " %d,"
+      (match (Tag.Table.get prog.Program.tags id).Tag.storage with
+      | Tag.Heap _ -> 1
+      | _ -> 0)
+  done;
+  bpf buf " 0 };\n";
   (* interned function-pointer names *)
   bpf buf "static const char *g_funname[] = {\n";
   List.iter (fun n -> bpf buf "  \"%s\",\n" (c_escape n)) (List.rev ctx.fun_names);

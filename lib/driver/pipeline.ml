@@ -385,7 +385,7 @@ let stats_json (config : Config.t) (s : stage_stats) : Json.t =
     the serializer, the interpreter's observable counts, or the stats
     schema changes behaviour: old entries then simply stop matching (they
     age out as dead objects) instead of being served stale. *)
-let pass_version = "rpcc-pipeline/1"
+let pass_version = "rpcc-pipeline/2"
 
 (** The content-addressed key for compiling [src] under [config]: pass
     version + full configuration fingerprint + source bytes.  Identical

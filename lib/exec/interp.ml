@@ -97,11 +97,9 @@ let call_builtin st name (args : Value.t list) site : Value.t =
     let size = Value.as_int n in
     if size < 0 then Value.error "malloc of negative size %d" size;
     let tag = Program.heap_tag st.prog site in
-    let b = Memory.alloc st.mem ~tag ~size in
-    Memory.zero_fill st.mem b;
-    Value.Vptr (b, 0)
+    Value.Vptr (Memory.alloc st.mem ~tag ~size ~fill:(Value.Vint 0), 0)
   | "free", [ Value.Vptr (b, 0) ] ->
-    Memory.release st.mem b;
+    Memory.free st.mem b;
     Value.Vundef
   | "free", [ Value.Vint 0 ] -> Value.Vundef
   | "free", [ v ] -> Value.error "free of a non-base pointer %a" Value.pp v
@@ -150,14 +148,10 @@ let tag_base st (frame : int array) (tr : P.tagref) =
   | P.Rnoframe t -> Value.error "no frame storage for tag '%s'" t.Tag.name
   | P.Rheap t -> Value.error "direct access to heap tag '%s'" t.Tag.name
 
-let check_tagset st (tags : Tagset.t) base op =
-  if st.check_tags && not (Tagset.is_univ tags) then begin
-    let actual = Memory.obj_tag st.mem base in
-    if not (Tagset.mem actual tags) then
-      Value.error
-        "tag-set violation in %s: object '%s' not in static tag set %a" op
-        actual.Tag.name Tagset.pp tags
-  end
+(** The tag set a pointer access is checked against: ⊤ (no check) when
+    tag checking is off. *)
+let[@inline] checked st (tags : Tagset.t) =
+  if st.check_tags then tags else Tagset.univ
 
 let[@inline] tick st (fc : counts) =
   let t = st.total in
@@ -197,7 +191,8 @@ let rec exec_dfunc st (g : P.dfunc) (caller_regs : Value.t array)
   let frame = Array.make nlocals 0 in
   for i = 0 to nlocals - 1 do
     let t = g.P.dlocals.(i) in
-    frame.(i) <- Memory.alloc st.mem ~tag:t ~size:t.Tag.size
+    frame.(i) <-
+      Memory.alloc st.mem ~tag:t ~size:t.Tag.size ~fill:Value.Vundef
   done;
   let fc = st.fcounts.(g.P.didx) in
   let ret = run_block st g regs frame fc g.P.dentry in
@@ -237,23 +232,19 @@ and exec_instr st (regs : Value.t array) frame fc (i : P.dinstr) : unit =
   | P.Dcopy (d, s) -> regs.(d) <- regs.(s)
   | P.Dload_tag (d, tr) ->
     count_load st fc;
-    regs.(d) <- Memory.load st.mem (tag_base st frame tr) 0
+    regs.(d) <- Memory.load st.mem Tagset.univ (tag_base st frame tr) 0
   | P.Dstore_tag (tr, s) ->
     count_store st fc;
-    Memory.store st.mem (tag_base st frame tr) 0 regs.(s)
+    Memory.store st.mem Tagset.univ (tag_base st frame tr) 0 regs.(s)
   | P.Dloadg (d, a, tags) -> (
     count_load st fc;
     match regs.(a) with
-    | Value.Vptr (b, o) ->
-      check_tagset st tags b "Load";
-      regs.(d) <- Memory.load st.mem b o
+    | Value.Vptr (b, o) -> regs.(d) <- Memory.load st.mem (checked st tags) b o
     | v -> Value.error "Load through non-pointer %a" Value.pp v)
   | P.Dstoreg (a, s, tags) -> (
     count_store st fc;
     match regs.(a) with
-    | Value.Vptr (b, o) ->
-      check_tagset st tags b "Store";
-      Memory.store st.mem b o regs.(s)
+    | Value.Vptr (b, o) -> Memory.store st.mem (checked st tags) b o regs.(s)
     | v -> Value.error "Store through non-pointer %a" Value.pp v)
   | P.Dcall c -> exec_call st regs c
   | P.Dtrap msg -> raise (Value.Runtime_error msg)
@@ -315,15 +306,14 @@ let run ?(fuel = 400_000_000) ?(check_tags = true) ?(max_depth = 100_000)
   (* allocate and initialize globals *)
   List.iter
     (fun ((t : Tag.t), init) ->
-      let b = Memory.alloc st.mem ~tag:t ~size:t.Tag.size in
+      let fill, words =
+        match init with
+        | Program.Init_zero zero -> (Value.of_const zero, [])
+        | Program.Init_words ws -> (Value.Vundef, ws)
+      in
+      let b = Memory.alloc st.mem ~tag:t ~size:t.Tag.size ~fill in
       if t.Tag.id < Array.length st.gbase then st.gbase.(t.Tag.id) <- b;
-      (match init with
-      | Program.Init_zero zero ->
-        let o = Value.of_const zero in
-        for i = 0 to t.Tag.size - 1 do
-          Memory.store st.mem b i o
-        done
-      | Program.Init_words ws -> Memory.init_words st.mem b ws))
+      Memory.init_words st.mem b words)
     st.prog.Program.globals;
   let main_df =
     match dprog.P.dmain with

@@ -207,6 +207,70 @@ let error_tests =
        q; }";
   ]
 
+(* The exact message of every memory trap, under the default config *)
+let trap_message_tests =
+  List.map
+    (fun (name, src, msg) ->
+      Util.tc ("trap message: " ^ name) (fun () ->
+          match Util.run src with
+          | exception V.Runtime_error m ->
+            Util.check Alcotest.string "message" msg m
+          | _ -> Alcotest.fail "expected a runtime error"))
+    Util.memory_traps
+
+let memory_tests =
+  let open Rp_ir in
+  let tags = Tag.Table.create () in
+  let tag name storage =
+    Tag.Table.fresh tags ~name ~storage ~size:2 ~is_scalar:false ()
+  in
+  let message f =
+    match f () with
+    | exception V.Runtime_error m -> m
+    | _ -> Alcotest.fail "expected a runtime error"
+  in
+  let module M = Rp_exec.Memory in
+  [
+    Util.tc "memory: bases are dense from 1 and never reused" (fun () ->
+        let m = M.create () in
+        let t = tag "h" (Tag.Heap 0) in
+        let alloc () = M.alloc m ~tag:t ~size:1 ~fill:V.Vundef in
+        let bases = List.init 3 (fun _ -> alloc ()) in
+        Util.check Alcotest.(list int) "dense" [ 1; 2; 3 ] bases;
+        M.free m 2;
+        Util.check Alcotest.int "after a free" 4 (alloc ()));
+    Util.tc "memory: invalid base, then tag set, then dead, then bounds"
+      (fun () ->
+        let m = M.create () in
+        let b = M.alloc m ~tag:(tag "x" Tag.Global) ~size:2 ~fill:(V.Vint 0) in
+        let other = Tagset.singleton (tag "y" Tag.Global) in
+        Util.check Alcotest.string "invalid base first"
+          "access to invalid base 9"
+          (message (fun () -> M.load m other 9 5));
+        Util.check Alcotest.string "bounds on a live object"
+          "out-of-bounds access to 'x' (offset 2, size 2)"
+          (message (fun () -> M.load m Tagset.univ b 2));
+        M.release m b;
+        (* a dead base keeps its tag: the tag set is checked first *)
+        Util.check Alcotest.string "tag set before liveness"
+          "tag-set violation in Store: object 'x' not in static tag set [y]"
+          (message (fun () -> M.store m other b 5 V.Vundef));
+        Util.check Alcotest.string "liveness before bounds"
+          "access to dead object 'x'"
+          (message (fun () -> M.load m Tagset.univ b 5)));
+    Util.tc "memory: free checks liveness before storage" (fun () ->
+        let m = M.create () in
+        let g = M.alloc m ~tag:(tag "g" Tag.Global) ~size:1 ~fill:V.Vundef in
+        Util.check Alcotest.string "non-heap" "free of a non-heap object 'g'"
+          (message (fun () -> M.free m g));
+        M.release m g;
+        Util.check Alcotest.string "dead first" "double free of 'g'"
+          (message (fun () -> M.free m g)));
+    Util.tc "object table outgrows its initial size" (fun () ->
+        Util.check Alcotest.string "output" Util.growth_output
+          (Util.output Util.growth_src));
+  ]
+
 let counting_tests =
   [
     Util.tc "operation counting is exact on straight-line code" (fun () ->
@@ -291,6 +355,8 @@ let () =
       ("semantics", semantics_tests);
       ("precedence", precedence_tests);
       ("errors", error_tests);
+      ("trap-messages", trap_message_tests);
+      ("memory", memory_tests);
       ("counting", counting_tests);
       ("tagcheck", tagcheck_tests);
     ]

@@ -258,6 +258,31 @@ let error_path_tests cc =
         | _ -> Alcotest.fail "native did not trap"
         | exception Rp_exec.Value.Runtime_error m ->
           Util.check Alcotest.string "trap message" interp_msg m);
+    Util.tc_slow "native memory trap messages equal the interpreter's"
+      (fun () ->
+        List.iter
+          (fun (name, src, _) ->
+            let prog, _ = Pipeline.compile ~config:Config.default src in
+            let interp_msg =
+              match I.run prog with
+              | _ -> Alcotest.failf "%s: interpreter did not trap" name
+              | exception Rp_exec.Value.Runtime_error m -> m
+            in
+            match Native.run ~cc prog with
+            | _ -> Alcotest.failf "%s: native did not trap" name
+            | exception Rp_exec.Value.Runtime_error m ->
+              Util.check Alcotest.string name interp_msg m)
+          Util.memory_traps);
+    Util.tc_slow "native agrees once the object table outgrows its start"
+      (fun () ->
+        let prog, _ = Pipeline.compile ~config:Config.default Util.growth_src in
+        let ri = I.run prog and rn = Native.run ~cc prog in
+        Util.check Alcotest.string "interp output" Util.growth_output
+          ri.I.output;
+        Util.check Alcotest.string "output" ri.I.output rn.I.output;
+        Util.check Alcotest.int "checksum" ri.I.checksum rn.I.checksum;
+        Util.check Alcotest.bool "totals" true (ri.I.total = rn.I.total);
+        Util.check Alcotest.bool "per_func" true (ri.I.per_func = rn.I.per_func));
     Util.tc_slow "native fuel exhaustion matches the interpreter" (fun () ->
         let src = "int main() { while (1) {} return 0; }" in
         let prog, _ = Pipeline.compile ~config:Config.default src in

@@ -93,3 +93,64 @@ let expect_runtime_error ?config name src =
       match run ?config src with
       | exception Rp_exec.Value.Runtime_error _ -> ()
       | _ -> Alcotest.fail "expected a runtime error")
+
+(** Memory misuse, with the exact trap message both backends give under
+    [rpcc run]'s default configuration: (name, source, message). *)
+let memory_traps =
+  [
+    ( "out-of-bounds store",
+      "int a[3]; int main() { a[5] = 1; return 0; }",
+      "out-of-bounds access to 'a' (offset 5, size 3)" );
+    ( "cross-object overflow",
+      "int a[2]; int b[2]; int main() { int *p = a; return p[3]; }",
+      "out-of-bounds access to 'a' (offset 3, size 2)" );
+    ( "use after free",
+      "int main() { int *p = malloc(2); free(p); return p[0]; }",
+      "access to dead object 'heap@0'" );
+    ( "dangling local",
+      "int *leak() { int x = 3; return &x; } int main() { int *p = leak(); \
+       return *p; }",
+      "tag-set violation in Load: object 'leak.x' not in static tag set []" );
+    ( "free of an interior pointer",
+      "int main() { int *p = malloc(2); free(p + 1); return 0; }",
+      "free of a non-base pointer <1:+1>" );
+    ( "null load", "int main() { int *p = 0; return *p; }",
+      "Load through non-pointer 0" );
+    ( "double free",
+      "int main() { int *p = malloc(2); free(p); free(p); return 0; }",
+      "double free of 'heap@0'" );
+    ( "free of a local",
+      "int main() { int x; x = 1; free(&x); return x; }",
+      "free of a non-heap object 'main.x'" );
+    ( "free of a global",
+      "int g; int main() { free(&g); g = 1; return g; }",
+      "free of a non-heap object 'g'" );
+  ]
+
+(** A program that outgrows any initial object-table size: 300
+    [malloc]/[free] rounds, then recursion 10,000 deep through a function
+    with an address-taken local, each frame's value read back through the
+    pointer its callee was given.  Prints sum(0..299) + sum(0..10000). *)
+let growth_src =
+  "int walk(int n, int *up) {\n\
+  \  int x;\n\
+  \  x = n;\n\
+  \  if (n < 10000) return walk(n + 1, &x) + *up;\n\
+  \  return x + *up;\n\
+   }\n\
+   int main() {\n\
+  \  int i; int *p; int base; int total;\n\
+  \  total = 0;\n\
+  \  for (i = 0; i < 300; i++) {\n\
+  \    p = malloc(2);\n\
+  \    p[0] = i;\n\
+  \    p[1] = p[0];\n\
+  \    total = total + p[1];\n\
+  \    free(p);\n\
+  \  }\n\
+  \  base = 0;\n\
+  \  print_int(total + walk(0, &base));\n\
+  \  return 0;\n\
+   }\n"
+
+let growth_output = "50049850\n"
