@@ -355,7 +355,7 @@ let () =
       ("semantics", semantics_tests);
       ("precedence", precedence_tests);
       ("errors", error_tests);
-      ("trap-messages", trap_message_tests);
+      ("traps", trap_message_tests);
       ("memory", memory_tests);
       ("counting", counting_tests);
       ("tagcheck", tagcheck_tests);
