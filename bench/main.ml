@@ -32,7 +32,6 @@ module I = Rp_exec.Interp
 module P = Rp_suite.Programs
 module Json = Rp_support.Json
 module R = Rp_support.Resilience
-module Breaker = Rp_support.Retry.Breaker
 module Clock = Rp_support.Clock
 module Native = Rp_backend.Native
 
@@ -62,7 +61,7 @@ type counts = {
 type outcome = {
   answer : (counts, string) result;
       (** the counts, or why the cell was quarantined: a trap, a resource
-          limit, a timeout, an open circuit, a daemon error *)
+          limit, a timeout, a daemon error *)
   rung : [ `Native | `Interp ] option;
       (** for a [--native] cell, the degradation-ladder rung that
           answered *)
@@ -126,7 +125,6 @@ type local_opts = {
           CI soundness gate) instead of quarantining the cell *)
   timeout : float option;
   retries : int;
-  threshold : int;  (** consecutive failures that open a program's circuit *)
   plant_hang : string option;
       (** ["program:config"]: wedge that cell on purpose, the supervision
           layer's own test fixture *)
@@ -185,11 +183,10 @@ let execute o ~should_stop c =
   | Rp_exec.Value.Runtime_error m -> quarantine "runtime error: %s" m
   | Stack_overflow -> quarantine "interpreter stack overflow"
 
-(** One supervised job = one cell, under its program's circuit breaker.
-    A fatal [--verify-passes] failure comes back as [Error] instead of
-    escaping: it must abort the bench, not be retried and quarantined by
-    the pool. *)
-let job o breaker ~should_stop c =
+(** One supervised job = one cell.  A fatal [--verify-passes] failure
+    comes back as [Error] instead of escaping: it must abort the bench,
+    not be retried and quarantined by the pool. *)
+let job o ~should_stop c =
   let pname = c.prog.P.name in
   if o.plant_hang = Some (pname ^ ":" ^ c.cname) then begin
     (* never terminates on its own, but polls its deadline cooperatively *)
@@ -199,10 +196,8 @@ let job o breaker ~should_stop c =
     raise Exit
   end;
   let t0 = Clock.now () in
-  match
-    Breaker.call breaker ~key:pname (fun () -> execute o ~should_stop c)
-  with
-  | Ok (st, r, rung, native) ->
+  match execute o ~should_stop c with
+  | st, r, rung, native ->
     let t = r.I.total in
     Ok
       {
@@ -215,13 +210,8 @@ let job o breaker ~should_stop c =
         timing = Some { st; wall = Clock.elapsed t0; native };
         resumed = false;
       }
-  | Error (Breaker.Open_circuit key) ->
-    Ok
-      (quarantined
-         (Printf.sprintf "%s under %s: circuit open for %s" pname c.cname key))
-  | Error (Quarantined m) -> Ok (quarantined m)
-  | Error (Failure m) -> Error m
-  | Error e -> raise e
+  | exception Quarantined m -> Ok (quarantined m)
+  | exception Failure m -> Error m
 
 (* --resume: the cells a previous, possibly killed, run journaled *)
 let journaled path =
@@ -238,12 +228,11 @@ let journaled path =
 
 (** Run [cells] on [o.jobs] worker domains under
     {!Rp_support.Pool.run_supervised}: per-cell deadlines
-    ([--job-timeout]), bounded retries, a per-program circuit breaker,
-    one fsynced journal record per finished cell, and resumption from a
-    journal.  SIGINT flushes the journal and exits 130.  Returns the
-    outcomes in cell order and the run's resilience object.  Under
-    [--verify-passes] the first fatal cell in cell order raises
-    [Failure], as a sequential run would. *)
+    ([--job-timeout]), bounded retries, one fsynced journal record per
+    finished cell, and resumption from a journal.  SIGINT flushes the
+    journal and exits 130.  Returns the outcomes in cell order and the
+    run's resilience object.  Under [--verify-passes] the first fatal cell
+    in cell order raises [Failure], as a sequential run would. *)
 let run_local o cells =
   let resil = R.create () in
   let journaled =
@@ -266,7 +255,6 @@ let run_local o cells =
          (fun i -> Option.is_none outcomes.(i))
          (List.init (Array.length cells) Fun.id))
   in
-  let breaker = Breaker.create ~threshold:o.threshold () in
   let jwriter = Option.map Rp_support.Journal.create o.journal in
   let on_result k r =
     match (r, jwriter) with
@@ -288,7 +276,7 @@ let run_local o cells =
         Rp_cli.with_sigint (fun () ->
             Rp_support.Pool.run_supervised ~jobs:o.jobs ?timeout:o.timeout
               ~retries:o.retries ~cancel:Rp_cli.interrupted ~resilience:resil
-              ~on_result (job o breaker)
+              ~on_result (job o)
               (Array.map (fun i -> cells.(i)) fresh)))
   in
   if Rp_cli.interrupted () then begin
@@ -312,10 +300,8 @@ let run_local o cells =
               (Fmt.str "%s under %s: %a" c.prog.P.name c.cname
                  Rp_support.Pool.pp_job_failure f)))
     results;
-  R.set resil R.Breaker_trip (Breaker.trips breaker);
   if R.any resil then Fmt.epr "resilience: %a@." R.pp resil;
-  ( Array.to_list (Array.map Option.get outcomes),
-    R.to_json ~breakers:(Breaker.snapshots_json breaker) resil )
+  (Array.to_list (Array.map Option.get outcomes), R.to_json resil)
 
 (* ------------------------------------------------------------------ *)
 (* The driver                                                          *)
@@ -346,7 +332,7 @@ let by_program outcomes f =
        P.all)
 
 (** The one driver: run the paper grid on [ex] and write
-    [BENCH_counts.json] (schema v7) from the outcomes.  [exec] counts the
+    [BENCH_counts.json] (schema v8) from the outcomes.  [exec] counts the
     [--native] cells the degradation ladder served from its interpreter
     rung: top-level rather than per cell, so the cells stay byte-identical
     across modes, and 0 on every healthy run. *)
@@ -357,7 +343,7 @@ let export ex =
   Json.to_file "BENCH_counts.json"
     (Json.Obj
        [
-         ("schema", Json.Str "rpcc-bench-counts/7");
+         ("schema", Json.Str "rpcc-bench-counts/8");
          ("programs", by_program outcomes (fun _ o -> answer_json o.answer));
          ("resilience", resilience);
          ( "exec",
@@ -878,7 +864,6 @@ type opts = {
   verify : bool;
   job_timeout : float option;
   retries : int option;
-  breaker_threshold : int option;
   journal : string option;
   resume : string option;
   plant_hang : string option;
@@ -895,22 +880,22 @@ let conflicts o =
   let given = Option.is_some in
   let via_daemon = given o.via_daemon in
   let supervision =
-    given o.job_timeout || given o.retries || given o.breaker_threshold
-    || given o.journal || given o.resume || given o.plant_hang
+    given o.job_timeout || given o.retries || given o.journal
+    || given o.resume || given o.plant_hang
   in
   [
     (o.native && not o.json, "--native requires --json");
     (via_daemon && not o.json, "--via-daemon requires --json");
     ( supervision && not o.json,
-      "--job-timeout/--retries/--breaker-threshold/--journal/--resume/\
-       --plant-hang require --json" );
+      "--job-timeout/--retries/--journal/--resume/--plant-hang require \
+       --json" );
     ( o.plant_cc_failure && not o.native,
       "--plant-cc-failure requires --native" );
     (given o.cc_flags && not o.native, "--cc-flags requires --native");
     ( via_daemon && (supervision || o.verify),
       "--via-daemon supervises and verifies backend-side: it takes none of \
-       --job-timeout/--retries/--breaker-threshold/--journal/\
-       --resume/--plant-hang/--verify-passes" );
+       --job-timeout/--retries/--journal/--resume/--plant-hang/\
+       --verify-passes" );
     ( via_daemon && (o.plant_cc_failure || given o.cc_flags),
       "--plant-cc-failure/--cc-flags configure a local compiler and cannot \
        be combined with --via-daemon" );
@@ -959,10 +944,6 @@ let main o =
       verify = o.verify;
       timeout = o.job_timeout;
       retries = Rp_cli.retries o.retries;
-      threshold =
-        Option.fold ~none:3
-          ~some:(Rp_cli.positive ~flag:"--breaker-threshold")
-          o.breaker_threshold;
       plant_hang = o.plant_hang;
       journal = o.journal;
       resume = o.resume;
@@ -986,10 +967,10 @@ let opts_t =
   let opt c name docv doc =
     Arg.(value & opt (some c) None (info [ name ] ~docv ~doc))
   in
-  let make json jobs verify job_timeout retries breaker_threshold journal
-      resume plant_hang via_daemon native plant_cc_failure cc_flags =
-    { json; jobs; verify; job_timeout; retries; breaker_threshold; journal;
-      resume; plant_hang; via_daemon; native; plant_cc_failure; cc_flags }
+  let make json jobs verify job_timeout retries journal resume plant_hang
+      via_daemon native plant_cc_failure cc_flags =
+    { json; jobs; verify; job_timeout; retries; journal; resume; plant_hang;
+      via_daemon; native; plant_cc_failure; cc_flags }
   in
   Term.(
     const make
@@ -1001,11 +982,8 @@ let opts_t =
     $ flag "verify-passes"
         "Compile every cell under translation validation; a degraded pass \
          or non-converged analysis aborts the bench (exit 2)."
-    $ Rp_cli.job_timeout_t $ Rp_cli.retries_t
-    $ opt Arg.int "breaker-threshold" "N"
-        "Consecutive failures of one program's cells that open its circuit \
-         and quarantine its remaining cells (default 3)."
-    $ Rp_cli.journal_t $ Rp_cli.resume_t
+    $ Rp_cli.job_timeout_t $ Rp_cli.retries_t $ Rp_cli.journal_t
+    $ Rp_cli.resume_t
     $ opt Arg.string "plant-hang" "PROGRAM:CONFIG"
         "Test fixture: wedge this grid cell until its $(b,--job-timeout) \
          fires."

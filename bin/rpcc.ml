@@ -219,13 +219,15 @@ module Json = Rp_support.Json
     resilience; rpcc-stats/3 lacked the canonical [config_name] key
     (its [config] pretty-print does not distinguish [+ptrpromote]);
     rpcc-stats/4's resilience object lacked the [failovers]/[respawns]
-    counters, which rpcc-stats/5 carried and rpcc-stats/6 dropped. *)
+    counters, which rpcc-stats/5 carried and rpcc-stats/6 dropped;
+    rpcc-stats/6's also counted trips of a per-key failure cut-off, a
+    counter rpcc-stats/7 dropped. *)
 let run_json config (st : Pipeline.stage_stats) resil
     (r : Rp_exec.Interp.result) =
   match Pipeline.stats_json config st with
   | Json.Obj fields ->
     Json.Obj
-      (("schema", Json.Str "rpcc-stats/6")
+      (("schema", Json.Str "rpcc-stats/7")
        :: fields
       @ [
           ("resilience", Rp_support.Resilience.to_json resil);
@@ -245,6 +247,15 @@ let run_cmd =
   let run config file quiet stats_json fuel max_depth timeout retries native
       cc_flags =
     handle_errors @@ fun () ->
+    let retries =
+      match (retries, timeout) with
+      | None, _ -> 0
+      | Some _, None ->
+        Rp_cli.usage
+          "--retries requires --timeout: only a run stopped by its own \
+           deadline is retried"
+      | Some _, Some _ -> Rp_cli.retries retries
+    in
     let src = read_file file in
     let resil = Rp_support.Resilience.create () in
     (* --native: same compile, but execution through the compiled-C
@@ -294,19 +305,26 @@ let run_cmd =
         exit 2
     in
     let (_, st, r) =
-      if retries <= 0 then attempt ()
+      if retries = 0 then attempt ()
       else begin
         let policy =
           { Rp_support.Retry.default_policy with max_attempts = retries + 1 }
+        in
+        (* a trap or a front-end error would recur on every attempt: only
+           a stop by this run's own --timeout reaches the backoff *)
+        let final = function
+          | Rp_exec.Interp.Resource_limit m ->
+            not (Rp_exec.Interp.is_external_stop m)
+          | _ -> true
         in
         match
           Rp_support.Retry.with_backoff ~policy ~seed:0
             ~on_retry:(fun ~attempt:_ ~delay:_ _ ->
               Rp_support.Resilience.tick resil Rp_support.Resilience.Retry)
-            attempt
+            (fun () -> try Ok (attempt ()) with e when final e -> Error e)
         with
-        | Ok v -> v
-        | Error e -> raise e
+        | Ok (Ok v) -> v
+        | Ok (Error e) | Error e -> raise e
       end
     in
     if stats_json then
@@ -352,12 +370,15 @@ let run_cmd =
   in
   let retries_t =
     Arg.(
-      value & opt int 0
+      value
+      & opt (some int) None
       & info [ "retries" ] ~docv:"N"
           ~doc:
-            "Re-attempt a failing compile+run up to N extra times with \
-             exponential backoff before reporting the last error.  \
-             Retries are counted in the stats' resilience object.")
+            "Re-attempt a run stopped by its own $(b,--timeout) up to N \
+             extra times with exponential backoff before reporting the \
+             timeout; any other failure is reported at once.  Requires \
+             $(b,--timeout).  Retries are counted in the stats' \
+             resilience object.")
   in
   let native_t =
     Arg.(
@@ -946,12 +967,10 @@ let reduce_cmd =
 (* ------------------------------------------------------------------ *)
 
 let serve_cmd =
-  let serve socket state_dir jobs queue_bound job_timeout retries threshold
-      cooldown =
+  let serve socket state_dir jobs queue_bound job_timeout retries =
     handle_errors @@ fun () ->
     let jobs = Rp_cli.jobs jobs and retries = Rp_cli.retries retries in
     let queue_bound = Rp_cli.positive ~flag:"--queue-bound" queue_bound in
-    let threshold = Rp_cli.positive ~flag:"--breaker-threshold" threshold in
     Rp_serve.Daemon.serve
       {
         Rp_serve.Daemon.socket;
@@ -960,8 +979,6 @@ let serve_cmd =
         queue_bound;
         job_timeout = (if job_timeout <= 0. then None else Some job_timeout);
         retries;
-        breaker_threshold = threshold;
-        breaker_cooldown = cooldown;
       }
   in
   let socket_t =
@@ -999,20 +1016,6 @@ let serve_cmd =
             "Per-job wall-clock deadline enforced by the supervised pool \
              (0 disables it).")
   in
-  let threshold_t =
-    Arg.(
-      value & opt int 3
-      & info [ "breaker-threshold" ] ~docv:"N"
-          ~doc:
-            "Consecutive supervised failures before a client's circuit \
-             opens and its requests are rejected until a cooldown probe.")
-  in
-  let cooldown_t =
-    Arg.(
-      value & opt float 5.
-      & info [ "breaker-cooldown" ] ~docv:"SECONDS"
-          ~doc:"Seconds an open client circuit waits before a probe.")
-  in
   Cmd.v
     (Cmd.info "serve" ~exits
        ~doc:
@@ -1024,11 +1027,10 @@ let serve_cmd =
           SIGTERM/SIGINT drain gracefully.")
     Term.(
       const serve $ socket_t $ state_dir_t $ Rp_cli.jobs_t $ queue_bound_t
-      $ serve_timeout_t $ Rp_cli.retries_t $ threshold_t $ cooldown_t)
+      $ serve_timeout_t $ Rp_cli.retries_t)
 
 let client_cmd =
-  let client socket timeout op file config_name client_name seed trials
-      native =
+  let client socket timeout op file config_name seed trials native =
     handle_errors @@ fun () ->
     let need_file () =
       match file with
@@ -1041,7 +1043,7 @@ let client_cmd =
       [
         ("schema", Json.Str Rp_serve.Protocol.schema);
         ("id", Json.Int 1);
-        ("client", Json.Str client_name);
+        ("client", Json.Str "cli");
         ("op", Json.Str op);
       ]
     in
@@ -1084,7 +1086,7 @@ let client_cmd =
         | Some (Json.Str "trap") -> exit 1
         | Some (Json.Str "resource") -> exit 3
         | _ -> exit 2)
-      | "overloaded" | "rejected" -> exit 3
+      | "overloaded" -> exit 3
       | _ -> exit 2)
     | _ -> Fmt.failwith "expected exactly one response line"
   in
@@ -1125,12 +1127,6 @@ let client_cmd =
             "Grid configuration name (O0, modref/without, modref/with, \
              modref/ptr, pointer/without, pointer/with, pointer/ptr).")
   in
-  let client_name_t =
-    Arg.(
-      value & opt string "cli"
-      & info [ "client" ] ~docv:"NAME"
-          ~doc:"Client name: the daemon's circuit-breaker key.")
-  in
   let trials_client_t =
     Arg.(
       value & opt int 1
@@ -1152,11 +1148,10 @@ let client_cmd =
        ~doc:
          "Send one request to a running rpcc serve daemon and print its \
           response line.  Exit code mirrors the response: 0 ok, 1 trap, \
-          2 usage/internal error, 3 resource/overloaded/rejected/timeout.")
+          2 usage/internal error, 3 resource/overloaded/timeout.")
     Term.(
       const client $ socket_t $ client_timeout_t $ op_t $ file_opt_t
-      $ config_name_t $ client_name_t $ seed_t $ trials_client_t
-      $ native_client_t)
+      $ config_name_t $ seed_t $ trials_client_t $ native_client_t)
 
 let main =
   Cmd.group

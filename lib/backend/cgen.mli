@@ -33,8 +33,8 @@ val mangle : int -> string -> string
     the emitted code. *)
 
 val emit : Rp_ir.Program.t -> string
-(** The complete C source for [prog].  Pure: compiles the program's
-    current version via {!Rp_exec.Precomp.of_program} and never mutates
+(** The complete C source for [prog].  Pure: compiles the program via
+    {!Rp_exec.Precomp.of_program} and never mutates
     [prog] (heap tags for call sites the analyses never reified are given
     synthetic out-of-table ids, which keeps their tag-set membership
     [false] exactly as the interpreter's lazily created tags would be). *)

@@ -15,7 +15,7 @@ val usage : string -> 'a
 (** Print [usage: MSG] on stderr and exit 2. *)
 
 val positive : flag:string -> int -> int
-(** A strictly positive argument (queue bounds, thresholds): values
+(** A strictly positive argument ([rpcc serve --queue-bound]): values
     [< 1] print [usage: FLAG must be >= 1] and exit 2. *)
 
 val jobs : int option -> int

@@ -178,16 +178,7 @@ let optimize ?(config = Config.default) ?stats (p : Program.t) : stage_stats =
       s.degraded <- s.degraded @ [ (name, reason) ]
     in
     let hook = Domain.DLS.get fault_hook in
-    match
-      timed s name (fun () ->
-          !hook name;
-          f ();
-          (* the pass body mutates function bodies in place without going
-             through [Program]'s mutators; stamp the change so the
-             interpreter's precompile cache ({!Rp_exec.Precomp}) can't
-             serve stale code.  Rollback paths stamp via [restore]. *)
-          Program.touch p)
-    with
+    match timed s name (fun () -> !hook name; f ()) with
     | () ->
       if verify then begin
         match Validate.check_program p with
@@ -426,8 +417,7 @@ let decode_result raw : (string * int * int * int * int) option =
     even across a daemon restart.
 
     Cold path: front end → optimizer → interpreter, then populate the
-    store with four artifacts: the lowered front-end IL ([front], kept
-    for forensics/oracle replay), the post-pipeline program ([program]),
+    store with three artifacts: the post-pipeline program ([program]),
     the stats document with its analysis facts ([stats]), and the
     interpreter result ([result]).  A run aborted by [should_stop] or
     [deadline] raises {!Rp_exec.Interp.Resource_limit} before anything is
@@ -455,8 +445,6 @@ let compile_and_run_cached ?(config = Config.default) ?should_stop ?deadline
   | None ->
     let s = zero_stage_stats () in
     let p = timed s "frontend" (fun () -> Rp_irgen.Irgen.compile_source src) in
-    (* capture before [optimize] mutates the program in place *)
-    let front_il = Serial.write p in
     let s = optimize ~config ~stats:s p in
     (* [runner] swaps the execution engine for the cold path only — warm
        hits re-serve stored bytes regardless of how they were computed,
@@ -485,7 +473,6 @@ let compile_and_run_cached ?(config = Config.default) ?should_stop ?deadline
           ("stores", Json.Int stores);
         ]
     in
-    Cas.put cas ~key ~kind:"front" front_il;
     Cas.put cas ~key ~kind:"program" il;
     Cas.put cas ~key ~kind:"stats" (Json.to_string ~indent:false stats);
     Cas.put cas ~key ~kind:"result" (Json.to_string ~indent:false result_doc);

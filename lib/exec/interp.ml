@@ -18,8 +18,8 @@
 
     The execution core runs on {!Precomp}'s dense form — blocks as a
     label-indexed array, instructions as arrays, calls resolved to callee
-    slots with precomputed arities — compiled once per program version and
-    cached, so the hot loop performs no hashtable probes and no list
+    slots with precomputed arities — compiled once at the start of each
+    run, so the hot loop performs no hashtable probes and no list
     traversals.  Counts, output, and trap behaviour are bit-identical to
     the original list-walking interpreter. *)
 
@@ -284,7 +284,7 @@ let run ?(fuel = 400_000_000) ?(check_tags = true) ?(max_depth = 100_000)
       let t0 = Rp_support.Clock.now () in
       fun () -> should_stop () || Rp_support.Clock.now () -. t0 > budget
   in
-  let dprog = P.get prog in
+  let dprog = P.of_program prog in
   let st =
     {
       prog;

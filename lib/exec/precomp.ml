@@ -27,11 +27,9 @@
     never at compile time.  Dynamic counts, traps, and output are
     bit-identical to the list interpreter by construction.
 
-    Compiled forms are cached per physical [Program.t] (keyed additionally
-    on {!Rp_ir.Program.touch}'s version stamp, which every guarded
-    pipeline pass bumps), so repeated executions of an unchanged program —
-    the bench grid, the per-pass oracle, the test suite — compile once.
-    The cache is domain-local: parallel workers never contend on it. *)
+    Every execution compiles afresh ({!Rp_exec.Interp.run} and {!Cgen}
+    both call {!of_program}): a program is run once per compile, so a
+    cache of compiled forms would never hit. *)
 
 open Rp_ir
 
@@ -233,57 +231,3 @@ let of_program (p : Program.t) : dprog =
     dmain = Hashtbl.find_opt by_name p.Program.main;
     dmain_name = p.Program.main;
   }
-
-(* ------------------------------------------------------------------ *)
-(* The cache                                                           *)
-(* ------------------------------------------------------------------ *)
-
-type entry = { eprog : Program.t; eversion : int; edprog : dprog }
-
-(** Domain-local so parallel workers ({!Rp_support.Pool}) never contend;
-    each domain runs one job at a time, so a per-domain cache is exactly
-    as effective as a shared one for the pool's access pattern.  Small and
-    LRU-ordered: one-shot programs (the per-pass oracle round-trips a
-    fresh [Program.t] per execution) wash through without evicting a
-    long-lived benchmark program's entry for long. *)
-let cache_key : entry list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
-let max_entries = 4
-
-(* cache telemetry, cross-domain (the invalidation tests read these) *)
-let hits = Atomic.make 0
-let misses = Atomic.make 0
-
-let cache_stats () = (Atomic.get hits, Atomic.get misses)
-
-let reset_cache_stats () =
-  Atomic.set hits 0;
-  Atomic.set misses 0
-
-(** The compiled form of [p]: cached if this physical program was compiled
-    before at its current {!Rp_ir.Program.touch} version, freshly compiled
-    (and cached) otherwise. *)
-let get (p : Program.t) : dprog =
-  let cache = Domain.DLS.get cache_key in
-  let version = p.Program.version in
-  match
-    List.find_opt (fun e -> e.eprog == p && e.eversion = version) !cache
-  with
-  | Some e ->
-    Atomic.incr hits;
-    (* move to front: recently run programs survive oracle churn *)
-    if (List.hd !cache).eprog != p then
-      cache := e :: List.filter (fun e' -> e' != e) !cache;
-    e.edprog
-  | None ->
-    Atomic.incr misses;
-    let d = of_program p in
-    let keep =
-      List.filteri
-        (fun i e -> e.eprog != p && i < max_entries - 1)
-        !cache
-    in
-    cache := { eprog = p; eversion = version; edprog = d } :: keep;
-    d
-

@@ -68,15 +68,4 @@ type dprog = {
 }
 
 val of_program : Program.t -> dprog
-(** Compile, bypassing the cache.  Pure. *)
-
-val get : Program.t -> dprog
-(** Compile through the domain-local cache, keyed on the physical program
-    and its {!Rp_ir.Program.touch} version stamp: a hit requires both to
-    match, so any pass that ran since the last execution forces a fresh
-    compile. *)
-
-val cache_stats : unit -> int * int
-(** Cross-domain [(hits, misses)] counters since the last reset. *)
-
-val reset_cache_stats : unit -> unit
+(** Compile.  Pure. *)

@@ -17,14 +17,6 @@ type t = {
   heap_site_tags : (int, Tag.t) Hashtbl.t;
       (** one tag per allocating call site ("a single name for each
           call-site that can generate a new heap address") *)
-  mutable version : int;
-      (** structural-mutation stamp.  Bumped by {!touch} whenever the
-          program's {e code} may have changed — every guarded pipeline
-          pass, {!restore}, {!add_func}, {!add_global} — so caches keyed
-          on a physical [t] (the interpreter's precompiled form) can
-          detect staleness.  Lazy {!heap_tag} creation during execution
-          deliberately does {e not} bump it: heap tags are never referenced
-          by instructions, so they cannot invalidate compiled code. *)
 }
 
 let create () =
@@ -36,14 +28,7 @@ let create () =
     main = "main";
     sites = Rp_support.Idgen.create ();
     heap_site_tags = Hashtbl.create 16;
-    version = 0;
   }
-
-(** Record that the program's code may have changed.  Cheap (one integer
-    store); called by every guarded pipeline pass and by any code that
-    mutates function bodies outside the pipeline and intends to re-execute
-    the same physical program. *)
-let touch p = p.version <- p.version + 1
 
 (** The tag naming all heap memory allocated at call site [site]; created on
     first request. *)
@@ -63,8 +48,7 @@ let add_func p (f : Func.t) =
   if Hashtbl.mem p.funcs f.name then
     invalid_arg ("Program.add_func: duplicate function " ^ f.name);
   Hashtbl.replace p.funcs f.name f;
-  p.func_order <- p.func_order @ [ f.name ];
-  touch p
+  p.func_order <- p.func_order @ [ f.name ]
 
 let func p name =
   match Hashtbl.find_opt p.funcs name with
@@ -78,8 +62,7 @@ let iter_funcs fn p = List.iter fn (funcs p)
 let fresh_site p = Rp_support.Idgen.fresh p.sites
 
 let add_global p tag init =
-  p.globals <- p.globals @ [ (tag, init) ];
-  touch p
+  p.globals <- p.globals @ [ (tag, init) ]
 
 let global_tags p = List.map fst p.globals
 
@@ -129,8 +112,7 @@ let restore (p : t) (s : snapshot) : unit =
   Hashtbl.reset p.funcs;
   List.iter (fun (n, f) -> Hashtbl.replace p.funcs n f) s.snap_funcs;
   Hashtbl.reset p.heap_site_tags;
-  List.iter (fun (k, v) -> Hashtbl.replace p.heap_site_tags k v) s.snap_heap;
-  touch p
+  List.iter (fun (k, v) -> Hashtbl.replace p.heap_site_tags k v) s.snap_heap
 
 let pp ppf p =
   let pp_global ppf (t, init) =

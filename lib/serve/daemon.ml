@@ -4,8 +4,8 @@
     the listener, every connection, the journal, and the request/response
     assembly; admitted jobs run on the daemon's persistent supervised
     pool, which wakes the loop through its fd when a job resolves.  Job
-    bodies touch only thread-safe state (the CAS, the breaker, the
-    resilience counters); the plain counters below are main-domain-only. *)
+    bodies touch only thread-safe state (the CAS, the resilience
+    counters); the plain counters below are main-domain-only. *)
 
 module Json = Rp_support.Json
 module Cas = Rp_support.Cas
@@ -13,7 +13,6 @@ module Pool = Rp_support.Pool
 module Journal = Rp_support.Journal
 module Resilience = Rp_support.Resilience
 module Clock = Rp_support.Clock
-module Breaker = Rp_support.Retry.Breaker
 module Config = Rp_driver.Config
 module Pipeline = Rp_driver.Pipeline
 
@@ -24,8 +23,6 @@ type config = {
   queue_bound : int;
   job_timeout : float option;
   retries : int;
-  breaker_threshold : int;
-  breaker_cooldown : float;
 }
 
 let default_config =
@@ -36,8 +33,6 @@ let default_config =
     queue_bound = 64;
     job_timeout = Some 30.;
     retries = 1;
-    breaker_threshold = 3;
-    breaker_cooldown = 5.;
   }
 
 (** Journal-replay summary, frozen at startup and reported by [health]. *)
@@ -58,13 +53,11 @@ type state = {
   cas : Cas.t;
   journal : Journal.writer;
   resil : Resilience.t;
-  breaker : Breaker.t;
   jsum : journal_summary;
   started : float;  (** {!Clock.now} at startup, for uptime *)
   mutable served : int;  (** [ok] responses written *)
   mutable errors : int;  (** [error] responses written *)
   mutable overloaded : int;  (** requests bounced by the queue bound *)
-  mutable rejected : int;  (** requests bounced by an open breaker *)
   mutable queued : int;
       (** jobs admitted and not yet answered, across all connections *)
 }
@@ -293,21 +286,6 @@ let handle_op ~should_stop st (r : Protocol.request) : Json.t =
   | Out_of_memory -> raise Out_of_memory
   | e -> err "internal" (Printexc.to_string e)
 
-(** One pool job: {!handle_op} under the client's circuit.  Only
-    escaping exceptions (external stops) count as breaker failures —
-    gracefully answered traps and usage errors are the service working
-    as intended. *)
-let job ~should_stop st (r : Protocol.request) : Json.t =
-  match
-    Breaker.call st.breaker ~key:r.client (fun () ->
-        handle_op ~should_stop st r)
-  with
-  | Ok resp -> resp
-  | Error (Breaker.Open_circuit key) ->
-    Protocol.rejected ~id:r.id ~client:r.client
-      (Printf.sprintf "circuit open for client %s; back off" key)
-  | Error e -> raise e
-
 (* ------------------------------------------------------------------ *)
 (* Connection handling                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -339,14 +317,10 @@ let health_json st ~id ~client =
             ("served", Json.Int st.served);
             ("errors", Json.Int st.errors);
             ("overloaded", Json.Int st.overloaded);
-            ("rejected", Json.Int st.rejected);
             ("jobs", Json.Int st.cfg.jobs);
             ("queue_bound", Json.Int st.cfg.queue_bound);
             ("cache", Cas.stats_json st.cas);
-            ( "resilience",
-              Resilience.to_json
-                ~breakers:(Breaker.snapshots_json st.breaker)
-                st.resil );
+            ("resilience", Resilience.to_json st.resil);
             ( "journal",
               Json.Obj
                 [
@@ -442,7 +416,7 @@ let admit st pool data =
   let jobs = Array.of_list (List.rev !admitted) in
   st.queued <- st.queued + Array.length jobs;
   let batch =
-    Pool.submit pool (fun ~should_stop r -> job ~should_stop st r) jobs
+    Pool.submit pool (fun ~should_stop r -> handle_op ~should_stop st r) jobs
   in
   Running { slots; jobs; batch }
 
@@ -483,7 +457,6 @@ let answer st ~slots ~jobs outcomes =
       | "ok" -> st.served <- st.served + 1
       | "error" -> st.errors <- st.errors + 1
       | "overloaded" -> st.overloaded <- st.overloaded + 1
-      | "rejected" -> st.rejected <- st.rejected + 1
       | _ -> ());
       Buffer.add_string out (Json.to_string ~indent:false resp);
       Buffer.add_char out '\n')
@@ -564,15 +537,11 @@ let serve (cfg : config) =
       cas;
       journal = Journal.create journal_path;
       resil = Resilience.create ();
-      breaker =
-        Breaker.create ~threshold:cfg.breaker_threshold
-          ~cooldown:cfg.breaker_cooldown ();
       jsum;
       started = Clock.now ();
       served = 0;
       errors = 0;
       overloaded = 0;
-      rejected = 0;
       queued = 0;
     }
   in

@@ -5,7 +5,7 @@
     ({!Rp_support.Pool.create} — per-job deadlines, bounded retries,
     wedged-worker replacement), backed by a content-addressed store
     ({!Rp_support.Cas}) keyed on (pass version, configuration
-    fingerprint, source), with a per-client circuit breaker.
+    fingerprint, source).
 
     One [select] loop on the main domain serves every connection at
     once: it reads each batch without blocking until the client's EOF
@@ -34,8 +34,8 @@
       answered across all connections; requests beyond it receive
       [overloaded] responses instead of queueing unboundedly;
     - a [health] request reports served/error counters, cache
-      hit/miss/quarantine rates, resilience counters with per-client
-      breaker snapshots, and the journal replay summary. *)
+      hit/miss/quarantine rates, resilience counters, and the journal
+      replay summary. *)
 
 type config = {
   socket : string;
@@ -48,14 +48,11 @@ type config = {
       (** max jobs admitted and not yet answered, across connections *)
   job_timeout : float option;  (** per-job wall-clock deadline, seconds *)
   retries : int;  (** extra attempts per failed job *)
-  breaker_threshold : int;  (** consecutive failures tripping a client *)
-  breaker_cooldown : float;  (** seconds before a half-open probe *)
 }
 
 val default_config : config
 (** [socket = "rpcc.sock"], [state_dir = ".rpcc-serve"], [jobs = 1],
-    [queue_bound = 64], 30 s timeout, 1 retry, threshold 3, 5 s
-    cooldown. *)
+    [queue_bound = 64], 30 s timeout, 1 retry. *)
 
 val remove_stale_socket : string -> unit
 (** Clear the way for binding [path].  Probe-first: a leftover socket

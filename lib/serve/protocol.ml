@@ -107,8 +107,5 @@ let overloaded ~id ~client =
   base ~id ~client ~status:"overloaded"
     [ ("message", Json.Str "queue bound exceeded; resubmit") ]
 
-let rejected ~id ~client msg =
-  base ~id ~client ~status:"rejected" [ ("message", Json.Str msg) ]
-
 let response_status doc =
   match Json.member "status" doc with Some (Json.Str s) -> s | _ -> ""

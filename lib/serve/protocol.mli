@@ -13,16 +13,15 @@
     [fuzz].  [run] additionally takes an optional [mode] ∈ {["interp"],
     ["native"]}, default ["interp"]: a [native] run is served through
     the compiled-C backend's degradation ladder and its payload carries
-    an [exec] object naming the rung that answered.  [id] is echoed
-    verbatim in the response; [client] (default ["anonymous"]) names the
-    circuit-breaker key.  A request naming any other schema is answered
-    with an [unsupported schema] usage error.
+    an [exec] object naming the rung that answered.  [id] and [client]
+    (default ["anonymous"]) are echoed verbatim in the response.  A
+    request naming any other schema is answered with an
+    [unsupported schema] usage error.
 
     Response: [{"schema", "id", "client", "status", ...}] where [status]
     is [ok] (op-specific payload fields follow), [error] (fields [code]
-    ∈ {usage, trap, resource, internal} and [message]), [overloaded]
-    (the batch exceeded the daemon's queue bound; resubmit), or
-    [rejected] (the client's circuit is open; back off).
+    ∈ {usage, trap, resource, internal} and [message]), or [overloaded]
+    (the batch exceeded the daemon's queue bound; resubmit).
 
     Responses are built deterministically — same request, same cached
     artifacts ⇒ byte-identical response line.  Deliberately {e no}
@@ -80,7 +79,6 @@ val op_key : op -> string
 val ok : id:Json.t -> client:string -> (string * Json.t) list -> Json.t
 val error : id:Json.t -> client:string -> code:string -> string -> Json.t
 val overloaded : id:Json.t -> client:string -> Json.t
-val rejected : id:Json.t -> client:string -> string -> Json.t
 
 val response_status : Json.t -> string
 (** The [status] field of a response ([""] when absent). *)

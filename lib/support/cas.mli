@@ -1,11 +1,11 @@
 (** A crash-tolerant content-addressed store.
 
     The [rpcc serve] daemon's warm path: compile artifacts — serialized
-    front-end and post-pipeline programs, stats JSON, interpreter results
-    — are stored under a key derived from the {e content} that produced
-    them (source text, configuration fingerprint, pipeline pass version),
-    so identical traffic skips the pipeline entirely and a SIGKILL'd
-    daemon restarts warm.
+    post-pipeline programs, stats JSON, interpreter results — are stored
+    under a key derived from the {e content} that produced them (source
+    text, configuration fingerprint, pipeline pass version), so identical
+    traffic skips the pipeline entirely and a SIGKILL'd daemon restarts
+    warm.
 
     Robustness contract:
     - {b Atomic writes.}  {!put} writes to a temp file in the store,

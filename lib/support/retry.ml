@@ -1,5 +1,5 @@
-(** Generic retry with exponential backoff and a per-key circuit breaker.
-    See retry.mli for the contract. *)
+(** Generic retry with exponential backoff.  See retry.mli for the
+    contract. *)
 
 type policy = {
   max_attempts : int;
@@ -44,171 +44,3 @@ let with_backoff ?(policy = default_policy) ?(seed = 0) ?(sleep = Unix.sleepf)
       end
   in
   go 1
-
-(* ------------------------------------------------------------------ *)
-(* Circuit breaker                                                     *)
-(* ------------------------------------------------------------------ *)
-
-module Breaker = struct
-  type state = Closed | Open | Half_open
-
-  type event = {
-    key : string;
-    at : float;
-    transition : [ `Trip | `Probe | `Reset ];
-  }
-
-  type circuit = {
-    mutable st : state;
-    mutable consecutive : int;  (** consecutive failures while closed *)
-    mutable opened_at : float;
-    mutable probing : bool;  (** a half-open probe is in flight *)
-    mutable last : ([ `Trip | `Probe | `Reset ] * float) option;
-        (** most recent transition and when it happened *)
-  }
-
-  type t = {
-    threshold : int;
-    cooldown : float;
-    now : unit -> float;
-    lock : Mutex.t;
-    circuits : (string, circuit) Hashtbl.t;
-    mutable evs : event list;  (** newest first *)
-    mutable trip_count : int;
-  }
-
-  exception Open_circuit of string
-
-  let create ?(threshold = 2) ?(cooldown = 30.) ?(now = Clock.now) () =
-    {
-      threshold = max 1 threshold;
-      cooldown;
-      now;
-      lock = Mutex.create ();
-      circuits = Hashtbl.create 8;
-      evs = [];
-      trip_count = 0;
-    }
-
-  let locked t f =
-    Mutex.lock t.lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
-  let circuit t key =
-    match Hashtbl.find_opt t.circuits key with
-    | Some c -> c
-    | None ->
-      let c =
-        { st = Closed; consecutive = 0; opened_at = 0.; probing = false;
-          last = None }
-      in
-      Hashtbl.add t.circuits key c;
-      c
-
-  let emit t key transition =
-    let at = t.now () in
-    t.evs <- { key; at; transition } :: t.evs;
-    (circuit t key).last <- Some (transition, at);
-    if transition = `Trip then t.trip_count <- t.trip_count + 1
-
-  let state t key =
-    locked t (fun () ->
-        match Hashtbl.find_opt t.circuits key with
-        | None -> Closed
-        | Some c -> c.st)
-
-  (* Decide under the lock whether this call may run (and whether it is
-     the half-open probe); fold the outcome back under the lock. *)
-  let call t ~key f =
-    let admitted =
-      locked t (fun () ->
-          let c = circuit t key in
-          match c.st with
-          | Closed -> `Run
-          | Half_open -> `Reject  (* one probe at a time *)
-          | Open ->
-            if t.now () -. c.opened_at >= t.cooldown && not c.probing then begin
-              c.st <- Half_open;
-              c.probing <- true;
-              emit t key `Probe;
-              `Run
-            end
-            else `Reject)
-    in
-    match admitted with
-    | `Reject -> Error (Open_circuit key)
-    | `Run -> (
-      let outcome = try Ok (f ()) with e -> Error e in
-      locked t (fun () ->
-          let c = circuit t key in
-          let was_probe = c.probing in
-          c.probing <- false;
-          (match outcome with
-          | Ok _ ->
-            if c.st <> Closed then emit t key `Reset;
-            c.st <- Closed;
-            c.consecutive <- 0
-          | Error _ ->
-            c.consecutive <- c.consecutive + 1;
-            if was_probe || c.consecutive >= t.threshold then begin
-              if c.st <> Open then emit t key `Trip;
-              c.st <- Open;
-              c.opened_at <- t.now ();
-              c.consecutive <- 0
-            end));
-      outcome)
-
-  let trips t = locked t (fun () -> t.trip_count)
-  let events t = locked t (fun () -> List.rev t.evs)
-
-  (* -------------------------------------------------------------- *)
-  (* Observability: per-key snapshots for health/stats surfaces       *)
-  (* -------------------------------------------------------------- *)
-
-  type snapshot = {
-    skey : string;
-    sstate : state;
-    sconsecutive : int;
-    slast : ([ `Trip | `Probe | `Reset ] * float) option;
-  }
-
-  let state_name = function
-    | Closed -> "closed"
-    | Open -> "open"
-    | Half_open -> "half_open"
-
-  let transition_name = function
-    | `Trip -> "trip"
-    | `Probe -> "probe"
-    | `Reset -> "reset"
-
-  let snapshots t =
-    locked t (fun () ->
-        Hashtbl.fold
-          (fun key c acc ->
-            { skey = key; sstate = c.st; sconsecutive = c.consecutive;
-              slast = c.last }
-            :: acc)
-          t.circuits []
-        |> List.sort (fun a b -> compare a.skey b.skey))
-
-  let snapshots_json t =
-    Json.Obj
-      (List.map
-         (fun s ->
-           ( s.skey,
-             Json.Obj
-               [
-                 ("state", Json.Str (state_name s.sstate));
-                 ("consecutive_failures", Json.Int s.sconsecutive);
-                 ( "last_transition",
-                   match s.slast with
-                   | None -> Json.Null
-                   | Some (tr, _) -> Json.Str (transition_name tr) );
-                 ( "last_transition_at",
-                   match s.slast with
-                   | None -> Json.Null
-                   | Some (_, at) -> Json.Float at );
-               ] ))
-         (snapshots t))
-end

@@ -1,14 +1,9 @@
-(** Generic retry with exponential backoff and a per-key circuit breaker.
+(** Generic retry with exponential backoff.
 
-    The supervision layer's two failure-handling primitives, shared by the
-    worker pool, the campaign drivers, and [rpcc run --retries]:
-
-    - {!with_backoff} re-runs a failing thunk with exponentially growing,
-      deterministically jittered delays — replaying a campaign with the
-      same seed replays the same delay sequence;
-    - {!Breaker} stops hammering a known-bad key (a benchmark program
-      whose every cell times out, a wedged configuration) after a bounded
-      number of consecutive failures, re-probing after a cooldown. *)
+    {!with_backoff} re-runs a failing thunk with exponentially growing,
+    deterministically jittered delays — replaying a campaign with the
+    same seed replays the same delay sequence.  Its users are the native
+    backend's cc spawn and [rpcc run --retries]. *)
 
 type policy = {
   max_attempts : int;  (** total attempts, including the first (>= 1) *)
@@ -38,67 +33,3 @@ val with_backoff :
     success or the {e last} exception.  [on_retry] fires before each
     re-attempt (attempt number of the {e upcoming} try, 2-based).
     @param sleep defaults to [Unix.sleepf]; inject for tests. *)
-
-(** Per-key circuit breaker (closed → open → half-open).
-
-    Every key starts {!Closed}.  [threshold] consecutive failures {e trip}
-    the key {!Open}: calls are rejected without running until [cooldown]
-    seconds pass, then one probe call runs {!Half_open}; its success
-    {e resets} the key to {!Closed}, its failure re-trips it.  All
-    transitions are recorded as {!event}s.  Thread-safe; the protected
-    thunk runs outside the lock. *)
-module Breaker : sig
-  type state = Closed | Open | Half_open
-
-  type event = {
-    key : string;
-    at : float;  (** {!Clock.now} at the transition *)
-    transition : [ `Trip | `Probe | `Reset ];
-  }
-
-  type t
-
-  exception Open_circuit of string
-  (** Returned (never raised into the caller's thunk) by {!call} when the
-      key's circuit is open: the payload is the key. *)
-
-  val create : ?threshold:int -> ?cooldown:float -> ?now:(unit -> float) -> unit -> t
-  (** @param threshold consecutive failures before tripping (default 2)
-      @param cooldown seconds open before a half-open probe (default 30)
-      @param now clock override for tests (default {!Clock.now}) *)
-
-  val state : t -> string -> state
-
-  val call : t -> key:string -> (unit -> 'a) -> ('a, exn) result
-  (** Run the thunk under the key's circuit.  [Error (Open_circuit key)]
-      when rejected; otherwise the thunk's result, with its outcome folded
-      into the key's state.  While one probe is in flight, concurrent
-      calls on the key are rejected. *)
-
-  val trips : t -> int
-  (** Total [`Trip] events across all keys. *)
-
-  val events : t -> event list
-  (** All transition events, oldest first. *)
-
-  (** One key's observable state, for health/stats surfaces. *)
-  type snapshot = {
-    skey : string;
-    sstate : state;
-    sconsecutive : int;  (** consecutive failures while closed *)
-    slast : ([ `Trip | `Probe | `Reset ] * float) option;
-        (** most recent transition and its {!Clock.now} instant *)
-  }
-
-  val state_name : state -> string
-  (** ["closed"], ["open"], or ["half_open"]. *)
-
-  val snapshots : t -> snapshot list
-  (** Every key the breaker has seen, sorted by key. *)
-
-  val snapshots_json : t -> Json.t
-  (** [{key: {"state": _, "consecutive_failures": _, "last_transition":
-      _, "last_transition_at": _}, ...}] — the [breakers] object embedded
-      in resilience JSON by surfaces that own a breaker ([rpcc serve]
-      health, the bench grid). *)
-end

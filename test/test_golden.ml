@@ -116,7 +116,7 @@ let stats_json_tests =
           (Json.keys j);
         Util.check
           Alcotest.(option string)
-          "schema marker" (Some "rpcc-stats/6")
+          "schema marker" (Some "rpcc-stats/7")
           (match Json.member "schema" j with
           | Some (Json.Str s) -> Some s
           | _ -> None);
@@ -129,10 +129,7 @@ let stats_json_tests =
         Util.check
           Alcotest.(list string)
           "resilience keys"
-          [
-            "timeouts"; "retries"; "breaker_trips"; "resumed"; "crashed";
-            "quarantined";
-          ]
+          [ "timeouts"; "retries"; "resumed"; "crashed"; "quarantined" ]
           (match Json.member "resilience" j with
           | Some r -> Json.keys r
           | None -> []);

@@ -434,19 +434,10 @@ let bench_cli_tests =
     Util.tc "bench: negative --retries is rejected, not clamped" (fun () ->
         Util.check Alcotest.int "exit code" 2
           (bench_exit "--json --retries=-3"));
-    Util.tc "bench: --breaker-threshold 0 is rejected, not clamped"
-      (fun () ->
-        Util.check Alcotest.int "exit code" 2
-          (bench_exit "--json --breaker-threshold 0"));
     Util.tc "bench: --job-timeout with --via-daemon is a usage error"
       (fun () ->
         Util.check Alcotest.int "exit code" 2
           (bench_exit "--json --via-daemon /tmp/nope.sock --job-timeout 5"));
-    Util.tc "bench: --breaker-threshold with --via-daemon is a usage error"
-      (fun () ->
-        Util.check Alcotest.int "exit code" 2
-          (bench_exit
-             "--json --via-daemon /tmp/nope.sock --breaker-threshold 2"));
     Util.tc "bench: --cc-flags without --native is a usage error" (fun () ->
         Util.check Alcotest.int "exit code" 2 (bench_exit "--cc-flags=-O2"));
     Util.tc "bench: --plant-hang must name a grid cell" (fun () ->

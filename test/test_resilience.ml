@@ -1,5 +1,6 @@
 (** The supervised execution layer, end to end: the reducer's deadline
-    contract, crash-resumable campaigns (SIGKILL a [gen-fuzz] run
+    contract, [rpcc run --retries] (only a run's own timeout is
+    retried), crash-resumable campaigns (SIGKILL a [gen-fuzz] run
     mid-flight, resume it from the journal, and demand byte-identical
     stdout), and the bench grid's planted-hang drill (a never-terminating
     cell must land as a degraded cell under the retry policy while every
@@ -103,6 +104,69 @@ let in_temp_dir name f =
   in
   (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
   f dir
+
+(* ------------------------------------------------------------------ *)
+(* rpcc run --retries: only the run's own timeout is retried           *)
+(* ------------------------------------------------------------------ *)
+
+(** [rpcc run ARGS] on a file holding [src]: the exit status, stderr,
+    and wall-clock seconds. *)
+let rpcc_run args src =
+  let rpcc = Filename.concat (Sys.getcwd ()) "../bin/rpcc.exe" in
+  let file = Filename.temp_file "rp_retries" ".c" in
+  let err = Filename.temp_file "rp_retries_err" ".txt" in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove file;
+      Sys.remove err)
+    (fun () ->
+      let oc = open_out_bin file in
+      output_string oc src;
+      close_out oc;
+      let cmd =
+        Printf.sprintf "%s run %s %s > /dev/null 2> %s" (Filename.quote rpcc)
+          args (Filename.quote file) (Filename.quote err)
+      in
+      let t0 = Rp_support.Clock.now () in
+      let status = Sys.command cmd in
+      (status, read_file err, Rp_support.Clock.elapsed t0))
+
+let trap_src =
+  "int a[4];\n\
+   int main() {\n\
+   int i;\n\
+   i = 5;\n\
+   a[i] = 1;\n\
+   return 0;\n\
+   }"
+
+let loop_src =
+  "int g;\n\
+   int main() {\n\
+   while (1) g = g + 1;\n\
+   return 0;\n\
+   }"
+
+let run_retries_tests =
+  [
+    Util.tc "a trap is reported, not retried" (fun () ->
+        let (bare, bare_err, _) = rpcc_run "" trap_src in
+        let (st, err, secs) = rpcc_run "--timeout 5 --retries 30" trap_src in
+        Util.check Alcotest.int "exit without --retries" 1 bare;
+        Util.check Alcotest.int "exit" 1 st;
+        Util.check Alcotest.string "same stderr" bare_err err;
+        (* thirty backoff sleeps would take at least 51 s *)
+        Util.check Alcotest.bool "no backoff" true (secs < 10.));
+    Util.tc "its own timeout is retried" (fun () ->
+        let (st, _, secs) = rpcc_run "--timeout 0.05 --retries 2" loop_src in
+        Util.check Alcotest.int "exit" 3 st;
+        (* three 50 ms deadlines, then backoff sleeps of at least 50 and
+           100 ms between them *)
+        Util.check Alcotest.bool "three attempts" true (secs >= 0.3));
+    Util.tc "--retries needs --timeout" (fun () ->
+        let (st, _, _) = rpcc_run "--retries 1" trap_src in
+        Util.check Alcotest.int "exit" 2 st);
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* gen-fuzz: SIGKILL mid-campaign, resume, byte-identical report       *)
@@ -291,6 +355,7 @@ let () =
           Util.tc "unconstrained reduction shrinks and terminates"
             test_reduce_unconstrained_shrinks_and_terminates;
         ] );
+      ("run-retries", run_retries_tests);
       ( "campaigns",
         [
           Util.tc_slow "gen-fuzz survives SIGKILL and resumes byte-identically"

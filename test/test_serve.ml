@@ -327,10 +327,7 @@ let protocol_tests =
           (keys (Protocol.error ~id:(Json.Int 1) ~client:"c" ~code:"trap" "m"));
         Util.check Alcotest.string "overloaded status" "overloaded"
           (Protocol.response_status
-             (Protocol.overloaded ~id:(Json.Int 1) ~client:"c"));
-        Util.check Alcotest.string "rejected status" "rejected"
-          (Protocol.response_status
-             (Protocol.rejected ~id:(Json.Int 1) ~client:"c" "circuit open")));
+             (Protocol.overloaded ~id:(Json.Int 1) ~client:"c")));
     Util.tc "protocol: config_of_name covers the grid, rejects junk" (fun () ->
         List.iter
           (fun (name, _) ->

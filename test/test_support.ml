@@ -179,109 +179,6 @@ let retry_tests =
           (big <= Retry.default_policy.Retry.max_delay *. 1.5 +. 1e-9));
   ]
 
-let breaker_tests =
-  let open Retry in
-  [
-    Util.tc "breaker: trips after threshold, rejects while open" (fun () ->
-        let t = ref 0. in
-        let b = Breaker.create ~threshold:2 ~cooldown:10. ~now:(fun () -> !t) () in
-        let fail () = Breaker.call b ~key:"k" (fun () -> failwith "x") in
-        ignore (fail ());
-        Util.check Alcotest.bool "still closed" true
-          (Breaker.state b "k" = Breaker.Closed);
-        ignore (fail ());
-        Util.check Alcotest.bool "open after threshold" true
-          (Breaker.state b "k" = Breaker.Open);
-        (match Breaker.call b ~key:"k" (fun () -> Alcotest.fail "must not run")
-         with
-        | Error (Breaker.Open_circuit k) ->
-          Util.check Alcotest.string "key" "k" k
-        | _ -> Alcotest.fail "expected Open_circuit");
-        Util.check Alcotest.int "one trip" 1 (Breaker.trips b);
-        (* other keys are independent *)
-        Util.check Alcotest.bool "other key runs" true
-          (Breaker.call b ~key:"other" (fun () -> 1) = Ok 1));
-    Util.tc "breaker: half-open probe resets on success" (fun () ->
-        let t = ref 0. in
-        let b = Breaker.create ~threshold:1 ~cooldown:5. ~now:(fun () -> !t) () in
-        ignore (Breaker.call b ~key:"k" (fun () -> failwith "x"));
-        Util.check Alcotest.bool "open" true (Breaker.state b "k" = Breaker.Open);
-        t := 6.;
-        Util.check Alcotest.bool "probe succeeds" true
-          (Breaker.call b ~key:"k" (fun () -> 7) = Ok 7);
-        Util.check Alcotest.bool "closed again" true
-          (Breaker.state b "k" = Breaker.Closed);
-        let kinds = List.map (fun e -> e.Breaker.transition) (Breaker.events b) in
-        Util.check Alcotest.bool "trip/probe/reset recorded" true
-          (kinds = [ `Trip; `Probe; `Reset ]));
-    Util.tc "breaker: failed probe re-trips" (fun () ->
-        let t = ref 0. in
-        let b = Breaker.create ~threshold:1 ~cooldown:5. ~now:(fun () -> !t) () in
-        ignore (Breaker.call b ~key:"k" (fun () -> failwith "x"));
-        t := 6.;
-        ignore (Breaker.call b ~key:"k" (fun () -> failwith "y"));
-        Util.check Alcotest.bool "open again" true
-          (Breaker.state b "k" = Breaker.Open);
-        Util.check Alcotest.int "two trips" 2 (Breaker.trips b));
-    Util.tc "breaker: snapshots expose per-key state for health surfaces"
-      (fun () ->
-        let t = ref 0. in
-        let b = Breaker.create ~threshold:2 ~cooldown:5. ~now:(fun () -> !t) () in
-        ignore (Breaker.call b ~key:"beta" (fun () -> 1));
-        ignore (Breaker.call b ~key:"alpha" (fun () -> failwith "x"));
-        ignore (Breaker.call b ~key:"alpha" (fun () -> failwith "x"));
-        let snaps = Breaker.snapshots b in
-        Util.check
-          Alcotest.(list string)
-          "sorted by key" [ "alpha"; "beta" ]
-          (List.map (fun s -> s.Breaker.skey) snaps);
-        (match snaps with
-        | [ a; bs ] ->
-          Util.check Alcotest.string "alpha open" "open"
-            (Breaker.state_name a.Breaker.sstate);
-          (match a.Breaker.slast with
-          | Some (`Trip, _) -> ()
-          | _ -> Alcotest.fail "alpha's last transition must be a trip");
-          Util.check Alcotest.string "beta closed" "closed"
-            (Breaker.state_name bs.Breaker.sstate);
-          Util.check Alcotest.int "beta no failures" 0 bs.Breaker.sconsecutive
-        | _ -> Alcotest.fail "expected two snapshots");
-        (match Breaker.snapshots_json b with
-        | Json.Obj kvs ->
-          Util.check
-            Alcotest.(list string)
-            "json keyed per breaker key" [ "alpha"; "beta" ] (List.map fst kvs);
-          (match List.assoc "alpha" kvs with
-          | Json.Obj fields ->
-            Util.check
-              Alcotest.(list string)
-              "snapshot fields"
-              [
-                "state"; "consecutive_failures"; "last_transition";
-                "last_transition_at";
-              ]
-              (List.map fst fields);
-            Util.check Alcotest.bool "state is open" true
-              (List.assoc "state" fields = Json.Str "open")
-          | _ -> Alcotest.fail "per-key snapshot must be an object")
-        | _ -> Alcotest.fail "snapshots_json must be an object");
-        (* the half-open probe window is visible while a probe is in flight *)
-        t := 6.;
-        ignore
-          (Breaker.call b ~key:"alpha" (fun () ->
-               let s =
-                 List.find
-                   (fun s -> s.Breaker.skey = "alpha")
-                   (Breaker.snapshots b)
-               in
-               Util.check Alcotest.string "half-open during probe" "half_open"
-                 (Breaker.state_name s.Breaker.sstate);
-               failwith "probe fails"));
-        Util.check Alcotest.bool "failed probe re-opens" true
-          (Breaker.state b "alpha" = Breaker.Open);
-        Util.check Alcotest.int "re-trip recorded" 2 (Breaker.trips b));
-  ]
-
 let journal_tests =
   let tmp () = Filename.temp_file "rp_journal" ".jsonl" in
   [
@@ -413,52 +310,22 @@ let journal_tests =
 
 let resilience_tests =
   [
-    Util.tc "resilience: tick/set/any/merge/json" (fun () ->
+    Util.tc "resilience: tick/any/json" (fun () ->
         let r = Resilience.create () in
         Util.check Alcotest.bool "fresh is quiet" false (Resilience.any r);
         Resilience.tick r Resilience.Timeout;
         Resilience.tick r Resilience.Timeout;
         Resilience.tick r Resilience.Retry;
-        Resilience.set r Resilience.Breaker_trip 5;
         Util.check Alcotest.int "timeouts" 2
           (Resilience.count r Resilience.Timeout);
         Util.check Alcotest.bool "any" true (Resilience.any r);
-        let r2 = Resilience.create () in
-        Resilience.tick r2 Resilience.Timeout;
-        Resilience.merge ~into:r r2;
-        Util.check Alcotest.int "merged timeouts" 3
-          (Resilience.count r Resilience.Timeout);
         Util.check
           Alcotest.(list string)
           "json keys"
-          [
-            "timeouts"; "retries"; "breaker_trips"; "resumed"; "crashed";
-            "quarantined";
-          ]
+          [ "timeouts"; "retries"; "resumed"; "crashed"; "quarantined" ]
           (match Resilience.to_json r with
           | Json.Obj kvs -> List.map fst kvs
           | _ -> []));
-    Util.tc "resilience: optional breakers object rides along" (fun () ->
-        let r = Resilience.create () in
-        let b = Retry.Breaker.create ~threshold:1 ~cooldown:5. () in
-        ignore (Retry.Breaker.call b ~key:"bad" (fun () -> failwith "x"));
-        let j =
-          Resilience.to_json ~breakers:(Retry.Breaker.snapshots_json b) r
-        in
-        match j with
-        | Json.Obj kvs ->
-          Util.check
-            Alcotest.(list string)
-            "core keys then breakers"
-            [
-              "timeouts"; "retries"; "breaker_trips"; "resumed"; "crashed";
-              "quarantined"; "breakers";
-            ]
-            (List.map fst kvs);
-          (match List.assoc "breakers" kvs with
-          | Json.Obj [ ("bad", _) ] -> ()
-          | _ -> Alcotest.fail "breakers must be keyed by breaker key")
-        | _ -> Alcotest.fail "resilience json must be an object");
   ]
 
 let () =
@@ -468,7 +335,6 @@ let () =
       ("union_find", uf_tests @ uf_props);
       ("worklist", worklist_tests);
       ("retry", retry_tests);
-      ("breaker", breaker_tests);
       ("journal", journal_tests);
       ("resilience", resilience_tests);
     ]
