@@ -221,25 +221,31 @@ module Json = Rp_support.Json
     rpcc-stats/4's resilience object lacked the [failovers]/[respawns]
     counters, which rpcc-stats/5 carried and rpcc-stats/6 dropped;
     rpcc-stats/6's also counted trips of a per-key failure cut-off, a
-    counter rpcc-stats/7 dropped. *)
+    counter rpcc-stats/7 dropped; rpcc-stats/7 printed no document at
+    all for a run that hit a resource limit, where rpcc-stats/8 prints
+    one whose [result] is [null]. *)
 let run_json config (st : Pipeline.stage_stats) resil
-    (r : Rp_exec.Interp.result) =
+    (r : Rp_exec.Interp.result option) =
   match Pipeline.stats_json config st with
   | Json.Obj fields ->
     Json.Obj
-      (("schema", Json.Str "rpcc-stats/7")
+      (("schema", Json.Str "rpcc-stats/8")
        :: fields
       @ [
           ("resilience", Rp_support.Resilience.to_json resil);
           ( "result",
-            Json.Obj
-              [
-                ("ops", Json.Int r.Rp_exec.Interp.total.Rp_exec.Interp.ops);
-                ("loads", Json.Int r.Rp_exec.Interp.total.Rp_exec.Interp.loads);
-                ( "stores",
-                  Json.Int r.Rp_exec.Interp.total.Rp_exec.Interp.stores );
-                ("checksum", Json.Int r.Rp_exec.Interp.checksum);
-              ] );
+            match r with
+            | None -> Json.Null
+            | Some r ->
+              Json.Obj
+                [
+                  ("ops", Json.Int r.Rp_exec.Interp.total.Rp_exec.Interp.ops);
+                  ( "loads",
+                    Json.Int r.Rp_exec.Interp.total.Rp_exec.Interp.loads );
+                  ( "stores",
+                    Json.Int r.Rp_exec.Interp.total.Rp_exec.Interp.stores );
+                  ("checksum", Json.Int r.Rp_exec.Interp.checksum);
+                ] );
         ])
   | j -> j
 
@@ -282,19 +288,15 @@ let run_cmd =
              --version`)@.";
           exit 2
     in
+    (* the compile is deterministic: only execution is retried *)
+    let prog, st = Pipeline.compile ~config src in
     let attempt () =
       try
         match native_cc with
-        | None ->
-          Pipeline.compile_and_run ~config ?fuel ?max_depth ?deadline:timeout
-            src
+        | None -> Rp_exec.Interp.run ?fuel ?max_depth ?deadline:timeout prog
         | Some (cc, cache) ->
-          let prog, st = Pipeline.compile ~config src in
-          let r =
-            Rp_backend.Native.run ?fuel ?max_depth ?deadline:timeout ~cache
-              ~cc prog
-          in
-          (prog, st, r)
+          Rp_backend.Native.run ?fuel ?max_depth ?deadline:timeout ~cache ~cc
+            prog
       with
       | Rp_exec.Interp.Resource_limit m as e ->
         if timeout <> None && Rp_exec.Interp.is_external_stop m then
@@ -304,7 +306,7 @@ let run_cmd =
         Fmt.epr "error: native backend: %s@." m;
         exit 2
     in
-    let (_, st, r) =
+    let execute () =
       if retries = 0 then attempt ()
       else begin
         let policy =
@@ -327,10 +329,18 @@ let run_cmd =
         | Ok (Error e) | Error e -> raise e
       end
     in
+    let r =
+      try execute ()
+      with Rp_exec.Interp.Resource_limit _ as e when stats_json ->
+        (* the document still reports the compile and the resilience
+           counters; the limit keeps its stderr line and exit code *)
+        print_string (Json.to_string (run_json config st resil None));
+        raise e
+    in
     if stats_json then
       (* pure JSON on stdout; program output is suppressed so the document
          stays machine-parseable *)
-      print_string (Json.to_string (run_json config st resil r))
+      print_string (Json.to_string (run_json config st resil (Some r)))
     else begin
       if not quiet then print_string r.Rp_exec.Interp.output;
       Fmt.pr "; config: %a@." Config.pp config;

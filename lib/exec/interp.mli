@@ -8,7 +8,13 @@
     With [check_tags] (default on), every pointer-based access dynamically
     verifies that the tag of the object actually touched belongs to the
     operation's static tag set — each run doubles as a soundness check of
-    MOD/REF and points-to analysis. *)
+    MOD/REF and points-to analysis.
+
+    Each run compiles {!Precomp}'s dense form into closures, one per
+    instruction with everything but the register contents fixed, and
+    charges operations once per straight-line segment.  Counts, output,
+    traps, and the operation on which fuel runs out or a [should_stop]
+    poll fires are exactly those of counting every operation singly. *)
 
 open Rp_ir
 

@@ -3,8 +3,9 @@
     {!Rp_ir.Program.t} is a pass-friendly representation: blocks live in a
     label-keyed hashtable, instruction sequences are lists, call arguments
     are lists, and every branch transition or call pays a lookup.  The
-    interpreter's hot loop wants the opposite trade-off, so each function
-    is compiled {e once} into a dense, fully resolved form:
+    executors want the opposite trade-off, so each function is compiled
+    {e once} into a dense, fully resolved form, which
+    {!Rp_exec.Interp} turns into closures and {!Cgen} into C:
 
     - blocks become an array indexed by a precomputed label index, so a
       branch is an integer jump instead of a [Func.block] hashtable probe;

@@ -1,6 +1,7 @@
-(** Precompiled dense program form for the interpreter: label-indexed
-    block arrays, instruction arrays, resolved call targets with [int
-    array] arguments and precomputed arities, frame-slot-resolved scalar
+(** Precompiled dense program form, read by both executors (the
+    interpreter's closure compiler and {!Cgen}): label-indexed block
+    arrays, instruction arrays, resolved call targets with [int array]
+    arguments and precomputed arities, frame-slot-resolved scalar
     operands.  Faithful to the list-walking interpreter: anything that
     only failed when executed still only fails when executed, with the
     identical exception.  See the implementation header for the full

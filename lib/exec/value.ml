@@ -3,7 +3,11 @@
     The machine is word-oriented and dynamically checked: using an undefined
     value in arithmetic, mixing types under an operator, or comparing
     pointers into different objects raises {!Runtime_error} instead of
-    producing garbage.  The null pointer is the integer 0. *)
+    producing garbage.  The null pointer is the integer 0.
+
+    Values are immutable and never compared by physical equality, so the
+    operators return shared values where they can: the two booleans, and
+    integer results in [[0, 1024)]. *)
 
 exception Runtime_error of string
 
@@ -39,7 +43,8 @@ let truthy = function
   | Vundef -> error "branch on an undefined value"
   | v -> error "branch on a non-integer value %a" pp v
 
-let of_bool b = Vint (if b then 1 else 0)
+(* both arms are constants, allocated once: a comparison allocates nothing *)
+let of_bool b = if b then Vint 1 else Vint 0
 
 let of_const = function
   | Rp_ir.Instr.Cint n -> Vint n
@@ -49,14 +54,33 @@ let of_const = function
 (* Operators                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let unop (op : Rp_ir.Instr.unop) v =
+(* One function per operator, each trying the common int/int (or
+   float/float) case first.  Every other case falls through to the
+   general rule, whose checks and error messages define the semantics;
+   the fast case returns what the general rule would. *)
+
+let neg = function Vint n -> Vint (-n) | v -> Vint (-as_int v)
+let fneg = function Vflt f -> Vflt (-.f) | v -> Vflt (-.as_flt v)
+let lnot_ v = of_bool (not (truthy v))
+let bnot = function Vint n -> Vint (lnot n) | v -> Vint (lnot (as_int v))
+let i2f = function
+  | Vint n -> Vflt (float_of_int n)
+  | v -> Vflt (float_of_int (as_int v))
+
+let f2i = function
+  | Vflt f -> Vint (int_of_float f)
+  | v -> Vint (int_of_float (as_flt v))
+
+(** The function computing [op]: match on the operator once, then apply
+    the result to every operand. *)
+let unop (op : Rp_ir.Instr.unop) : t -> t =
   match op with
-  | Rp_ir.Instr.Neg -> Vint (-as_int v)
-  | Rp_ir.Instr.Fneg -> Vflt (-.as_flt v)
-  | Rp_ir.Instr.Lnot -> of_bool (not (truthy v))
-  | Rp_ir.Instr.Bnot -> Vint (lnot (as_int v))
-  | Rp_ir.Instr.I2f -> Vflt (float_of_int (as_int v))
-  | Rp_ir.Instr.F2i -> Vint (int_of_float (as_flt v))
+  | Rp_ir.Instr.Neg -> neg
+  | Rp_ir.Instr.Fneg -> fneg
+  | Rp_ir.Instr.Lnot -> lnot_
+  | Rp_ir.Instr.Bnot -> bnot
+  | Rp_ir.Instr.I2f -> i2f
+  | Rp_ir.Instr.F2i -> f2i
 
 let ptr_eq a b =
   match (a, b) with
@@ -72,65 +96,186 @@ let ptr_cmp name cmp a b =
   | Vptr _, Vptr _ -> error "%s on pointers into different objects" name
   | _ -> error "invalid pointer comparison under %s" name
 
-let binop (op : Rp_ir.Instr.binop) a b =
-  let module I = Rp_ir.Instr in
-  match op with
-  | I.Add -> (
-    match (a, b) with
-    | Vptr (ba, oa), Vint n -> Vptr (ba, oa + n)
-    | Vint n, Vptr (bb, ob) -> Vptr (bb, ob + n)
-    | _ -> Vint (as_int a + as_int b))
-  | I.Sub -> (
-    match (a, b) with
-    | Vptr (ba, oa), Vint n -> Vptr (ba, oa - n)
-    | Vptr (ba, oa), Vptr (bb, ob) ->
-      if ba = bb then Vint (oa - ob)
-      else error "subtraction of pointers into different objects"
-    | _ -> Vint (as_int a - as_int b))
-  | I.Mul -> Vint (as_int a * as_int b)
-  | I.Div ->
+(* an integer result in [0, 1024) comes from this table, not a fresh block *)
+let small = Array.init 1024 (fun n -> Vint n)
+
+let[@inline] of_int n =
+  if n land -1024 = 0 then Array.unsafe_get small n else Vint n
+
+let add a b =
+  match (a, b) with
+  | Vint x, Vint y -> of_int (x + y)
+  | Vptr (ba, oa), Vint n -> Vptr (ba, oa + n)
+  | Vint n, Vptr (bb, ob) -> Vptr (bb, ob + n)
+  | _ -> Vint (as_int a + as_int b)
+
+let sub a b =
+  match (a, b) with
+  | Vint x, Vint y -> of_int (x - y)
+  | Vptr (ba, oa), Vint n -> Vptr (ba, oa - n)
+  | Vptr (ba, oa), Vptr (bb, ob) ->
+    if ba = bb then Vint (oa - ob)
+    else error "subtraction of pointers into different objects"
+  | _ -> Vint (as_int a - as_int b)
+
+let mul a b =
+  match (a, b) with
+  | Vint x, Vint y -> of_int (x * y)
+  | _ -> Vint (as_int a * as_int b)
+
+let div a b =
+  match (a, b) with
+  | Vint x, Vint y when y <> 0 -> of_int (x / y)
+  | _ ->
     let d = as_int b in
     if d = 0 then error "integer division by zero" else Vint (as_int a / d)
-  | I.Rem ->
+
+let rem a b =
+  match (a, b) with
+  | Vint x, Vint y when y <> 0 -> of_int (x mod y)
+  | _ ->
     let d = as_int b in
     if d = 0 then error "integer remainder by zero" else Vint (as_int a mod d)
-  | I.Shl -> Vint (as_int a lsl as_int b)
-  | I.Shr -> Vint (as_int a asr as_int b)
-  | I.Band -> Vint (as_int a land as_int b)
-  | I.Bor -> Vint (as_int a lor as_int b)
-  | I.Bxor -> Vint (as_int a lxor as_int b)
-  | I.Lt -> (
-    match (a, b) with
-    | Vptr _, _ | _, Vptr _ -> ptr_cmp "<" ( < ) a b
-    | _ -> of_bool (as_int a < as_int b))
-  | I.Le -> (
-    match (a, b) with
-    | Vptr _, _ | _, Vptr _ -> ptr_cmp "<=" ( <= ) a b
-    | _ -> of_bool (as_int a <= as_int b))
-  | I.Gt -> (
-    match (a, b) with
-    | Vptr _, _ | _, Vptr _ -> ptr_cmp ">" ( > ) a b
-    | _ -> of_bool (as_int a > as_int b))
-  | I.Ge -> (
-    match (a, b) with
-    | Vptr _, _ | _, Vptr _ -> ptr_cmp ">=" ( >= ) a b
-    | _ -> of_bool (as_int a >= as_int b))
-  | I.Eq -> (
-    match (a, b) with
-    | (Vptr _ | Vfun _), _ | _, (Vptr _ | Vfun _) -> of_bool (ptr_eq a b)
-    | _ -> of_bool (as_int a = as_int b))
-  | I.Ne -> (
-    match (a, b) with
-    | (Vptr _ | Vfun _), _ | _, (Vptr _ | Vfun _) ->
-      of_bool (not (ptr_eq a b))
-    | _ -> of_bool (as_int a <> as_int b))
-  | I.Fadd -> Vflt (as_flt a +. as_flt b)
-  | I.Fsub -> Vflt (as_flt a -. as_flt b)
-  | I.Fmul -> Vflt (as_flt a *. as_flt b)
-  | I.Fdiv -> Vflt (as_flt a /. as_flt b)
-  | I.Flt -> of_bool (as_flt a < as_flt b)
-  | I.Fle -> of_bool (as_flt a <= as_flt b)
-  | I.Fgt -> of_bool (as_flt a > as_flt b)
-  | I.Fge -> of_bool (as_flt a >= as_flt b)
-  | I.Feq -> of_bool (as_flt a = as_flt b)
-  | I.Fne -> of_bool (as_flt a <> as_flt b)
+
+let shl a b =
+  match (a, b) with
+  | Vint x, Vint y -> of_int (x lsl y)
+  | _ -> Vint (as_int a lsl as_int b)
+
+let shr a b =
+  match (a, b) with
+  | Vint x, Vint y -> of_int (x asr y)
+  | _ -> Vint (as_int a asr as_int b)
+
+let band a b =
+  match (a, b) with
+  | Vint x, Vint y -> of_int (x land y)
+  | _ -> Vint (as_int a land as_int b)
+
+let bor a b =
+  match (a, b) with
+  | Vint x, Vint y -> of_int (x lor y)
+  | _ -> Vint (as_int a lor as_int b)
+
+let bxor a b =
+  match (a, b) with
+  | Vint x, Vint y -> of_int (x lxor y)
+  | _ -> Vint (as_int a lxor as_int b)
+
+let lt a b =
+  match (a, b) with
+  | Vint x, Vint y -> of_bool (x < y)
+  | Vptr _, _ | _, Vptr _ -> ptr_cmp "<" ( < ) a b
+  | _ -> of_bool (as_int a < as_int b)
+
+let le a b =
+  match (a, b) with
+  | Vint x, Vint y -> of_bool (x <= y)
+  | Vptr _, _ | _, Vptr _ -> ptr_cmp "<=" ( <= ) a b
+  | _ -> of_bool (as_int a <= as_int b)
+
+let gt a b =
+  match (a, b) with
+  | Vint x, Vint y -> of_bool (x > y)
+  | Vptr _, _ | _, Vptr _ -> ptr_cmp ">" ( > ) a b
+  | _ -> of_bool (as_int a > as_int b)
+
+let ge a b =
+  match (a, b) with
+  | Vint x, Vint y -> of_bool (x >= y)
+  | Vptr _, _ | _, Vptr _ -> ptr_cmp ">=" ( >= ) a b
+  | _ -> of_bool (as_int a >= as_int b)
+
+let eq a b =
+  match (a, b) with
+  | Vint x, Vint y -> of_bool (x = y)
+  | (Vptr _ | Vfun _), _ | _, (Vptr _ | Vfun _) -> of_bool (ptr_eq a b)
+  | _ -> of_bool (as_int a = as_int b)
+
+let ne a b =
+  match (a, b) with
+  | Vint x, Vint y -> of_bool (x <> y)
+  | (Vptr _ | Vfun _), _ | _, (Vptr _ | Vfun _) -> of_bool (not (ptr_eq a b))
+  | _ -> of_bool (as_int a <> as_int b)
+
+let fadd a b =
+  match (a, b) with
+  | Vflt x, Vflt y -> Vflt (x +. y)
+  | _ -> Vflt (as_flt a +. as_flt b)
+
+let fsub a b =
+  match (a, b) with
+  | Vflt x, Vflt y -> Vflt (x -. y)
+  | _ -> Vflt (as_flt a -. as_flt b)
+
+let fmul a b =
+  match (a, b) with
+  | Vflt x, Vflt y -> Vflt (x *. y)
+  | _ -> Vflt (as_flt a *. as_flt b)
+
+let fdiv a b =
+  match (a, b) with
+  | Vflt x, Vflt y -> Vflt (x /. y)
+  | _ -> Vflt (as_flt a /. as_flt b)
+
+let flt a b =
+  match (a, b) with
+  | Vflt x, Vflt y -> of_bool (x < y)
+  | _ -> of_bool (as_flt a < as_flt b)
+
+let fle a b =
+  match (a, b) with
+  | Vflt x, Vflt y -> of_bool (x <= y)
+  | _ -> of_bool (as_flt a <= as_flt b)
+
+let fgt a b =
+  match (a, b) with
+  | Vflt x, Vflt y -> of_bool (x > y)
+  | _ -> of_bool (as_flt a > as_flt b)
+
+let fge a b =
+  match (a, b) with
+  | Vflt x, Vflt y -> of_bool (x >= y)
+  | _ -> of_bool (as_flt a >= as_flt b)
+
+let feq a b =
+  match (a, b) with
+  | Vflt x, Vflt y -> of_bool (x = y)
+  | _ -> of_bool (as_flt a = as_flt b)
+
+let fne a b =
+  match (a, b) with
+  | Vflt x, Vflt y -> of_bool (x <> y)
+  | _ -> of_bool (as_flt a <> as_flt b)
+
+(** The function computing [op]: match on the operator once, then apply
+    the result to every operand pair. *)
+let binop (op : Rp_ir.Instr.binop) : t -> t -> t =
+  let module I = Rp_ir.Instr in
+  match op with
+  | I.Add -> add
+  | I.Sub -> sub
+  | I.Mul -> mul
+  | I.Div -> div
+  | I.Rem -> rem
+  | I.Shl -> shl
+  | I.Shr -> shr
+  | I.Band -> band
+  | I.Bor -> bor
+  | I.Bxor -> bxor
+  | I.Lt -> lt
+  | I.Le -> le
+  | I.Gt -> gt
+  | I.Ge -> ge
+  | I.Eq -> eq
+  | I.Ne -> ne
+  | I.Fadd -> fadd
+  | I.Fsub -> fsub
+  | I.Fmul -> fmul
+  | I.Fdiv -> fdiv
+  | I.Flt -> flt
+  | I.Fle -> fle
+  | I.Fgt -> fgt
+  | I.Fge -> fge
+  | I.Feq -> feq
+  | I.Fne -> fne

@@ -307,6 +307,33 @@ let counting_tests =
         let r2 = Util.run ~config:raw "int main() { print_int(2); return 0; }" in
         Util.check Alcotest.bool "differ" true
           (r1.I.checksum <> r2.I.checksum));
+    (* a segment is charged whole only when no operation in it can run
+       out of fuel or land on a poll: these pin the operation each fires on *)
+    Util.tc "fuel runs out on the exact operation around a trap" (fun () ->
+        let prog = Util.compile Util.fuel_trap_src in
+        Util.fuel_sweep (fun ~fuel -> ignore (I.run ~fuel prog)));
+    Util.tc "should_stop is polled once per 4096 operations" (fun () ->
+        let prog =
+          Util.compile
+            "int g; int step(int x) { g = g + x; return g % 7; }\n\
+             int main() { int i; int s; s = 0;\n\
+             for (i = 0; i < 3000; i++) s = s + step(i);\n\
+             print_int(s); return 0; }"
+        in
+        let polls = ref 0 in
+        let r = I.run ~should_stop:(fun () -> incr polls; false) prog in
+        let expected = r.I.total.I.ops / 4096 in
+        Util.check Alcotest.bool "several polls" true (expected >= 5);
+        Util.check Alcotest.int "polls" expected !polls;
+        for k = 1 to expected do
+          let n = ref 0 in
+          match I.run ~should_stop:(fun () -> incr n; !n = k) prog with
+          | _ -> Alcotest.failf "stop on poll %d: the run completed" k
+          | exception I.Resource_limit m ->
+            Util.check Alcotest.string (Printf.sprintf "poll %d" k)
+              (Printf.sprintf "external stop after %d operations" (4096 * k))
+              m
+        done);
   ]
 
 let tagcheck_tests =

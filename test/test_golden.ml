@@ -116,7 +116,7 @@ let stats_json_tests =
           (Json.keys j);
         Util.check
           Alcotest.(option string)
-          "schema marker" (Some "rpcc-stats/7")
+          "schema marker" (Some "rpcc-stats/8")
           (match Json.member "schema" j with
           | Some (Json.Str s) -> Some s
           | _ -> None);

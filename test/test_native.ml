@@ -295,6 +295,15 @@ let error_path_tests cc =
         | _ -> Alcotest.fail "native did not hit fuel"
         | exception I.Resource_limit m ->
           Util.check Alcotest.string "limit message" interp_msg m);
+    Util.tc_slow "native fuel runs out on the interpreter's operation"
+      (fun () ->
+        (* fuel is an argument of the binary: one compile serves every F *)
+        let prog = Util.compile Util.fuel_trap_src in
+        let bin, _ = Native.compile ~cc prog in
+        Fun.protect
+          ~finally:(fun () -> try Sys.remove bin with Sys_error _ -> ())
+          (fun () ->
+            Util.fuel_sweep (fun ~fuel -> ignore (Native.exec_bin ~fuel bin))));
   ]
 
 (* ------------------------------------------------------------------ *)

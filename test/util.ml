@@ -154,3 +154,42 @@ let growth_src =
    }\n"
 
 let growth_output = "50049850\n"
+
+(** A program that traps in the middle of a block after a loop of calls.
+    Under [rpcc run]'s default configuration, a fuel budget below
+    [fuel_trap_at] operations runs out first and any budget from
+    [fuel_trap_at] on reaches the trap: the threshold an interpreter that
+    ticks once per operation gives. *)
+let fuel_trap_src =
+  "int g;\n\
+   int a[4];\n\
+   int bump(int x) { g = g + x; return g; }\n\
+   int main() {\n\
+  \  int i;\n\
+  \  for (i = 0; i < 40; i++) bump(i % 3);\n\
+  \  a[1] = g;\n\
+  \  a[g] = 1;\n\
+  \  return 0;\n\
+   }\n"
+
+let fuel_trap_at = 414
+let fuel_trap_msg = "out-of-bounds access to 'a' (offset 39, size 4)"
+
+(** Sweep [run ~fuel] over every budget from 1 to past the trap: each
+    must end in exactly the limit or trap message the per-op threshold
+    gives. *)
+let fuel_sweep (run : fuel:int -> unit) =
+  for fuel = 1 to fuel_trap_at + 40 do
+    let got =
+      match run ~fuel with
+      | () -> "completed"
+      | exception Rp_exec.Interp.Resource_limit m -> m
+      | exception Rp_exec.Value.Runtime_error m -> m
+    in
+    let want =
+      if fuel < fuel_trap_at then
+        Printf.sprintf "fuel exhausted (%d operations)" fuel
+      else fuel_trap_msg
+    in
+    check Alcotest.string (Printf.sprintf "fuel %d" fuel) want got
+  done
