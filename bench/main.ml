@@ -80,6 +80,9 @@ and timing = {
 let quarantined reason =
   { answer = Error reason; rung = None; timing = None; resumed = false }
 
+(** [program:config]: a cell's name in the journal and in [--plant-hang]. *)
+let cell_name c = c.prog.P.name ^ ":" ^ c.cname
+
 (** The paper grid: every program under every {!Config.paper_grid}
     configuration, program-major. *)
 let grid =
@@ -118,18 +121,14 @@ let answer_of_json = function
 (* ------------------------------------------------------------------ *)
 
 type local_opts = {
-  jobs : int;
+  campaign : Rp_cli.campaign;
   verify : bool;
       (** [--verify-passes]: compile under translation validation; a
           degraded pass or non-converged analysis aborts the bench (the
           CI soundness gate) instead of quarantining the cell *)
-  timeout : float option;
-  retries : int;
   plant_hang : string option;
       (** ["program:config"]: wedge that cell on purpose, the supervision
           layer's own test fixture *)
-  journal : string option;
-  resume : string option;
   native : (Native.cc * Rp_support.Cas.t) option;
       (** [--native]: the compiler and its binary store *)
   keep_per_func : bool;  (** table mode's mlink table reads them *)
@@ -164,11 +163,12 @@ let execute o ~should_stop c =
     match o.native with
     | None -> (st, I.run ~should_stop prog, None, None)
     | Some (cc, cache) ->
+      let timeout = o.campaign.Rp_cli.job_timeout in
       let lad =
-        Native.run_laddered ?deadline:o.timeout ~cache
+        Native.run_laddered ?deadline:timeout ~cache
           ~interp:(fun () ->
             let t0 = Clock.now () in
-            let r = I.run ~should_stop ?deadline:o.timeout prog in
+            let r = I.run ~should_stop ?deadline:timeout prog in
             (r, 1000. *. Clock.elapsed t0))
           ~cc:(Some cc) prog
       in
@@ -187,8 +187,7 @@ let execute o ~should_stop c =
     comes back as [Error] instead of escaping: it must abort the bench,
     not be retried and quarantined by the pool. *)
 let job o ~should_stop c =
-  let pname = c.prog.P.name in
-  if o.plant_hang = Some (pname ^ ":" ^ c.cname) then begin
+  if o.plant_hang = Some (cell_name c) then begin
     (* never terminates on its own, but polls its deadline cooperatively *)
     while not (should_stop ()) do
       ignore (Sys.opaque_identity 0)
@@ -213,95 +212,40 @@ let job o ~should_stop c =
   | exception Quarantined m -> Ok (quarantined m)
   | exception Failure m -> Error m
 
-(* --resume: the cells a previous, possibly killed, run journaled *)
-let journaled path =
-  let tbl = Hashtbl.create 128 in
-  List.iter
-    (function
-      | Json.Obj
-          [ ("program", Json.Str p); ("config", Json.Str c); ("cell", j) ]
-        when not (Hashtbl.mem tbl (p, c)) ->
-        Option.iter (Hashtbl.add tbl (p, c)) (answer_of_json j)
-      | _ -> ())
-    (Rp_support.Journal.load path);
-  tbl
-
-(** Run [cells] on [o.jobs] worker domains under
-    {!Rp_support.Pool.run_supervised}: per-cell deadlines
-    ([--job-timeout]), bounded retries, one fsynced journal record per
-    finished cell, and resumption from a journal.  SIGINT flushes the
-    journal and exits 130.  Returns the outcomes in cell order and the
+(** Run [cells] on the campaign runner ({!Rp_cli.run_campaign}): per-cell
+    deadlines, bounded retries, one journal record per finished cell, and
+    resumption from a journal.  Returns the outcomes in cell order and the
     run's resilience object.  Under [--verify-passes] the first fatal cell
-    in cell order raises [Failure], as a sequential run would. *)
+    in cell order raises [Failure], as a sequential run would; a fatal
+    result is never journaled. *)
 let run_local o cells =
   let resil = R.create () in
-  let journaled =
-    match o.resume with Some path -> journaled path | None -> Hashtbl.create 1
+  let results =
+    (* the grid's counts are mode-independent by contract, so its digest
+       covers only the pipeline *)
+    Rp_cli.run_campaign o.campaign ~id:[ "bench" ] ~resilience:resil
+      ~name:cell_name
+      ~encode:(function Ok oc -> Some (answer_json oc.answer) | Error _ -> None)
+      ~decode:(fun j ->
+        Option.map
+          (fun answer ->
+            Ok { answer; rung = None; timing = None; resumed = true })
+          (answer_of_json j))
+      (job o) cells
   in
   let outcomes =
-    Array.of_list
-      (List.map
-         (fun c ->
-           Hashtbl.find_opt journaled (c.prog.P.name, c.cname)
-           |> Option.map (fun answer ->
-                  R.tick resil R.Resumed;
-                  { answer; rung = None; timing = None; resumed = true }))
-         cells)
+    List.map2
+      (fun c -> function
+        | Ok (Ok oc) -> oc
+        | Ok (Error fatal) -> failwith fatal
+        | Error f ->
+          quarantined
+            (Fmt.str "%s under %s: %a" c.prog.P.name c.cname
+               Rp_support.Pool.pp_job_failure f))
+      cells results
   in
-  let cells = Array.of_list cells in
-  let fresh =
-    Array.of_list
-      (List.filter
-         (fun i -> Option.is_none outcomes.(i))
-         (List.init (Array.length cells) Fun.id))
-  in
-  let jwriter = Option.map Rp_support.Journal.create o.journal in
-  let on_result k r =
-    match (r, jwriter) with
-    | Ok (Ok oc), Some w ->
-      let c = cells.(fresh.(k)) in
-      Rp_support.Journal.record w
-        (Json.Obj
-           [
-             ("program", Json.Str c.prog.P.name);
-             ("config", Json.Str c.cname);
-             ("cell", answer_json oc.answer);
-           ])
-    | _ -> ()
-  in
-  let results =
-    Fun.protect
-      ~finally:(fun () -> Option.iter Rp_support.Journal.close jwriter)
-      (fun () ->
-        Rp_cli.with_sigint (fun () ->
-            Rp_support.Pool.run_supervised ~jobs:o.jobs ?timeout:o.timeout
-              ~retries:o.retries ~cancel:Rp_cli.interrupted ~resilience:resil
-              ~on_result (job o)
-              (Array.map (fun i -> cells.(i)) fresh)))
-  in
-  if Rp_cli.interrupted () then begin
-    let count p a = Array.fold_left (fun n x -> if p x then n + 1 else n) 0 a in
-    Rp_cli.exit_interrupted ~journal:o.journal
-      ~progress:
-        (Printf.sprintf "%d/%d finished cells"
-           (count Option.is_some outcomes + count Result.is_ok results)
-           (Array.length cells))
-  end;
-  Array.iteri
-    (fun k r ->
-      let c = cells.(fresh.(k)) in
-      outcomes.(fresh.(k)) <-
-        Some
-          (match r with
-          | Ok (Ok oc) -> oc
-          | Ok (Error fatal) -> failwith fatal
-          | Error f ->
-            quarantined
-              (Fmt.str "%s under %s: %a" c.prog.P.name c.cname
-                 Rp_support.Pool.pp_job_failure f)))
-    results;
   if R.any resil then Fmt.epr "resilience: %a@." R.pp resil;
-  (Array.to_list (Array.map Option.get outcomes), R.to_json resil)
+  (outcomes, R.to_json resil)
 
 (* ------------------------------------------------------------------ *)
 (* The driver                                                          *)
@@ -438,7 +382,7 @@ let write_timings o ~cas outcomes ~since =
     (Json.Obj
        [
          ("schema", Json.Str "rpcc-bench-timings/4");
-         ("jobs", Json.Int o.jobs);
+         ("jobs", Json.Int (Rp_cli.jobs o.campaign.Rp_cli.jobs));
          ( "mode",
            Json.Str (if Option.is_none o.native then "interp" else "native") );
          ("host", host_json o ~cas);
@@ -860,12 +804,8 @@ let print_tables o =
 
 type opts = {
   json : bool;
-  jobs : int option;
+  campaign : Rp_cli.campaign;
   verify : bool;
-  job_timeout : float option;
-  retries : int option;
-  journal : string option;
-  resume : string option;
   plant_hang : string option;
   via_daemon : string option;
   native : bool;
@@ -879,9 +819,10 @@ type opts = {
 let conflicts o =
   let given = Option.is_some in
   let via_daemon = given o.via_daemon in
+  let { Rp_cli.jobs; job_timeout; retries; journal; resume } = o.campaign in
   let supervision =
-    given o.job_timeout || given o.retries || given o.journal
-    || given o.resume || given o.plant_hang
+    given job_timeout || given retries || given journal || given resume
+    || given o.plant_hang
   in
   [
     (o.native && not o.json, "--native requires --json");
@@ -899,13 +840,12 @@ let conflicts o =
     ( via_daemon && (o.plant_cc_failure || given o.cc_flags),
       "--plant-cc-failure/--cc-flags configure a local compiler and cannot \
        be combined with --via-daemon" );
-    ( via_daemon && given o.jobs,
+    ( via_daemon && given jobs,
       "--jobs does not apply to --via-daemon (the daemon sets its own)" );
-    ( given o.plant_hang && not (given o.job_timeout),
+    ( given o.plant_hang && not (given job_timeout),
       "--plant-hang requires --job-timeout" );
     ( (match o.plant_hang with
-      | Some s ->
-        not (List.exists (fun c -> s = c.prog.P.name ^ ":" ^ c.cname) grid)
+      | Some s -> not (List.exists (fun c -> s = cell_name c) grid)
       | None -> false),
       "--plant-hang must name a grid cell PROGRAM:CONFIG" );
   ]
@@ -937,16 +877,11 @@ let main o =
   Option.iter
     (fun (_, msg) -> Rp_cli.usage msg)
     (List.find_opt fst (conflicts o));
-  let jobs = Rp_cli.jobs o.jobs in
   let local ~keep_per_func native =
     {
-      jobs;
+      campaign = o.campaign;
       verify = o.verify;
-      timeout = o.job_timeout;
-      retries = Rp_cli.retries o.retries;
       plant_hang = o.plant_hang;
-      journal = o.journal;
-      resume = o.resume;
       native;
       keep_per_func;
     }
@@ -967,10 +902,10 @@ let opts_t =
   let opt c name docv doc =
     Arg.(value & opt (some c) None (info [ name ] ~docv ~doc))
   in
-  let make json jobs verify job_timeout retries journal resume plant_hang
-      via_daemon native plant_cc_failure cc_flags =
-    { json; jobs; verify; job_timeout; retries; journal; resume; plant_hang;
-      via_daemon; native; plant_cc_failure; cc_flags }
+  let make json campaign verify plant_hang via_daemon native plant_cc_failure
+      cc_flags =
+    { json; campaign; verify; plant_hang; via_daemon; native; plant_cc_failure;
+      cc_flags }
   in
   Term.(
     const make
@@ -978,12 +913,10 @@ let opts_t =
         "Write the paper grid's counts to BENCH_counts.json (and, run \
          in-process, its timings to BENCH_timings.json) instead of \
          printing the tables."
-    $ Rp_cli.jobs_t
+    $ Rp_cli.campaign_t
     $ flag "verify-passes"
         "Compile every cell under translation validation; a degraded pass \
          or non-converged analysis aborts the bench (exit 2)."
-    $ Rp_cli.job_timeout_t $ Rp_cli.retries_t $ Rp_cli.journal_t
-    $ Rp_cli.resume_t
     $ opt Arg.string "plant-hang" "PROGRAM:CONFIG"
         "Test fixture: wedge this grid cell until its $(b,--job-timeout) \
          fires."

@@ -533,32 +533,28 @@ let trials_t ~doc =
   Arg.(value & opt int 50 & info [ "trials"; "seeds" ] ~docv:"N" ~doc)
 
 let fuzz_cmd =
-  let fuzz seed seeds jobs job_timeout retries journal resume =
+  let fuzz seed trials campaign =
     handle_errors @@ fun () ->
-    Rp_cli.with_sigint @@ fun () ->
+    let module F = Rp_fuzz.Faultgen in
     let resil = Rp_support.Resilience.create () in
-    let quarantined = ref [] in
-    let report =
-      Rp_fuzz.Faultgen.run ~seed ~seeds ~jobs:(Rp_cli.jobs jobs)
-        ?timeout:job_timeout ~retries:(Rp_cli.retries retries) ?journal
-        ?resume ~resilience:resil ~cancel:Rp_cli.interrupted
-        ~on_failure:(fun i f -> quarantined := (i, f) :: !quarantined)
-        ()
+    let results =
+      Rp_cli.run_campaign campaign
+        ~id:[ "fuzz"; string_of_int seed ]
+        ~resilience:resil ~name:string_of_int
+        ~encode:(fun t -> Some (F.trial_json t))
+        ~decode:F.trial_of_json (F.trial ~seed) (List.init trials Fun.id)
     in
-    if Rp_cli.interrupted () then
-      Rp_cli.exit_interrupted ~journal
-        ~progress:
-          (Printf.sprintf "%d finished trials" report.Rp_fuzz.Faultgen.trials);
-    List.iter
-      (fun (i, f) ->
-        Fmt.epr "trial %d: %a@." i Rp_support.Pool.pp_job_failure f)
-      (List.rev !quarantined);
+    List.iteri
+      (fun i -> function
+        | Ok _ -> ()
+        | Error f -> Fmt.epr "trial %d: %a@." i Rp_support.Pool.pp_job_failure f)
+      results;
     if Rp_support.Resilience.any resil then
       Fmt.epr "; resilience: %a@." Rp_support.Resilience.pp resil;
-    Fmt.pr "%a" Rp_fuzz.Faultgen.pp_report report;
-    let escapes = Rp_fuzz.Faultgen.total_escapes report in
-    Fmt.pr "; seed=%d, %d trials, %d escapes@." seed
-      report.Rp_fuzz.Faultgen.trials escapes;
+    let report = F.report ~seed (List.filter_map Result.to_option results) in
+    Fmt.pr "%a" F.pp_report report;
+    let escapes = F.total_escapes report in
+    Fmt.pr "; seed=%d, %d trials, %d escapes@." seed report.F.trials escapes;
     if escapes > 0 then exit 1
   in
   Cmd.v
@@ -572,8 +568,7 @@ let fuzz_cmd =
     Term.(
       const fuzz $ seed_t
       $ trials_t ~doc:"Number of fault-injection trials."
-      $ Rp_cli.jobs_t $ Rp_cli.job_timeout_t $ Rp_cli.retries_t
-      $ Rp_cli.journal_t $ Rp_cli.resume_t)
+      $ Rp_cli.campaign_t)
 
 (* ------------------------------------------------------------------ *)
 (* Generative differential testing                                     *)
@@ -673,11 +668,21 @@ let reduce_failure ~mode ~fuel ~inject ~budget ~path ~out
     out;
   r
 
+(* The flags that replay a gen-fuzz finding: its mode and injected fault. *)
+let replay_flags mode inject =
+  (match mode with
+  | Rp_fuzz.Difforacle.Plain -> " --plain"
+  | Rp_fuzz.Difforacle.Verify -> ""
+  | Rp_fuzz.Difforacle.OraclePasses -> " --oracle-passes")
+  ^
+  match inject with
+  | Some (c, _) -> " --inject " ^ Rp_fuzz.Faultgen.class_name c
+  | None -> ""
+
 let gen_fuzz_cmd =
-  let gen_fuzz seed trials mode inject fuel do_reduce budget out_dir jobs
-      job_timeout retries journal resume native =
+  let gen_fuzz seed trials mode inject fuel do_reduce budget out_dir campaign
+      native =
     handle_errors @@ fun () ->
-    Rp_cli.with_sigint @@ fun () ->
     let module D = Rp_fuzz.Difforacle in
     (try Sys.mkdir out_dir 0o755 with Sys_error _ -> ());
     let native_cc =
@@ -693,139 +698,65 @@ let gen_fuzz_cmd =
     in
     let inject = Option.map (fun c -> (c, seed)) inject in
     let resil = Rp_support.Resilience.create () in
-    (* Resume: replay finished trials from a prior (interrupted)
-       campaign's journal.  A record stores only (trial, outcome) —
-       sources are regenerated from (seed, trial) on demand, so the
-       journal stays small and replay is exact. *)
-    let replayed : (int, D.outcome) Hashtbl.t = Hashtbl.create 64 in
-    Option.iter
-      (fun path ->
-        List.iter
-          (fun j ->
-            match j with
-            | Json.Obj fields -> (
-              match
-                ( List.assoc_opt "trial" fields,
-                  List.assoc_opt "outcome" fields )
-              with
-              | Some (Json.Int i), Some oj when i >= 0 && i < trials -> (
-                match D.outcome_of_json oj with
-                | Some o ->
-                  if not (Hashtbl.mem replayed i) then
-                    Rp_support.Resilience.tick resil
-                      Rp_support.Resilience.Resumed;
-                  Hashtbl.replace replayed i o
-                | None -> ())
-              | _ -> ())
-            | _ -> ())
-          (Rp_support.Journal.load path))
-      resume;
-    let fresh =
-      Array.of_list
-        (List.filter
-           (fun i -> not (Hashtbl.mem replayed i))
-           (List.init trials Fun.id))
-    in
     (* Trials are independent: each generates its program from (seed,
-       trial) and checks it against the oracle.  Workers only compute
-       (and journal, which has its own lock); all printing and
+       trial) and checks it against the oracle, so a journal record holds
+       only the outcome and replay is exact.  All printing and
        reproducer-saving happens below, in trial order, so stdout is
        byte-identical at every --jobs level and across resumes. *)
-    let jwriter = Option.map Rp_support.Journal.create journal in
-    let on_result k (o : _ Rp_support.Pool.supervised) =
-      match (o, jwriter) with
-      | Ok outcome, Some w ->
-        Rp_support.Journal.record w
-          (Json.Obj
-             [
-               ("trial", Json.Int fresh.(k));
-               ("outcome", D.outcome_json outcome);
-             ])
-      | _ -> ()
-    in
     let outcomes =
-      Fun.protect
-        ~finally:(fun () -> Option.iter Rp_support.Journal.close jwriter)
-        (fun () ->
-          Rp_support.Pool.run_supervised ~jobs:(Rp_cli.jobs jobs)
-            ?timeout:job_timeout ~retries:(Rp_cli.retries retries)
-            ~cancel:Rp_cli.interrupted
-            ~resilience:resil ~on_result
-            (fun ~should_stop trial ->
-              let src = Rp_fuzz.Gen.program_of_seed ~seed ~trial in
-              D.check ~mode ~fuel ~should_stop ?inject ?native:native_cc src)
-            fresh)
+      Rp_cli.run_campaign campaign
+        ~id:
+          [
+            "gen-fuzz"; string_of_int seed; replay_flags mode inject;
+            string_of_int fuel; string_of_bool native;
+          ]
+        ~resilience:resil ~name:string_of_int
+        ~encode:(fun o -> Some (D.outcome_json o))
+        ~decode:D.outcome_of_json
+        (fun ~should_stop trial ->
+          let src = Rp_fuzz.Gen.program_of_seed ~seed ~trial in
+          D.check ~mode ~fuel ~should_stop ?inject ?native:native_cc src)
+        (List.init trials Fun.id)
     in
-    if Rp_cli.interrupted () then begin
-      let finished =
-        Array.fold_left
-          (fun acc o -> match o with Ok _ -> acc + 1 | Error _ -> acc)
-          (Hashtbl.length replayed) outcomes
-      in
-      Rp_cli.exit_interrupted ~journal
-        ~progress:(Printf.sprintf "%d/%d finished trials" finished trials)
-    end;
-    let fresh_tbl : (int, D.outcome Rp_support.Pool.supervised) Hashtbl.t =
-      Hashtbl.create 64
-    in
-    Array.iteri (fun k o -> Hashtbl.replace fresh_tbl fresh.(k) o) outcomes;
     let agreed = ref 0 and inconclusive = ref 0 and rejected = ref 0 in
     let diverged = ref [] in
-    for trial = 0 to trials - 1 do
-      let outcome =
-        match Hashtbl.find_opt replayed trial with
-        | Some o -> Some o
-        | None -> (
-          match Hashtbl.find_opt fresh_tbl trial with
-          | Some (Ok o) -> Some o
-          | Some (Error f) ->
-            (* quarantined by the supervisor: wall-clock dependent, so it
-               lives on stderr and counts as inconclusive *)
-            incr inconclusive;
-            Fmt.epr "trial %d (seed %d): quarantined: %a@." trial seed
-              Rp_support.Pool.pp_job_failure f;
-            None
-          | None -> None)
-      in
-      match outcome with
-      | None -> ()
-      | Some (D.Agree _) -> incr agreed
-      | Some (D.Inconclusive m) ->
-        incr inconclusive;
-        Fmt.epr "trial %d (seed %d): inconclusive: %s@." trial seed m
-      | Some (D.Rejected m) ->
-        (* the generator only emits valid programs; a rejection is a
-           generator bug and fails the campaign *)
-        incr rejected;
-        Fmt.epr "trial %d (seed %d): generator emitted a rejected program: \
-                 %s@."
-          trial seed m
-      | Some (D.Diverged fs) ->
-        let src = Rp_fuzz.Gen.program_of_seed ~seed ~trial in
-        let path =
-          Filename.concat out_dir
-            (Printf.sprintf "fuzz-s%d-t%d.c" seed trial)
-        in
-        write_file path src;
-        diverged := (path, src, fs) :: !diverged;
-        Fmt.pr "trial %d (seed %d): %a@.  saved to %s@." trial seed
-          D.pp_outcome (D.Diverged fs) path;
-        List.iter
-          (fun (f : D.failure) ->
-            Fmt.pr "  replay: rpcc reduce %s --config %s --class %s%s%s \
-                    --seed %d@."
-              path f.D.config (D.class_name f.D.cls)
-              (match mode with
-              | D.Plain -> " --plain"
-              | D.Verify -> ""
-              | D.OraclePasses -> " --oracle-passes")
-              (match inject with
-              | Some (c, _) ->
-                " --inject " ^ Rp_fuzz.Faultgen.class_name c
-              | None -> "")
-              seed)
-          fs
-    done;
+    List.iteri
+      (fun trial -> function
+        | Error f ->
+          (* quarantined by the supervisor: wall-clock dependent, so it
+             lives on stderr and counts as inconclusive *)
+          incr inconclusive;
+          Fmt.epr "trial %d (seed %d): quarantined: %a@." trial seed
+            Rp_support.Pool.pp_job_failure f
+        | Ok (D.Agree _) -> incr agreed
+        | Ok (D.Inconclusive m) ->
+          incr inconclusive;
+          Fmt.epr "trial %d (seed %d): inconclusive: %s@." trial seed m
+        | Ok (D.Rejected m) ->
+          (* the generator only emits valid programs; a rejection is a
+             generator bug and fails the campaign *)
+          incr rejected;
+          Fmt.epr "trial %d (seed %d): generator emitted a rejected program: \
+                   %s@."
+            trial seed m
+        | Ok (D.Diverged fs) ->
+          let src = Rp_fuzz.Gen.program_of_seed ~seed ~trial in
+          let path =
+            Filename.concat out_dir
+              (Printf.sprintf "fuzz-s%d-t%d.c" seed trial)
+          in
+          write_file path src;
+          diverged := (path, src, fs) :: !diverged;
+          Fmt.pr "trial %d (seed %d): %a@.  saved to %s@." trial seed
+            D.pp_outcome (D.Diverged fs) path;
+          List.iter
+            (fun (f : D.failure) ->
+              Fmt.pr "  replay: rpcc reduce %s --config %s --class %s%s \
+                      --seed %d@."
+                path f.D.config (D.class_name f.D.cls)
+                (replay_flags mode inject) seed)
+            fs)
+      outcomes;
     if Rp_support.Resilience.any resil then
       Fmt.epr "; resilience: %a@." Rp_support.Resilience.pp resil;
     Fmt.pr
@@ -883,8 +814,7 @@ let gen_fuzz_cmd =
       const gen_fuzz $ seed_t
       $ trials_t ~doc:"Number of generated programs to test."
       $ mode_t $ inject_t $ oracle_fuel_t $ reduce_t $ budget_t $ out_dir_t
-      $ Rp_cli.jobs_t $ Rp_cli.job_timeout_t $ Rp_cli.retries_t
-      $ Rp_cli.journal_t $ Rp_cli.resume_t $ native_t)
+      $ Rp_cli.campaign_t $ native_t)
 
 let reduce_cmd =
   let reduce file config_name cls_name mode inject iseed fuel budget out =

@@ -1,6 +1,11 @@
-(** Shared command-line conventions.  See rp_cli.mli. *)
+(** Shared command-line conventions and the campaign runner.  See
+    rp_cli.mli. *)
 
 open Cmdliner
+module Json = Rp_support.Json
+module Journal = Rp_support.Journal
+module Pool = Rp_support.Pool
+module R = Rp_support.Resilience
 
 let usage msg =
   prerr_endline ("usage: " ^ msg);
@@ -12,7 +17,7 @@ let positive ~flag n =
 let jobs = function
   | None -> 1
   | Some n when n < 0 -> usage "--jobs must be >= 0 (0 = auto)"
-  | Some 0 -> Rp_support.Pool.recommended_jobs ()
+  | Some 0 -> Pool.recommended_jobs ()
   | Some n -> n
 
 let retries = function
@@ -31,18 +36,6 @@ let jobs_t =
            codes are identical at every $(docv); only wall-clock time \
            changes.")
 
-let job_timeout_t =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "job-timeout" ] ~docv:"SECONDS"
-        ~doc:
-          "Per-job wall-clock deadline (a job is one trial or one grid \
-           cell).  A job over the deadline is aborted (cooperatively when \
-           it is interpreting; by abandoning and replacing its worker \
-           domain when it is wedged), retried per $(b,--retries), then \
-           quarantined.")
-
 let retries_t =
   Arg.(
     value
@@ -52,40 +45,126 @@ let retries_t =
           "Extra attempts for a job that times out or crashes before it \
            is quarantined (default 1).")
 
-let journal_t =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "journal" ] ~docv:"FILE"
-        ~doc:
-          "Append one fsynced line-JSON record per finished job to \
-           $(docv), so an interrupted or killed campaign can be resumed \
-           with $(b,--resume) without losing completed work.")
+(* ------------------------------------------------------------------ *)
+(* Campaigns                                                           *)
+(* ------------------------------------------------------------------ *)
 
-let resume_t =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "resume" ] ~docv:"FILE"
-        ~doc:
-          "Replay the finished jobs recorded in a previous campaign's \
-           journal instead of re-running them, then run only the \
-           remainder.  The result is byte-identical to an uninterrupted \
-           run.  Combine with $(b,--journal) $(docv) to keep extending \
-           the same journal.")
+type campaign = {
+  jobs : int option;
+  job_timeout : float option;
+  retries : int option;
+  journal : string option;
+  resume : string option;
+}
 
-let cancel = Atomic.make false
-let interrupted () = Atomic.get cancel
+let campaign_t =
+  let opt c name docv doc =
+    Arg.(value & opt (some c) None & info [ name ] ~docv ~doc)
+  in
+  let make jobs job_timeout retries journal resume =
+    { jobs; job_timeout; retries; journal; resume }
+  in
+  Term.(
+    const make $ jobs_t
+    $ opt Arg.float "job-timeout" "SECONDS"
+        "Per-job wall-clock deadline (a job is one trial or one grid \
+         cell).  A job over the deadline is aborted (cooperatively when \
+         it is interpreting; by abandoning and replacing its worker \
+         domain when it is wedged), retried per $(b,--retries), then \
+         quarantined."
+    $ retries_t
+    $ opt Arg.string "journal" "FILE"
+        "Append one fsynced line-JSON record per finished job to \
+         $(docv), so an interrupted or killed campaign can be resumed \
+         with $(b,--resume) without losing completed work."
+    $ opt Arg.string "resume" "FILE"
+        "Replay the finished jobs recorded in a previous run's journal \
+         instead of re-running them, then run only the remainder.  The \
+         result is byte-identical to an uninterrupted run.  A journal \
+         written by another campaign (another command, seed, mode, or \
+         pipeline version) is refused with a usage error before any job \
+         runs.  Combine with $(b,--journal) $(docv) to keep extending \
+         the same journal.")
 
-let with_sigint f =
+(* The finished jobs of a previous run's journal, by job name; the first
+   record of a job wins.  Any record that is not this campaign's is
+   refused before anything runs or is appended. *)
+let replay path ~campaign =
+  let journaled = Hashtbl.create 128 in
+  List.iter
+    (function
+      | Json.Obj [ ("campaign", Json.Str d); ("job", Json.Str job); ("r", r) ]
+        when d = campaign ->
+        if not (Hashtbl.mem journaled job) then Hashtbl.add journaled job r
+      | _ -> usage (path ^ " was journaled by another campaign"))
+    (Journal.load path);
+  journaled
+
+let run_campaign c ~id ~resilience ~name ~encode ~decode f inputs =
+  let jobs = jobs c.jobs and retries = retries c.retries in
+  let campaign = Rp_support.Cas.key (Rp_driver.Pipeline.pass_version :: id) in
+  let journaled =
+    match c.resume with
+    | Some path -> replay path ~campaign
+    | None -> Hashtbl.create 1
+  in
+  let inputs = Array.of_list inputs in
+  let outcomes =
+    Array.map
+      (fun x ->
+        Option.bind (Hashtbl.find_opt journaled (name x)) decode
+        |> Option.map (fun v ->
+               R.tick resilience R.Resumed;
+               Ok v))
+      inputs
+  in
+  let fresh =
+    List.init (Array.length inputs) Fun.id
+    |> List.filter (fun i -> Option.is_none outcomes.(i))
+    |> Array.of_list
+  in
+  let writer = Option.map Journal.create c.journal in
+  let cancel = Atomic.make false in
+  let on_result k o =
+    match (o, writer) with
+    | Ok v, Some w ->
+      let job = name inputs.(fresh.(k)) in
+      Option.iter
+        (fun r ->
+          Journal.record w
+            (Json.Obj
+               [
+                 ("campaign", Json.Str campaign); ("job", Json.Str job); ("r", r);
+               ]))
+        (encode v)
+    | _ -> ()
+  in
   let previous =
     Sys.signal Sys.sigint (Sys.Signal_handle (fun _ -> Atomic.set cancel true))
   in
-  Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigint previous) f
-
-let exit_interrupted ~progress ~journal =
-  Fmt.epr "interrupted after %s%s@." progress
-    (match journal with
-    | Some p -> Printf.sprintf "; resume with --resume %s" p
-    | None -> " (no --journal, completed work is lost)");
-  exit 130
+  let results =
+    Fun.protect
+      ~finally:(fun () ->
+        Sys.set_signal Sys.sigint previous;
+        Option.iter Journal.close writer)
+      (fun () ->
+        Pool.run_supervised ~jobs ?timeout:c.job_timeout ~retries
+          ~cancel:(fun () -> Atomic.get cancel)
+          ~resilience ~on_result f
+          (Array.map (fun i -> inputs.(i)) fresh))
+  in
+  Array.iteri (fun k o -> outcomes.(fresh.(k)) <- Some o) results;
+  if Atomic.get cancel then begin
+    let finished =
+      Array.fold_left
+        (fun n o -> match o with Some (Ok _) -> n + 1 | _ -> n)
+        0 outcomes
+    in
+    Fmt.epr "interrupted after %d/%d finished jobs%s@." finished
+      (Array.length inputs)
+      (match c.journal with
+      | Some p -> "; resume with --resume " ^ p
+      | None -> " (no --journal, completed work is lost)");
+    exit 130
+  end;
+  Array.to_list (Array.map Option.get outcomes)

@@ -1,15 +1,16 @@
-(** Command-line conventions shared by [rpcc] and the bench harness.
+(** Command-line conventions shared by [rpcc] and the bench harness, and
+    the one runner of their campaigns.
 
     {b Validation.}  Invalid numeric values are rejected with a usage
     message on stderr and exit code 2 (the repo-wide usage-error code),
     never silently corrected.  Malformed values and unknown flags are
     cmdliner's to reject (exit 124).
 
-    {b Campaign flags.}  The supervised campaigns — [rpcc fuzz],
-    [rpcc gen-fuzz], the bench grid — share one definition of each
-    supervision flag, and [rpcc serve] reuses [--jobs] and [--retries].
-    Flags come back as options so that a caller can tell a flag that
-    was given from its default. *)
+    {b Campaigns.}  The supervised campaigns — [rpcc fuzz], [rpcc
+    gen-fuzz], the bench grid — share one definition of the five
+    campaign flags ({!campaign_t}) and one runner ({!run_campaign}):
+    journal, resume, supervision and SIGINT handling live here and
+    nowhere else.  [rpcc serve] reuses [--jobs] and [--retries]. *)
 
 val usage : string -> 'a
 (** Print [usage: MSG] on stderr and exit 2. *)
@@ -30,26 +31,56 @@ val retries : int option -> int
 val jobs_t : int option Cmdliner.Term.t
 (** [-j/--jobs N] *)
 
-val job_timeout_t : float option Cmdliner.Term.t
-(** [--job-timeout SECONDS] *)
-
 val retries_t : int option Cmdliner.Term.t
 (** [--retries N] *)
 
-val journal_t : string option Cmdliner.Term.t
-(** [--journal FILE] *)
+(** The campaign flags, as given: [None] for a flag left at its
+    default, so a caller can tell the two apart. *)
+type campaign = {
+  jobs : int option;  (** [-j/--jobs N] *)
+  job_timeout : float option;  (** [--job-timeout SECONDS] *)
+  retries : int option;  (** [--retries N] *)
+  journal : string option;  (** [--journal FILE] *)
+  resume : string option;  (** [--resume FILE] *)
+}
 
-val resume_t : string option Cmdliner.Term.t
-(** [--resume FILE] *)
+val campaign_t : campaign Cmdliner.Term.t
 
-val with_sigint : (unit -> 'a) -> 'a
-(** Run a campaign with SIGINT turned into cooperative cancellation:
-    while it runs, SIGINT makes {!interrupted} true (workers stop taking
-    jobs; journal records already written are fsynced).  The previous
-    handler is restored afterwards. *)
+val run_campaign :
+  campaign ->
+  id:string list ->
+  resilience:Rp_support.Resilience.t ->
+  name:('a -> string) ->
+  encode:('b -> Rp_support.Json.t option) ->
+  decode:(Rp_support.Json.t -> 'b option) ->
+  (should_stop:(unit -> bool) -> 'a -> 'b) ->
+  'a list ->
+  'b Rp_support.Pool.supervised list
+(** [run_campaign c ~id ~resilience ~name ~encode ~decode f inputs] runs
+    one job [f x] per input and returns, for each input in order, its
+    outcome: [Ok v] for a job replayed from [c.resume] or finished now,
+    [Error] for one quarantined under [--job-timeout]/[--retries] (see
+    {!Rp_support.Pool.run_supervised}, whose events tick [resilience]).
 
-val interrupted : unit -> bool
+    {b The campaign digest.}  [id] lists every input, besides the job
+    itself, that determines a job's answer (the command, a seed, a
+    mode); the campaign's digest D is that of
+    {!Rp_driver.Pipeline.pass_version} and [id].
 
-val exit_interrupted : progress:string -> journal:string option -> 'a
-(** Print [interrupted after PROGRESS] with a resume hint naming the
-    journal (or saying that completed work is lost) and exit 130. *)
+    {b Journal.}  With [c.journal], every job that finishes with a
+    value [v] for which [encode v = Some p] appends one fsynced record
+    [{"campaign": D, "job": name x, "r": p}] (in {!Rp_support.Journal}'s
+    CRC wrapper) as it finishes; [encode] returning [None] keeps a value
+    out of the journal.  With [c.resume], a job whose name has a record
+    in that journal is replayed from the first such record through
+    [decode] instead of run, ticking [Resumed] once per job; records
+    naming no input are ignored, and a missing or empty journal replays
+    nothing.  A record carrying another digest — another campaign's, or
+    a record of another shape — prints [usage: FILE was journaled by
+    another campaign] and exits 2 before any job runs or any record is
+    appended.
+
+    {b SIGINT.}  While the jobs run, SIGINT cancels the campaign
+    cooperatively: workers stop taking jobs, the journal (whose records
+    are already on disk) is closed, [interrupted after K/N finished
+    jobs] is printed with a resume hint, and the process exits 130. *)

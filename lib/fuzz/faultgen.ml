@@ -538,11 +538,12 @@ let native_trial ?should_stop rng cls (seed : Corpus.seed)
 
 module Json = Rp_support.Json
 
-(** One finished trial as a journal record; {!trial_of_json} inverts it.
+type trial = fault_class * outcome
+
+(** One finished trial as a journal payload; {!trial_of_json} inverts it.
     Outcomes round-trip exactly, so a resumed campaign folds a replayed
     trial identically to having run it. *)
-let trial_json i ((cls, outcome) : fault_class * outcome) : Json.t =
-  let base = [ ("trial", Json.Int i); ("cls", Json.Str (class_name cls)) ] in
+let trial_json ((cls, outcome) : trial) : Json.t =
   let rest =
     match outcome with
     | Caught `Validation -> [ ("kind", Json.Str "caught_validation") ]
@@ -554,32 +555,26 @@ let trial_json i ((cls, outcome) : fault_class * outcome) : Json.t =
     | Escaped desc ->
       [ ("kind", Json.Str "escaped"); ("desc", Json.Str desc) ]
   in
-  Json.Obj (base @ rest)
+  Json.Obj (("cls", Json.Str (class_name cls)) :: rest)
 
-let trial_of_json (j : Json.t) : (int * (fault_class * outcome)) option =
-  match j with
-  | Json.Obj fields -> (
-    let str k =
-      match List.assoc_opt k fields with Some (Json.Str s) -> Some s | _ -> None
+let trial_of_json (j : Json.t) : trial option =
+  let str k =
+    match Json.member k j with Some (Json.Str s) -> Some s | _ -> None
+  in
+  match (Option.bind (str "cls") class_of_string, str "kind") with
+  | Some cls, Some kind ->
+    let outcome =
+      match kind with
+      | "caught_validation" -> Some (Caught `Validation)
+      | "caught_oracle" -> Some (Caught `Oracle)
+      | "caught_exception" -> Some (Caught `Exception)
+      | "benign" -> Some Benign
+      | "skipped" -> Some Skipped
+      | "no_site" -> Some No_site
+      | "escaped" -> Option.map (fun d -> Escaped d) (str "desc")
+      | _ -> None
     in
-    match (List.assoc_opt "trial" fields, str "cls", str "kind") with
-    | Some (Json.Int i), Some cls, Some kind -> (
-      match class_of_string cls with
-      | None -> None
-      | Some cls ->
-        let outcome =
-          match kind with
-          | "caught_validation" -> Some (Caught `Validation)
-          | "caught_oracle" -> Some (Caught `Oracle)
-          | "caught_exception" -> Some (Caught `Exception)
-          | "benign" -> Some Benign
-          | "skipped" -> Some Skipped
-          | "no_site" -> Some No_site
-          | "escaped" -> Option.map (fun d -> Escaped d) (str "desc")
-          | _ -> None
-        in
-        Option.map (fun o -> (i, (cls, o))) outcome)
-    | _ -> None)
+    Option.map (fun o -> (cls, o)) outcome
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
@@ -591,7 +586,7 @@ let trial_of_json (j : Json.t) : (int * (fault_class * outcome)) option =
     behaviour depends only on [(seed, i)] — never on which domain ran it
     or what other trials did.  That is what makes [--jobs] replay-stable
     and lets [--seed S --trials N] reproduce any campaign exactly. *)
-let run_trial ~seed ?should_stop baselines i : fault_class * outcome =
+let run_trial ~seed ?should_stop baselines i : trial =
   let rng = R.make [| seed; i |] in
   let (prog, baseline) = List.nth baselines (i mod List.length baselines) in
   let cls = List.nth all_classes (R.int rng (List.length all_classes)) in
@@ -608,7 +603,22 @@ let run_trial ~seed ?should_stop baselines i : fault_class * outcome =
   in
   (cls, outcome)
 
-(** Fold one trial's outcome into the report (main domain only). *)
+let trial ~seed =
+  (* one clean compile+run per corpus program, shared by every trial *)
+  let baselines =
+    List.map
+      (fun (s : Corpus.seed) ->
+        let (_, _, r) =
+          Pipeline.compile_and_run
+            ~config:{ fuzz_config with Config.verify_passes = false; oracle = false }
+            s.Corpus.source
+        in
+        (s, r))
+      Corpus.all
+  in
+  fun ~should_stop i -> run_trial ~seed ~should_stop baselines i
+
+(** Fold one trial's outcome into the report. *)
 let record report (cls, outcome) =
   report.trials <- report.trials + 1;
   let st = stats_for report cls in
@@ -629,9 +639,8 @@ let record report (cls, outcome) =
     st.escaped <- st.escaped + 1;
     report.escapes <- desc :: report.escapes
 
-let run ?(seed = 42) ?(seeds = 50) ?(jobs = 1) ?timeout ?retries ?journal
-    ?resume ?resilience ?cancel ?(on_failure = fun _ _ -> ()) () : report =
-  let report =
+let report ~seed trials =
+  let r =
     {
       seed;
       classes = List.map (fun c -> (c, zero_stats ())) all_classes;
@@ -639,73 +648,8 @@ let run ?(seed = 42) ?(seeds = 50) ?(jobs = 1) ?timeout ?retries ?journal
       escapes = [];
     }
   in
-  (* replayed outcomes from a prior (interrupted) campaign's journal: a
-     record is only ever written for a {e finished} trial, so replaying
-     it is byte-equivalent to re-running it *)
-  let replayed : (int, fault_class * outcome) Hashtbl.t = Hashtbl.create 64 in
-  Option.iter
-    (fun path ->
-      List.iter
-        (fun j ->
-          match trial_of_json j with
-          | Some (i, t) when i >= 0 && i < seeds ->
-            Hashtbl.replace replayed i t;
-            (match resilience with
-            | Some r ->
-              Rp_support.Resilience.tick r Rp_support.Resilience.Resumed
-            | None -> ())
-          | _ -> ())
-        (Rp_support.Journal.load path))
-    resume;
-  (* one clean compile+run per corpus program, shared by every trial *)
-  let baselines =
-    List.map
-      (fun (s : Corpus.seed) ->
-        let (_, _, r) =
-          Pipeline.compile_and_run
-            ~config:{ fuzz_config with Config.verify_passes = false; oracle = false }
-            s.Corpus.source
-        in
-        (s, r))
-      Corpus.all
-  in
-  let fresh =
-    Array.of_list
-      (List.filter
-         (fun i -> not (Hashtbl.mem replayed i))
-         (List.init seeds Fun.id))
-  in
-  let jwriter = Option.map Rp_support.Journal.create journal in
-  let on_result i (o : _ Rp_support.Pool.supervised) =
-    match (o, jwriter) with
-    | Ok t, Some w -> Rp_support.Journal.record w (trial_json fresh.(i) t)
-    | _ -> ()
-  in
-  let outcomes =
-    Fun.protect
-      ~finally:(fun () -> Option.iter Rp_support.Journal.close jwriter)
-      (fun () ->
-        Rp_support.Pool.run_supervised ~jobs ?timeout ?retries ?cancel
-          ?resilience ~on_result
-          (fun ~should_stop i -> run_trial ~seed ~should_stop baselines i)
-          fresh)
-  in
-  (* fold in trial-index order over the union of replayed and fresh
-     trials, so the report is identical to an uninterrupted campaign's *)
-  let fresh_outcome : (int, (fault_class * outcome, Rp_support.Pool.job_failure) result) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  Array.iteri (fun k o -> Hashtbl.replace fresh_outcome fresh.(k) o) outcomes;
-  for i = 0 to seeds - 1 do
-    match Hashtbl.find_opt replayed i with
-    | Some t -> record report t
-    | None -> (
-      match Hashtbl.find_opt fresh_outcome i with
-      | Some (Ok t) -> record report t
-      | Some (Error f) -> on_failure i f
-      | None -> ())
-  done;
-  report
+  List.iter (record r) trials;
+  r
 
 let total_escapes r =
   List.fold_left (fun acc (_, s) -> acc + s.escaped) 0 r.classes

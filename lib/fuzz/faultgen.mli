@@ -68,41 +68,24 @@ type outcome =
   | Escaped of string
   | No_site
 
-val trial_json : int -> fault_class * outcome -> Rp_support.Json.t
-(** Serialize trial [i]'s result as a campaign-journal record. *)
+type trial = fault_class * outcome
 
-val trial_of_json : Rp_support.Json.t -> (int * (fault_class * outcome)) option
+val trial : seed:int -> should_stop:(unit -> bool) -> int -> trial
+(** [trial ~seed] compiles and runs every {!Corpus} program once — the
+    baselines its trials compare against — and returns the campaign's
+    job: trial [i] draws every random choice from its own
+    [(seed, i)]-keyed stream, so its result depends on nothing else, and
+    a campaign's report is identical at any [--jobs] level and across
+    resumes.  Apply it to [~seed] once per campaign. *)
+
+val report : seed:int -> trial list -> report
+(** Fold finished trials into a report, in list order. *)
+
+val trial_json : trial -> Rp_support.Json.t
+(** Serialize a trial's result as a campaign-journal payload. *)
+
+val trial_of_json : Rp_support.Json.t -> trial option
 (** Inverse of {!trial_json}; [None] on malformed input. *)
-
-(** Run a campaign of [seeds] trials (default 50) from RNG [seed]
-    (default 42) over the built-in {!Corpus}.  Trials run supervised on
-    [jobs] worker domains (default 1); every random choice of trial [i]
-    is drawn from its own [(seed, i)]-keyed stream and outcomes are
-    folded into the report in trial order, so the report is identical at
-    any [jobs] level.
-
-    [timeout]/[retries] impose a per-trial wall-clock deadline with
-    bounded retries (see {!Rp_support.Pool.run_supervised}); a trial that
-    exhausts its budget is reported through [on_failure] (with its trial
-    index) instead of the report, and ticks [resilience].  [journal]
-    appends one fsynced line-JSON record per {e finished} trial to that
-    path; [resume] replays the finished trials of a previous journal
-    without re-running them (ticking [Resumed] per replayed trial).
-    [cancel] aborts the campaign cooperatively: unfinished trials are
-    neither journaled nor folded. *)
-val run :
-  ?seed:int ->
-  ?seeds:int ->
-  ?jobs:int ->
-  ?timeout:float ->
-  ?retries:int ->
-  ?journal:string ->
-  ?resume:string ->
-  ?resilience:Rp_support.Resilience.t ->
-  ?cancel:(unit -> bool) ->
-  ?on_failure:(int -> Rp_support.Pool.job_failure -> unit) ->
-  unit ->
-  report
 
 val total_escapes : report -> int
 val pp_report : Format.formatter -> report -> unit

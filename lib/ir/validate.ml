@@ -22,6 +22,12 @@ let check_func (f : Func.t) =
     f.Func.blocks;
   if not (Func.mem_block f f.Func.entry) then
     err "%s: entry block %s missing" f.Func.name f.Func.entry;
+  List.iter
+    (fun r ->
+      if r < 0 || r >= f.Func.nreg then
+        err "%s: parameter r%d out of range (nreg=%d)" f.Func.name r
+          f.Func.nreg)
+    f.Func.params;
   (* per-block checks *)
   Func.iter_blocks
     (fun (b : Block.t) ->

@@ -2,10 +2,10 @@
 
     One record per line, written with [O_APPEND] and [fsync]ed before
     {!record} returns, so every acknowledged record survives a crash or
-    SIGKILL of the process.  Campaign drivers ([rpcc gen-fuzz], [rpcc
-    fuzz], [bench --json]) and the [rpcc serve] daemon write one record
-    per unit of work and re-read the file on [--resume] / warm restart to
-    skip work already done.
+    SIGKILL of the process.  The campaign runner ([Rp_cli.run_campaign],
+    behind [rpcc gen-fuzz], [rpcc fuzz] and [bench --json]) and the [rpcc
+    serve] daemon write one record per unit of work and re-read the file
+    on [--resume] / warm restart to skip work already done.
 
     Writers are thread-safe: worker domains may {!record} concurrently
     (records are serialized under an internal lock, never interleaved).

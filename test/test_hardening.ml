@@ -219,7 +219,7 @@ let validation_tests =
 let fuzz_tests =
   [
     Util.tc_slow "a fuzz campaign contains every fault class" (fun () ->
-        let report = Faultgen.run ~seed:7 ~seeds:120 () in
+        let report = Util.fuzz_report ~seed:7 ~seeds:120 ~jobs:1 in
         Util.check Alcotest.int "no escapes" 0
           (Faultgen.total_escapes report);
         List.iter

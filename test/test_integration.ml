@@ -324,6 +324,29 @@ let cli_tests =
                 Util.check Alcotest.int "run-il exit 0" 0 st2;
                 Util.check Alcotest.bool "same program output" true
                   (String.length out >= 5 && String.sub out 0 5 = "4950\n"))));
+    Util.tc "run-il rejects a parameter outside the register file" (fun () ->
+        with_src
+          "int g; int f(int x) { return x + 1; }\n\
+           int main() { g = f(41); print_int(g); return 0; }"
+          (fun file ->
+            let (_, il) = rpcc "dump --format il" file in
+            let param = "func f params=1 " in
+            let n = String.length param in
+            let bad =
+              String.split_on_char '\n' il
+              |> List.map (fun l ->
+                     if String.starts_with ~prefix:param l then
+                       "func f params=70 " ^ String.sub l n (String.length l - n)
+                     else l)
+              |> String.concat "\n"
+            in
+            Util.check Alcotest.bool "the edit applied" true (bad <> il);
+            with_src bad (fun bad_il ->
+                let (st, out) = rpcc "run-il" bad_il in
+                Util.check Alcotest.int "exit 2" 2 st;
+                Util.check Alcotest.bool "a validation error" true
+                  (String.starts_with ~prefix:"error: invalid IL after parse:"
+                     out))));
     Util.tc "rpcc reports runtime traps with exit 1" (fun () ->
         with_src "int a[2]; int main() { return a[9]; }" (fun file ->
             let (st, _) = rpcc "run -q" file in

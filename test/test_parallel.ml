@@ -321,8 +321,8 @@ let test_rerun_after_passes () =
 let report_to_string r = Fmt.str "%a" Rp_fuzz.Faultgen.pp_report r
 
 let test_fuzz_campaign_jobs_invariant () =
-  let r1 = Rp_fuzz.Faultgen.run ~seed:11 ~seeds:30 ~jobs:1 () in
-  let r4 = Rp_fuzz.Faultgen.run ~seed:11 ~seeds:30 ~jobs:4 () in
+  let r1 = Util.fuzz_report ~seed:11 ~seeds:30 ~jobs:1 in
+  let r4 = Util.fuzz_report ~seed:11 ~seeds:30 ~jobs:4 in
   Util.check Alcotest.string "identical reports at -j1 and -j4"
     (report_to_string r1) (report_to_string r4)
 

@@ -2,9 +2,11 @@
     contract, [rpcc run --retries] (only a run's own timeout is
     retried), crash-resumable campaigns (SIGKILL a [gen-fuzz] run
     mid-flight, resume it from the journal, and demand byte-identical
-    stdout), and the bench grid's planted-hang drill (a never-terminating
+    stdout), the bench grid's planted-hang drill (a never-terminating
     cell must land as a degraded cell under the retry policy while every
-    other cell of BENCH_counts.json stays byte-identical). *)
+    other cell of BENCH_counts.json stays byte-identical), and the
+    campaign journals' identity: a journal resumes only the campaign that
+    wrote it, once per job. *)
 
 module Json = Rp_support.Json
 module Reduce = Rp_fuzz.Reduce
@@ -79,9 +81,9 @@ let read_file path =
   close_in ic;
   s
 
-(** Run [argv] with stdout/stderr redirected to files; returns the exit
-    status and stdout. *)
-let run_capture ?(dir = ".") argv =
+(** Run [argv] in [dir] with stdout/stderr redirected to files; returns
+    the exit status, stdout and stderr. *)
+let run_full ?(dir = ".") argv =
   let out = Filename.temp_file "rp_resil_out" ".txt" in
   let err = Filename.temp_file "rp_resil_err" ".txt" in
   Fun.protect
@@ -95,7 +97,12 @@ let run_capture ?(dir = ".") argv =
           (Filename.quote out) (Filename.quote err)
       in
       let status = Sys.command cmd in
-      (status, read_file out))
+      (status, read_file out, read_file err))
+
+(** [run_full] without stderr. *)
+let run_capture ?dir argv =
+  let (status, out, _) = run_full ?dir argv in
+  (status, out)
 
 let in_temp_dir name f =
   let dir =
@@ -374,6 +381,157 @@ let test_bench_planted_hang_degrades_one_cell () =
   close_out oc;
   resumed_from "resume-flipped" flipped ~resumed:107 ~recomputed:1
 
+(* ------------------------------------------------------------------ *)
+(* Campaign journals: whose they are, duplicates, fuzz resume          *)
+(* ------------------------------------------------------------------ *)
+
+let rpcc () = Filename.concat (Sys.getcwd ()) "../bin/rpcc.exe"
+
+let write_file path s =
+  let oc = open_out_bin path in
+  output_string oc s;
+  close_out oc
+
+let fresh_journal dir name =
+  let path = Filename.concat dir name in
+  (try Sys.remove path with Sys_error _ -> ());
+  path
+
+let records path =
+  List.length (String.split_on_char '\n' (String.trim (read_file path)))
+
+(* Resuming [journal] under [argv] is refused: exit 2 with a usage line,
+   before anything runs or is appended. *)
+let refused ~dir argv journal =
+  let before = read_file journal in
+  let (st, _, err) =
+    run_full ~dir (argv @ [ "--resume"; journal; "--journal"; journal ])
+  in
+  Alcotest.(check int) "exit 2" 2 st;
+  Alcotest.(check bool) "usage on stderr" true
+    (String.starts_with ~prefix:"usage: " err);
+  Alcotest.(check string) "journal byte-identical" before (read_file journal)
+
+let test_fuzz_campaigns_refuse_another_seed () =
+  in_temp_dir "seeds" @@ fun dir ->
+  List.iter
+    (fun (cmd, trials, extra) ->
+      let argv seed =
+        [ rpcc (); cmd; "--trials"; string_of_int trials; "--seed"; seed ]
+        @ extra
+      in
+      let journal = fresh_journal dir (cmd ^ "-seed1.jsonl") in
+      let (st, _, _) = run_full ~dir (argv "1" @ [ "--journal"; journal ]) in
+      Alcotest.(check int) (cmd ^ " --seed 1 exit 0") 0 st;
+      Alcotest.(check int) (cmd ^ " journaled every trial") trials
+        (records journal);
+      refused ~dir (argv "2") journal)
+    [
+      ("gen-fuzz", 6, [ "--jobs"; "2"; "--out-dir"; dir ]);
+      ("fuzz", 5, [ "--jobs"; "2" ]);
+    ]
+
+let test_duplicate_records_resume_once () =
+  in_temp_dir "dups" @@ fun dir ->
+  List.iter
+    (fun (cmd, trials, extra) ->
+      let argv =
+        [ rpcc (); cmd; "--trials"; string_of_int trials ] @ extra
+      in
+      let journal = fresh_journal dir (cmd ^ ".jsonl") in
+      let (st, out, _) = run_full ~dir (argv @ [ "--journal"; journal ]) in
+      Alcotest.(check int) (cmd ^ " exit 0") 0 st;
+      let twice = Filename.concat dir (cmd ^ "-twice.jsonl") in
+      write_file twice (read_file journal ^ read_file journal);
+      let (st2, out2, err2) = run_full ~dir (argv @ [ "--resume"; twice ]) in
+      Alcotest.(check int) (cmd ^ " resumed exit 0") 0 st2;
+      Alcotest.(check string) (cmd ^ " same stdout") out out2;
+      Alcotest.(check bool)
+        (cmd ^ " resumed counts jobs, not records")
+        true
+        (contains err2 (Printf.sprintf "resumed=%d " trials)))
+    [ ("fuzz", 5, []); ("gen-fuzz", 4, [ "--out-dir"; dir ]) ]
+
+let test_fuzz_resumes_from_a_partial_journal () =
+  in_temp_dir "fuzz-resume" @@ fun dir ->
+  let fuzz args =
+    [ rpcc (); "fuzz"; "--seed"; "7"; "--trials"; "20" ] @ args
+  in
+  let journal = fresh_journal dir "fuzz.jsonl" in
+  let (ref_st, ref_out, _) =
+    run_full ~dir (fuzz [ "--jobs"; "2"; "--journal"; journal ])
+  in
+  let lines = String.split_on_char '\n' (String.trim (read_file journal)) in
+  Alcotest.(check int) "one record per trial" 20 (List.length lines);
+  (* what a run killed after its eighth record leaves *)
+  write_file journal
+    (String.concat ""
+       (List.filteri (fun i _ -> i < 8) lines |> List.map (fun l -> l ^ "\n")));
+  let (st, out, _) =
+    run_full ~dir
+      (fuzz [ "--jobs"; "1"; "--resume"; journal; "--journal"; journal ])
+  in
+  Alcotest.(check int) "same exit code" ref_st st;
+  Alcotest.(check string) "byte-identical stdout after resume" ref_out out;
+  Alcotest.(check int) "the journal is whole again" 20 (records journal);
+  let (_, out2, err2) = run_full ~dir (fuzz [ "--resume"; journal ]) in
+  Alcotest.(check string) "fully-replayed rerun still identical" ref_out out2;
+  Alcotest.(check bool) "every trial replayed" true
+    (contains err2 "resumed=20 ")
+
+(* SIGINT a journaled grid once it has journaled two cells: it exits 130
+   with a resume hint.  Then one record's digest is rewritten under a
+   valid CRC, and resuming from that journal is refused. *)
+let test_bench_sigint_then_foreign_record () =
+  let bench = Filename.concat (Sys.getcwd ()) "../bench/main.exe" in
+  in_temp_dir "bench-foreign" @@ fun dir ->
+  (try Sys.remove (Filename.concat dir "BENCH_counts.json")
+   with Sys_error _ -> ());
+  let journal = fresh_journal dir "grid.jsonl" in
+  let err = Filename.concat dir "interrupted.err" in
+  let out_fd = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let err_fd =
+    Unix.openfile err [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+  in
+  let pid =
+    Unix.create_process bench
+      [| bench; "--json"; "--jobs"; "2"; "--journal"; journal |]
+      Unix.stdin out_fd err_fd
+  in
+  Unix.close out_fd;
+  Unix.close err_fd;
+  let deadline = Rp_support.Clock.now () +. 300. in
+  let complete () =
+    try
+      List.length (String.split_on_char '\n' (read_file journal)) - 1
+    with Sys_error _ -> 0
+  in
+  while complete () < 2 && Rp_support.Clock.now () < deadline do
+    Unix.sleepf 0.005
+  done;
+  Unix.kill pid Sys.sigint;
+  (match Unix.waitpid [] pid with
+  | _, Unix.WEXITED 130 -> ()
+  | _ -> Alcotest.fail "an interrupted grid must exit 130");
+  Alcotest.(check bool) "resume hint" true
+    (contains (read_file err) ("; resume with --resume " ^ journal));
+  let foreign = fresh_journal dir "foreign.jsonl" in
+  let w = Rp_support.Journal.create foreign in
+  List.iteri
+    (fun i r ->
+      Rp_support.Journal.record w
+        (match r with
+        | Json.Obj (("campaign", _) :: rest) when i = 1 ->
+          Json.Obj (("campaign", Json.Str (String.make 32 '0')) :: rest)
+        | r -> r))
+    (Rp_support.Journal.load journal);
+  Rp_support.Journal.close w;
+  Alcotest.(check bool) "one record rewritten" true
+    (read_file foreign <> read_file journal);
+  refused ~dir [ bench; "--json"; "--jobs"; "2" ] foreign;
+  Alcotest.(check bool) "no counts document written" false
+    (Sys.file_exists (Filename.concat dir "BENCH_counts.json"))
+
 let () =
   Alcotest.run "resilience"
     [
@@ -393,5 +551,16 @@ let () =
             test_gen_fuzz_kill_and_resume;
           Util.tc_slow "bench planted hang degrades one cell, others identical"
             test_bench_planted_hang_degrades_one_cell;
+        ] );
+      ( "journals",
+        [
+          Util.tc "gen-fuzz and fuzz refuse another seed's journal"
+            test_fuzz_campaigns_refuse_another_seed;
+          Util.tc "a record journaled twice resumes once"
+            test_duplicate_records_resume_once;
+          Util.tc "fuzz resumes from a partial journal byte-identically"
+            test_fuzz_resumes_from_a_partial_journal;
+          Util.tc_slow "bench: SIGINT exits 130; a foreign record is refused"
+            test_bench_sigint_then_foreign_record;
         ] );
     ]

@@ -22,6 +22,21 @@ let native_bins root =
         (ls dir))
     (ls objects)
 
+(** The report of an [rpcc fuzz] campaign without a journal, run through
+    the same campaign runner at [jobs] workers. *)
+let fuzz_report ~seed ~seeds ~jobs =
+  let module F = Rp_fuzz.Faultgen in
+  let flags =
+    { Rp_cli.jobs = Some jobs; job_timeout = None; retries = None;
+      journal = None; resume = None }
+  in
+  Rp_cli.run_campaign flags ~id:[ "fuzz"; string_of_int seed ]
+    ~resilience:(Rp_support.Resilience.create ()) ~name:string_of_int
+    ~encode:(fun t -> Some (F.trial_json t)) ~decode:F.trial_of_json
+    (F.trial ~seed) (List.init seeds Fun.id)
+  |> List.filter_map Result.to_option
+  |> F.report ~seed
+
 (** Compile source text to IL (front end only). *)
 let front src = Rp_irgen.Irgen.compile_source src
 
