@@ -911,15 +911,14 @@ let serve_cmd =
     handle_errors @@ fun () ->
     let jobs = Rp_cli.jobs jobs and retries = Rp_cli.retries retries in
     let queue_bound = Rp_cli.positive ~flag:"--queue-bound" queue_bound in
+    let job_timeout =
+      if job_timeout = 0. then None
+      else if job_timeout > 0. then Some job_timeout
+      else Rp_cli.usage "--job-timeout must be >= 0 (0 = no deadline)"
+    in
     Rp_serve.Daemon.serve
-      {
-        Rp_serve.Daemon.socket;
-        state_dir;
-        jobs;
-        queue_bound;
-        job_timeout = (if job_timeout <= 0. then None else Some job_timeout);
-        retries;
-      }
+      { Rp_serve.Daemon.socket; state_dir; jobs; queue_bound; job_timeout;
+        retries }
   in
   let socket_t =
     Arg.(
@@ -940,7 +939,8 @@ let serve_cmd =
   in
   let queue_bound_t =
     Arg.(
-      value & opt int 64
+      value
+      & opt int Rp_serve.Daemon.default_config.Rp_serve.Daemon.queue_bound
       & info [ "queue-bound" ] ~docv:"N"
           ~doc:
             "Admit at most $(docv) jobs that are not yet answered, \
@@ -950,7 +950,10 @@ let serve_cmd =
   in
   let serve_timeout_t =
     Arg.(
-      value & opt float 30.
+      value
+      & opt float
+          (Option.value ~default:0.
+             Rp_serve.Daemon.default_config.Rp_serve.Daemon.job_timeout)
       & info [ "job-timeout" ] ~docv:"SECONDS"
           ~doc:
             "Per-job wall-clock deadline enforced by the supervised pool \
@@ -970,13 +973,8 @@ let serve_cmd =
       $ serve_timeout_t $ Rp_cli.retries_t)
 
 let client_cmd =
-  let client socket timeout op file config_name seed trials native =
+  let client socket timeout op file config_name native =
     handle_errors @@ fun () ->
-    let need_file () =
-      match file with
-      | Some f -> read_file f
-      | None -> Fmt.failwith "op '%s' needs a FILE.c argument" op
-    in
     if native && op <> "run" then
       Fmt.failwith "--native only applies to op 'run'";
     let base =
@@ -988,20 +986,16 @@ let client_cmd =
       ]
     in
     let req =
-      match op with
-      | "run" | "compile" | "stats" ->
+      match (op, file) with
+      | "health", _ -> Json.Obj base
+      | _, Some f ->
         Json.Obj
           (base
           @ [
-              ("src", Json.Str (need_file ()));
-              ("config", Json.Str config_name);
+              ("src", Json.Str (read_file f)); ("config", Json.Str config_name);
             ]
-          @ (if native then [ ("mode", Json.Str "native") ] else []))
-      | "fuzz" ->
-        Json.Obj
-          (base @ [ ("seed", Json.Int seed); ("trials", Json.Int trials) ])
-      | "health" -> Json.Obj base
-      | other -> Fmt.failwith "unknown op '%s'" other
+          @ if native then [ ("mode", Json.Str "native") ] else [])
+      | _, None -> Fmt.failwith "op '%s' needs a FILE.c argument" op
     in
     let timeout = if timeout <= 0. then None else Some timeout in
     let resps =
@@ -1048,16 +1042,13 @@ let client_cmd =
   let op_t =
     Arg.(
       required
-      & pos 0 (some (enum
-            [ ("run", "run"); ("compile", "compile"); ("stats", "stats");
-              ("fuzz", "fuzz"); ("health", "health") ])) None
-      & info [] ~docv:"OP"
-          ~doc:"Request: run, compile, stats, fuzz, or health.")
+      & pos 0 (some (enum [ ("run", "run"); ("health", "health") ])) None
+      & info [] ~docv:"OP" ~doc:"Request: run or health.")
   in
   let file_opt_t =
     Arg.(
       value & pos 1 (some file) None
-      & info [] ~docv:"FILE.c" ~doc:"Source file (run/compile/stats).")
+      & info [] ~docv:"FILE.c" ~doc:"Source file (run).")
   in
   let config_name_t =
     Arg.(
@@ -1066,11 +1057,6 @@ let client_cmd =
           ~doc:
             "Grid configuration name (O0, modref/without, modref/with, \
              modref/ptr, pointer/without, pointer/with, pointer/ptr).")
-  in
-  let trials_client_t =
-    Arg.(
-      value & opt int 1
-      & info [ "trials" ] ~docv:"N" ~doc:"Fuzz trials (op fuzz).")
   in
   let native_client_t =
     Arg.(
@@ -1091,7 +1077,7 @@ let client_cmd =
           2 usage/internal error, 3 resource/overloaded/timeout.")
     Term.(
       const client $ socket_t $ client_timeout_t $ op_t $ file_opt_t
-      $ config_name_t $ seed_t $ trials_client_t $ native_client_t)
+      $ config_name_t $ native_client_t)
 
 let main =
   Cmd.group

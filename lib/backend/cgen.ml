@@ -40,7 +40,7 @@ open Rp_ir
 module P = Rp_exec.Precomp
 module V = Rp_exec.Value
 
-let version = "rpcc-cgen/2"
+let version = "rpcc-cgen/3"
 
 let mangle idx name =
   let b = Bytes.of_string name in
@@ -180,8 +180,8 @@ typedef struct { val *cells; i64 size; i64 tag; unsigned char live; } obj;
 static obj *g_objs; static i64 g_nobjs, g_cap;
 static i64 g_ops, g_loads, g_stores;
 static i64 g_checksum = 0x1505, g_outlen;
-static i64 g_fuel, g_maxdepth, g_depth, g_rng;
-static int g_check_tags, g_has_deadline;
+static i64 g_fuel, g_maxdepth, g_depth, g_rng = 12345;
+static int g_has_deadline;
 static double g_t0, g_budget;
 static const char *g_trailer_path;
 static char g_obuf[1 << 16];
@@ -322,7 +322,6 @@ RT_INL i64 rt_gbase(i64 id) {
 }
 
 static void rt_check_ts(i64 base, const u64 *ts, const char *op, const char *pps) {
-  if (!g_check_tags) return;
   obj *o = rt_find(base);
   i64 id = o->tag;
   int member = id >= 0 && id < NTS_BITS && ((ts[id >> 6] >> (id & 63)) & 1);
@@ -938,9 +937,9 @@ let emit (prog : Program.t) : string =
   bpf buf "  rt_trap(\"call to unknown function '%%s'\", g_funname[fid]);\n}\n\n";
   (* function bodies *)
   Array.iter (emit_func ctx buf) dp.P.dfuncs;
-  (* main: argv = trailer fuel maxdepth seed checktags budget *)
+  (* main: argv = trailer fuel maxdepth budget *)
   bpf buf "int main(int argc, char **argv) {\n";
-  bpf buf "  if (argc != 7) { fprintf(stderr, \"bad argv\\n\"); return 9; }\n";
+  bpf buf "  if (argc != 5) { fprintf(stderr, \"bad argv\\n\"); return 9; }\n";
   (* deep IR recursion lives on the C stack (the interpreter's frames
      lived on the OCaml heap), so lift the soft stack limit up front *)
   bpf buf
@@ -950,9 +949,7 @@ let emit (prog : Program.t) : string =
   bpf buf "  g_trailer_path = argv[1];\n";
   bpf buf "  g_fuel = strtoll(argv[2], 0, 10);\n";
   bpf buf "  g_maxdepth = strtoll(argv[3], 0, 10);\n";
-  bpf buf "  g_rng = strtoll(argv[4], 0, 10) & 0x3FFFFFFF;\n";
-  bpf buf "  g_check_tags = atoi(argv[5]) != 0;\n";
-  bpf buf "  g_budget = strtod(argv[6], 0);\n";
+  bpf buf "  g_budget = strtod(argv[4], 0);\n";
   bpf buf "  g_has_deadline = g_budget > 0;\n";
   bpf buf "  g_t0 = rt_now();\n";
   bpf buf "  setvbuf(stdout, g_obuf, _IOFBF, sizeof g_obuf);\n";

@@ -11,10 +11,11 @@
     output bytes, same checksum, same total and per-function counts, same
     trap/limit messages on erroneous or resource-bounded programs.
 
-    The emitted program takes six argv parameters —
-    [trailer-path fuel max-depth seed check-tags deadline-budget] — so one
-    compiled binary serves every runtime parameterization (the binary
-    cache key never includes fuel or seed).  It writes raw program output
+    The emitted program takes four argv parameters —
+    [trailer-path fuel max-depth deadline-budget] — so one compiled binary
+    serves every runtime parameterization (the binary cache key never
+    includes fuel).  Tag checks are always on and [rand] starts from seed
+    12345, as in the interpreter.  It writes raw program output
     to stdout and a fixed-format result trailer ({!Native.parse_trailer})
     to the trailer path, always exiting 0 for controlled terminations;
     any other exit is infrastructure failure, which the runner quarantines

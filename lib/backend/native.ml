@@ -413,9 +413,8 @@ let checksum_of_string s =
 (* Returns the result plus the binary's self-timed [main] duration in ms
    (from the trailer's [elapsed_ns]) — the native analogue of interpreter
    run time, excluding fork/exec/loader overhead the harness pays. *)
-let exec_bin_elapsed ?(fuel = 400_000_000) ?(check_tags = true)
-    ?(max_depth = 100_000) ?(seed = 12345) ?deadline bin :
-    Interp.result * float =
+let exec_bin_elapsed ?(fuel = 400_000_000) ?(max_depth = 100_000) ?deadline
+    bin : Interp.result * float =
   let trailer_path = Filename.temp_file "rpcc_trailer" ".txt" in
   Fun.protect
     ~finally:(fun () ->
@@ -430,8 +429,6 @@ let exec_bin_elapsed ?(fuel = 400_000_000) ?(check_tags = true)
           trailer_path;
           string_of_int fuel;
           string_of_int max_depth;
-          string_of_int seed;
-          (if check_tags then "1" else "0");
           Printf.sprintf "%.6f" budget;
         |]
       in
@@ -505,8 +502,8 @@ let exec_bin_elapsed ?(fuel = 400_000_000) ?(check_tags = true)
         ( { Interp.ret = t.ret; output; checksum = t.checksum; total; per_func },
           float_of_int t.elapsed_ns /. 1e6 ))
 
-let exec_bin ?fuel ?check_tags ?max_depth ?seed ?deadline bin =
-  fst (exec_bin_elapsed ?fuel ?check_tags ?max_depth ?seed ?deadline bin)
+let exec_bin ?fuel ?max_depth ?deadline bin =
+  fst (exec_bin_elapsed ?fuel ?max_depth ?deadline bin)
 
 type timed = {
   result : Interp.result;
@@ -515,8 +512,7 @@ type timed = {
   cache_hit : bool;
 }
 
-let run_timed ?fuel ?check_tags ?max_depth ?seed ?deadline ?sandbox ?cache
-    ?key:_ ~cc prog =
+let run_timed ?fuel ?max_depth ?deadline ?sandbox ?cache ?key:_ ~cc prog =
   let t0 = Rp_support.Clock.now () in
   let bin, cache_hit = compile ?sandbox ?cache ~cc prog in
   let t1 = Rp_support.Clock.now () in
@@ -524,7 +520,7 @@ let run_timed ?fuel ?check_tags ?max_depth ?seed ?deadline ?sandbox ?cache
     ~finally:(fun () -> try Sys.remove bin with Sys_error _ -> ())
     (fun () ->
       let result, elapsed_ms =
-        exec_bin_elapsed ?fuel ?check_tags ?max_depth ?seed ?deadline bin
+        exec_bin_elapsed ?fuel ?max_depth ?deadline bin
       in
       let t2 = Rp_support.Clock.now () in
       {
@@ -537,10 +533,8 @@ let run_timed ?fuel ?check_tags ?max_depth ?seed ?deadline ?sandbox ?cache
         cache_hit;
       })
 
-let run ?fuel ?check_tags ?max_depth ?seed ?deadline ?sandbox ?cache ~cc prog =
-  (run_timed ?fuel ?check_tags ?max_depth ?seed ?deadline ?sandbox ?cache ~cc
-     prog)
-    .result
+let run ?fuel ?max_depth ?deadline ?sandbox ?cache ~cc prog =
+  (run_timed ?fuel ?max_depth ?deadline ?sandbox ?cache ~cc prog).result
 
 (* ------------------------------------------------------------------ *)
 (* Degradation ladder                                                  *)
@@ -562,8 +556,7 @@ type laddered = {
    because every rung computes the same answer by contract.  The
    result is therefore independent of which rungs fired; only the
    telemetry ([l_mode]/[l_degraded]) and the latency differ. *)
-let run_laddered ?fuel ?check_tags ?max_depth ?seed ?deadline ?sandbox ?cache
-    ~interp ~cc prog =
+let run_laddered ?fuel ?max_depth ?deadline ?sandbox ?cache ~interp ~cc prog =
   let fallback reason =
     let result, run_ms = interp () in
     {
@@ -579,8 +572,7 @@ let run_laddered ?fuel ?check_tags ?max_depth ?seed ?deadline ?sandbox ?cache
   | None -> fallback "no C compiler"
   | Some cc -> (
     match
-      run_timed ?fuel ?check_tags ?max_depth ?seed ?deadline ?sandbox ?cache
-        ~cc prog
+      run_timed ?fuel ?max_depth ?deadline ?sandbox ?cache ~cc prog
     with
     | t ->
       {
@@ -600,8 +592,7 @@ let run_laddered ?fuel ?check_tags ?max_depth ?seed ?deadline ?sandbox ?cache
           ~finally:(fun () -> try Sys.remove bin with Sys_error _ -> ())
           (fun () ->
             let result, elapsed_ms =
-              exec_bin_elapsed ?fuel ?check_tags ?max_depth ?seed ?deadline
-                bin
+              exec_bin_elapsed ?fuel ?max_depth ?deadline bin
             in
             let t2 = Rp_support.Clock.now () in
             ( result,

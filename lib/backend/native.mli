@@ -115,14 +115,12 @@ val compile :
 
 val exec_bin :
   ?fuel:int ->
-  ?check_tags:bool ->
   ?max_depth:int ->
-  ?seed:int ->
   ?deadline:float ->
   string ->
   Rp_exec.Interp.result
 (** Execute a compiled binary with the interpreter's runtime parameter
-    defaults (fuel 400M, tag checks on, depth 100k, seed 12345).  The
+    defaults (fuel 400M, depth 100k).  The
     binary raises its own stack rlimit to the hard maximum at startup
     (deep IR recursion lives on the C stack; the interpreter's frames
     lived on the OCaml heap), with
@@ -135,9 +133,7 @@ val exec_bin :
 
 val run :
   ?fuel:int ->
-  ?check_tags:bool ->
   ?max_depth:int ->
-  ?seed:int ->
   ?deadline:float ->
   ?sandbox:sandbox ->
   ?cache:Rp_support.Cas.t ->
@@ -165,9 +161,7 @@ type timed = {
 
 val run_timed :
   ?fuel:int ->
-  ?check_tags:bool ->
   ?max_depth:int ->
-  ?seed:int ->
   ?deadline:float ->
   ?sandbox:sandbox ->
   ?cache:Rp_support.Cas.t ->
@@ -194,9 +188,7 @@ type laddered = {
 
 val run_laddered :
   ?fuel:int ->
-  ?check_tags:bool ->
   ?max_depth:int ->
-  ?seed:int ->
   ?deadline:float ->
   ?sandbox:sandbox ->
   ?cache:Rp_support.Cas.t ->

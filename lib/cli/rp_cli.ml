@@ -102,6 +102,11 @@ let replay path ~campaign =
 
 let run_campaign c ~id ~resilience ~name ~encode ~decode f inputs =
   let jobs = jobs c.jobs and retries = retries c.retries in
+  let timeout =
+    match c.job_timeout with
+    | Some t when not (t > 0.) -> usage "--job-timeout must be > 0"
+    | t -> t
+  in
   let campaign = Rp_support.Cas.key (Rp_driver.Pipeline.pass_version :: id) in
   let journaled =
     match c.resume with
@@ -148,7 +153,7 @@ let run_campaign c ~id ~resilience ~name ~encode ~decode f inputs =
         Sys.set_signal Sys.sigint previous;
         Option.iter Journal.close writer)
       (fun () ->
-        Pool.run_supervised ~jobs ?timeout:c.job_timeout ~retries
+        Pool.run_supervised ~jobs ?timeout ~retries
           ~cancel:(fun () -> Atomic.get cancel)
           ~resilience ~on_result f
           (Array.map (fun i -> inputs.(i)) fresh))

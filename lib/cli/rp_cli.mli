@@ -80,6 +80,10 @@ val run_campaign :
     another campaign] and exits 2 before any job runs or any record is
     appended.
 
+    {b Validation.}  A negative [--jobs] or [--retries], or a
+    [--job-timeout] that is not [> 0], prints a usage line and exits 2
+    before the journal is read or any job runs.
+
     {b SIGINT.}  While the jobs run, SIGINT cancels the campaign
     cooperatively: workers stop taking jobs, the journal (whose records
     are already on disk) is closed, [interrupted after K/N finished

@@ -295,13 +295,11 @@ let compile ?(config = Config.default) (src : string) : Program.t * stage_stats
 
 (** Compile and execute; returns the program, pipeline stats, and the
     interpreter result (output, checksum, dynamic counts). *)
-let compile_and_run ?(config = Config.default) ?fuel ?check_tags ?max_depth
-    ?should_stop ?deadline (src : string) :
+let compile_and_run ?(config = Config.default) ?fuel ?max_depth ?should_stop
+    ?deadline (src : string) :
     Program.t * stage_stats * Rp_exec.Interp.result =
   let (p, s) = compile ~config src in
-  let r =
-    Rp_exec.Interp.run ?fuel ?check_tags ?max_depth ?should_stop ?deadline p
-  in
+  let r = Rp_exec.Interp.run ?fuel ?max_depth ?should_stop ?deadline p in
   (p, s, r)
 
 (* ------------------------------------------------------------------ *)
@@ -385,7 +383,6 @@ let cache_key ~(config : Config.t) (src : string) : string =
   Cas.key [ pass_version; Config.fingerprint config; src ]
 
 type cached_run = {
-  il : string;  (** serialized post-pipeline program *)
   stats : Json.t;  (** the {!stats_json} document of the populating compile *)
   output : string;
   checksum : int;
@@ -395,57 +392,53 @@ type cached_run = {
   cache_hit : bool;
 }
 
-(** Decode the compact "result" cache object.  [None] on any shape
-    mismatch (treated as a miss by the caller). *)
-let decode_result raw : (string * int * int * int * int) option =
+let result_json (c : cached_run) =
+  Json.Obj
+    [
+      ("output", Json.Str c.output);
+      ("checksum", Json.Int c.checksum);
+      ("ops", Json.Int c.ops);
+      ("loads", Json.Int c.loads);
+      ("stores", Json.Int c.stores);
+    ]
+
+(** Decode a [run] cache object.  [None] on any shape mismatch (treated
+    as a miss by the caller). *)
+let decode_run raw : cached_run option =
   match Json.parse raw with
   | exception Json.Parse_error _ -> None
   | doc -> (
-    let str k = match Json.member k doc with Some (Json.Str s) -> Some s | _ -> None in
-    let int k = match Json.member k doc with Some (Json.Int i) -> Some i | _ -> None in
-    match (str "output", int "checksum", int "ops", int "loads", int "stores") with
-    | Some o, Some c, Some ops, Some loads, Some stores ->
-      Some (o, c, ops, loads, stores)
+    let field k = Option.bind (Json.member "result" doc) (Json.member k) in
+    let int k = match field k with Some (Json.Int i) -> Some i | _ -> None in
+    match
+      ( Json.member "stats" doc, field "output", int "checksum", int "ops",
+        int "loads", int "stores" )
+    with
+    | Some stats, Some (Json.Str output), Some checksum, Some ops, Some loads,
+      Some stores ->
+      Some { stats; output; checksum; ops; loads; stores; cache_hit = true }
     | _ -> None)
 
 (** Compile-and-run through a content-addressed store.
 
-    Warm path: when the store holds the post-pipeline program, stats
-    document, and interpreter result for this (pass version, config,
-    source) key, return them without touching the pipeline — the stored
-    {e bytes} are re-served, so repeated submissions are byte-identical
-    even across a daemon restart.
+    Warm path: when the store holds the [run] object for this (pass
+    version, config, source) key — the stats document and the
+    interpreter result — return it without touching the pipeline.  The
+    stored {e bytes} are re-served, so repeated submissions are
+    byte-identical even across a daemon restart.
 
-    Cold path: front end → optimizer → interpreter, then populate the
-    store with three artifacts: the post-pipeline program ([program]),
-    the stats document with its analysis facts ([stats]), and the
-    interpreter result ([result]).  A run aborted by [should_stop] or
-    [deadline] raises {!Rp_exec.Interp.Resource_limit} before anything is
-    cached, so a half-finished job can never poison the store. *)
-let compile_and_run_cached ?(config = Config.default) ?should_stop ?deadline
-    ?runner ~(cas : Cas.t) (src : string) : cached_run =
+    Cold path: front end → optimizer → interpreter, then publish the
+    [run] object with one atomic put.  A run aborted by [should_stop]
+    raises {!Rp_exec.Interp.Resource_limit}, and a trap raises
+    {!Rp_exec.Interp.Error}, before anything is cached, so a
+    half-finished job can never poison the store. *)
+let compile_and_run_cached ?(config = Config.default) ?should_stop ?runner
+    ~(cas : Cas.t) (src : string) : cached_run =
   let key = cache_key ~config src in
-  let warm =
-    match
-      ( Cas.get cas ~key ~kind:"program",
-        Cas.get cas ~key ~kind:"stats",
-        Cas.get cas ~key ~kind:"result" )
-    with
-    | Some il, Some stats_raw, Some result_raw -> (
-      match (Json.parse stats_raw, decode_result result_raw) with
-      | stats, Some (output, checksum, ops, loads, stores) ->
-        Some
-          { il; stats; output; checksum; ops; loads; stores; cache_hit = true }
-      | exception Json.Parse_error _ -> None
-      | _, None -> None)
-    | _ -> None
-  in
-  match warm with
-  | Some r -> r
+  match Option.bind (Cas.get cas ~key ~kind:"run") decode_run with
+  | Some c -> c
   | None ->
-    let s = zero_stage_stats () in
-    let p = timed s "frontend" (fun () -> Rp_irgen.Irgen.compile_source src) in
-    let s = optimize ~config ~stats:s p in
+    let p, s = compile ~config src in
     (* [runner] swaps the execution engine for the cold path only — warm
        hits re-serve stored bytes regardless of how they were computed,
        which is sound because every engine returns the interpreter's
@@ -453,27 +446,21 @@ let compile_and_run_cached ?(config = Config.default) ?should_stop ?deadline
     let r =
       match runner with
       | Some run -> run p
-      | None -> Rp_exec.Interp.run ?should_stop ?deadline p
+      | None -> Rp_exec.Interp.run ?should_stop p
     in
-    let il = Serial.write p in
-    let stats = stats_json config s in
-    let output = r.Rp_exec.Interp.output in
-    let checksum = r.Rp_exec.Interp.checksum in
     let t = r.Rp_exec.Interp.total in
-    let ops = t.Rp_exec.Interp.ops in
-    let loads = t.Rp_exec.Interp.loads in
-    let stores = t.Rp_exec.Interp.stores in
-    let result_doc =
-      Json.Obj
-        [
-          ("output", Json.Str output);
-          ("checksum", Json.Int checksum);
-          ("ops", Json.Int ops);
-          ("loads", Json.Int loads);
-          ("stores", Json.Int stores);
-        ]
+    let c =
+      {
+        stats = stats_json config s;
+        output = r.Rp_exec.Interp.output;
+        checksum = r.Rp_exec.Interp.checksum;
+        ops = t.Rp_exec.Interp.ops;
+        loads = t.Rp_exec.Interp.loads;
+        stores = t.Rp_exec.Interp.stores;
+        cache_hit = false;
+      }
     in
-    Cas.put cas ~key ~kind:"program" il;
-    Cas.put cas ~key ~kind:"stats" (Json.to_string ~indent:false stats);
-    Cas.put cas ~key ~kind:"result" (Json.to_string ~indent:false result_doc);
-    { il; stats; output; checksum; ops; loads; stores; cache_hit = false }
+    Cas.put cas ~key ~kind:"run"
+      (Json.to_string ~indent:false
+         (Json.Obj [ ("stats", c.stats); ("result", result_json c) ]));
+    c

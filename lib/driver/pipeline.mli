@@ -67,7 +67,6 @@ val compile : ?config:Config.t -> string -> Program.t * stage_stats
 val compile_and_run :
   ?config:Config.t ->
   ?fuel:int ->
-  ?check_tags:bool ->
   ?max_depth:int ->
   ?should_stop:(unit -> bool) ->
   ?deadline:float ->
@@ -94,7 +93,6 @@ val cache_key : config:Config.t -> string -> string
     bytes. *)
 
 type cached_run = {
-  il : string;  (** serialized post-pipeline program *)
   stats : Rp_support.Json.t;
       (** the {!stats_json} document of the populating compile — on a
           warm hit this includes the {e original} compile's timings, so
@@ -107,24 +105,30 @@ type cached_run = {
   cache_hit : bool;
 }
 
-(** {!compile_and_run} through a content-addressed store: a warm key
-    re-serves the stored post-pipeline program, stats document, and
-    interpreter result without touching the pipeline; a cold key
-    compiles, runs, and populates the store (atomically, after the run
-    completes — an aborted or trapped job caches nothing).  Corrupt
+val result_json : cached_run -> Rp_support.Json.t
+(** [{"output", "checksum", "ops", "loads", "stores"}], in that order:
+    the [result] of a [run] cache object and of a serve response. *)
+
+(** {!compile_and_run} through a content-addressed store, one [run]
+    object per {!cache_key}: [{"stats": stats document, "result":
+    result_json}].  A warm key is one verified {!Rp_support.Cas.get}
+    and a decode, without touching the pipeline; an object of another
+    shape counts as a miss.  A cold key compiles, runs, and publishes
+    the object with one atomic {!Rp_support.Cas.put} after the run
+    completes — an aborted or trapped job caches nothing.  Corrupt
     entries are quarantined by {!Rp_support.Cas.get} and transparently
     recomputed. *)
 val compile_and_run_cached :
   ?config:Config.t ->
   ?should_stop:(unit -> bool) ->
-  ?deadline:float ->
   ?runner:(Rp_ir.Program.t -> Rp_exec.Interp.result) ->
   cas:Rp_support.Cas.t ->
   string ->
   cached_run
 (** @param runner the execution engine for the cold path (default: the
-    interpreter with [should_stop]/[deadline]).  The daemon's native job
-    mode passes the compiled-C degradation ladder here.  Contract: a
-    runner must return the interpreter-identical result (or raise the
-    interpreter's own exceptions), because its output is cached under the
-    same mode-independent key and re-served to every later caller. *)
+    interpreter with [should_stop]).  The daemon's native job mode
+    passes the compiled-C degradation ladder here.  Contract: a runner
+    must return the interpreter-identical result (or raise the
+    interpreter's own exceptions), because its output is cached under
+    the same mode-independent key and re-served to every later
+    caller. *)

@@ -10,16 +10,15 @@
     is one operation; loads are cLoad/sLoad/Load; stores are sStore/Store;
     iLoad and address materialization are plain operations.
 
-    With [check_tags] enabled (the default), every pointer-based access is
-    dynamically checked against its static tag set: the tag naming the
-    object actually touched must belong to the operation's tag set.  This
-    turns every program run into a soundness test for the MOD/REF and
-    points-to analyses.
+    Every pointer-based access is dynamically checked against its static
+    tag set: the tag naming the object actually touched must belong to the
+    operation's tag set.  This turns every program run into a soundness
+    test for the MOD/REF and points-to analyses.
 
     Each run compiles {!Precomp}'s dense form into OCaml closures once,
     after the globals are allocated.  Every instruction becomes a closure
-    with its operator, operands, builtin, global base and tag-check setting
-    fixed, so executing it dispatches on nothing.  A block's instructions
+    with its operator, operands, builtin and global base fixed, so
+    executing it dispatches on nothing.  A block's instructions
     are cut into {e segments}, each ending just after a call or at the
     block's end; the last one also carries the terminator.  A segment that
     can neither run out of fuel nor reach a 4096-operation [should_stop]
@@ -225,7 +224,6 @@ type env = {
   dp : P.dprog;
   cfs : cfunc array;  (** indexed like [dp.dfuncs] *)
   gbase : int array;  (** a global's base by tag id; -1: no storage *)
-  check_tags : bool;
 }
 
 let compile_call env (c : P.dcall) (next : code) : code =
@@ -358,7 +356,6 @@ let compile_instr env nreg (i : P.dinstr) (next : code) : code =
           next regs frame
       | Fails msg -> fails msg)
     | P.Dloadg (d, a, tags) ->
-      let tags = if env.check_tags then tags else Tagset.univ in
       fun regs frame ->
         (match Array.unsafe_get regs a with
         | Value.Vptr (b, o) ->
@@ -366,7 +363,6 @@ let compile_instr env nreg (i : P.dinstr) (next : code) : code =
         | v -> Value.error "Load through non-pointer %a" Value.pp v);
         next regs frame
     | P.Dstoreg (a, s, tags) ->
-      let tags = if env.check_tags then tags else Tagset.univ in
       fun regs frame ->
         (match Array.unsafe_get regs a with
         | Value.Vptr (b, o) ->
@@ -505,7 +501,7 @@ let compile_block env g cf (blocks : code array) (b : P.dblock) : code =
        (nsegs - 1, term))
 
 (** Compile every function of [dp]. *)
-let compile st ~check_tags gbase (dp : P.dprog) : cfunc array =
+let compile st gbase (dp : P.dprog) : cfunc array =
   let cfs =
     Array.map
       (fun (g : P.dfunc) ->
@@ -520,7 +516,7 @@ let compile st ~check_tags gbase (dp : P.dprog) : cfunc array =
         })
       dp.P.dfuncs
   in
-  let env = { st; dp; cfs; gbase; check_tags } in
+  let env = { st; dp; cfs; gbase } in
   Array.iter2
     (fun (g : P.dfunc) cf ->
       let blocks = Array.make (Array.length g.P.dblocks) halt in
@@ -534,9 +530,8 @@ let compile st ~check_tags gbase (dp : P.dprog) : cfunc array =
   cfs
 
 (** Run [main] and return outputs plus dynamic counts. *)
-let run ?(fuel = 400_000_000) ?(check_tags = true) ?(max_depth = 100_000)
-    ?(seed = 12345) ?(should_stop = fun () -> false) ?deadline
-    (prog : Program.t) : result =
+let run ?(fuel = 400_000_000) ?(max_depth = 100_000)
+    ?(should_stop = fun () -> false) ?deadline (prog : Program.t) : result =
   let should_stop =
     match deadline with
     | None -> should_stop
@@ -549,7 +544,7 @@ let run ?(fuel = 400_000_000) ?(check_tags = true) ?(max_depth = 100_000)
     {
       prog;
       mem = Memory.create ();
-      rng = seed land 0x3FFFFFFF;
+      rng = 12345;
       out = Buffer.create 256;
       checksum = 0x1505;
       total = zero_counts ();
@@ -572,7 +567,7 @@ let run ?(fuel = 400_000_000) ?(check_tags = true) ?(max_depth = 100_000)
       if t.Tag.id < Array.length gbase then gbase.(t.Tag.id) <- b;
       Memory.init_words st.mem b words)
     prog.Program.globals;
-  let cfs = compile st ~check_tags gbase dprog in
+  let cfs = compile st gbase dprog in
   let main =
     match dprog.P.dmain with
     | Some g -> cfs.(g.P.didx)

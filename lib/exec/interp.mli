@@ -5,10 +5,11 @@
     built on: total operations, loads (cLoad/sLoad/Load), and stores
     (sStore/Store), whole-program and per-function.
 
-    With [check_tags] (default on), every pointer-based access dynamically
-    verifies that the tag of the object actually touched belongs to the
-    operation's static tag set — each run doubles as a soundness check of
-    MOD/REF and points-to analysis.
+    Every pointer-based access dynamically verifies that the tag of the
+    object actually touched belongs to the operation's static tag set —
+    each run doubles as a soundness check of MOD/REF and points-to
+    analysis.  The [rand] builtin starts from seed 12345; a program may
+    reseed it with [srand].
 
     Each run compiles {!Precomp}'s dense form into closures, one per
     instruction with everything but the register contents fixed, and
@@ -53,9 +54,7 @@ val is_external_stop : string -> bool
 
 (** Run the program.
     @param fuel maximum executed operations (default 4×10⁸)
-    @param check_tags dynamic tag-set verification (default on)
     @param max_depth call-stack limit (default 100000)
-    @param seed PRNG seed for the [rand] builtin (default 12345)
     @param should_stop polled every 4096 operations; returning [true]
     aborts the run with {!Resource_limit} — wall-clock budgets for the
     fuzz reducer (default: never)
@@ -66,9 +65,7 @@ val is_external_stop : string -> bool
     interpreter. *)
 val run :
   ?fuel:int ->
-  ?check_tags:bool ->
   ?max_depth:int ->
-  ?seed:int ->
   ?should_stop:(unit -> bool) ->
   ?deadline:float ->
   Program.t ->

@@ -148,16 +148,6 @@ let compact ~journal_path jsum (records, pending) =
    native job or health request costs a hashtable lookup. *)
 let native_cc st = Rp_backend.Native.find_cc ~cache:st.cas ()
 
-let result_json (c : Pipeline.cached_run) =
-  Json.Obj
-    [
-      ("output", Json.Str c.Pipeline.output);
-      ("checksum", Json.Int c.Pipeline.checksum);
-      ("ops", Json.Int c.Pipeline.ops);
-      ("loads", Json.Int c.Pipeline.loads);
-      ("stores", Json.Int c.Pipeline.stores);
-    ]
-
 (** Execute one admitted job.  Deterministic failures — traps, front-end
     rejections, resource exhaustion {e of the program} — become [error]
     responses here, inside the job: retrying them cannot help.  The one
@@ -166,37 +156,25 @@ let result_json (c : Pipeline.cached_run) =
     layer do its retry/timeout/quarantine accounting. *)
 let handle_op ~should_stop st (r : Protocol.request) : Json.t =
   let err code m = Protocol.error ~id:r.id ~client:r.client ~code m in
-  let compile_family ~src ~config payload_of =
-    match Protocol.config_of_name config with
-    | None -> err "usage" ("unknown config " ^ config)
-    | Some cfg ->
-      let c =
-        Pipeline.compile_and_run_cached ~config:cfg ~should_stop ~cas:st.cas
-          src
-      in
-      Protocol.ok ~id:r.id ~client:r.client (payload_of c)
-  in
   try
     match r.op with
     | Protocol.Health ->
       (* answered by the connection loop, never admitted to the pool *)
       err "internal" "health reached the pool"
-    | Protocol.Run { src; config; mode = Protocol.Interp } ->
-      compile_family ~src ~config (fun c ->
-          [ ("result", result_json c); ("stats", c.Pipeline.stats) ])
-    | Protocol.Run { src; config; mode = Protocol.Native } -> (
-      (* native jobs share the interp path's result artifacts and their
-         source × config key — both engines compute the same answer by
-         contract — so a warm daemon serves either mode from one entry.
-         Only a cold job reaches the binary store, which keys a binary by
-         the C it was compiled from: configs that emit the same code, and
-         a daemon and its restarted successor, share it.  The degradation
-         ladder means a native request never fails for infrastructure
-         reasons: it answers slower, from a lower rung, and says so in
-         the [exec] object. *)
+    | Protocol.Run { src; config; mode } -> (
       match Protocol.config_of_name config with
       | None -> err "usage" ("unknown config " ^ config)
       | Some cfg ->
+        (* native jobs share the interp path's cached answer and its
+           source × config key — both engines compute the same answer by
+           contract — so a warm daemon serves either mode from one
+           entry.  Only a cold job reaches the binary store, which keys a
+           binary by the C it was compiled from: configs that emit the
+           same code, and a daemon and its restarted successor, share
+           it.  The degradation ladder means a native request never
+           fails for infrastructure reasons: it answers slower, from a
+           lower rung, and says so in the [exec] object. *)
+        let native = mode = Protocol.Native in
         let exec_info = ref ("cached", false) in
         let runner p =
           let lad =
@@ -215,65 +193,24 @@ let handle_op ~should_stop st (r : Protocol.request) : Json.t =
           lad.Rp_backend.Native.l_result
         in
         let c =
-          Pipeline.compile_and_run_cached ~config:cfg ~should_stop ~runner
+          Pipeline.compile_and_run_cached ~config:cfg ~should_stop
+            ?runner:(if native then Some runner else None)
             ~cas:st.cas src
         in
         let mode_used, degraded = !exec_info in
         Protocol.ok ~id:r.id ~client:r.client
-          [
-            ("result", result_json c);
-            ("stats", c.Pipeline.stats);
-            ( "exec",
-              Json.Obj
-                [
-                  ("mode", Json.Str mode_used);
-                  ("degraded", Json.Bool degraded);
-                ] );
-          ])
-    | Protocol.Compile { src; config } ->
-      compile_family ~src ~config (fun c ->
-          [ ("il", Json.Str c.Pipeline.il); ("stats", c.Pipeline.stats) ])
-    | Protocol.Stats { src; config } ->
-      compile_family ~src ~config (fun c ->
-          [ ("stats", c.Pipeline.stats) ])
-    | Protocol.Fuzz { seed; trials } -> (
-      let key = Protocol.fuzz_key ~seed ~trials in
-      match Cas.get st.cas ~key ~kind:"fuzz" with
-      | Some raw -> Protocol.ok ~id:r.id ~client:r.client
-          [ ("fuzz", Json.parse raw) ]
-      | None ->
-        let agreed = ref 0 and diverged = ref 0 in
-        let rejected = ref 0 and inconclusive = ref 0 in
-        let stop_now () =
-          raise
-            (Rp_exec.Interp.Resource_limit "external stop during fuzz batch")
-        in
-        for t = 0 to trials - 1 do
-          if should_stop () then stop_now ();
-          let src = Rp_fuzz.Gen.program_of_seed ~seed ~trial:t in
-          match Rp_fuzz.Difforacle.check ~should_stop src with
-          | Rp_fuzz.Difforacle.Agree _ -> incr agreed
-          | Rp_fuzz.Difforacle.Rejected _ -> incr rejected
-          | Rp_fuzz.Difforacle.Inconclusive _ -> incr inconclusive
-          | Rp_fuzz.Difforacle.Diverged _ -> incr diverged
-        done;
-        (* a deadline can surface as Inconclusive instead of an abort;
-           never cache a batch the deadline touched *)
-        if should_stop () then stop_now ();
-        let summary =
-          Json.Obj
+          ([ ("result", Pipeline.result_json c); ("stats", c.Pipeline.stats) ]
+          @
+          if native then
             [
-              ("seed", Json.Int seed);
-              ("trials", Json.Int trials);
-              ("agreed", Json.Int !agreed);
-              ("diverged", Json.Int !diverged);
-              ("rejected", Json.Int !rejected);
-              ("inconclusive", Json.Int !inconclusive);
+              ( "exec",
+                Json.Obj
+                  [
+                    ("mode", Json.Str mode_used);
+                    ("degraded", Json.Bool degraded);
+                  ] );
             ]
-        in
-        Cas.put st.cas ~key ~kind:"fuzz"
-          (Json.to_string ~indent:false summary);
-        Protocol.ok ~id:r.id ~client:r.client [ ("fuzz", summary) ])
+          else []))
   with
   | Rp_exec.Interp.Resource_limit m when Rp_exec.Interp.is_external_stop m ->
     raise (Rp_exec.Interp.Resource_limit m)

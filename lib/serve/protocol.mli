@@ -6,17 +6,15 @@
     {e in request order}, then closes.
 
     Request: [{"schema": "rpcc-serve/2", "id": <any>, "client": <str>,
-    "op": "run"|"compile"|"stats"|"fuzz"|"health", ...}] with
-    op-specific fields — [src] (+ optional [config], a
-    {!Rp_driver.Config.named_grid} name, default ["modref/with"]) for
-    the compile family, [seed] (+ optional [trials], default 1) for
-    [fuzz].  [run] additionally takes an optional [mode] ∈ {["interp"],
-    ["native"]}, default ["interp"]: a [native] run is served through
-    the compiled-C backend's degradation ladder and its payload carries
-    an [exec] object naming the rung that answered.  [id] and [client]
-    (default ["anonymous"]) are echoed verbatim in the response.  A
-    request naming any other schema is answered with an
-    [unsupported schema] usage error.
+    "op": "run"|"health", ...}].  [run] takes [src], an optional
+    [config] (a {!Rp_driver.Config.named_grid} name, default
+    ["modref/with"]) and an optional [mode] ∈ {["interp"], ["native"]},
+    default ["interp"]: a [native] run is served through the compiled-C
+    backend's degradation ladder and its payload carries an [exec]
+    object naming the rung that answered.  [id] and [client] (default
+    ["anonymous"]) are echoed verbatim in the response.  A request
+    naming any other schema is answered with an [unsupported schema]
+    usage error, and any other op with [unknown op NAME].
 
     Response: [{"schema", "id", "client", "status", ...}] where [status]
     is [ok] (op-specific payload fields follow), [error] (fields [code]
@@ -24,7 +22,7 @@
     (the batch exceeded the daemon's queue bound; resubmit).
 
     Responses are built deterministically — same request, same cached
-    artifacts ⇒ byte-identical response line.  Deliberately {e no}
+    answer ⇒ byte-identical response line.  Deliberately {e no}
     [cached] field: a warm daemon is indistinguishable from a cold one
     except through [health] and latency. *)
 
@@ -35,20 +33,12 @@ val schema : string
 
 type exec_mode = Interp | Native
 
-val mode_name : exec_mode -> string
-(** ["interp"] / ["native"]. *)
-
 type op =
   | Run of { src : string; config : string; mode : exec_mode }
       (** compile + execute; payload [result] + [stats], and for
           [Native] requests an [exec] object ([mode] actually used +
           [degraded] flag) — the answer itself is mode-independent by
           the backend's equivalence contract *)
-  | Compile of { src : string; config : string }
-      (** payload [il] (serialized post-pipeline program) + [stats] *)
-  | Stats of { src : string; config : string }  (** payload [stats] only *)
-  | Fuzz of { seed : int; trials : int }
-      (** differential-oracle trials; payload [fuzz] summary *)
   | Health  (** daemon self-report; answered without entering the pool *)
 
 type request = {
@@ -66,11 +56,8 @@ val parse_request : Json.t -> (request, string) result
 val config_of_name : string -> Rp_driver.Config.t option
 (** Look up a {!Rp_driver.Config.named_grid} name. *)
 
-val fuzz_key : seed:int -> trials:int -> string
-(** The content-addressed key a fuzz batch's summary lives under. *)
-
 val op_key : op -> string
-(** The content-addressed key the op's artifacts live under ([""] for
+(** The content-addressed key the op's answer lives under ([""] for
     [Health] and unknown configs).  The daemon journals it with each
     request record so replay can match work to cache entries. *)
 

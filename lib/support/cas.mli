@@ -1,11 +1,12 @@
 (** A crash-tolerant content-addressed store.
 
-    The [rpcc serve] daemon's warm path: compile artifacts — serialized
-    post-pipeline programs, stats JSON, interpreter results — are stored
-    under a key derived from the {e content} that produced them (source
+    The [rpcc serve] daemon's warm path: each answer — one [run] object
+    holding the stats document and the interpreter result — is stored
+    under a key derived from the {e content} that produced it (source
     text, configuration fingerprint, pipeline pass version), so identical
     traffic skips the pipeline entirely and a SIGKILL'd daemon restarts
-    warm.
+    warm.  The native backend keeps its compiled binaries ([native-bin])
+    and compiler identities ([cc-id]) in a store of the same kind.
 
     Robustness contract:
     - {b Atomic writes.}  {!put} writes to a temp file in the store,
@@ -40,7 +41,7 @@ val key : string list -> string
 
 val put : t -> key:string -> kind:string -> string -> unit
 (** Store the payload under (key, kind), atomically.  [kind] must be a
-    short [[a-z0-9_-]] label ("program", "stats", "result", ...). *)
+    short [[a-z0-9_-]] label ("run", "native-bin", "cc-id"). *)
 
 val get : t -> key:string -> kind:string -> string option
 (** The verified payload, or [None] on a miss.  A present-but-corrupt

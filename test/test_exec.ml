@@ -340,7 +340,7 @@ let tagcheck_tests =
   [
     Util.tc "tag sets dynamically verified on every benchmark program"
       (fun () ->
-        (* check_tags:true is the default; compile each miniature under the
+        (* tag checks are always on; compile each miniature under the
            pointer analysis and let every Load/Store verify its tag set *)
         List.iter
           (fun (pr : Rp_suite.Programs.program) ->

@@ -218,6 +218,19 @@ let cache_src =
   "int g; int main() { int i; int s; s = 0; for (i = 0; i < 100; i++) { s \
    = s + i; g = s; } print_int(s + g); return 0; }"
 
+(** A program of ~60,000 operations: long enough to reach a
+    [should_stop] poll. *)
+let long_src =
+  "int g; int main() { int i; for (i = 0; i < 10000; i++) g = g + i; \
+   print_int(g); return 0; }"
+
+(** The names of every object in a store. *)
+let store_objects root =
+  let objects = Filename.concat root "objects" in
+  Array.to_list (Sys.readdir objects)
+  |> List.concat_map (fun shard ->
+         Array.to_list (Sys.readdir (Filename.concat objects shard)))
+
 let cache_tests =
   [
     Util.tc "cache: cold populates, warm hit byte-identical, all configs"
@@ -226,8 +239,25 @@ let cache_tests =
         List.iter
           (fun (name, config) ->
             let _, _, plain = Pipeline.compile_and_run ~config cache_src in
+            let s0 = Cas.stats cas in
             let cold = Pipeline.compile_and_run_cached ~config ~cas cache_src in
+            let s1 = Cas.stats cas in
             let warm = Pipeline.compile_and_run_cached ~config ~cas cache_src in
+            let s2 = Cas.stats cas in
+            (* one object per key: a cold call is one miss and one put, a
+               warm one a single hit *)
+            Util.check
+              Alcotest.(list int)
+              (name ^ ": cold hits/misses/puts")
+              [ 0; 1; 1 ]
+              [ s1.Cas.hits - s0.Cas.hits; s1.Cas.misses - s0.Cas.misses;
+                s1.Cas.puts - s0.Cas.puts ];
+            Util.check
+              Alcotest.(list int)
+              (name ^ ": warm hits/misses/puts")
+              [ 1; 0; 0 ]
+              [ s2.Cas.hits - s1.Cas.hits; s2.Cas.misses - s1.Cas.misses;
+                s2.Cas.puts - s1.Cas.puts ];
             Util.check Alcotest.bool (name ^ ": cold is a miss") false
               cold.Pipeline.cache_hit;
             Util.check Alcotest.bool (name ^ ": warm is a hit") true
@@ -246,8 +276,6 @@ let cache_tests =
               plain.Rp_exec.Interp.total.Rp_exec.Interp.stores
               cold.Pipeline.stores;
             (* warm re-serve is byte-identical to the populating compile *)
-            Util.check Alcotest.string (name ^ ": il bytes") cold.Pipeline.il
-              warm.Pipeline.il;
             Util.check Alcotest.string (name ^ ": stats bytes")
               (Json.to_string cold.Pipeline.stats)
               (Json.to_string warm.Pipeline.stats);
@@ -262,6 +290,73 @@ let cache_tests =
         let s = Cas.stats cas in
         Util.check Alcotest.bool "every warm pass hit" true
           (s.Cas.hits > 0 && s.Cas.quarantined = 0));
+    Util.tc "cache: a trapped or stopped run caches nothing" (fun () ->
+        let root = fresh_dir "cache-abort" in
+        let cas = Cas.open_ root in
+        let nothing_cached what =
+          Util.check Alcotest.int (what ^ ": no put") 0
+            (Cas.stats cas).Cas.puts;
+          Util.check
+            Alcotest.(list string)
+            (what ^ ": empty store") [] (store_objects root)
+        in
+        let _, trap_src, trap_msg = List.hd Util.memory_traps in
+        let trap what =
+          match Pipeline.compile_and_run_cached ~cas trap_src with
+          | _ -> Alcotest.fail (what ^ ": the program must trap")
+          | exception Rp_exec.Interp.Error m ->
+            Util.check Alcotest.string (what ^ ": trap message") trap_msg m;
+            nothing_cached what
+        in
+        trap "trap";
+        (* the next call recomputes: it misses again and traps again *)
+        trap "trap again";
+        Util.check Alcotest.int "both trapping calls missed" 2
+          (Cas.stats cas).Cas.misses;
+        (match
+           Pipeline.compile_and_run_cached ~should_stop:(fun () -> true) ~cas
+             long_src
+         with
+        | _ -> Alcotest.fail "a stopped run must raise"
+        | exception Rp_exec.Interp.Resource_limit m ->
+          Util.check Alcotest.bool "an external stop" true
+            (Rp_exec.Interp.is_external_stop m));
+        nothing_cached "stop";
+        let c = Pipeline.compile_and_run_cached ~cas long_src in
+        Util.check Alcotest.bool "the stopped key recomputes" false
+          c.Pipeline.cache_hit;
+        Util.check Alcotest.string "its answer" "49995000\n" c.Pipeline.output;
+        Util.check Alcotest.int "then puts once" 1 (Cas.stats cas).Cas.puts);
+    Util.tc "cache: a corrupt run object is quarantined and recomputed"
+      (fun () ->
+        let root = fresh_dir "cache-flip" in
+        let cas = Cas.open_ root in
+        let cold = Pipeline.compile_and_run_cached ~cas cache_src in
+        (* flip the object's last payload byte under its stale CRC *)
+        let path =
+          object_path root
+            ~key:(Pipeline.cache_key ~config:Config.default cache_src)
+            ~kind:"run"
+        in
+        let b = Bytes.of_string (read_file path) in
+        let last = Bytes.length b - 1 in
+        Bytes.set b last (if Bytes.get b last = '}' then ']' else '}');
+        write_file path (Bytes.to_string b);
+        let again = Pipeline.compile_and_run_cached ~cas cache_src in
+        Util.check Alcotest.int "quarantined" 1 (Cas.stats cas).Cas.quarantined;
+        Util.check Alcotest.bool "recomputed, not served" false
+          again.Pipeline.cache_hit;
+        Util.check Alcotest.string "same output" cold.Pipeline.output
+          again.Pipeline.output;
+        Util.check
+          Alcotest.(list int)
+          "same checksum and counts"
+          [ cold.Pipeline.checksum; cold.Pipeline.ops; cold.Pipeline.loads;
+            cold.Pipeline.stores ]
+          [ again.Pipeline.checksum; again.Pipeline.ops; again.Pipeline.loads;
+            again.Pipeline.stores ];
+        Util.check Alcotest.bool "the recomputed object serves" true
+          (Pipeline.compile_and_run_cached ~cas cache_src).Pipeline.cache_hit);
     Util.tc "cache: distinct configs never share a key" (fun () ->
         let keys =
           List.map
@@ -310,7 +405,25 @@ let protocol_tests =
         Util.check Alcotest.bool "schema rejected" true
           (Result.is_error (Protocol.parse_request bad_schema));
         Util.check Alcotest.bool "op rejected" true
-          (Result.is_error (Protocol.parse_request bad_op)));
+          (Result.is_error (Protocol.parse_request bad_op));
+        (* the daemon serves run and health only *)
+        List.iter
+          (fun op ->
+            let r =
+              Json.Obj
+                [
+                  ("schema", Json.Str Protocol.schema);
+                  ("op", Json.Str op);
+                  ("src", Json.Str "int main() { return 0; }");
+                  ("seed", Json.Int 1);
+                ]
+            in
+            Util.check
+              Alcotest.(result reject string)
+              op
+              (Error ("unknown op " ^ op))
+              (Result.map ignore (Protocol.parse_request r)))
+          [ "compile"; "stats"; "fuzz" ]);
     Util.tc "protocol: responses carry a fixed field order" (fun () ->
         let keys j =
           match j with Json.Obj kvs -> List.map fst kvs | _ -> []
@@ -791,6 +904,13 @@ let test_daemon_native_mode () =
 let exit_code cmd =
   Sys.command (cmd ^ " > /dev/null 2> /dev/null")
 
+let contains hay needle =
+  let n = String.length needle in
+  let rec find i =
+    i + n <= String.length hay && (String.sub hay i n = needle || find (i + 1))
+  in
+  find 0
+
 let jobs_validation_tests =
   [
     Util.tc "cli: negative --jobs exits 2 everywhere" (fun () ->
@@ -818,15 +938,40 @@ let jobs_validation_tests =
             ^ " serve --jobs=-1 > /dev/null 2> " ^ Filename.quote errf)
         in
         Util.check Alcotest.int "exit 2" 2 st;
-        let msg = read_file errf in
         Util.check Alcotest.bool "mentions --jobs" true
-          (let needle = "--jobs" in
-           let n = String.length needle in
-           let rec find i =
-             i + n <= String.length msg
-             && (String.sub msg i n = needle || find (i + 1))
-           in
-           find 0));
+          (contains (read_file errf) "--jobs"));
+    Util.tc "cli: a --job-timeout that is not > 0 exits 2" (fun () ->
+        let q = Filename.quote in
+        let dir = fresh_dir "jobtimeout" in
+        let journal = Filename.concat dir "fuzz.jsonl" in
+        List.iter
+          (fun (label, cmd) ->
+            let errf = Filename.concat dir (label ^ ".err") in
+            Util.check Alcotest.int (label ^ " exits 2") 2
+              (Sys.command (cmd ^ " > /dev/null 2> " ^ q errf));
+            Util.check Alcotest.bool (label ^ ": the usage line names it") true
+              (contains (read_file errf) "usage: --job-timeout must be"))
+          [
+            ( "bench",
+              "cd " ^ q dir ^ " && " ^ q (bench ())
+              ^ " --json --job-timeout 0 --retries 0" );
+            ( "fuzz",
+              q (rpcc ()) ^ " fuzz --trials 3 --job-timeout 0 --journal "
+              ^ q journal );
+            ( "gen-fuzz",
+              q (rpcc ()) ^ " gen-fuzz --trials 3 --job-timeout=-1 --out-dir "
+              ^ q (Filename.concat dir "out") );
+            (* 0 is serve's documented "no deadline"; a daemon that starts
+               anyway is stopped by [timeout], which exits 124 *)
+            ( "serve",
+              "timeout 30 " ^ q (rpcc ()) ^ " serve --job-timeout=-5 --socket "
+              ^ q (Filename.concat dir "s.sock")
+              ^ " --state-dir " ^ q (Filename.concat dir "state") );
+          ];
+        Util.check Alcotest.bool "no journal record written" false
+          (Sys.file_exists journal);
+        Util.check Alcotest.bool "no counts document written" false
+          (Sys.file_exists (Filename.concat dir "BENCH_counts.json")));
   ]
 
 let () =
