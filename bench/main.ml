@@ -9,7 +9,7 @@
       bench/main.exe --json --native [--cc-flags "-O2"] [--plant-cc-failure]
                                         every cell through the compiled-C
                                         backend's degradation ladder
-                                        (native → recompile-once → interp)
+                                        (native → interp)
       bench/main.exe --json --via-daemon SOCK
                                         the grid through a running
                                         rpcc serve daemon (cached)
@@ -851,8 +851,8 @@ let conflicts o =
   ]
 
 (* --native in this process: the compiler, or with --plant-cc-failure one
-   that cannot exist, so every cell's native attempt and its recompile
-   fail and the interpreter rung answers.  The planted identity keeps its
+   that cannot exist, so every cell's native attempt fails and the
+   interpreter rung answers.  The planted identity keeps its
    binary keys clear of any real compiler's warm store. *)
 let native_cc o cas =
   let flags =

@@ -250,18 +250,11 @@ let run_json config (st : Pipeline.stage_stats) resil
   | j -> j
 
 let run_cmd =
-  let run config file quiet stats_json fuel max_depth timeout retries native
-      cc_flags =
+  let run config file quiet stats_json fuel max_depth timeout native cc_flags =
     handle_errors @@ fun () ->
-    let retries =
-      match (retries, timeout) with
-      | None, _ -> 0
-      | Some _, None ->
-        Rp_cli.usage
-          "--retries requires --timeout: only a run stopped by its own \
-           deadline is retried"
-      | Some _, Some _ -> Rp_cli.retries retries
-    in
+    (match timeout with
+    | Some t when not (t > 0.) -> Rp_cli.usage "--timeout must be > 0"
+    | _ -> ());
     let src = read_file file in
     let resil = Rp_support.Resilience.create () in
     (* --native: same compile, but execution through the compiled-C
@@ -288,9 +281,8 @@ let run_cmd =
              --version`)@.";
           exit 2
     in
-    (* the compile is deterministic: only execution is retried *)
     let prog, st = Pipeline.compile ~config src in
-    let attempt () =
+    let execute () =
       try
         match native_cc with
         | None -> Rp_exec.Interp.run ?fuel ?max_depth ?deadline:timeout prog
@@ -305,29 +297,6 @@ let run_cmd =
       | Rp_backend.Native.Error m ->
         Fmt.epr "error: native backend: %s@." m;
         exit 2
-    in
-    let execute () =
-      if retries = 0 then attempt ()
-      else begin
-        let policy =
-          { Rp_support.Retry.default_policy with max_attempts = retries + 1 }
-        in
-        (* a trap or a front-end error would recur on every attempt: only
-           a stop by this run's own --timeout reaches the backoff *)
-        let final = function
-          | Rp_exec.Interp.Resource_limit m ->
-            not (Rp_exec.Interp.is_external_stop m)
-          | _ -> true
-        in
-        match
-          Rp_support.Retry.with_backoff ~policy ~seed:0
-            ~on_retry:(fun ~attempt:_ ~delay:_ _ ->
-              Rp_support.Resilience.tick resil Rp_support.Resilience.Retry)
-            (fun () -> try Ok (attempt ()) with e when final e -> Error e)
-        with
-        | Ok (Ok v) -> v
-        | Ok (Error e) | Error e -> raise e
-      end
     in
     let r =
       try execute ()
@@ -374,21 +343,9 @@ let run_cmd =
       & opt (some float) None
       & info [ "timeout" ] ~docv:"SECONDS"
           ~doc:
-            "Wall-clock deadline for execution; exceeding it aborts with \
-             exit code 3 (like fuel exhaustion) and is counted in the \
-             stats' resilience object.")
-  in
-  let retries_t =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "retries" ] ~docv:"N"
-          ~doc:
-            "Re-attempt a run stopped by its own $(b,--timeout) up to N \
-             extra times with exponential backoff before reporting the \
-             timeout; any other failure is reported at once.  Requires \
-             $(b,--timeout).  Retries are counted in the stats' \
-             resilience object.")
+            "Wall-clock deadline for execution, in seconds (must be > 0); \
+             exceeding it aborts with exit code 3 (like fuel exhaustion) \
+             and is counted in the stats' resilience object.")
   in
   let native_t =
     Arg.(
@@ -414,7 +371,7 @@ let run_cmd =
        ~doc:"Compile and execute, reporting dynamic counts.")
     Term.(
       const run $ config_t $ file_t $ quiet_t $ stats_json_t $ fuel_t
-      $ max_depth_t $ timeout_t $ retries_t $ native_t $ cc_flags_t)
+      $ max_depth_t $ timeout_t $ native_t $ cc_flags_t)
 
 let dump_cmd =
   let dump config file stage format =
@@ -975,6 +932,11 @@ let serve_cmd =
 let client_cmd =
   let client socket timeout op file config_name native =
     handle_errors @@ fun () ->
+    let timeout =
+      if timeout = 0. then None
+      else if timeout > 0. then Some timeout
+      else Rp_cli.usage "--timeout must be >= 0 (0 = wait forever)"
+    in
     if native && op <> "run" then
       Fmt.failwith "--native only applies to op 'run'";
     let base =
@@ -997,7 +959,6 @@ let client_cmd =
           @ if native then [ ("mode", Json.Str "native") ] else [])
       | _, None -> Fmt.failwith "op '%s' needs a FILE.c argument" op
     in
-    let timeout = if timeout <= 0. then None else Some timeout in
     let resps =
       match Rp_serve.Client.call ?timeout ~socket [ req ] with
       | resps -> resps
@@ -1035,9 +996,10 @@ let client_cmd =
       value & opt float 0.
       & info [ "timeout" ] ~docv:"SECONDS"
           ~doc:
-            "Overall deadline for the exchange; a daemon that accepts \
-             the connection but never answers cannot wedge the client.  \
-             Expiry exits 3.  0 (the default) waits forever.")
+            "Overall deadline for the exchange, in seconds (must be >= \
+             0); a daemon that accepts the connection but never answers \
+             cannot wedge the client.  Expiry exits 3.  0 (the default) \
+             waits forever.")
   in
   let op_t =
     Arg.(
@@ -1065,8 +1027,8 @@ let client_cmd =
           ~doc:
             "Request native (compiled-C) execution for op run.  The \
              daemon answers through its degradation ladder — native, \
-             recompile-once, interpreter — and reports the rung used in \
-             the response's exec object; the result itself is \
+             then the interpreter — and reports the rung used in the \
+             response's exec object; the result itself is \
              mode-independent.")
   in
   Cmd.v

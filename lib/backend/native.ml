@@ -214,7 +214,7 @@ let parse_trailer (s : string) : trailer =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Compile                                                             *)
+(* Processes                                                           *)
 (* ------------------------------------------------------------------ *)
 
 let read_file path =
@@ -240,106 +240,113 @@ let write_file path s =
       in
       go 0)
 
-(* The compiler subprocess is sandboxed: a wedged or runaway cc must
-   degrade this one cell, never take the harness down with it.  OCaml's
-   Unix has no setrlimit, so the rlimits ride a [/bin/sh -c "ulimit ...;
-   exec cc ..."] wrapper — [exec] keeps the limited pid the compiler
-   itself — and the wall-clock deadline is enforced by the harness with
-   a WNOHANG poll + SIGKILL. *)
-type sandbox = {
-  cpu_s : int;
-  mem_mb : int;
-  fsize_mb : int;
-  wall_s : float;
-  spawn_retry : Rp_support.Retry.policy;
-}
+let remove_noerr path = try Sys.remove path with Sys_error _ -> ()
 
-let default_sandbox =
-  {
-    cpu_s = 60;
-    mem_mb = 4096;
-    fsize_mb = 512;
-    wall_s = 120.;
-    spawn_retry =
-      {
-        Rp_support.Retry.max_attempts = 5;
-        base_delay = 0.01;
-        max_delay = 0.2;
-        jitter = 0.25;
-      };
-  }
+let with_temp suffix f =
+  let path = Filename.temp_file "rpcc_native" suffix in
+  Fun.protect ~finally:(fun () -> remove_noerr path) (fun () -> f path)
 
 let truncate_err err =
   let err = String.trim err in
   if String.length err > 800 then String.sub err 0 800 ^ "..." else err
 
-let cc_compile ?(sandbox = default_sandbox) ~cc csrc =
-  let cfile = Filename.temp_file "rpcc_native" ".c" in
+(* The one way this module runs a child: cc through its rlimit shell, or
+   a compiled binary.  The child's stdout lands in a private temp file
+   (not a pipe, whose write end a sibling domain's fork could hold open)
+   and is returned when it exits 0; any other end raises {!Error} naming
+   [what].  The file is closed before the wait and removed on every
+   path.  Only the spawn errors a concurrent fork causes transiently are
+   retried, at most 100 times 10 ms apart: ETXTBSY ([EUNKNOWNERR 26]:
+   OCaml's [Unix.error] has no constructor for it), when another domain's
+   child briefly holds an inherited write fd to the binary, and EAGAIN,
+   when fork is short of resources.  With [~wall_s] the child is polled
+   every 20 ms and SIGKILLed past that deadline. *)
+let spawn_and_wait ~what ?(wall_s = infinity) argv =
+  with_temp ".out" @@ fun out ->
+  let pid =
+    let fd = Unix.openfile out [ O_WRONLY; O_CLOEXEC ] 0o600 in
+    Fun.protect
+      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+      (fun () ->
+        let rec spawn attempts =
+          try Unix.create_process argv.(0) argv Unix.stdin fd Unix.stderr
+          with
+          | Unix.Unix_error ((Unix.EUNKNOWNERR 26 | Unix.EAGAIN), _, _)
+            when attempts > 1 ->
+            Unix.sleepf 0.01;
+            spawn (attempts - 1)
+        in
+        spawn 100)
+  in
+  let deadline = Rp_support.Clock.now () +. wall_s in
+  let rec wait flags =
+    match Unix.waitpid flags pid with
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait flags
+    | 0, _ when Rp_support.Clock.now () > deadline ->
+      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      ignore (wait []);
+      error "%s killed past its %.0f s wall-clock deadline" what wall_s
+    | 0, _ ->
+      Unix.sleepf 0.02;
+      wait flags
+    | _, st -> st
+  in
+  let st = wait (if wall_s = infinity then [] else [ Unix.WNOHANG ]) in
+  let output = read_file out in
+  match st with
+  | Unix.WEXITED 0 -> output
+  | Unix.WEXITED n ->
+    error "%s exited with status %d: %s" what n (truncate_err output)
+  | Unix.WSIGNALED n ->
+    error "%s killed by signal %d: %s" what n (truncate_err output)
+  | Unix.WSTOPPED n ->
+    error "%s stopped by signal %d: %s" what n (truncate_err output)
+
+(* Every system error on the way to an answer (a temp directory that is
+   gone, a store that cannot be written, a binary the kernel will not
+   exec) is an infrastructure failure, the ladder's to handle. *)
+let guard f =
+  try f () with
+  | Unix.Unix_error (e, fn, arg) ->
+    error "%s %s: %s" fn arg (Unix.error_message e)
+  | Sys_error m -> error "%s" m
+  | End_of_file -> error "unexpected end of file"
+
+(* ------------------------------------------------------------------ *)
+(* Compile                                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* cc is the one subprocess we do not write, so it runs boxed: a wedged
+   or runaway compiler must degrade this one cell, never take the
+   harness down with it.  OCaml's Unix has no setrlimit, so the rlimits
+   (60 s CPU, 4 GiB address space, 512 MiB output) ride a [/bin/sh -c
+   "ulimit ...; exec cc ..."] wrapper ([exec] keeps the limited pid the
+   compiler itself), and the harness kills it past 120 s of wall time. *)
+let cc_compile ~cc csrc bin =
+  with_temp ".c" @@ fun cfile ->
+  write_file cfile csrc;
+  let cmd =
+    Printf.sprintf
+      "ulimit -t 60 2>/dev/null; ulimit -v 4194304 2>/dev/null; ulimit -f \
+       1048576 2>/dev/null; exec %s %s -o %s %s -lm 2>&1"
+      (Filename.quote cc.path)
+      (String.concat " " (List.map Filename.quote cc.flags))
+      (Filename.quote bin) (Filename.quote cfile)
+  in
+  ignore (spawn_and_wait ~what:"cc" ~wall_s:120. [| "/bin/sh"; "-c"; cmd |])
+
+(* An executable temp file filled by [fill]; removed if anything fails,
+   the caller's to remove otherwise. *)
+let fresh_bin fill =
   let bin = Filename.temp_file "rpcc_native" ".bin" in
-  let errf = Filename.temp_file "rpcc_cc" ".err" in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Sys.remove cfile with Sys_error _ -> ());
-      try Sys.remove errf with Sys_error _ -> ())
-    (fun () ->
-      write_file cfile csrc;
-      let cmd =
-        Printf.sprintf
-          "ulimit -t %d 2>/dev/null; ulimit -v %d 2>/dev/null; ulimit -f %d \
-           2>/dev/null; exec %s %s -o %s %s -lm 2>%s"
-          sandbox.cpu_s (sandbox.mem_mb * 1024)
-          (sandbox.fsize_mb * 2048)
-          (Filename.quote cc.path)
-          (String.concat " " (List.map Filename.quote cc.flags))
-          (Filename.quote bin) (Filename.quote cfile) (Filename.quote errf)
-      in
-      (* fork can transiently fail under pressure (EAGAIN) or race a
-         sibling's inherited fd (ETXTBSY on the shell, EUNKNOWNERR 26);
-         absorb a bounded burst through the shared backoff machinery
-         rather than quarantining the cell on the first hiccup *)
-      let pid =
-        match
-          Rp_support.Retry.with_backoff ~policy:sandbox.spawn_retry
-            (fun () ->
-              Unix.create_process "/bin/sh"
-                [| "/bin/sh"; "-c"; cmd |]
-                Unix.stdin Unix.stdout Unix.stderr)
-        with
-        | Ok pid -> pid
-        | Error (Unix.Unix_error (e, _, _)) ->
-          error "cc spawn failed: %s" (Unix.error_message e)
-        | Error e -> error "cc spawn failed: %s" (Printexc.to_string e)
-      in
-      let deadline = Rp_support.Clock.now () +. sandbox.wall_s in
-      let rec wait () =
-        match Unix.waitpid [ Unix.WNOHANG ] pid with
-        | 0, _ ->
-          if Rp_support.Clock.now () > deadline then begin
-            (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-            ignore (Unix.waitpid [] pid);
-            (try Sys.remove bin with Sys_error _ -> ());
-            error "cc sandbox: wall-clock deadline (%.0fs) exceeded"
-              sandbox.wall_s
-          end
-          else begin
-            Unix.sleepf 0.02;
-            wait ()
-          end
-        | _, st -> st
-      in
-      let st = try wait () with Unix.Unix_error (Unix.EINTR, _, _) -> wait () in
-      (match st with
-      | Unix.WEXITED 0 -> ()
-      | st ->
-        let err = truncate_err (try read_file errf with Sys_error _ -> "") in
-        (try Sys.remove bin with Sys_error _ -> ());
-        (match st with
-        | Unix.WEXITED n -> error "cc failed (exit %d): %s" n err
-        | Unix.WSIGNALED n ->
-          error "cc killed by signal %d (sandbox rlimit?): %s" n err
-        | Unix.WSTOPPED n -> error "cc stopped by signal %d: %s" n err));
-      Unix.chmod bin 0o700;
-      bin)
+  match
+    fill bin;
+    Unix.chmod bin 0o700
+  with
+  | () -> bin
+  | exception e ->
+    remove_noerr bin;
+    raise e
 
 (* A binary is keyed by exactly what cc compiles.  Configs whose
    analyses agree emit the same C and share one binary, and a pass change
@@ -369,37 +376,22 @@ let with_claim id f =
           Hashtbl.remove claims id;
           Condition.broadcast claim_released))
 
-let compile ?sandbox ?cache ?key:_ ~cc prog =
+let compile ?cache ?key:_ ~cc prog =
   let csrc = Cgen.emit prog in
+  guard @@ fun () ->
   match cache with
-  | None -> (cc_compile ?sandbox ~cc csrc, false)
+  | None -> (fresh_bin (cc_compile ~cc csrc), false)
   | Some cas ->
     let k = bin_key ~cc csrc in
     with_claim (Rp_support.Cas.root cas, k) (fun () ->
         match Rp_support.Cas.get cas ~key:k ~kind:"native-bin" with
-        | Some bytes ->
-          let bin = Filename.temp_file "rpcc_native" ".bin" in
-          write_file bin bytes;
-          Unix.chmod bin 0o700;
-          (bin, true)
+        | Some bytes -> (fresh_bin (fun bin -> write_file bin bytes), true)
         | None ->
-          let bin = cc_compile ?sandbox ~cc csrc in
-          Rp_support.Cas.put cas ~key:k ~kind:"native-bin" (read_file bin);
-          (bin, false))
-
-(* The degradation ladder's second rung: recompile without reading the
-   cache (a CRC-valid but behaviorally bad entry would just be refetched)
-   but write the fresh binary back through, repairing the entry for every
-   later job on this key.  It takes no claim, just as it skips the read. *)
-let compile_fresh ?sandbox ?cache ~cc prog =
-  let csrc = Cgen.emit prog in
-  let bin = cc_compile ?sandbox ~cc csrc in
-  (match cache with
-  | Some cas ->
-    Rp_support.Cas.put cas ~key:(bin_key ~cc csrc) ~kind:"native-bin"
-      (read_file bin)
-  | None -> ());
-  bin
+          ( fresh_bin (fun bin ->
+                cc_compile ~cc csrc bin;
+                Rp_support.Cas.put cas ~key:k ~kind:"native-bin"
+                  (read_file bin)),
+            false ))
 
 (* ------------------------------------------------------------------ *)
 (* Execute                                                             *)
@@ -415,92 +407,46 @@ let checksum_of_string s =
    run time, excluding fork/exec/loader overhead the harness pays. *)
 let exec_bin_elapsed ?(fuel = 400_000_000) ?(max_depth = 100_000) ?deadline
     bin : Interp.result * float =
-  let trailer_path = Filename.temp_file "rpcc_trailer" ".txt" in
-  Fun.protect
-    ~finally:(fun () ->
-      try Sys.remove trailer_path with Sys_error _ -> ())
-    (fun () ->
-      let budget = match deadline with Some d -> d | None -> 0.0 in
-      (* the binary raises its own stack limit (deep recursion runs on
-         the C stack), so no shell wrapper: exec it directly *)
-      let argv =
-        [|
-          bin;
-          trailer_path;
-          string_of_int fuel;
-          string_of_int max_depth;
-          Printf.sprintf "%.6f" budget;
-        |]
-      in
-      (* cloexec on both ends: a concurrent fork in another domain must
-         not inherit [w_out], or this pipe never sees EOF until that
-         unrelated child exits ([create_process] dup2s [w_out] to the
-         child's stdout, which clears the flag there) *)
-      let r_out, w_out = Unix.pipe ~cloexec:true () in
-      let pid =
-        (* ETXTBSY (EUNKNOWNERR 26 — OCaml's Unix.error has no
-           constructor for it) is the one transient worth absorbing
-           here: a fork racing this exec (another domain spawning cc)
-           can briefly hold an inherited write fd to [bin]; retry
-           briefly rather than quarantine *)
-        let rec spawn attempts =
-          try Unix.create_process bin argv Unix.stdin w_out Unix.stderr
-          with
-          | Unix.Unix_error (Unix.EUNKNOWNERR 26, _, _) when attempts > 0 ->
-            Unix.sleepf 0.01;
-            spawn (attempts - 1)
-        in
-        spawn 100
-      in
-      Unix.close w_out;
-      let out = Buffer.create 4096 in
-      let ic = Unix.in_channel_of_descr r_out in
-      let chunk = Bytes.create 65536 in
-      let rec drain () =
-        let n = input ic chunk 0 (Bytes.length chunk) in
-        if n > 0 then begin
-          Buffer.add_subbytes out chunk 0 n;
-          drain ()
-        end
-      in
-      (try drain () with End_of_file -> ());
-      close_in_noerr ic;
-      let _, st = Unix.waitpid [] pid in
-      (match st with
-      | Unix.WEXITED 0 -> ()
-      | Unix.WEXITED n -> error "native binary exited with status %d" n
-      | Unix.WSIGNALED n -> error "native binary killed by signal %d" n
-      | Unix.WSTOPPED n -> error "native binary stopped by signal %d" n);
-      let output = Buffer.contents out in
-      let t =
-        parse_trailer
-          (try read_file trailer_path
-           with Sys_error e -> error "native trailer unreadable: %s" e)
-      in
-      if t.outlen <> String.length output then
-        error "native output truncated: trailer says %d bytes, captured %d"
-          t.outlen (String.length output);
-      match t.status with
-      | `Trap -> raise (Interp.Error t.msg)
-      | `Limit -> raise (Interp.Resource_limit t.msg)
-      | `Invalid -> raise (Invalid_argument t.msg)
-      | `Ok ->
-        if checksum_of_string output <> t.checksum then
-          error
-            "native checksum mismatch: trailer %d vs %d recomputed over \
-             captured output"
-            t.checksum
-            (checksum_of_string output);
-        let total =
-          { Interp.ops = t.ops; loads = t.loads; stores = t.stores }
-        in
-        let per_func =
-          t.funcs
-          |> List.filter (fun (_, (c : Interp.counts)) -> c.Interp.ops <> 0)
-          |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-        in
-        ( { Interp.ret = t.ret; output; checksum = t.checksum; total; per_func },
-          float_of_int t.elapsed_ns /. 1e6 ))
+  guard @@ fun () ->
+  with_temp ".trailer" @@ fun trailer_path ->
+  (* the binary reads a budget of 0 as no deadline; [%.17g] keeps every
+     positive one positive.  It raises its own stack limit (deep
+     recursion runs on the C stack), so no shell wrapper: exec it
+     directly *)
+  let budget = Option.value deadline ~default:0. in
+  let output =
+    spawn_and_wait ~what:"native binary"
+      [|
+        bin;
+        trailer_path;
+        string_of_int fuel;
+        string_of_int max_depth;
+        Printf.sprintf "%.17g" budget;
+      |]
+  in
+  let t = parse_trailer (read_file trailer_path) in
+  if t.outlen <> String.length output then
+    error "native output truncated: trailer says %d bytes, captured %d"
+      t.outlen (String.length output);
+  match t.status with
+  | `Trap -> raise (Interp.Error t.msg)
+  | `Limit -> raise (Interp.Resource_limit t.msg)
+  | `Invalid -> raise (Invalid_argument t.msg)
+  | `Ok ->
+    if checksum_of_string output <> t.checksum then
+      error
+        "native checksum mismatch: trailer %d vs %d recomputed over captured \
+         output"
+        t.checksum
+        (checksum_of_string output);
+    let total = { Interp.ops = t.ops; loads = t.loads; stores = t.stores } in
+    let per_func =
+      t.funcs
+      |> List.filter (fun (_, (c : Interp.counts)) -> c.Interp.ops <> 0)
+      |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+    in
+    ( { Interp.ret = t.ret; output; checksum = t.checksum; total; per_func },
+      float_of_int t.elapsed_ns /. 1e6 )
 
 let exec_bin ?fuel ?max_depth ?deadline bin =
   fst (exec_bin_elapsed ?fuel ?max_depth ?deadline bin)
@@ -512,12 +458,12 @@ type timed = {
   cache_hit : bool;
 }
 
-let run_timed ?fuel ?max_depth ?deadline ?sandbox ?cache ?key:_ ~cc prog =
+let run_timed ?fuel ?max_depth ?deadline ?cache ?key:_ ~cc prog =
   let t0 = Rp_support.Clock.now () in
-  let bin, cache_hit = compile ?sandbox ?cache ~cc prog in
+  let bin, cache_hit = compile ?cache ~cc prog in
   let t1 = Rp_support.Clock.now () in
   Fun.protect
-    ~finally:(fun () -> try Sys.remove bin with Sys_error _ -> ())
+    ~finally:(fun () -> remove_noerr bin)
     (fun () ->
       let result, elapsed_ms =
         exec_bin_elapsed ?fuel ?max_depth ?deadline bin
@@ -533,8 +479,8 @@ let run_timed ?fuel ?max_depth ?deadline ?sandbox ?cache ?key:_ ~cc prog =
         cache_hit;
       })
 
-let run ?fuel ?max_depth ?deadline ?sandbox ?cache ~cc prog =
-  (run_timed ?fuel ?max_depth ?deadline ?sandbox ?cache ~cc prog).result
+let run ?fuel ?max_depth ?deadline ?cache ~cc prog =
+  (run_timed ?fuel ?max_depth ?deadline ?cache ~cc prog).result
 
 (* ------------------------------------------------------------------ *)
 (* Degradation ladder                                                  *)
@@ -543,72 +489,36 @@ let run ?fuel ?max_depth ?deadline ?sandbox ?cache ~cc prog =
 type laddered = {
   l_result : Interp.result;
   l_mode : [ `Native | `Interp ];
-  l_degraded : string option;
   l_cc_ms : float;
   l_exec_ms : float;
   l_cache_hit : bool;
 }
 
-(* native → recompile-once (cache-read bypassed, write-through) →
-   interpreter.  Only {!Error} — infrastructure failure — descends a
-   rung; faithful program outcomes ([Interp.Error], [Resource_limit],
-   [Invalid_argument]) re-raise from whichever rung produced them,
-   because every rung computes the same answer by contract.  The
-   result is therefore independent of which rungs fired; only the
-   telemetry ([l_mode]/[l_degraded]) and the latency differ. *)
-let run_laddered ?fuel ?max_depth ?deadline ?sandbox ?cache ~interp ~cc prog =
-  let fallback reason =
+(* native → interpreter.  Only {!Error}, infrastructure failure,
+   descends; faithful program outcomes ([Interp.Error],
+   [Resource_limit], [Invalid_argument]) re-raise from whichever rung
+   produced them, because both compute the same answer by contract.
+   The result is therefore independent of the rung; only [l_mode] and
+   the latency differ.  A failed native attempt is not retried: a
+   deterministic cc cannot fix its own failure. *)
+let run_laddered ?fuel ?max_depth ?deadline ?cache ~interp ~cc prog =
+  match
+    Option.map (fun cc -> run_timed ?fuel ?max_depth ?deadline ?cache ~cc prog) cc
+  with
+  | Some t ->
+    {
+      l_result = t.result;
+      l_mode = `Native;
+      l_cc_ms = t.cc_ms;
+      l_exec_ms = t.exec_ms;
+      l_cache_hit = t.cache_hit;
+    }
+  | None | (exception Error _) ->
     let result, run_ms = interp () in
     {
       l_result = result;
       l_mode = `Interp;
-      l_degraded = Some reason;
       l_cc_ms = 0.;
       l_exec_ms = run_ms;
       l_cache_hit = false;
     }
-  in
-  match cc with
-  | None -> fallback "no C compiler"
-  | Some cc -> (
-    match
-      run_timed ?fuel ?max_depth ?deadline ?sandbox ?cache ~cc prog
-    with
-    | t ->
-      {
-        l_result = t.result;
-        l_mode = `Native;
-        l_degraded = None;
-        l_cc_ms = t.cc_ms;
-        l_exec_ms = t.exec_ms;
-        l_cache_hit = t.cache_hit;
-      }
-    | exception Error first -> (
-      match
-        let t0 = Rp_support.Clock.now () in
-        let bin = compile_fresh ?sandbox ?cache ~cc prog in
-        let t1 = Rp_support.Clock.now () in
-        Fun.protect
-          ~finally:(fun () -> try Sys.remove bin with Sys_error _ -> ())
-          (fun () ->
-            let result, elapsed_ms =
-              exec_bin_elapsed ?fuel ?max_depth ?deadline bin
-            in
-            let t2 = Rp_support.Clock.now () in
-            ( result,
-              (t1 -. t0) *. 1000.,
-              if elapsed_ms > 0. then elapsed_ms else (t2 -. t1) *. 1000. ))
-      with
-      | result, cc_ms, exec_ms ->
-        {
-          l_result = result;
-          l_mode = `Native;
-          l_degraded = Some (Printf.sprintf "recompiled: %s" first);
-          l_cc_ms = cc_ms;
-          l_exec_ms = exec_ms;
-          l_cache_hit = false;
-        }
-      | exception Error second ->
-        fallback
-          (Printf.sprintf "native failed twice (%s; retry: %s)" first second)
-      ))

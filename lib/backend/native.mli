@@ -9,10 +9,20 @@
     [Invalid_argument] exceptions with the same messages on erroneous or
     resource-bounded programs.  Anything that prevents the runner from
     establishing that answer — no C compiler, a compile failure, a binary
-    killed by a signal, a truncated or garbled trailer, a checksum that
-    does not match the captured output — raises {!Error} instead, so
+    the kernel will not exec or that is killed by a signal, a truncated
+    or garbled trailer, a checksum that does not match the captured
+    output, any system error on the way (a missing temp directory, a
+    store that cannot be written) — raises {!Error} instead, so
     infrastructure failure is always a quarantine and never a wrong
-    answer. *)
+    answer.  No [Unix_error], [Sys_error] or [End_of_file] leaves
+    {!compile}, {!exec_bin}, {!run}, {!run_timed} or {!run_laddered}.
+
+    The compiler runs under fixed limits: 60 s of CPU, 4 GiB of address
+    space and 512 MiB of output (rlimits set by a [/bin/sh] wrapper), and
+    a 120 s wall-clock deadline after which it is killed.  A spawn that
+    fails with ETXTBSY or EAGAIN, the transient errors of a concurrent
+    fork, is retried up to 100 times; any other spawn error is an
+    {!Error}. *)
 
 exception Error of string
 (** Native-backend infrastructure failure (distinct from program traps
@@ -44,22 +54,6 @@ val find_cc :
 val default_cache_dir : unit -> string
 (** Per-user binary cache root under the system temp directory. *)
 
-(* ---- cc sandbox -------------------------------------------------- *)
-
-type sandbox = {
-  cpu_s : int;  (** CPU rlimit for the compiler ([ulimit -t]), seconds *)
-  mem_mb : int;  (** address-space rlimit ([ulimit -v]), MiB *)
-  fsize_mb : int;  (** output file-size rlimit ([ulimit -f]), MiB *)
-  wall_s : float;  (** harness-enforced wall-clock deadline, seconds *)
-  spawn_retry : Rp_support.Retry.policy;
-      (** bounded retries for transient spawn failures (fork [EAGAIN],
-          [ETXTBSY] races) *)
-}
-
-val default_sandbox : sandbox
-(** 60 s CPU, 4 GiB AS, 512 MiB output, 120 s wall, 5 spawn attempts —
-    generous for any one translation unit, fatal for a wedged cc. *)
-
 (* ---- trailer protocol (exposed for tests) ------------------------ *)
 
 type trailer = {
@@ -87,7 +81,6 @@ val parse_trailer : string -> trailer
 (* ---- compile & execute ------------------------------------------- *)
 
 val compile :
-  ?sandbox:sandbox ->
   ?cache:Rp_support.Cas.t ->
   ?key:string ->
   cc:cc ->
@@ -102,10 +95,10 @@ val compile :
     share one binary, and a pass change reaches the key through the C it
     emits.  Compiles are single-flight per (store, binary key): a domain
     asking for a key another domain is compiling waits for it (at most
-    that compile's sandbox [wall_s]) and then reads the store, so
+    that compile's 120 s deadline) and then reads the store, so
     concurrent cells that emit one translation unit run cc once.  A
     waiter whose leader failed compiles for itself.  Raises {!Error} if
-    cc fails.
+    cc fails or the store cannot be read or written.
 
     [?key] is ignored.  It stays only because [perfbench/traced.ml]
     still passes one, and goes when that file next changes.  Honouring
@@ -125,9 +118,10 @@ val exec_bin :
     (deep IR recursion lives on the C stack; the interpreter's frames
     lived on the OCaml heap), with
     stdout captured as the program output and the trailer read from a
-    private temp file.  [?deadline] is a wall-clock budget in seconds,
-    enforced cooperatively by the emitted code's 4096-op poll exactly
-    like the interpreter's [should_stop].  Raises [Interp.Error],
+    private temp file.  [?deadline] is a wall-clock budget in seconds and
+    must be positive, as for {!Rp_exec.Interp.run}; it is enforced
+    cooperatively by the emitted code's 4096-op poll exactly like the
+    interpreter's [should_stop].  Raises [Interp.Error],
     [Interp.Resource_limit], or [Invalid_argument] as the interpreter
     would; {!Error} on infrastructure failure. *)
 
@@ -135,7 +129,6 @@ val run :
   ?fuel:int ->
   ?max_depth:int ->
   ?deadline:float ->
-  ?sandbox:sandbox ->
   ?cache:Rp_support.Cas.t ->
   cc:cc ->
   Rp_ir.Program.t ->
@@ -163,7 +156,6 @@ val run_timed :
   ?fuel:int ->
   ?max_depth:int ->
   ?deadline:float ->
-  ?sandbox:sandbox ->
   ?cache:Rp_support.Cas.t ->
   ?key:string ->
   cc:cc ->
@@ -178,9 +170,6 @@ val run_timed :
 type laddered = {
   l_result : Rp_exec.Interp.result;
   l_mode : [ `Native | `Interp ];  (** which rung produced the answer *)
-  l_degraded : string option;
-      (** [Some reason] when any rung below the first fired — including
-          a successful recompile that still answered natively *)
   l_cc_ms : float;
   l_exec_ms : float;
   l_cache_hit : bool;
@@ -190,21 +179,23 @@ val run_laddered :
   ?fuel:int ->
   ?max_depth:int ->
   ?deadline:float ->
-  ?sandbox:sandbox ->
   ?cache:Rp_support.Cas.t ->
   interp:(unit -> Rp_exec.Interp.result * float) ->
   cc:cc option ->
   Rp_ir.Program.t ->
   laddered
-(** The graceful degradation ladder: native → one fresh recompile that
-    bypasses the binary cache's read side (but writes through, repairing
-    a bad entry for later jobs) → the caller's [interp] thunk (which
-    returns the result plus its run time in ms).  Only {!Error} —
-    infrastructure failure: cc missing or crashing, a sandbox-limit
-    trip, a malformed trailer, a corrupt cached binary — descends a
-    rung.  Faithful program outcomes ({!Rp_exec.Interp.Error},
-    {!Rp_exec.Interp.Resource_limit}, [Invalid_argument]) re-raise from
-    whichever rung produced them: every rung computes the same answer by
-    contract, so the result is rung-independent and only the telemetry
-    and latency vary.  Never raises {!Error} itself — if the interpreter
-    rung also fails, that exception is the campaign's to handle. *)
+(** The graceful degradation ladder: {!run_timed}, then the caller's
+    [interp] thunk (which returns the result plus its run time in ms).
+    Only {!Error} — infrastructure failure: no cc, cc failing or
+    killed, a malformed trailer, a cached binary that will not run —
+    descends to the interpreter.  Faithful program outcomes
+    ({!Rp_exec.Interp.Error}, {!Rp_exec.Interp.Resource_limit},
+    [Invalid_argument]) re-raise from whichever rung produced them: both
+    compute the same answer by contract, so the result is
+    rung-independent and only [l_mode] and the latency vary.  A failed
+    native attempt is not retried, since a deterministic cc cannot fix
+    its own failure; a CRC-valid store entry that fails to run keeps
+    failing, so every job on its key answers from the interpreter until
+    the store is cleared.  Never raises {!Error} itself — if the
+    interpreter rung also fails, that exception is the campaign's to
+    handle. *)

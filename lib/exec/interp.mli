@@ -58,7 +58,9 @@ val is_external_stop : string -> bool
     @param should_stop polled every 4096 operations; returning [true]
     aborts the run with {!Resource_limit} — wall-clock budgets for the
     fuzz reducer (default: never)
-    @param deadline wall-clock budget in seconds for this run; folded
+    @param deadline wall-clock budget in seconds for this run, which
+    must be positive (a budget of 0 or less stops the run at its first
+    poll, where the native backend would read it as no deadline); folded
     into the [should_stop] poll, so exceeding it aborts with
     {!Resource_limit} just like an external stop (default: none).  This
     is how the supervised pool's per-job deadlines reach the

@@ -339,10 +339,10 @@ let exception_trial ?should_stop rng (seed : Corpus.seed) : outcome =
 (* These trials attack the compiled-C execution path below the IL: the
    compiler process, the cached binary, and the store that holds it.
    The property under test is the degradation ladder's (native →
-   recompile-once → interpreter) end-to-end promise: whatever breaks,
-   the job's observable result must equal a clean interpreter run, and
-   the breakage must be detected (degradation recorded or the corrupt
-   object quarantined), never silently served. *)
+   interpreter) end-to-end promise: whatever breaks, the job's
+   observable result must equal a clean interpreter run, and the
+   breakage must be detected (the interpreter rung answering or the
+   corrupt object quarantined), never silently served. *)
 
 module Native = Rp_backend.Native
 module Cas = Rp_support.Cas
@@ -449,8 +449,8 @@ let native_trial ?should_stop rng cls (seed : Corpus.seed)
   in
   match cls with
   | Native_cc_fail -> (
-    (* a compiler that cannot be executed: the ladder must descend all
-       the way to the interpreter rung and record why, not abort *)
+    (* a compiler that cannot be executed: the ladder must descend to
+       the interpreter rung, not abort *)
     let cc =
       Some
         {
@@ -464,8 +464,6 @@ let native_trial ?should_stop rng cls (seed : Corpus.seed)
     | lad ->
       if lad.Native.l_mode <> `Interp then
         fail "broken cc still claimed a native run"
-      else if lad.Native.l_degraded = None then
-        fail "interpreter fallback not recorded as degradation"
       else if results_equal lad.Native.l_result baseline then Caught `Exception
       else fail "interpreter rung result differs from baseline")
   | Native_truncated_bin | Native_bad_trailer | Native_poisoned_cas -> (
@@ -485,8 +483,7 @@ let native_trial ?should_stop rng cls (seed : Corpus.seed)
           (* prime: one honest native run caches the binary *)
           match Native.run_laddered ~cache ~interp ~cc:(Some cc) p with
           | exception e -> fail "priming run raised: %s" (Printexc.to_string e)
-          | lad when lad.Native.l_mode <> `Native || lad.Native.l_degraded <> None
-            ->
+          | lad when lad.Native.l_mode <> `Native ->
             fail "priming run did not execute natively"
           | _ -> (
             match bin_object dir with
@@ -495,7 +492,7 @@ let native_trial ?should_stop rng cls (seed : Corpus.seed)
               (match cls with
               | Native_truncated_bin ->
                 (* CRC-valid but half a binary: exec (or its trailer)
-                   must fail, the recompile rung must repair *)
+                   must fail and the interpreter rung answer *)
                 let raw = read_raw path in
                 let nl = String.index raw '\n' in
                 let payload =
@@ -526,8 +523,8 @@ let native_trial ?should_stop rng cls (seed : Corpus.seed)
                     else fail "poisoned object was not quarantined"
                   | _ ->
                     (* CRC-valid corruption is invisible to the store;
-                       the ladder itself must notice and recompile *)
-                    if lad.Native.l_degraded = None then
+                       the ladder itself must notice and descend *)
+                    if lad.Native.l_mode <> `Interp then
                       fail "planted fault was served without detection"
                     else Caught `Exception))))))
   | _ -> No_site

@@ -13,15 +13,15 @@ type fault_class =
   | Pass_exception  (** raise from inside a pass body *)
   | Native_cc_fail
       (** the C compiler cannot be executed: the degradation ladder must
-          descend to the interpreter rung with the reason recorded *)
+          descend to the interpreter rung *)
   | Native_truncated_bin
       (** a cached native binary loses its tail under a {e valid} CRC:
           only the native layer itself can detect it (exec/trailer
-          failure), and its recompile rung must repair the entry *)
+          failure), and the interpreter rung must answer *)
   | Native_bad_trailer
       (** a cached "binary" runs fine but prints garbage instead of the
           result trailer: the strict parser must reject, never invent
-          counts *)
+          counts, and the interpreter rung must answer *)
   | Native_poisoned_cas
       (** a cached binary's bytes rot under a stale CRC: the store must
           quarantine on read and the miss recompile cleanly *)

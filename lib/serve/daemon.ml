@@ -172,8 +172,8 @@ let handle_op ~should_stop st (r : Protocol.request) : Json.t =
            binary by the C it was compiled from: configs that emit the
            same code, and a daemon and its restarted successor, share
            it.  The degradation ladder means a native request never
-           fails for infrastructure reasons: it answers slower, from a
-           lower rung, and says so in the [exec] object. *)
+           fails for infrastructure reasons: it answers slower, from the
+           interpreter, and says so in the [exec] object. *)
         let native = mode = Protocol.Native in
         let exec_info = ref ("cached", false) in
         let runner p =
@@ -234,10 +234,7 @@ let health_json st ~id ~client =
         Json.Obj
           [
             ("pid", Json.Int (Unix.getpid ()));
-            ( "uptime_s",
-              Json.Float
-                (Float.round (Clock.elapsed st.started *. 1e3)
-                /. 1e3) );
+            ("uptime_s", Json.Int (int_of_float (Clock.elapsed st.started)));
             ("pass_version", Json.Str Pipeline.pass_version);
             (* probed once per process (memoized in find_cc, persisted
                via the CAS identity cache); [null]/[null] when there is

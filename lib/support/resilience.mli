@@ -1,7 +1,7 @@
 (** The supervision layer's failure-outcome counters.
 
     Every supervised execution surface — the worker pool, the campaign
-    drivers, [rpcc run --retries] — folds its failure handling into one of
+    drivers, [rpcc run --timeout] — folds its failure handling into one of
     these records, and every stats-JSON document renders it as the
     [resilience] object, so timeouts, retries and resumed work are
     observable wherever counts are.  Counters are atomic: worker domains

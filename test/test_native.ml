@@ -1,11 +1,14 @@
 (** The compiled-C backend: identifier mangling, the strict trailer
     parser, interpreter-equivalence over generated programs across the
     paper grid, the binary store's content keys and single-flight
-    compiles, and the bench harness's --native CLI contract.
+    compiles, the one failure path (every infrastructure fault is
+    {!Rp_backend.Native.Error}, answered by the interpreter rung), and
+    the bench harness's --native CLI contract.
 
     Everything that needs a system C compiler is gated on
     {!Rp_backend.Native.find_cc} and skips visibly when there is none;
-    the mangling, trailer, and CLI-conflict tests always run. *)
+    the mangling, trailer, CLI-conflict and all but one failure-path
+    tests always run. *)
 
 open Rp_driver
 module Native = Rp_backend.Native
@@ -405,6 +408,131 @@ let failed_leader_test =
       Util.check Alcotest.int "native-bin objects" 0 (binaries cache))
 
 (* ------------------------------------------------------------------ *)
+(* One failure path: every infrastructure fault is Native.Error        *)
+(* ------------------------------------------------------------------ *)
+
+let ladder_src = "int main() { print_int(7); return 0; }"
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let interp_thunk prog () = (I.run prog, 0.)
+
+(* the ladder answered from the interpreter, with the interpreter's
+   result *)
+let check_interp_rung prog (lad : Native.laddered) =
+  let ri = I.run prog in
+  Util.check Alcotest.bool "interpreter rung" true (lad.Native.l_mode = `Interp);
+  Util.check Alcotest.string "output" ri.I.output lad.Native.l_result.I.output;
+  Util.check Alcotest.int "checksum" ri.I.checksum
+    lad.Native.l_result.I.checksum;
+  Util.check Alcotest.bool "totals" true
+    (ri.I.total = lad.Native.l_result.I.total)
+
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
+
+(* needs no C compiler: a compiler that logs each call and fails *)
+let with_fake_cc f =
+  let dir = Filename.temp_file "rp-fake-cc" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  let log = Filename.concat dir "calls.log" in
+  let script = Filename.concat dir "cc" in
+  Out_channel.with_open_bin script (fun oc ->
+      Printf.fprintf oc "#!/bin/sh\necho called >> %s\nexit 1\n"
+        (Filename.quote log));
+  Unix.chmod script 0o700;
+  Fun.protect
+    ~finally:(fun () -> ignore (Sys.command ("rm -rf " ^ Filename.quote dir)))
+    (fun () ->
+      let calls () =
+        if Sys.file_exists log then
+          List.length
+            (String.split_on_char '\n' (String.trim (read_file log)))
+        else 0
+      in
+      f { Native.path = script; flags = []; identity = "fake-cc" } calls)
+
+let failure_path_tests =
+  [
+    Util.tc "exec_bin: a file the kernel will not exec is an Error, no fd \
+             leaks"
+      (fun () ->
+        let bin = Filename.temp_file "rp-noexec" ".bin" in
+        Fun.protect
+          ~finally:(fun () -> Sys.remove bin)
+          (fun () ->
+            Out_channel.with_open_bin bin (fun oc ->
+                output_string oc "not a program\n");
+            Unix.chmod bin 0o700;
+            let exec () =
+              match Native.exec_bin bin with
+              | _ -> Alcotest.fail "a non-executable file ran"
+              | exception Native.Error _ -> ()
+            in
+            exec ();
+            let before = open_fds () in
+            for _ = 1 to 50 do
+              exec ()
+            done;
+            Util.check Alcotest.int "open descriptors" before (open_fds ())));
+    Util.tc "ladder: a failing cc runs once, the interpreter answers"
+      (fun () ->
+        with_fake_cc @@ fun cc calls ->
+        let prog = Util.compile ladder_src in
+        for n = 1 to 2 do
+          check_interp_rung prog
+            (Native.run_laddered ~interp:(interp_thunk prog) ~cc:(Some cc)
+               prog);
+          Util.check Alcotest.int "cc calls" n (calls ())
+        done);
+    Util.tc "ladder: a missing temp directory answers from the interpreter"
+      (fun () ->
+        with_fake_cc @@ fun cc _ ->
+        let prog = Util.compile ladder_src in
+        let tmp = Filename.get_temp_dir_name () in
+        Filename.set_temp_dir_name "/nonexistent/rp-native-tmp";
+        let lad =
+          Fun.protect
+            ~finally:(fun () -> Filename.set_temp_dir_name tmp)
+            (fun () ->
+              Native.run_laddered ~interp:(interp_thunk prog) ~cc:(Some cc)
+                prog)
+        in
+        check_interp_rung prog lad);
+  ]
+
+(* a CRC-valid store entry the kernel will not exec, replanted as
+   Faultgen's [Native_truncated_bin] class does it *)
+let unrunnable_entry_test cc =
+  Util.tc_slow "ladder: a CRC-valid unrunnable binary answers from the \
+                interpreter"
+    (fun () ->
+      let prog = Util.compile ladder_src in
+      with_store "unrunnable" @@ fun cache ->
+      let prime =
+        Native.run_laddered ~cache ~interp:(interp_thunk prog) ~cc:(Some cc)
+          prog
+      in
+      Util.check Alcotest.bool "primed natively" true
+        (prime.Native.l_mode = `Native);
+      match Util.native_bins (Rp_support.Cas.root cache) with
+      | [ path ] ->
+        let raw = read_file path in
+        let header = String.sub raw 0 (String.index raw '\n') in
+        let payload = "not a program\n" in
+        (match String.split_on_char ' ' header with
+        | magic :: kind :: _ ->
+          Out_channel.with_open_bin path (fun oc ->
+              Printf.fprintf oc "%s %s %s %d\n%s" magic kind
+                Rp_support.Crc32.(to_hex (string payload))
+                (String.length payload) payload)
+        | _ -> Alcotest.fail "malformed object header");
+        check_interp_rung prog
+          (Native.run_laddered ~cache ~interp:(interp_thunk prog)
+             ~cc:(Some cc) prog)
+      | bins -> Alcotest.failf "expected one binary, found %d" (List.length bins))
+
+(* ------------------------------------------------------------------ *)
 (* bench --native CLI contract                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -466,6 +594,11 @@ let () =
       QCheck_alcotest.to_alcotest ~long:true (equivalence_prop cc)
       :: dedupe_test cc :: error_path_tests cc
   in
+  let failure_path_tests =
+    match cc with
+    | None -> failure_path_tests
+    | Some cc -> failure_path_tests @ [ unrunnable_entry_test cc ]
+  in
   Alcotest.run "native"
     [
       ("mangle", mangle_tests);
@@ -474,5 +607,6 @@ let () =
         [ QCheck_alcotest.to_alcotest trailer_adversarial_prop ] );
       ("equivalence", native_tests);
       ("binary-store", [ failed_leader_test ]);
+      ("failure-path", failure_path_tests);
       ("bench-cli", bench_cli_tests);
     ]

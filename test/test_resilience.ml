@@ -113,11 +113,11 @@ let in_temp_dir name f =
   f dir
 
 (* ------------------------------------------------------------------ *)
-(* rpcc run --retries: only the run's own timeout is retried           *)
+(* rpcc run --timeout: a trap is reported, a deadline is counted       *)
 (* ------------------------------------------------------------------ *)
 
-(** [rpcc run ARGS] on a file holding [src]: the exit status, stdout,
-    stderr, and wall-clock seconds. *)
+(** [rpcc run ARGS] on a file holding [src]: the exit status, stdout and
+    stderr. *)
 let rpcc_run args src =
   let rpcc = Filename.concat (Sys.getcwd ()) "../bin/rpcc.exe" in
   let file = Filename.temp_file "rp_retries" ".c" in
@@ -133,10 +133,8 @@ let rpcc_run args src =
         Printf.sprintf "%s run %s %s > %s 2> %s" (Filename.quote rpcc) args
           (Filename.quote file) (Filename.quote out) (Filename.quote err)
       in
-      let t0 = Rp_support.Clock.now () in
       let status = Sys.command cmd in
-      let secs = Rp_support.Clock.elapsed t0 in
-      (status, read_file out, read_file err, secs))
+      (status, read_file out, read_file err))
 
 let trap_src =
   "int a[4];\n\
@@ -169,35 +167,22 @@ let limit_doc out =
 let run_retries_tests =
   [
     Util.tc "a trap is reported, not retried" (fun () ->
-        let (bare, _, bare_err, _) = rpcc_run "" trap_src in
-        let (st, _, err, secs) = rpcc_run "--timeout 5 --retries 30" trap_src in
-        Util.check Alcotest.int "exit without --retries" 1 bare;
+        let (bare, _, bare_err) = rpcc_run "" trap_src in
+        let (st, _, err) = rpcc_run "--timeout 5" trap_src in
+        Util.check Alcotest.int "exit without --timeout" 1 bare;
         Util.check Alcotest.int "exit" 1 st;
-        Util.check Alcotest.string "same stderr" bare_err err;
-        (* thirty backoff sleeps would take at least 51 s *)
-        Util.check Alcotest.bool "no backoff" true (secs < 10.));
-    Util.tc "its own timeout is retried" (fun () ->
-        let (st, _, _, secs) = rpcc_run "--timeout 0.05 --retries 2" loop_src in
-        Util.check Alcotest.int "exit" 3 st;
-        (* three 50 ms deadlines, then backoff sleeps of at least 50 and
-           100 ms between them *)
-        Util.check Alcotest.bool "three attempts" true (secs >= 0.3));
-    Util.tc "--retries needs --timeout" (fun () ->
-        let (st, _, _, _) = rpcc_run "--retries 1" trap_src in
-        Util.check Alcotest.int "exit" 2 st);
+        Util.check Alcotest.string "same stderr" bare_err err);
     Util.tc "stats document of a run that timed out" (fun () ->
-        let (st, out, err, _) =
-          rpcc_run "--timeout 0.05 --retries 2 --stats-json" loop_src
-        in
+        let (st, out, err) = rpcc_run "--timeout 0.05 --stats-json" loop_src in
         Util.check Alcotest.int "exit" 3 st;
         Util.check Alcotest.bool "limit on stderr" true
           (String.starts_with ~prefix:"resource limit: external stop" err);
         let result, counter = limit_doc out in
         Util.check Alcotest.bool "result null" true (result = Some Json.Null);
-        Util.check Alcotest.int "timeouts" 3 (counter "timeouts");
-        Util.check Alcotest.int "retries" 2 (counter "retries"));
+        Util.check Alcotest.int "timeouts" 1 (counter "timeouts");
+        Util.check Alcotest.int "retries" 0 (counter "retries"));
     Util.tc "stats document of a run out of fuel" (fun () ->
-        let (st, out, err, _) = rpcc_run "--fuel 1000 --stats-json" loop_src in
+        let (st, out, err) = rpcc_run "--fuel 1000 --stats-json" loop_src in
         Util.check Alcotest.int "exit" 3 st;
         Util.check Alcotest.string "stderr"
           "resource limit: fuel exhausted (1000 operations)\n" err;

@@ -780,7 +780,10 @@ let test_journal_compaction_and_health () =
         (int_at [ "health"; "journal"; "compacted_records" ] health);
       (* the new identity fields *)
       Util.check Alcotest.bool "uptime is a non-negative number" true
-        (float_at [ "health"; "uptime_s" ] health >= 0.);
+        ((match member_path [ "health"; "uptime_s" ] health with
+         | Json.Int _ -> true
+         | _ -> false)
+        && float_at [ "health"; "uptime_s" ] health >= 0.);
       Util.check Alcotest.string "pass_version pinned"
         Pipeline.pass_version
         (match member_path [ "health"; "pass_version" ] health with
@@ -850,7 +853,7 @@ let test_daemon_native_mode () =
         (* binary corruption: flip the last byte of allroots' cached
            binary.  All six of its configs emit one translation unit, so
            another config reads that entry: the store must quarantine it
-           and the ladder recompile, still answering natively *)
+           and the miss recompile, still answering natively *)
         let allroots =
           (Rp_suite.Programs.find "allroots").Rp_suite.Programs.source
         in
@@ -972,6 +975,39 @@ let jobs_validation_tests =
           (Sys.file_exists journal);
         Util.check Alcotest.bool "no counts document written" false
           (Sys.file_exists (Filename.concat dir "BENCH_counts.json")));
+    Util.tc "cli: a --timeout out of range exits 2 in run and client"
+      (fun () ->
+        let q = Filename.quote in
+        let dir = fresh_dir "timeoutval" in
+        let src = Filename.concat dir "loop.c" in
+        write_file src
+          "int g; int main() { int i; for (i = 0; i < 200000; i++) g = g + \
+           i; print_int(g); return 0; }";
+        (* the socket accepts and never answers: a client that connected
+           instead of refusing its flag would hang until [timeout] *)
+        let socket = Filename.concat dir "mute.sock" in
+        let mute = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Unix.bind mute (Unix.ADDR_UNIX socket);
+        Unix.listen mute 4;
+        Fun.protect ~finally:(fun () -> Unix.close mute) @@ fun () ->
+        List.iter
+          (fun (label, args, usage) ->
+            let errf = Filename.concat dir "err.txt" in
+            Util.check Alcotest.int (label ^ " exits 2") 2
+              (Sys.command
+                 ("timeout 30 " ^ q (rpcc ()) ^ " " ^ args
+                ^ " > /dev/null 2> " ^ q errf));
+            Util.check Alcotest.string (label ^ ": the usage line")
+              (usage ^ "\n") (read_file errf))
+          [
+            ("run 0", "run --timeout 0 " ^ q src, "usage: --timeout must be > 0");
+            ( "run -1", "run --timeout=-1 " ^ q src,
+              "usage: --timeout must be > 0" );
+            ( "run --native 0", "run --native --timeout 0 " ^ q src,
+              "usage: --timeout must be > 0" );
+            ( "client -1", "client health --timeout=-1 --socket " ^ q socket,
+              "usage: --timeout must be >= 0 (0 = wait forever)" );
+          ]);
   ]
 
 let () =

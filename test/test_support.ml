@@ -114,71 +114,6 @@ let worklist_tests =
           "visited chain" [ 0; 1; 2; 3 ] (List.rev !seen));
   ]
 
-let retry_tests =
-  [
-    Util.tc "with_backoff: first success, no retries" (fun () ->
-        let calls = ref 0 in
-        let r =
-          Retry.with_backoff
-            ~sleep:(fun _ -> Alcotest.fail "must not sleep")
-            (fun () ->
-              incr calls;
-              41 + 1)
-        in
-        Util.check Alcotest.int "calls" 1 !calls;
-        Util.check Alcotest.bool "ok" true (r = Ok 42));
-    Util.tc "with_backoff: retries then succeeds, delays grow" (fun () ->
-        let calls = ref 0 and slept = ref [] and retried = ref [] in
-        let r =
-          Retry.with_backoff
-            ~policy:
-              { Retry.max_attempts = 4; base_delay = 0.1; max_delay = 10.;
-                jitter = 0. }
-            ~sleep:(fun d -> slept := d :: !slept)
-            ~on_retry:(fun ~attempt ~delay:_ _ -> retried := attempt :: !retried)
-            (fun () ->
-              incr calls;
-              if !calls < 3 then failwith "flaky";
-              "done")
-        in
-        Util.check Alcotest.bool "ok" true (r = Ok "done");
-        Util.check Alcotest.int "attempts" 3 !calls;
-        Util.check
-          Alcotest.(list (float 1e-9))
-          "exponential delays" [ 0.1; 0.2 ] (List.rev !slept);
-        Util.check Alcotest.(list int) "on_retry attempts" [ 2; 3 ]
-          (List.rev !retried));
-    Util.tc "with_backoff: exhausts attempts, returns last exception"
-      (fun () ->
-        let calls = ref 0 in
-        let r =
-          Retry.with_backoff
-            ~policy:
-              { Retry.max_attempts = 3; base_delay = 0.01; max_delay = 1.;
-                jitter = 0. }
-            ~sleep:(fun _ -> ())
-            (fun () ->
-              incr calls;
-              failwith (Printf.sprintf "boom%d" !calls))
-        in
-        Util.check Alcotest.int "attempts" 3 !calls;
-        match r with
-        | Error (Failure m) -> Util.check Alcotest.string "last" "boom3" m
-        | _ -> Alcotest.fail "expected Error (Failure boom3)");
-    Util.tc "delay_for: deterministic per seed, clamped, jittered" (fun () ->
-        let p = { Retry.default_policy with Retry.jitter = 0.5 } in
-        let d1 = Retry.delay_for p ~seed:7 ~attempt:2 in
-        let d2 = Retry.delay_for p ~seed:7 ~attempt:2 in
-        Util.check (Alcotest.float 0.) "same seed, same delay" d1 d2;
-        let base = Retry.default_policy.Retry.base_delay *. 2. in
-        Util.check Alcotest.bool "within jitter band" true
-          (d1 >= base && d1 <= base *. 1.5 +. 1e-9);
-        (* the ceiling applies before jitter *)
-        let big = Retry.delay_for p ~seed:7 ~attempt:30 in
-        Util.check Alcotest.bool "clamped" true
-          (big <= Retry.default_policy.Retry.max_delay *. 1.5 +. 1e-9));
-  ]
-
 let journal_tests =
   let tmp () = Filename.temp_file "rp_journal" ".jsonl" in
   [
@@ -334,7 +269,6 @@ let () =
       ("idgen", idgen_tests);
       ("union_find", uf_tests @ uf_props);
       ("worklist", worklist_tests);
-      ("retry", retry_tests);
       ("journal", journal_tests);
       ("resilience", resilience_tests);
     ]
