@@ -495,8 +495,7 @@ let fuzz_cmd =
     let module F = Rp_fuzz.Faultgen in
     let resil = Rp_support.Resilience.create () in
     let results =
-      Rp_cli.run_campaign campaign
-        ~id:[ "fuzz"; string_of_int seed ]
+      Rp_cli.run_campaign campaign ~id:(F.campaign_id ~seed)
         ~resilience:resil ~name:string_of_int
         ~encode:(fun t -> Some (F.trial_json t))
         ~decode:F.trial_of_json (F.trial ~seed) (List.init trials Fun.id)
@@ -508,20 +507,23 @@ let fuzz_cmd =
       results;
     if Rp_support.Resilience.any resil then
       Fmt.epr "; resilience: %a@." Rp_support.Resilience.pp resil;
-    let report = F.report ~seed (List.filter_map Result.to_option results) in
+    let report =
+      F.report ~seed ~trials (List.filter_map Result.to_option results)
+    in
     Fmt.pr "%a" F.pp_report report;
-    let escapes = F.total_escapes report in
-    Fmt.pr "; seed=%d, %d trials, %d escapes@." seed report.F.trials escapes;
-    if escapes > 0 then exit 1
+    if F.total_escapes report > 0 then exit 1
   in
   Cmd.v
     (Cmd.info "fuzz" ~exits
        ~doc:
          "Run a fault-injection campaign against the pipeline's isolation \
-          and translation-validation machinery: corrupt the IL (dropped \
-          stores, shrunk tag sets, dangling branch targets, out-of-range \
-          registers) or raise inside a pass, and assert every fault is \
-          contained.  Exits 1 if any fault escapes undetected.")
+          and translation-validation machinery: compile the programs \
+          $(b,gen-fuzz) generates while corrupting the IL inside a pass \
+          (dropped stores, shrunk tag sets, dangling branch targets, \
+          out-of-range registers) or raising inside one, and assert every \
+          fault is contained.  The report ends with a summary line giving \
+          the trials requested, quarantined, and escaped.  Exits 1 if any \
+          fault escapes undetected.")
     Term.(
       const fuzz $ seed_t
       $ trials_t ~doc:"Number of fault-injection trials."
@@ -557,19 +559,17 @@ let mode_t =
   Term.(const combine $ plain $ oracle)
 
 let inject_t =
-  let classes =
-    List.map
-      (fun c -> (Rp_fuzz.Faultgen.class_name c, c))
-      Rp_fuzz.Faultgen.all_classes
-  in
+  let module F = Rp_fuzz.Faultgen in
+  let classes = List.map (fun m -> (F.mutation_name m, m)) F.all_mutations in
   Arg.(
     value
     & opt (some (enum classes)) None
     & info [ "inject" ] ~docv:"CLASS"
         ~doc:
-          "Plant a fault of this class (e.g. drop_store) inside the first \
-           guarded pass of every grid compile — never the reference.  For \
-           demonstrating and testing the oracle end to end.")
+          ("Plant an IL mutation of this class, " ^ doc_alts_enum classes
+         ^ ", inside the first guarded pass of every grid compile — never \
+            the reference.  For demonstrating and testing the oracle end to \
+            end."))
 
 let oracle_fuel_t =
   Arg.(
@@ -633,7 +633,7 @@ let replay_flags mode inject =
   | Rp_fuzz.Difforacle.OraclePasses -> " --oracle-passes")
   ^
   match inject with
-  | Some (c, _) -> " --inject " ^ Rp_fuzz.Faultgen.class_name c
+  | Some (m, _) -> " --inject " ^ Rp_fuzz.Faultgen.mutation_name m
   | None -> ""
 
 let gen_fuzz_cmd =

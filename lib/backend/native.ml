@@ -246,6 +246,25 @@ let with_temp suffix f =
   let path = Filename.temp_file "rpcc_native" suffix in
   Fun.protect ~finally:(fun () -> remove_noerr path) (fun () -> f path)
 
+(* [Unix.WSIGNALED] carries OCaml's number for a signal it knows (SIGKILL
+   is -7), all named here, and the system's for any other. *)
+let signal_name n =
+  Sys.
+    [
+      (sigabrt, "SIGABRT"); (sigalrm, "SIGALRM"); (sigbus, "SIGBUS");
+      (sigchld, "SIGCHLD"); (sigcont, "SIGCONT"); (sigfpe, "SIGFPE");
+      (sighup, "SIGHUP"); (sigill, "SIGILL"); (sigint, "SIGINT");
+      (sigkill, "SIGKILL"); (sigpipe, "SIGPIPE"); (sigpoll, "SIGPOLL");
+      (sigprof, "SIGPROF"); (sigquit, "SIGQUIT"); (sigsegv, "SIGSEGV");
+      (sigstop, "SIGSTOP"); (sigsys, "SIGSYS"); (sigterm, "SIGTERM");
+      (sigtrap, "SIGTRAP"); (sigtstp, "SIGTSTP"); (sigttin, "SIGTTIN");
+      (sigttou, "SIGTTOU"); (sigurg, "SIGURG"); (sigusr1, "SIGUSR1");
+      (sigusr2, "SIGUSR2"); (sigvtalrm, "SIGVTALRM"); (sigxcpu, "SIGXCPU");
+      (sigxfsz, "SIGXFSZ");
+    ]
+  |> List.assoc_opt n
+  |> Option.value ~default:(Printf.sprintf "signal %d" n)
+
 let truncate_err err =
   let err = String.trim err in
   if String.length err > 800 then String.sub err 0 800 ^ "..." else err
@@ -298,9 +317,9 @@ let spawn_and_wait ~what ?(wall_s = infinity) argv =
   | Unix.WEXITED n ->
     error "%s exited with status %d: %s" what n (truncate_err output)
   | Unix.WSIGNALED n ->
-    error "%s killed by signal %d: %s" what n (truncate_err output)
+    error "%s killed by %s: %s" what (signal_name n) (truncate_err output)
   | Unix.WSTOPPED n ->
-    error "%s stopped by signal %d: %s" what n (truncate_err output)
+    error "%s stopped by %s: %s" what (signal_name n) (truncate_err output)
 
 (* Every system error on the way to an answer (a temp directory that is
    gone, a store that cannot be written, a binary the kernel will not

@@ -27,11 +27,6 @@ module Interp = Rp_exec.Interp
 
 type mode = Plain | Verify | OraclePasses
 
-let mode_name = function
-  | Plain -> "plain"
-  | Verify -> "verify"
-  | OraclePasses -> "oracle"
-
 type cls =
   | Crash
   | Degraded_pass

@@ -16,8 +16,6 @@
     program twice. *)
 type mode = Plain | Verify | OraclePasses
 
-val mode_name : mode -> string
-
 (** Divergence classes, with their CLI names ({!class_name}):
     ["crash"] compile raised, ["degraded"] a pass was rolled back,
     ["counts"] a count-reducing pass regressed dynamic counts (oracle
@@ -58,7 +56,7 @@ val check :
   ?fuel:int ->
   ?deadline:float ->
   ?should_stop:(unit -> bool) ->
-  ?inject:Faultgen.fault_class * int ->
+  ?inject:Faultgen.mutation * int ->
   ?native:Rp_backend.Native.cc ->
   string ->
   outcome
@@ -72,7 +70,7 @@ val check :
     (both during interpretation and between grid compiles); turning
     [true] has the same effect as the deadline passing.  This is the
     supervised pool's per-job deadline hook.
-    @param inject plant [Faultgen.mutate fc] (seeded by the int, mixed
+    @param inject plant [Faultgen.mutate m] (seeded by the int, mixed
     with the configuration index) inside the first guarded pass of every
     grid compile; the reference is never mutated
     @param native also run one interpreter-vs-native comparison cell

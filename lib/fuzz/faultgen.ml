@@ -1,11 +1,12 @@
 (** Fault-injection harness for the hardened pipeline.
 
-    Each trial compiles a known-good {!Corpus} program while injecting one
-    fault {e inside} a guarded pass, through {!Rp_driver.Pipeline.fault_hook}
-    — exactly where a buggy transformation would corrupt the IL.  The fault
-    is either a structural or semantic IL mutation (emulating a miscompiling
-    pass) or a raised exception (emulating a crashing pass).  The harness
-    then asserts that the isolation/validation machinery reacts correctly:
+    Each trial compiles a program from {!Gen}, the generator [gen-fuzz]
+    draws from, while injecting one fault {e inside} a guarded pass,
+    through {!Rp_driver.Pipeline.fault_hook} — exactly where a buggy
+    transformation would corrupt the IL.  The fault is either a structural
+    or semantic IL mutation (emulating a miscompiling pass) or a raised
+    exception (emulating a crashing pass).  The harness then asserts that
+    the isolation/validation machinery reacts correctly:
 
     - structural faults (dangling branch targets, out-of-range registers)
       must be rolled back — flagged by the post-pass validator or by the
@@ -27,52 +28,32 @@ module Config = Rp_driver.Config
 module Interp = Rp_exec.Interp
 module R = Random.State
 
-type fault_class =
+type mutation =
   | Drop_store  (** delete one sStore/Store instruction *)
   | Shrink_tagset  (** empty the tag set of one pointer operation *)
   | Dangling_target  (** retarget one terminator at a missing block *)
   | Bad_register  (** insert an instruction using out-of-range registers *)
+
+type fault_class =
+  | Mutation of mutation
   | Pass_exception  (** raise from inside a pass body *)
-  | Native_cc_fail  (** the C compiler itself cannot be executed *)
-  | Native_truncated_bin  (** a cached native binary loses its tail *)
-  | Native_bad_trailer  (** a cached "binary" emits garbage, no trailer *)
-  | Native_poisoned_cas  (** a cached binary's bytes rot under a stale CRC *)
+
+let all_mutations = [ Drop_store; Shrink_tagset; Dangling_target; Bad_register ]
 
 let all_classes =
-  [
-    Drop_store;
-    Shrink_tagset;
-    Dangling_target;
-    Bad_register;
-    Pass_exception;
-    Native_cc_fail;
-    Native_truncated_bin;
-    Native_bad_trailer;
-    Native_poisoned_cas;
-  ]
+  List.map (fun m -> Mutation m) all_mutations @ [ Pass_exception ]
 
-let class_name = function
+let mutation_name = function
   | Drop_store -> "drop_store"
   | Shrink_tagset -> "shrink_tagset"
   | Dangling_target -> "dangling_target"
   | Bad_register -> "bad_register"
-  | Pass_exception -> "pass_exception"
-  | Native_cc_fail -> "native_cc_fail"
-  | Native_truncated_bin -> "native_truncated_bin"
-  | Native_bad_trailer -> "native_bad_trailer"
-  | Native_poisoned_cas -> "native_poisoned_cas"
 
-let class_of_string = function
-  | "drop_store" -> Some Drop_store
-  | "shrink_tagset" -> Some Shrink_tagset
-  | "dangling_target" -> Some Dangling_target
-  | "bad_register" -> Some Bad_register
-  | "pass_exception" -> Some Pass_exception
-  | "native_cc_fail" -> Some Native_cc_fail
-  | "native_truncated_bin" -> Some Native_truncated_bin
-  | "native_bad_trailer" -> Some Native_bad_trailer
-  | "native_poisoned_cas" -> Some Native_poisoned_cas
-  | _ -> None
+let class_name = function
+  | Mutation m -> mutation_name m
+  | Pass_exception -> "pass_exception"
+
+let class_of_string s = List.find_opt (fun c -> class_name c = s) all_classes
 
 type class_stats = {
   mutable injected : int;  (** trials where the fault actually landed *)
@@ -97,12 +78,13 @@ let zero_stats () =
 
 type report = {
   seed : int;  (** the campaign's RNG seed, for replay *)
+  trials : int;  (** the campaign's requested trial count, for replay *)
+  quarantined : int;  (** requested trials that returned no outcome *)
   classes : (fault_class * class_stats) list;
-  mutable trials : int;
   mutable escapes : string list;  (** descriptions, newest first *)
 }
 
-let stats_for r c = List.assq c r.classes
+let stats_for r c = List.assoc c r.classes
 
 (* ------------------------------------------------------------------ *)
 (* IL mutations                                                        *)
@@ -129,18 +111,17 @@ let all_blocks (p : Program.t) =
     p;
   !acc
 
-let pick rng = function
-  | [] -> None
-  | l -> Some (List.nth l (R.int rng (List.length l)))
+let choose rng l = List.nth l (R.int rng (List.length l))
+let pick rng = function [] -> None | l -> Some (choose rng l)
 
 let replace_at b idx i' =
   b.Block.instrs <- List.mapi (fun j i -> if j = idx then i' else i) b.Block.instrs
 
-(** Apply [cls] to [p] at a random site.  Returns a description of what was
+(** Apply [m] to [p] at a random site.  Returns a description of what was
     mutated, or [None] when the program (at this pipeline point) offers no
-    site for the class. *)
-let mutate rng (cls : fault_class) (p : Program.t) : string option =
-  match cls with
+    site for the mutation. *)
+let mutate rng (m : mutation) (p : Program.t) : string option =
+  match m with
   | Drop_store -> (
     match pick rng (instr_sites p Instr.is_store) with
     | None -> None
@@ -194,9 +175,6 @@ let mutate rng (cls : fault_class) (p : Program.t) : string option =
       Some
         (Printf.sprintf "inserted copy of r%d (nreg=%d) in %s/%s" bad
            f.Func.nreg f.Func.name b.Block.label))
-  | Pass_exception | Native_cc_fail | Native_truncated_bin | Native_bad_trailer
-  | Native_poisoned_cas ->
-    None (* handled by their own trials, not as IL edits *)
 
 (* ------------------------------------------------------------------ *)
 (* Trials                                                              *)
@@ -246,7 +224,6 @@ type outcome =
   | Benign
   | Skipped
   | Escaped of string
-  | No_site  (** the trial found nothing to do (no target pass) *)
 
 (** Reasons recorded by the guard start with "validation:" / "oracle:" for
     the two validators; anything else is a caught exception. *)
@@ -257,24 +234,23 @@ let classify_reason reason =
     `Oracle
   else `Exception
 
-(** One IL-mutation trial: compile [seed] under full validation, mutating
+(** One IL-mutation trial: compile [src] under full validation, mutating
     the IL at [target] via the fault hook; classify the pipeline's
-    reaction. *)
-let mutation_trial ?should_stop rng cls target (seed : Corpus.seed)
-    (baseline : Interp.result) : outcome =
-  let p = Rp_irgen.Irgen.compile_source seed.Corpus.source in
+    reaction.  [name] identifies the trial in an escape. *)
+let mutation_trial ~should_stop rng m target ~name src : outcome =
+  let p = Rp_irgen.Irgen.compile_source src in
   let applied = ref None in
   let run () =
     with_hook
-      (fun name ->
-        if name = target && !applied = None then applied := mutate rng cls p)
+      (fun pass ->
+        if pass = target && !applied = None then applied := mutate rng m p)
       (fun () -> Pipeline.optimize ~config:fuzz_config p)
   in
   match run () with
   | exception e ->
     Escaped
       (Printf.sprintf "%s@%s on %s: exception escaped optimize: %s"
-         (class_name cls) target seed.Corpus.name (Printexc.to_string e))
+         (mutation_name m) target name (Printexc.to_string e))
   | stats -> (
     match !applied with
     | None -> Skipped
@@ -283,9 +259,16 @@ let mutation_trial ?should_stop rng cls target (seed : Corpus.seed)
       | Some reason -> Caught (classify_reason reason)
       | None ->
         (* not rolled back: only acceptable if the finished program is
-           still observably identical to a clean compile *)
+           still observably identical to a clean compile, the fuzz
+           configuration without its validators *)
+        let (_, _, baseline) =
+          Pipeline.compile_and_run ~should_stop
+            ~config:
+              { fuzz_config with Config.verify_passes = false; oracle = false }
+            src
+        in
         let same =
-          match Interp.run ?should_stop p with
+          match Interp.run ~should_stop p with
           | exception Rp_exec.Value.Runtime_error _ -> false
           | r ->
             r.Interp.output = baseline.Interp.output
@@ -295,239 +278,35 @@ let mutation_trial ?should_stop rng cls target (seed : Corpus.seed)
         else
           Escaped
             (Printf.sprintf "%s@%s on %s: %s survived undetected"
-               (class_name cls) target seed.Corpus.name desc)))
+               (mutation_name m) target name desc)))
 
 (** One pass-exception trial: a pass that raises must be contained,
     recorded, and behave exactly like the pass-disabled configuration. *)
-let exception_trial ?should_stop rng (seed : Corpus.seed) : outcome =
-  match pick rng exception_passes with
-  | None -> No_site
-  | Some (target, disabled_config) -> (
-    let fail fmt =
-      Printf.ksprintf
-        (fun m ->
-          Escaped
-            (Printf.sprintf "pass_exception@%s on %s: %s" target
-               seed.Corpus.name m))
-        fmt
-    in
-    let compile () =
-      with_hook
-        (fun name -> if name = target then failwith "injected pass fault")
-        (fun () ->
-          Pipeline.compile_and_run ~config:fuzz_config ?should_stop
-            seed.Corpus.source)
-    in
-    match compile () with
-    | exception e ->
-      fail "exception escaped the compile: %s" (Printexc.to_string e)
-    | (_, stats, r) -> (
-      match List.assoc_opt target stats.Pipeline.degraded with
-      | None -> fail "fault not recorded in degraded"
-      | Some _ ->
-        let (_, _, r0) =
-          Pipeline.compile_and_run ~config:disabled_config ?should_stop
-            seed.Corpus.source
-        in
-        if results_equal r r0 then Caught `Exception
-        else fail "result differs from the pass-disabled configuration"))
-
-(* ------------------------------------------------------------------ *)
-(* Native-backend faults                                               *)
-(* ------------------------------------------------------------------ *)
-
-(* These trials attack the compiled-C execution path below the IL: the
-   compiler process, the cached binary, and the store that holds it.
-   The property under test is the degradation ladder's (native →
-   interpreter) end-to-end promise: whatever breaks, the job's
-   observable result must equal a clean interpreter run, and the
-   breakage must be detected (the interpreter rung answering or the
-   corrupt object quarantined), never silently served. *)
-
-module Native = Rp_backend.Native
-module Cas = Rp_support.Cas
-module Crc32 = Rp_support.Crc32
-
-(* probed once per process ({!Native.find_cc} memoizes); the three
-   classes that must first cache a genuine binary are [No_site] on
-   hosts without a compiler.  [Native_cc_fail] needs no compiler at
-   all — its whole point is running without one. *)
-let native_cc = lazy (Native.find_cc ())
-
-let rec rm_rf path =
-  match Unix.lstat path with
-  | exception Unix.Unix_error _ -> ()
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-    Array.iter
-      (fun f -> rm_rf (Filename.concat path f))
-      (try Sys.readdir path with Sys_error _ -> [||]);
-    (try Unix.rmdir path with Unix.Unix_error _ -> ())
-  | _ -> ( try Sys.remove path with Sys_error _ -> ())
-
-let read_raw path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-(** The store is fresh per trial, so after one priming run it holds
-    exactly one [*.native-bin] object — the trial's compiled binary. *)
-let bin_object root =
-  let objects = Filename.concat root "objects" in
-  Array.fold_left
-    (fun acc shard ->
-      match acc with
-      | Some _ -> acc
-      | None ->
-        let dir = Filename.concat objects shard in
-        Array.fold_left
-          (fun acc f ->
-            match acc with
-            | Some _ -> acc
-            | None ->
-              if Filename.check_suffix f ".native-bin" then
-                Some (Filename.concat dir f)
-              else None)
-          None
-          (try Sys.readdir dir with Sys_error _ -> [||]))
-    None
-    (try Sys.readdir objects with Sys_error _ -> [||])
-
-(** Replace an object's payload keeping the framing {e valid}: magic and
-    kind are copied from the existing header, CRC and length recomputed
-    over the new payload.  [Cas.get] serves the result without complaint
-    — only the native layer's own defenses (trailer parse, output
-    re-verification, exec failure) can catch the planted corruption. *)
-let replant_object path payload =
-  let raw = read_raw path in
-  let nl = String.index raw '\n' in
-  match String.split_on_char ' ' (String.sub raw 0 nl) with
-  | magic :: kind :: _ ->
-    let oc = open_out_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        Printf.fprintf oc "%s %s %s %d\n%s" magic kind
-          (Crc32.to_hex (Crc32.string payload))
-          (String.length payload) payload)
-  | _ -> invalid_arg "replant_object: malformed header"
-
-(** Flip the object's last payload byte in place, leaving the now-stale
-    CRC: [Cas.get] must quarantine the entry on the next read. *)
-let poison_object path =
-  let raw = read_raw path in
-  let n = String.length raw in
-  let b = Bytes.of_string raw in
-  Bytes.set b (n - 1) (Char.chr (Char.code (Bytes.get b (n - 1)) lxor 0xFF));
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_bytes oc b)
-
-(** One native-backend trial: compile the seed program through the real
-    pipeline, plant the class's fault under the execution path, run the
-    degradation ladder, and assert (a) the result equals the clean
-    interpreter baseline and (b) the fault was detected, not silently
-    served. *)
-let native_trial ?should_stop rng cls (seed : Corpus.seed)
-    (baseline : Interp.result) : outcome =
+let exception_trial ~should_stop rng ~name src : outcome =
+  let (target, disabled_config) = choose rng exception_passes in
   let fail fmt =
     Printf.ksprintf
       (fun m ->
-        Escaped (Printf.sprintf "%s on %s: %s" (class_name cls) seed.Corpus.name m))
+        Escaped (Printf.sprintf "pass_exception@%s on %s: %s" target name m))
       fmt
   in
-  let (p, _) =
-    Pipeline.compile
-      ~config:{ fuzz_config with Config.verify_passes = false; oracle = false }
-      seed.Corpus.source
+  let compile () =
+    with_hook
+      (fun pass -> if pass = target then failwith "injected pass fault")
+      (fun () -> Pipeline.compile_and_run ~config:fuzz_config ~should_stop src)
   in
-  let interp () =
-    let t0 = Rp_support.Clock.now () in
-    let r = Interp.run ?should_stop p in
-    (r, (Rp_support.Clock.now () -. t0) *. 1000.)
-  in
-  match cls with
-  | Native_cc_fail -> (
-    (* a compiler that cannot be executed: the ladder must descend to
-       the interpreter rung, not abort *)
-    let cc =
-      Some
-        {
-          Native.path = "/nonexistent/rpcc-faultgen-cc";
-          flags = [];
-          identity = "faultgen-broken-cc";
-        }
-    in
-    match Native.run_laddered ~interp ~cc p with
-    | exception e -> fail "ladder raised: %s" (Printexc.to_string e)
-    | lad ->
-      if lad.Native.l_mode <> `Interp then
-        fail "broken cc still claimed a native run"
-      else if results_equal lad.Native.l_result baseline then Caught `Exception
-      else fail "interpreter rung result differs from baseline")
-  | Native_truncated_bin | Native_bad_trailer | Native_poisoned_cas -> (
-    match Lazy.force native_cc with
-    | None -> No_site
-    | Some cc -> (
-      let dir =
-        Filename.concat
-          (Filename.get_temp_dir_name ())
-          (Printf.sprintf "rpcc-faultgen-%d-%d" (Unix.getpid ())
-             (R.int rng 0x3FFFFFFF))
+  match compile () with
+  | exception e ->
+    fail "exception escaped the compile: %s" (Printexc.to_string e)
+  | (_, stats, r) -> (
+    match List.assoc_opt target stats.Pipeline.degraded with
+    | None -> fail "fault not recorded in degraded"
+    | Some _ ->
+      let (_, _, r0) =
+        Pipeline.compile_and_run ~config:disabled_config ~should_stop src
       in
-      Fun.protect
-        ~finally:(fun () -> rm_rf dir)
-        (fun () ->
-          let cache = Cas.open_ dir in
-          (* prime: one honest native run caches the binary *)
-          match Native.run_laddered ~cache ~interp ~cc:(Some cc) p with
-          | exception e -> fail "priming run raised: %s" (Printexc.to_string e)
-          | lad when lad.Native.l_mode <> `Native ->
-            fail "priming run did not execute natively"
-          | _ -> (
-            match bin_object dir with
-            | None -> fail "priming run cached no binary"
-            | Some path -> (
-              (match cls with
-              | Native_truncated_bin ->
-                (* CRC-valid but half a binary: exec (or its trailer)
-                   must fail and the interpreter rung answer *)
-                let raw = read_raw path in
-                let nl = String.index raw '\n' in
-                let payload =
-                  String.sub raw (nl + 1) (String.length raw - nl - 1)
-                in
-                replant_object path
-                  (String.sub payload 0 (String.length payload / 2))
-              | Native_bad_trailer ->
-                (* runs fine, prints garbage: the strict trailer parser
-                   must reject it rather than invent counts *)
-                replant_object path "#!/bin/sh\necho not-a-trailer\n"
-              | _ -> poison_object path);
-              let quarantined_before = (Cas.stats cache).Cas.quarantined in
-              match Native.run_laddered ~cache ~interp ~cc:(Some cc) p with
-              | exception e ->
-                fail "ladder raised on planted fault: %s" (Printexc.to_string e)
-              | lad ->
-                if not (results_equal lad.Native.l_result baseline) then
-                  fail "result differs from baseline after planted fault"
-                else (
-                  match cls with
-                  | Native_poisoned_cas ->
-                    (* the store's own CRC is the detector: the bad
-                       object is quarantined and the miss recompiles
-                       cleanly, no ladder degradation at all *)
-                    if (Cas.stats cache).Cas.quarantined > quarantined_before
-                    then Caught `Validation
-                    else fail "poisoned object was not quarantined"
-                  | _ ->
-                    (* CRC-valid corruption is invisible to the store;
-                       the ladder itself must notice and descend *)
-                    if lad.Native.l_mode <> `Interp then
-                      fail "planted fault was served without detection"
-                    else Caught `Exception))))))
-  | _ -> No_site
+      if results_equal r r0 then Caught `Exception
+      else fail "result differs from the pass-disabled configuration")
 
 (* ------------------------------------------------------------------ *)
 (* Journal serialization                                               *)
@@ -548,7 +327,6 @@ let trial_json ((cls, outcome) : trial) : Json.t =
     | Caught `Exception -> [ ("kind", Json.Str "caught_exception") ]
     | Benign -> [ ("kind", Json.Str "benign") ]
     | Skipped -> [ ("kind", Json.Str "skipped") ]
-    | No_site -> [ ("kind", Json.Str "no_site") ]
     | Escaped desc ->
       [ ("kind", Json.Str "escaped"); ("desc", Json.Str desc) ]
   in
@@ -567,7 +345,6 @@ let trial_of_json (j : Json.t) : trial option =
       | "caught_exception" -> Some (Caught `Exception)
       | "benign" -> Some Benign
       | "skipped" -> Some Skipped
-      | "no_site" -> Some No_site
       | "escaped" -> Option.map (fun d -> Escaped d) (str "desc")
       | _ -> None
     in
@@ -578,49 +355,35 @@ let trial_of_json (j : Json.t) : trial option =
 (* Campaign                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(** Trial [i] of campaign [seed], self-contained: draws every random
+(* The programs come from [Gen], so the id names it: a journal of the
+   campaign that drew from a fixed corpus carries another digest and is
+   refused rather than resumed. *)
+let campaign_id ~seed = [ "fuzz"; "gen"; string_of_int seed ]
+
+(** Trial [i] of campaign [seed], self-contained: its program is
+    [Gen.program_of_seed ~seed ~trial:i] and it draws every other random
     choice from its own [R.make [| seed; i |]] stream, so a trial's
     behaviour depends only on [(seed, i)] — never on which domain ran it
     or what other trials did.  That is what makes [--jobs] replay-stable
     and lets [--seed S --trials N] reproduce any campaign exactly. *)
-let run_trial ~seed ?should_stop baselines i : trial =
+let trial ~seed ~should_stop i : trial =
   let rng = R.make [| seed; i |] in
-  let (prog, baseline) = List.nth baselines (i mod List.length baselines) in
-  let cls = List.nth all_classes (R.int rng (List.length all_classes)) in
+  let src = Gen.program_of_seed ~seed ~trial:i in
+  let name = Printf.sprintf "trial %d" i in
+  let cls = choose rng all_classes in
   let outcome =
     match cls with
-    | Pass_exception -> exception_trial ?should_stop rng prog
-    | Native_cc_fail | Native_truncated_bin | Native_bad_trailer
-    | Native_poisoned_cas ->
-      native_trial ?should_stop rng cls prog baseline
-    | _ -> (
-      match pick rng mutation_passes with
-      | None -> No_site
-      | Some target -> mutation_trial ?should_stop rng cls target prog baseline)
+    | Pass_exception -> exception_trial ~should_stop rng ~name src
+    | Mutation m ->
+      let target = choose rng mutation_passes in
+      mutation_trial ~should_stop rng m target ~name src
   in
   (cls, outcome)
 
-let trial ~seed =
-  (* one clean compile+run per corpus program, shared by every trial *)
-  let baselines =
-    List.map
-      (fun (s : Corpus.seed) ->
-        let (_, _, r) =
-          Pipeline.compile_and_run
-            ~config:{ fuzz_config with Config.verify_passes = false; oracle = false }
-            s.Corpus.source
-        in
-        (s, r))
-      Corpus.all
-  in
-  fun ~should_stop i -> run_trial ~seed ~should_stop baselines i
-
 (** Fold one trial's outcome into the report. *)
 let record report (cls, outcome) =
-  report.trials <- report.trials + 1;
   let st = stats_for report cls in
   match outcome with
-  | No_site -> ()
   | Skipped -> st.skipped <- st.skipped + 1
   | Caught k ->
     st.injected <- st.injected + 1;
@@ -636,16 +399,17 @@ let record report (cls, outcome) =
     st.escaped <- st.escaped + 1;
     report.escapes <- desc :: report.escapes
 
-let report ~seed trials =
+let report ~seed ~trials finished =
   let r =
     {
       seed;
+      trials;
+      quarantined = trials - List.length finished;
       classes = List.map (fun c -> (c, zero_stats ())) all_classes;
-      trials = 0;
       escapes = [];
     }
   in
-  List.iter (record r) trials;
+  List.iter (record r) finished;
   r
 
 let total_escapes r =
@@ -665,4 +429,6 @@ let pp_report ppf (r : report) =
     r.classes;
   List.iter
     (fun e -> Fmt.pf ppf "ESCAPE [seed=%d]: %s@." r.seed e)
-    (List.rev r.escapes)
+    (List.rev r.escapes);
+  Fmt.pf ppf "; seed=%d, %d trials, %d quarantined, %d escapes@." r.seed
+    r.trials r.quarantined (total_escapes r)

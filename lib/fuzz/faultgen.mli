@@ -1,36 +1,29 @@
 (** Fault-injection harness for the hardened pipeline (see [rpcc fuzz]).
 
-    Injects IL corruption and exceptions inside guarded passes via
-    {!Rp_driver.Pipeline.fault_hook} and asserts the isolation, validation,
-    and oracle machinery contains every fault: rolled back and recorded, or
-    provably behaviour-preserving.  Anything else is an escape. *)
+    Compiles programs from {!Gen} while injecting IL corruption or an
+    exception inside a guarded pass, via
+    {!Rp_driver.Pipeline.fault_hook}, and asserts the isolation,
+    validation, and oracle machinery contains every fault: rolled back
+    and recorded, or provably behaviour-preserving.  Anything else is an
+    escape. *)
 
-type fault_class =
+(** The IL corruptions {!mutate} plants: the classes [gen-fuzz --inject]
+    and [reduce --inject] accept. *)
+type mutation =
   | Drop_store  (** delete one sStore/Store instruction *)
   | Shrink_tagset  (** empty the tag set of one pointer operation *)
   | Dangling_target  (** retarget one terminator at a missing block *)
   | Bad_register  (** insert an instruction using out-of-range registers *)
+
+type fault_class =
+  | Mutation of mutation
   | Pass_exception  (** raise from inside a pass body *)
-  | Native_cc_fail
-      (** the C compiler cannot be executed: the degradation ladder must
-          descend to the interpreter rung *)
-  | Native_truncated_bin
-      (** a cached native binary loses its tail under a {e valid} CRC:
-          only the native layer itself can detect it (exec/trailer
-          failure), and the interpreter rung must answer *)
-  | Native_bad_trailer
-      (** a cached "binary" runs fine but prints garbage instead of the
-          result trailer: the strict parser must reject, never invent
-          counts, and the interpreter rung must answer *)
-  | Native_poisoned_cas
-      (** a cached binary's bytes rot under a stale CRC: the store must
-          quarantine on read and the miss recompile cleanly *)
 
-val all_classes : fault_class list
+val all_mutations : mutation list
+val mutation_name : mutation -> string
+
 val class_name : fault_class -> string
-
-val class_of_string : string -> fault_class option
-(** Inverse of {!class_name}; [None] for unknown names. *)
+(** A mutation's class is named by {!mutation_name}. *)
 
 type class_stats = {
   mutable injected : int;
@@ -44,15 +37,16 @@ type class_stats = {
 
 type report = {
   seed : int;  (** the campaign's RNG seed, printed in every report *)
+  trials : int;  (** the requested trial count, printed for replay *)
+  quarantined : int;  (** requested trials that returned no outcome *)
   classes : (fault_class * class_stats) list;
-  mutable trials : int;
   mutable escapes : string list;
 }
 
-(** Apply a fault class to a program at a random site (used directly by the
-    unit tests); [None] when the program offers no site for the class. *)
-val mutate :
-  Random.State.t -> fault_class -> Rp_ir.Program.t -> string option
+(** Apply a mutation to a program at a random site (used directly by the
+    unit tests and by [gen-fuzz --inject]); [None] when the program offers
+    no site for it. *)
+val mutate : Random.State.t -> mutation -> Rp_ir.Program.t -> string option
 
 (** The campaign configuration: every optional pass on, structural and
     oracle validation armed. *)
@@ -66,20 +60,26 @@ type outcome =
   | Benign
   | Skipped
   | Escaped of string
-  | No_site
 
 type trial = fault_class * outcome
 
-val trial : seed:int -> should_stop:(unit -> bool) -> int -> trial
-(** [trial ~seed] compiles and runs every {!Corpus} program once — the
-    baselines its trials compare against — and returns the campaign's
-    job: trial [i] draws every random choice from its own
-    [(seed, i)]-keyed stream, so its result depends on nothing else, and
-    a campaign's report is identical at any [--jobs] level and across
-    resumes.  Apply it to [~seed] once per campaign. *)
+val campaign_id : seed:int -> string list
+(** The campaign's [~id] for {!Rp_cli.run_campaign}: what a journal
+    record's digest covers besides the pipeline version. *)
 
-val report : seed:int -> trial list -> report
-(** Fold finished trials into a report, in list order. *)
+val trial : seed:int -> should_stop:(unit -> bool) -> int -> trial
+(** [trial ~seed ~should_stop i] compiles [Gen.program_of_seed ~seed
+    ~trial:i] with one fault planted and classifies the pipeline's
+    reaction.  Every random choice comes from [(seed, i)], so its result
+    depends on nothing else, and a campaign's report is identical at any
+    [--jobs] level and across resumes.  A surviving mutation is compared
+    against the same program compiled by {!fuzz_config} without its
+    validators. *)
+
+val report : seed:int -> trials:int -> trial list -> report
+(** [report ~seed ~trials finished] folds the finished trials, in list
+    order, into the report of a campaign of [trials] requested trials;
+    the ones missing from [finished] count as quarantined. *)
 
 val trial_json : trial -> Rp_support.Json.t
 (** Serialize a trial's result as a campaign-journal payload. *)
@@ -88,4 +88,7 @@ val trial_of_json : Rp_support.Json.t -> trial option
 (** Inverse of {!trial_json}; [None] on malformed input. *)
 
 val total_escapes : report -> int
+
 val pp_report : Format.formatter -> report -> unit
+(** The header with the replay command, one row per class, the escapes,
+    and a summary line [; seed=S, N trials, Q quarantined, E escapes]. *)

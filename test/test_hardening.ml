@@ -222,6 +222,8 @@ let fuzz_tests =
         let report = Util.fuzz_report ~seed:7 ~seeds:120 ~jobs:1 in
         Util.check Alcotest.int "no escapes" 0
           (Faultgen.total_escapes report);
+        Util.check Alcotest.int "no quarantined trials" 0
+          report.Faultgen.quarantined;
         List.iter
           (fun (c, (s : Faultgen.class_stats)) ->
             Util.check Alcotest.bool
@@ -239,10 +241,24 @@ let fuzz_tests =
             | None -> Alcotest.fail "no mutation site"
             | Some _ ->
               Util.check Alcotest.bool
-                (Faultgen.class_name cls ^ " flagged")
+                (Faultgen.mutation_name cls ^ " flagged")
                 true
                 (Rp_ir.Validate.check_program p <> []))
           [ Faultgen.Dangling_target; Faultgen.Bad_register ]);
+    Util.tc "a report names the requested campaign and its quarantine"
+      (fun () ->
+        (* one of 5 trials was quarantined: the replay line must still
+           ask for the campaign of 5, not a different campaign of 4 *)
+        let finished =
+          List.init 4 (fun _ -> (Faultgen.Pass_exception, Faultgen.Benign))
+        in
+        let text =
+          Fmt.str "%a" Faultgen.pp_report
+            (Faultgen.report ~seed:7 ~trials:5 finished)
+        in
+        let has sub = Util.check Alcotest.bool sub true (contains text sub) in
+        has "campaign: seed=7 trials=5 (replay: rpcc fuzz --seed 7 --trials 5)";
+        has "; seed=7, 5 trials, 1 quarantined, 0 escapes");
   ]
 
 (* ------------------------------------------------------------------ *)

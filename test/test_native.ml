@@ -7,7 +7,7 @@
 
     Everything that needs a system C compiler is gated on
     {!Rp_backend.Native.find_cc} and skips visibly when there is none;
-    the mangling, trailer, CLI-conflict and all but one failure-path
+    the mangling, trailer, CLI-conflict and all but two failure-path
     tests always run. *)
 
 open Rp_driver
@@ -417,11 +417,11 @@ let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let interp_thunk prog () = (I.run prog, 0.)
 
-(* the ladder answered from the interpreter, with the interpreter's
-   result *)
-let check_interp_rung prog (lad : Native.laddered) =
+(* the ladder answered from [rung] (the interpreter unless said), with
+   the interpreter's result *)
+let check_rung ?(rung = `Interp) prog (lad : Native.laddered) =
   let ri = I.run prog in
-  Util.check Alcotest.bool "interpreter rung" true (lad.Native.l_mode = `Interp);
+  Util.check Alcotest.bool "rung" true (lad.Native.l_mode = rung);
   Util.check Alcotest.string "output" ri.I.output lad.Native.l_result.I.output;
   Util.check Alcotest.int "checksum" ri.I.checksum
     lad.Native.l_result.I.checksum;
@@ -430,16 +430,17 @@ let check_interp_rung prog (lad : Native.laddered) =
 
 let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
 
-(* needs no C compiler: a compiler that logs each call and fails *)
-let with_fake_cc f =
+(* needs no C compiler: a compiler that logs each call, then runs [body]
+   (by default, fails) *)
+let with_fake_cc ?(body = "exit 1") f =
   let dir = Filename.temp_file "rp-fake-cc" "" in
   Sys.remove dir;
   Sys.mkdir dir 0o700;
   let log = Filename.concat dir "calls.log" in
   let script = Filename.concat dir "cc" in
   Out_channel.with_open_bin script (fun oc ->
-      Printf.fprintf oc "#!/bin/sh\necho called >> %s\nexit 1\n"
-        (Filename.quote log));
+      Printf.fprintf oc "#!/bin/sh\necho called >> %s\n%s\n"
+        (Filename.quote log) body);
   Unix.chmod script 0o700;
   Fun.protect
     ~finally:(fun () -> ignore (Sys.command ("rm -rf " ^ Filename.quote dir)))
@@ -480,11 +481,42 @@ let failure_path_tests =
         with_fake_cc @@ fun cc calls ->
         let prog = Util.compile ladder_src in
         for n = 1 to 2 do
-          check_interp_rung prog
+          check_rung prog
             (Native.run_laddered ~interp:(interp_thunk prog) ~cc:(Some cc)
                prog);
           Util.check Alcotest.int "cc calls" n (calls ())
         done);
+    Util.tc "ladder: a compiler that does not exist answers from the \
+             interpreter"
+      (fun () ->
+        let prog = Util.compile ladder_src in
+        let cc =
+          { Native.path = "/nonexistent/rpcc-test-cc"; flags = [];
+            identity = "test-missing-cc" }
+        in
+        check_rung prog
+          (Native.run_laddered ~interp:(interp_thunk prog) ~cc:(Some cc) prog));
+    Util.tc "compile: a cc killed by a signal names it" (fun () ->
+        with_fake_cc ~body:"kill -9 $$" @@ fun cc _ ->
+        match Native.compile ~cc (Util.compile ladder_src) with
+        | _ -> Alcotest.fail "a killed cc produced a binary"
+        | exception Native.Error m ->
+          Util.check Alcotest.bool m true
+            (String.starts_with ~prefix:"cc killed by SIGKILL" m));
+    Util.tc "exec_bin: a binary killed by a signal names it" (fun () ->
+        let bin = Filename.temp_file "rp-segv" ".bin" in
+        Fun.protect
+          ~finally:(fun () -> Sys.remove bin)
+          (fun () ->
+            Out_channel.with_open_bin bin (fun oc ->
+                output_string oc "#!/bin/sh\nkill -SEGV $$\n");
+            Unix.chmod bin 0o700;
+            match Native.exec_bin bin with
+            | _ -> Alcotest.fail "a killed binary answered"
+            | exception Native.Error m ->
+              Util.check Alcotest.bool m true
+                (String.starts_with ~prefix:"native binary killed by SIGSEGV"
+                   m)));
     Util.tc "ladder: a missing temp directory answers from the interpreter"
       (fun () ->
         with_fake_cc @@ fun cc _ ->
@@ -498,39 +530,75 @@ let failure_path_tests =
               Native.run_laddered ~interp:(interp_thunk prog) ~cc:(Some cc)
                 prog)
         in
-        check_interp_rung prog lad);
+        check_rung prog lad);
   ]
 
-(* a CRC-valid store entry the kernel will not exec, replanted as
-   Faultgen's [Native_truncated_bin] class does it *)
+(* A private store primed by one native run of [ladder_src]: [f] gets
+   the program, the store and the one binary object in it. *)
+let with_primed_binary cc name f =
+  let prog = Util.compile ladder_src in
+  with_store name @@ fun cache ->
+  let prime =
+    Native.run_laddered ~cache ~interp:(interp_thunk prog) ~cc:(Some cc) prog
+  in
+  Util.check Alcotest.bool "primed natively" true
+    (prime.Native.l_mode = `Native);
+  match Util.native_bins (Rp_support.Cas.root cache) with
+  | [ path ] -> f prog cache path
+  | bins -> Alcotest.failf "expected one binary, found %d" (List.length bins)
+
+(* CRC-valid store entries that cannot answer, each replanted over the
+   primed binary: a file the kernel will not exec, the first half of the
+   binary, and a script that runs but prints no trailer *)
 let unrunnable_entry_test cc =
   Util.tc_slow "ladder: a CRC-valid unrunnable binary answers from the \
                 interpreter"
     (fun () ->
-      let prog = Util.compile ladder_src in
-      with_store "unrunnable" @@ fun cache ->
-      let prime =
-        Native.run_laddered ~cache ~interp:(interp_thunk prog) ~cc:(Some cc)
-          prog
+      with_primed_binary cc "unrunnable" @@ fun prog cache path ->
+      let raw = read_file path in
+      let nl = String.index raw '\n' in
+      let binary = String.sub raw (nl + 1) (String.length raw - nl - 1) in
+      let magic, kind =
+        match String.split_on_char ' ' (String.sub raw 0 nl) with
+        | magic :: kind :: _ -> (magic, kind)
+        | _ -> Alcotest.fail "malformed object header"
       in
-      Util.check Alcotest.bool "primed natively" true
-        (prime.Native.l_mode = `Native);
-      match Util.native_bins (Rp_support.Cas.root cache) with
-      | [ path ] ->
-        let raw = read_file path in
-        let header = String.sub raw 0 (String.index raw '\n') in
-        let payload = "not a program\n" in
-        (match String.split_on_char ' ' header with
-        | magic :: kind :: _ ->
+      List.iter
+        (fun payload ->
           Out_channel.with_open_bin path (fun oc ->
               Printf.fprintf oc "%s %s %s %d\n%s" magic kind
                 Rp_support.Crc32.(to_hex (string payload))
-                (String.length payload) payload)
-        | _ -> Alcotest.fail "malformed object header");
-        check_interp_rung prog
-          (Native.run_laddered ~cache ~interp:(interp_thunk prog)
-             ~cc:(Some cc) prog)
-      | bins -> Alcotest.failf "expected one binary, found %d" (List.length bins))
+                (String.length payload) payload);
+          check_rung prog
+            (Native.run_laddered ~cache ~interp:(interp_thunk prog)
+               ~cc:(Some cc) prog))
+        [
+          "not a program\n";
+          String.sub binary 0 (String.length binary / 2);
+          "#!/bin/sh\necho not-a-trailer\n";
+        ])
+
+(* a byte flipped under the stale CRC: the store quarantines the entry on
+   read, and the miss recompiles and answers natively *)
+let poisoned_entry_test cc =
+  Util.tc_slow "ladder: a poisoned binary is quarantined and recompiled"
+    (fun () ->
+      with_primed_binary cc "poisoned" @@ fun prog cache path ->
+      let b = Bytes.of_string (read_file path) in
+      let last = Bytes.length b - 1 in
+      Bytes.set b last (Char.chr (Char.code (Bytes.get b last) lxor 0xFF));
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b);
+      let quarantined () =
+        (Rp_support.Cas.stats cache).Rp_support.Cas.quarantined
+      in
+      let before = quarantined () in
+      let lad =
+        Native.run_laddered ~cache ~interp:(interp_thunk prog) ~cc:(Some cc)
+          prog
+      in
+      Util.check Alcotest.int "quarantined" (before + 1) (quarantined ());
+      Util.check Alcotest.bool "recompiled" false lad.Native.l_cache_hit;
+      check_rung ~rung:`Native prog lad)
 
 (* ------------------------------------------------------------------ *)
 (* bench --native CLI contract                                         *)
@@ -597,7 +665,8 @@ let () =
   let failure_path_tests =
     match cc with
     | None -> failure_path_tests
-    | Some cc -> failure_path_tests @ [ unrunnable_entry_test cc ]
+    | Some cc ->
+      failure_path_tests @ [ unrunnable_entry_test cc; poisoned_entry_test cc ]
   in
   Alcotest.run "native"
     [

@@ -23,19 +23,20 @@ let native_bins root =
     (ls objects)
 
 (** The report of an [rpcc fuzz] campaign without a journal, run through
-    the same campaign runner at [jobs] workers. *)
+    the same campaign runner at [jobs] workers and no retries, so a trial
+    that crashes shows as quarantined rather than being rerun. *)
 let fuzz_report ~seed ~seeds ~jobs =
   let module F = Rp_fuzz.Faultgen in
   let flags =
-    { Rp_cli.jobs = Some jobs; job_timeout = None; retries = None;
+    { Rp_cli.jobs = Some jobs; job_timeout = None; retries = Some 0;
       journal = None; resume = None }
   in
-  Rp_cli.run_campaign flags ~id:[ "fuzz"; string_of_int seed ]
+  Rp_cli.run_campaign flags ~id:(F.campaign_id ~seed)
     ~resilience:(Rp_support.Resilience.create ()) ~name:string_of_int
     ~encode:(fun t -> Some (F.trial_json t)) ~decode:F.trial_of_json
     (F.trial ~seed) (List.init seeds Fun.id)
   |> List.filter_map Result.to_option
-  |> F.report ~seed
+  |> F.report ~seed ~trials:seeds
 
 (** Compile source text to IL (front end only). *)
 let front src = Rp_irgen.Irgen.compile_source src
