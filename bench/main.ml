@@ -142,7 +142,8 @@ let assert_healthy pname (st : Pipeline.stage_stats) =
   match st.Pipeline.degraded with
   | [] -> ()
   | (pass, reason) :: _ ->
-    Fmt.failwith "pass %s degraded compiling %s: %s" pass pname reason
+    Fmt.failwith "pass %s degraded compiling %s: %a" pass pname
+      Pipeline.pp_reason reason
 
 (** Compile and run one cell.  Program outcomes — traps, resource limits,
     stack overflow — raise {!Quarantined}, identically on every ladder
@@ -164,8 +165,8 @@ let execute o ~should_stop c =
     | None -> (st, I.run ~should_stop prog, None, None)
     | Some (cc, cache) ->
       let timeout = o.campaign.Rp_cli.job_timeout in
-      let lad =
-        Native.run_laddered ?deadline:timeout ~cache
+      let rung, t =
+        Native.run_laddered ?deadline:timeout ~cache ~should_stop
           ~interp:(fun () ->
             let t0 = Clock.now () in
             let r = I.run ~should_stop ?deadline:timeout prog in
@@ -173,10 +174,9 @@ let execute o ~should_stop c =
           ~cc:(Some cc) prog
       in
       ( st,
-        lad.Native.l_result,
-        Some lad.Native.l_mode,
-        Some (lad.Native.l_cc_ms, lad.Native.l_exec_ms, lad.Native.l_cache_hit)
-      )
+        t.Native.result,
+        Some rung,
+        Some (t.Native.cc_ms, t.Native.exec_ms, t.Native.cache_hit) )
   with
   | I.Resource_limit m as e when I.is_external_stop m -> raise e
   | I.Resource_limit m -> quarantine "resource limit: %s" m
@@ -214,10 +214,11 @@ let job o ~should_stop c =
 
 (** Run [cells] on the campaign runner ({!Rp_cli.run_campaign}): per-cell
     deadlines, bounded retries, one journal record per finished cell, and
-    resumption from a journal.  Returns the outcomes in cell order and the
-    run's resilience object.  Under [--verify-passes] the first fatal cell
-    in cell order raises [Failure], as a sequential run would; a fatal
-    result is never journaled. *)
+    resumption from a journal.  Returns the outcomes in cell order and
+    prints a [resilience:] line on stderr when a counter is nonzero.
+    Under [--verify-passes] the first fatal cell in cell order raises
+    [Failure], as a sequential run would; a fatal result is never
+    journaled. *)
 let run_local o cells =
   let resil = R.create () in
   let results =
@@ -245,18 +246,18 @@ let run_local o cells =
       cells results
   in
   if R.any resil then Fmt.epr "resilience: %a@." R.pp resil;
-  (outcomes, R.to_json resil)
+  outcomes
 
 (* ------------------------------------------------------------------ *)
 (* The driver                                                          *)
 (* ------------------------------------------------------------------ *)
 
 (** Where the grid runs.  [run] returns one outcome per cell, in cell
-    order, and the counts document's [resilience] object; [finish] writes
-    the executor's own report once the counts document is out. *)
+    order; [finish] writes the executor's own report once the counts
+    document is out. *)
 type executor = {
   via : string;  (** names a remote executor in the "wrote" line *)
-  run : cell list -> outcome list * Json.t;
+  run : cell list -> outcome list;
   finish : outcome list -> since:float -> unit;
 }
 
@@ -276,20 +277,19 @@ let by_program outcomes f =
        P.all)
 
 (** The one driver: run the paper grid on [ex] and write
-    [BENCH_counts.json] (schema v8) from the outcomes.  [exec] counts the
+    [BENCH_counts.json] (schema v9) from the outcomes.  [exec] counts the
     [--native] cells the degradation ladder served from its interpreter
     rung: top-level rather than per cell, so the cells stay byte-identical
     across modes, and 0 on every healthy run. *)
 let export ex =
   let since = Clock.now () in
-  let outcomes, resilience = ex.run grid in
+  let outcomes = ex.run grid in
   let fell = List.filter (fun o -> o.rung = Some `Interp) outcomes in
   Json.to_file "BENCH_counts.json"
     (Json.Obj
        [
-         ("schema", Json.Str "rpcc-bench-counts/8");
+         ("schema", Json.Str "rpcc-bench-counts/9");
          ("programs", by_program outcomes (fun _ o -> answer_json o.answer));
-         ("resilience", resilience);
          ( "exec",
            Json.Obj [ ("degraded_native", Json.Int (List.length fell)) ] );
        ]);
@@ -472,17 +472,6 @@ let outcome_of_response c resp =
   in
   { answer; rung; timing = None; resumed = false }
 
-(* Supervision lives backend-side (daemon health): the counts document's
-   resilience counters are present and zero, so its shape matches an
-   in-process run's. *)
-let answered who cells responses =
-  if List.length responses <> List.length cells then begin
-    Fmt.epr "%s answered %d of %d requests@." who (List.length responses)
-      (List.length cells);
-    exit 2
-  end;
-  (List.map2 outcome_of_response cells responses, R.to_json (R.create ()))
-
 let grid_wall ~since =
   Fmt.pr "grid wall: %.1f ms@." (1000. *. Clock.elapsed since)
 
@@ -504,7 +493,13 @@ let daemon ~socket ~native =
         Fmt.epr "daemon timeout: %s@." m;
         exit 3
     in
-    answered "daemon" cells responses
+    (* supervision lives backend-side: its counters are in health *)
+    if List.length responses <> List.length cells then begin
+      Fmt.epr "daemon answered %d of %d requests@." (List.length responses)
+        (List.length cells);
+      exit 2
+    end;
+    List.map2 outcome_of_response cells responses
   in
   { via = " via " ^ socket; run; finish = (fun _ -> grid_wall) }
 
@@ -777,7 +772,7 @@ let print_tables o =
              Some { prog; cname = Config.name cfg; cfg }
            end)
   in
-  let outcomes = Array.of_list (fst (run_local o cells)) in
+  let outcomes = Array.of_list (run_local o cells) in
   let get p cfg =
     match outcomes.(Hashtbl.find index (key p cfg)).answer with
     | Ok c -> c

@@ -287,8 +287,21 @@ let run_cmd =
         match native_cc with
         | None -> Rp_exec.Interp.run ?fuel ?max_depth ?deadline:timeout prog
         | Some (cc, cache) ->
-          Rp_backend.Native.run ?fuel ?max_depth ?deadline:timeout ~cache ~cc
-            prog
+          (* cc runs in a process group of its own, out of a Ctrl-C's
+             reach: while the native run lasts, a SIGINT stops cc through
+             its stop request and ends rpcc with 130 once the run is over *)
+          let interrupted = ref false in
+          let previous =
+            Sys.signal Sys.sigint
+              (Sys.Signal_handle (fun _ -> interrupted := true))
+          in
+          Fun.protect
+            ~finally:(fun () ->
+              Sys.set_signal Sys.sigint previous;
+              if !interrupted then exit 130)
+            (fun () ->
+              Rp_backend.Native.run ?fuel ?max_depth ?deadline:timeout ~cache
+                ~should_stop:(fun () -> !interrupted) ~cc prog)
       with
       | Rp_exec.Interp.Resource_limit m as e ->
         if timeout <> None && Rp_exec.Interp.is_external_stop m then
@@ -438,8 +451,8 @@ let table_cmd =
   let table file k =
     handle_errors @@ fun () ->
     let src = read_file file in
-    Fmt.pr "%-10s %-8s %10s %10s %10s %9s@." "metric" "analysis" "without"
-      "with" "difference" "% removed";
+    Fmt.pr "%-10s %-8s %10s %10s %10s %9s %10s@." "metric" "analysis"
+      "without" "with" "difference" "% removed" "ptr";
     let results =
       List.map
         (fun (name, cfg) ->
@@ -452,15 +465,15 @@ let table_cmd =
     let row metric pick =
       List.iter
         (fun analysis ->
-          let without = pick (find (analysis ^ "/without")) in
-          let with_ = pick (find (analysis ^ "/with")) in
+          let cell c = pick (find (analysis ^ "/" ^ c)) in
+          let without = cell "without" and with_ = cell "with" in
           let diff = without - with_ in
           let pct =
             if without = 0 then 0.
             else 100. *. float_of_int diff /. float_of_int without
           in
-          Fmt.pr "%-10s %-8s %10d %10d %10d %9.2f@." metric analysis without
-            with_ diff pct)
+          Fmt.pr "%-10s %-8s %10d %10d %10d %9.2f %10d@." metric analysis
+            without with_ diff pct (cell "ptr"))
         [ "modref"; "pointer" ]
     in
     let total (r : Rp_exec.Interp.result) = r.Rp_exec.Interp.total in
@@ -471,8 +484,10 @@ let table_cmd =
   Cmd.v
     (Cmd.info "table" ~exits
        ~doc:
-         "Run the paper's configuration-grid comparison (including the \
-          §3.3 pointer-promotion cells) on one file.")
+         "Run the paper's six-configuration grid on one file: per metric \
+          and analysis, the $(i,without) and $(i,with) cells, what \
+          promotion removed, and the §3.3 $(i,ptr) cell (scalar plus \
+          pointer-based promotion).")
     Term.(const table $ file_t $ k_t)
 
 (* The fuzz tools share one seed flag so every campaign — fault injection

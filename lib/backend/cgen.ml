@@ -40,7 +40,7 @@ open Rp_ir
 module P = Rp_exec.Precomp
 module V = Rp_exec.Value
 
-let version = "rpcc-cgen/3"
+let version = "rpcc-cgen/4"
 
 let mangle idx name =
   let b = Bytes.of_string name in
@@ -162,7 +162,7 @@ let c_header =
 #include <stdarg.h>
 #include <math.h>
 #include <unistd.h>
-#include <sys/time.h>
+#include <time.h>
 #include <sys/resource.h>
 
 typedef long long i64;
@@ -213,9 +213,11 @@ RT_INL double rt_bits(u64 b) { double d; memcpy(&d, &b, 8); return d; }
 /* OCaml's 63-bit boxed int: keep bit 62 as the sign, discard bit 63. */
 RT_INL i64 norm63(i64 x) { u64 u = (u64)x << 1; return (i64)u >> 1; }
 
+/* the monotonic clock, as the interpreter's deadline and the harness's
+   timers read it: a system clock step moves neither */
 static double rt_now(void) {
-  struct timeval tv; gettimeofday(&tv, 0);
-  return (double)tv.tv_sec + (double)tv.tv_usec * 1e-6;
+  struct timespec ts; clock_gettime(CLOCK_MONOTONIC, &ts);
+  return (double)ts.tv_sec + (double)ts.tv_nsec * 1e-9;
 }
 
 static void rt_val_str(char *dst, size_t n, val v) {

@@ -136,7 +136,7 @@ let parse_trailer (s : string) : trailer =
   and loads = ref None
   and stores = ref None
   and outlen = ref None
-  and elapsed = ref 0
+  and elapsed = ref None
   and funcs = ref []
   and ended = ref false in
   let rest_after line prefix =
@@ -170,7 +170,7 @@ let parse_trailer (s : string) : trailer =
     | [ "loads"; n ] -> loads := Some (int_of n)
     | [ "stores"; n ] -> stores := Some (int_of n)
     | [ "outlen"; n ] -> outlen := Some (int_of n)
-    | [ "elapsed_ns"; n ] -> elapsed := int_of n
+    | [ "elapsed_ns"; n ] -> elapsed := Some (int_of n)
     | "func" :: o :: l :: st :: name_words ->
       let name = String.concat " " name_words in
       funcs :=
@@ -209,7 +209,7 @@ let parse_trailer (s : string) : trailer =
     loads = req "loads" !loads;
     stores = req "stores" !stores;
     outlen = req "outlen" !outlen;
-    elapsed_ns = !elapsed;
+    elapsed_ns = req "elapsed_ns" !elapsed;
     funcs = List.rev !funcs;
   }
 
@@ -279,9 +279,15 @@ let truncate_err err =
    OCaml's [Unix.error] has no constructor for it), when another domain's
    child briefly holds an inherited write fd to the binary, and EAGAIN,
    when fork is short of resources.  With [~wall_s] the child is polled
-   every 20 ms and SIGKILLed past that deadline. *)
-let spawn_and_wait ~what ?(wall_s = infinity) argv =
+   every 20 ms and SIGKILLed past that deadline or once [should_stop]
+   turns true.  With [~group] it starts in a process group of its own
+   (through setsid, which execs in place: the pid is the group's id),
+   SIGKILLed whole whenever the child ends. *)
+let spawn_and_wait ~what ?(wall_s = infinity) ?(group = false)
+    ?(should_stop = fun () -> false) argv =
   with_temp ".out" @@ fun out ->
+  let argv = if group then Array.append [| "/usr/bin/setsid" |] argv else argv
+  in
   let pid =
     let fd = Unix.openfile out [ O_WRONLY; O_CLOEXEC ] 0o600 in
     Fun.protect
@@ -297,12 +303,19 @@ let spawn_and_wait ~what ?(wall_s = infinity) argv =
         in
         spawn 100)
   in
+  let kill target =
+    try Unix.kill target Sys.sigkill with Unix.Unix_error _ -> ()
+  in
   let deadline = Rp_support.Clock.now () +. wall_s in
   let rec wait flags =
     match Unix.waitpid flags pid with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait flags
+    | 0, _ when should_stop () ->
+      kill pid;
+      ignore (wait []);
+      error "%s stopped before it finished" what
     | 0, _ when Rp_support.Clock.now () > deadline ->
-      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      kill pid;
       ignore (wait []);
       error "%s killed past its %.0f s wall-clock deadline" what wall_s
     | 0, _ ->
@@ -310,7 +323,11 @@ let spawn_and_wait ~what ?(wall_s = infinity) argv =
       wait flags
     | _, st -> st
   in
-  let st = wait (if wall_s = infinity then [] else [ Unix.WNOHANG ]) in
+  let st =
+    Fun.protect
+      ~finally:(fun () -> if group then kill (-pid))
+      (fun () -> wait (if wall_s = infinity then [] else [ Unix.WNOHANG ]))
+  in
   let output = read_file out in
   match st with
   | Unix.WEXITED 0 -> output
@@ -340,8 +357,10 @@ let guard f =
    harness down with it.  OCaml's Unix has no setrlimit, so the rlimits
    (60 s CPU, 4 GiB address space, 512 MiB output) ride a [/bin/sh -c
    "ulimit ...; exec cc ..."] wrapper ([exec] keeps the limited pid the
-   compiler itself), and the harness kills it past 120 s of wall time. *)
-let cc_compile ~cc csrc bin =
+   compiler itself), and the harness kills it past 120 s of wall time.
+   The wrapper runs in a process group of its own, killed with it, so
+   the compiler's own children (cc1, as, ld) die with it too. *)
+let cc_compile ?should_stop ~cc csrc bin =
   with_temp ".c" @@ fun cfile ->
   write_file cfile csrc;
   let cmd =
@@ -352,7 +371,9 @@ let cc_compile ~cc csrc bin =
       (String.concat " " (List.map Filename.quote cc.flags))
       (Filename.quote bin) (Filename.quote cfile)
   in
-  ignore (spawn_and_wait ~what:"cc" ~wall_s:120. [| "/bin/sh"; "-c"; cmd |])
+  ignore
+    (spawn_and_wait ~what:"cc" ~wall_s:120. ~group:true ?should_stop
+       [| "/bin/sh"; "-c"; cmd |])
 
 (* An executable temp file filled by [fill]; removed if anything fails,
    the caller's to remove otherwise. *)
@@ -395,11 +416,11 @@ let with_claim id f =
           Hashtbl.remove claims id;
           Condition.broadcast claim_released))
 
-let compile ?cache ?key:_ ~cc prog =
+let compile ?cache ?key:_ ?should_stop ~cc prog =
   let csrc = Cgen.emit prog in
   guard @@ fun () ->
   match cache with
-  | None -> (fresh_bin (cc_compile ~cc csrc), false)
+  | None -> (fresh_bin (cc_compile ?should_stop ~cc csrc), false)
   | Some cas ->
     let k = bin_key ~cc csrc in
     with_claim (Rp_support.Cas.root cas, k) (fun () ->
@@ -407,7 +428,7 @@ let compile ?cache ?key:_ ~cc prog =
         | Some bytes -> (fresh_bin (fun bin -> write_file bin bytes), true)
         | None ->
           ( fresh_bin (fun bin ->
-                cc_compile ~cc csrc bin;
+                cc_compile ?should_stop ~cc csrc bin;
                 Rp_support.Cas.put cas ~key:k ~kind:"native-bin"
                   (read_file bin)),
             false ))
@@ -477,67 +498,38 @@ type timed = {
   cache_hit : bool;
 }
 
-let run_timed ?fuel ?max_depth ?deadline ?cache ?key:_ ~cc prog =
+let run_timed ?fuel ?max_depth ?deadline ?cache ?key:_ ?should_stop ~cc prog
+    =
   let t0 = Rp_support.Clock.now () in
-  let bin, cache_hit = compile ?cache ~cc prog in
-  let t1 = Rp_support.Clock.now () in
+  let bin, cache_hit = compile ?cache ?should_stop ~cc prog in
+  let cc_ms = 1000. *. Rp_support.Clock.elapsed t0 in
   Fun.protect
     ~finally:(fun () -> remove_noerr bin)
     (fun () ->
-      let result, elapsed_ms =
-        exec_bin_elapsed ?fuel ?max_depth ?deadline bin
-      in
-      let t2 = Rp_support.Clock.now () in
-      {
-        result;
-        cc_ms = (t1 -. t0) *. 1000.;
-        (* prefer the binary's own clock; a pre-elapsed_ns binary from an
-           older cache entry reports 0, fall back to harness wall time *)
-        exec_ms =
-          (if elapsed_ms > 0. then elapsed_ms else (t2 -. t1) *. 1000.);
-        cache_hit;
-      })
+      let result, exec_ms = exec_bin_elapsed ?fuel ?max_depth ?deadline bin in
+      { result; cc_ms; exec_ms; cache_hit })
 
-let run ?fuel ?max_depth ?deadline ?cache ~cc prog =
-  (run_timed ?fuel ?max_depth ?deadline ?cache ~cc prog).result
+let run ?fuel ?max_depth ?deadline ?cache ?should_stop ~cc prog =
+  (run_timed ?fuel ?max_depth ?deadline ?cache ?should_stop ~cc prog).result
 
 (* ------------------------------------------------------------------ *)
 (* Degradation ladder                                                  *)
 (* ------------------------------------------------------------------ *)
 
-type laddered = {
-  l_result : Interp.result;
-  l_mode : [ `Native | `Interp ];
-  l_cc_ms : float;
-  l_exec_ms : float;
-  l_cache_hit : bool;
-}
-
 (* native → interpreter.  Only {!Error}, infrastructure failure,
    descends; faithful program outcomes ([Interp.Error],
    [Resource_limit], [Invalid_argument]) re-raise from whichever rung
    produced them, because both compute the same answer by contract.
-   The result is therefore independent of the rung; only [l_mode] and
+   The result is therefore independent of the rung; only the rung and
    the latency differ.  A failed native attempt is not retried: a
    deterministic cc cannot fix its own failure. *)
-let run_laddered ?fuel ?max_depth ?deadline ?cache ~interp ~cc prog =
-  match
-    Option.map (fun cc -> run_timed ?fuel ?max_depth ?deadline ?cache ~cc prog) cc
-  with
-  | Some t ->
-    {
-      l_result = t.result;
-      l_mode = `Native;
-      l_cc_ms = t.cc_ms;
-      l_exec_ms = t.exec_ms;
-      l_cache_hit = t.cache_hit;
-    }
+let run_laddered ?fuel ?max_depth ?deadline ?cache ?should_stop ~interp ~cc
+    prog =
+  let native cc =
+    run_timed ?fuel ?max_depth ?deadline ?cache ?should_stop ~cc prog
+  in
+  match Option.map native cc with
+  | Some t -> (`Native, t)
   | None | (exception Error _) ->
-    let result, run_ms = interp () in
-    {
-      l_result = result;
-      l_mode = `Interp;
-      l_cc_ms = 0.;
-      l_exec_ms = run_ms;
-      l_cache_hit = false;
-    }
+    let result, exec_ms = interp () in
+    (`Interp, { result; cc_ms = 0.; exec_ms; cache_hit = false })

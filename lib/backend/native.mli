@@ -67,22 +67,23 @@ type trailer = {
   outlen : int;  (** bytes the binary wrote to stdout *)
   elapsed_ns : int;
       (** the binary's self-timed [main] duration (monotonic clock, from
-          entry to trailer write); 0 if the line is absent *)
+          entry to trailer write) *)
   funcs : (string * Rp_exec.Interp.counts) list;  (** didx order, all funcs *)
 }
 
 val parse_trailer : string -> trailer
 (** Parse the fixed-format trailer ({b rpcc-native/1}).  Raises {!Error}
-    on anything malformed: wrong magic, unknown status, missing fields,
-    short or garbled records, a missing [end] marker.  Strictness is the
-    point — a partial trailer must quarantine, not round down to a
-    plausible result. *)
+    on anything malformed: wrong magic, unknown status, missing fields
+    ([elapsed_ns] included), short or garbled records, a missing [end]
+    marker.  Strictness is the point — a partial trailer must quarantine,
+    not round down to a plausible result. *)
 
 (* ---- compile & execute ------------------------------------------- *)
 
 val compile :
   ?cache:Rp_support.Cas.t ->
   ?key:string ->
+  ?should_stop:(unit -> bool) ->
   cc:cc ->
   Rp_ir.Program.t ->
   string * bool
@@ -99,6 +100,11 @@ val compile :
     concurrent cells that emit one translation unit run cc once.  A
     waiter whose leader failed compiles for itself.  Raises {!Error} if
     cc fails or the store cannot be read or written.
+
+    cc runs in a process group of its own, killed when cc ends, so cc1,
+    as and ld die with it and a Ctrl-C reaches it only through
+    [should_stop], polled every 20 ms: once true, the group dies and
+    {!Error} is raised.
 
     [?key] is ignored.  It stays only because [perfbench/traced.ml]
     still passes one, and goes when that file next changes.  Honouring
@@ -130,6 +136,7 @@ val run :
   ?max_depth:int ->
   ?deadline:float ->
   ?cache:Rp_support.Cas.t ->
+  ?should_stop:(unit -> bool) ->
   cc:cc ->
   Rp_ir.Program.t ->
   Rp_exec.Interp.result
@@ -147,8 +154,8 @@ type timed = {
       (** the binary's self-timed [main] duration: the native [run_ms],
           symmetric with the interpreter's (which excludes compile) —
           fork/exec/loader overhead is harness cost, not program run
-          time.  Falls back to harness-measured wall time if the trailer
-          carries no [elapsed_ns]. *)
+          time.  From the trailer's [elapsed_ns], which every binary of
+          this {!Cgen.version} writes. *)
   cache_hit : bool;
 }
 
@@ -158,6 +165,7 @@ val run_timed :
   ?deadline:float ->
   ?cache:Rp_support.Cas.t ->
   ?key:string ->
+  ?should_stop:(unit -> bool) ->
   cc:cc ->
   Rp_ir.Program.t ->
   timed
@@ -167,32 +175,26 @@ val run_timed :
 
 (* ---- graceful degradation ---------------------------------------- *)
 
-type laddered = {
-  l_result : Rp_exec.Interp.result;
-  l_mode : [ `Native | `Interp ];  (** which rung produced the answer *)
-  l_cc_ms : float;
-  l_exec_ms : float;
-  l_cache_hit : bool;
-}
-
 val run_laddered :
   ?fuel:int ->
   ?max_depth:int ->
   ?deadline:float ->
   ?cache:Rp_support.Cas.t ->
+  ?should_stop:(unit -> bool) ->
   interp:(unit -> Rp_exec.Interp.result * float) ->
   cc:cc option ->
   Rp_ir.Program.t ->
-  laddered
+  [ `Native | `Interp ] * timed
 (** The graceful degradation ladder: {!run_timed}, then the caller's
-    [interp] thunk (which returns the result plus its run time in ms).
-    Only {!Error} — infrastructure failure: no cc, cc failing or
+    [interp] thunk (which returns the result plus its run time in ms,
+    the [exec_ms] of a [timed] whose [cc_ms] is 0), with the rung that
+    answered.  Only {!Error} — infrastructure failure: no cc, cc failing or
     killed, a malformed trailer, a cached binary that will not run —
     descends to the interpreter.  Faithful program outcomes
     ({!Rp_exec.Interp.Error}, {!Rp_exec.Interp.Resource_limit},
     [Invalid_argument]) re-raise from whichever rung produced them: both
     compute the same answer by contract, so the result is
-    rung-independent and only [l_mode] and the latency vary.  A failed
+    rung-independent and only the rung and the latency vary.  A failed
     native attempt is not retried, since a deterministic cc cannot fix
     its own failure; a CRC-valid store entry that fails to run keeps
     failing, so every job on its key answers from the interpreter until

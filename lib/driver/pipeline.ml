@@ -20,6 +20,24 @@
 
 open Rp_ir
 
+type reason =
+  | Raised of string
+  | Invalid_il of string list
+  | Changed of string
+  | Count_regressed of int * int
+  | Budget_exhausted of string
+
+let pp_reason ppf = function
+  | Raised m -> Format.pp_print_string ppf m
+  | Invalid_il errs ->
+    Format.fprintf ppf "validation: %s" (String.concat "; " errs)
+  | Changed m -> Format.fprintf ppf "oracle: %s" m
+  | Count_regressed (before, after) ->
+    Format.fprintf ppf "oracle: dynamic operation count regressed (%d -> %d)"
+      before after
+  | Budget_exhausted analysis ->
+    Format.fprintf ppf "%s fixpoint budget exhausted" analysis
+
 type stage_stats = {
   mutable promoted : int;
   mutable throttled : int;
@@ -38,7 +56,7 @@ type stage_stats = {
           Steensgaard constraint rounds, summed over every (re-)run *)
   mutable timings : (string * float) list;
       (** per-pass wall-clock seconds, in execution order *)
-  mutable degraded : (string * string) list;
+  mutable degraded : (string * reason) list;
       (** passes that failed and were rolled back, as (pass, reason), in
           execution order; empty on a healthy compile *)
   mutable converged : bool;
@@ -78,10 +96,10 @@ let timed (s : stage_stats) name f =
   s.timings <- (name, Rp_support.Clock.elapsed t0) :: s.timings;
   r
 
-exception Degraded of string
-(** Raised {e inside} a guarded pass body to request a rollback with a
-    human-readable reason (used by the analysis stage when a fixpoint
-    budget is exhausted).  Never escapes {!optimize}. *)
+exception Degraded of reason
+(** Raised {e inside} a guarded pass body to request a rollback (the
+    analysis stage's answer to an exhausted fixpoint budget).  Never
+    escapes {!optimize}. *)
 
 (** Fault-injection hook for the test-suite and [rpcc fuzz]: called with
     the pass name at the start of every guarded pass body, {e inside} the
@@ -116,43 +134,35 @@ let oracle_fuel = 50_000_000
 let count_reducing =
   [ "clean"; "constprop"; "copyprop"; "dce"; "dse"; "valnum" ]
 
-type oracle_outcome =
-  | Oresult of string * int * int  (** output, checksum, dynamic ops *)
-  | Otrap of string
-  | Oinconclusive  (** hit the fuel bound: cannot judge *)
-
 (** Execute serialized IL on an independent round-tripped copy (so lazily
     created heap tags never leak into the live program's tag table). *)
-let oracle_run (il : string) : oracle_outcome =
-  match Rp_exec.Interp.run ~fuel:oracle_fuel (Serial.read il) with
-  | r ->
-    Oresult
-      (r.Rp_exec.Interp.output, r.Rp_exec.Interp.checksum,
-       r.Rp_exec.Interp.total.Rp_exec.Interp.ops)
-  | exception Rp_exec.Interp.Resource_limit _ -> Oinconclusive
-  | exception Rp_exec.Value.Runtime_error m -> Otrap m
+let oracle_run (il : string) =
+  Rp_exec.Interp.(outcome (fun () -> run ~fuel:oracle_fuel (Serial.read il)))
 
 (** Compare the behaviour of the pre-pass IR ([pre_il]) against the
     current (post-pass) program: output and checksum must agree exactly,
     traps must be identical, and count-reducing passes must not regress
-    the dynamic operation count. *)
-let oracle_check name pre_il (p : Program.t) : (unit, string) result =
+    the dynamic operation count.  A run that hits the fuel bound cannot
+    be judged. *)
+let oracle_check name pre_il (p : Program.t) : (unit, reason) result =
+  let module I = Rp_exec.Interp in
   match (oracle_run pre_il, oracle_run (Serial.write p)) with
-  | Oinconclusive, _ | _, Oinconclusive -> Ok ()
-  | Otrap m1, Otrap m2 ->
+  | I.Limited _, _ | _, I.Limited _ -> Ok ()
+  | I.Trapped m1, I.Trapped m2 ->
     if m1 = m2 then Ok ()
-    else Error (Printf.sprintf "trap changed (%S -> %S)" m1 m2)
-  | Otrap m, Oresult _ ->
-    Error (Printf.sprintf "pre-pass IR trapped (%s) but post-pass IR ran" m)
-  | Oresult _, Otrap m ->
-    Error ("post-pass IR trapped: " ^ m)
-  | Oresult (o1, c1, ops1), Oresult (o2, c2, ops2) ->
-    if o1 <> o2 then Error "output changed"
-    else if c1 <> c2 then Error "checksum changed"
-    else if List.mem name count_reducing && ops2 > ops1 then
-      Error
-        (Printf.sprintf "dynamic operation count regressed (%d -> %d)" ops1
-           ops2)
+    else Error (Changed (Printf.sprintf "trap changed (%S -> %S)" m1 m2))
+  | I.Trapped m, I.Completed _ ->
+    Error
+      (Changed
+         (Printf.sprintf "pre-pass IR trapped (%s) but post-pass IR ran" m))
+  | I.Completed _, I.Trapped m ->
+    Error (Changed ("post-pass IR trapped: " ^ m))
+  | I.Completed a, I.Completed b ->
+    let ops (r : I.result) = r.I.total.I.ops in
+    if a.I.output <> b.I.output then Error (Changed "output changed")
+    else if a.I.checksum <> b.I.checksum then Error (Changed "checksum changed")
+    else if List.mem name count_reducing && ops b > ops a then
+      Error (Count_regressed (ops a, ops b))
     else Ok ()
 
 (* ------------------------------------------------------------------ *)
@@ -188,43 +198,41 @@ let optimize ?(config = Config.default) ?stats (p : Program.t) : stage_stats =
           | Some il -> (
             match oracle_check name il p with
             | Ok () -> s.validated_passes <- s.validated_passes + 1
-            | Error reason -> degrade ("oracle: " ^ reason)))
-        | errs -> degrade ("validation: " ^ String.concat "; " errs)
+            | Error reason -> degrade reason))
+        | errs -> degrade (Invalid_il errs)
       end
     | exception Degraded reason -> degrade reason
-    | exception Stack_overflow -> degrade "Stack_overflow"
+    | exception Stack_overflow -> degrade (Raised "Stack_overflow")
     | exception Out_of_memory -> raise Out_of_memory
-    | exception e -> degrade (Printexc.to_string e)
+    | exception e -> degrade (Raised (Printexc.to_string e))
   in
   guarded "clean" (fun () -> Rp_cfg.Clean.run_program p);
   (* interprocedural analysis; a blown fixpoint budget degrades this stage
      to the Anone semantics (roll back to the front end's ⊤ sets) *)
   guarded "analysis" (fun () ->
       let budget = config.Config.analysis_budget in
+      let ran analysis ~iters ~converged =
+        s.analysis_iters <- s.analysis_iters + iters;
+        if not converged then begin
+          s.converged <- false;
+          raise (Degraded (Budget_exhausted analysis))
+        end
+      in
       match config.Config.analysis with
       | Config.Anone -> ()
       | Config.Amodref ->
         let m = Rp_analysis.Modref.run ?budget p in
-        s.analysis_iters <- s.analysis_iters + m.Rp_analysis.Modref.iters;
-        if not m.Rp_analysis.Modref.converged then begin
-          s.converged <- false;
-          raise (Degraded "MOD/REF fixpoint budget exhausted")
-        end
+        ran "MOD/REF" ~iters:m.Rp_analysis.Modref.iters
+          ~converged:m.Rp_analysis.Modref.converged
       | Config.Asteens ->
         let st = Rp_analysis.Steensgaard.run ?budget p in
-        s.analysis_iters <-
-          s.analysis_iters + Rp_analysis.Steensgaard.iterations st;
-        if not (Rp_analysis.Steensgaard.converged st) then begin
-          s.converged <- false;
-          raise (Degraded "Steensgaard fixpoint budget exhausted")
-        end
+        ran "Steensgaard"
+          ~iters:(Rp_analysis.Steensgaard.iterations st)
+          ~converged:(Rp_analysis.Steensgaard.converged st)
       | Config.Apointer ->
         let st = Rp_analysis.Pointsto.run ?budget p in
-        s.analysis_iters <- s.analysis_iters + st.Rp_analysis.Pointsto.iters;
-        if not st.Rp_analysis.Pointsto.converged then begin
-          s.converged <- false;
-          raise (Degraded "points-to fixpoint budget exhausted")
-        end);
+        ran "points-to" ~iters:st.Rp_analysis.Pointsto.iters
+          ~converged:st.Rp_analysis.Pointsto.converged);
   (* register promotion, "in the early phases of optimization" *)
   if config.Config.promote then
     guarded "promotion" (fun () ->
@@ -357,7 +365,11 @@ let stats_json (config : Config.t) (s : stage_stats) : Json.t =
         Json.List
           (List.map
              (fun (pass, reason) ->
-               Json.Obj [ ("pass", Json.Str pass); ("reason", Json.Str reason) ])
+               Json.Obj
+                 [
+                   ("pass", Json.Str pass);
+                   ("reason", Json.Str (Fmt.str "%a" pp_reason reason));
+                 ])
              s.degraded) );
       ("validated_passes", Json.Int s.validated_passes);
       ( "timings_ms",

@@ -8,6 +8,17 @@
 
 open Rp_ir
 
+(** Why the isolation guard rolled a pass back; {!pp_reason} prints it as
+    [stats_json] reports it. *)
+type reason =
+  | Raised of string  (** the exception's text *)
+  | Invalid_il of string list  (** the structural validator's errors *)
+  | Changed of string  (** under the oracle: output, checksum or trap *)
+  | Count_regressed of int * int  (** under the oracle: ops before, after *)
+  | Budget_exhausted of string  (** the analysis out of fixpoint budget *)
+
+val pp_reason : Format.formatter -> reason -> unit
+
 type stage_stats = {
   mutable promoted : int;
   mutable throttled : int;
@@ -25,7 +36,7 @@ type stage_stats = {
   mutable timings : (string * float) list;
       (** per-pass wall-clock seconds, in execution order; repeated passes
           (clean, copyprop, valnum) appear once per execution *)
-  mutable degraded : (string * string) list;
+  mutable degraded : (string * reason) list;
       (** passes rolled back by the isolation guard, as (pass, reason), in
           execution order; empty on a healthy compile *)
   mutable converged : bool;
@@ -37,11 +48,6 @@ type stage_stats = {
 }
 
 val zero_stage_stats : unit -> stage_stats
-
-exception Degraded of string
-(** Raised inside a guarded pass body to request rollback with a reason
-    (used by the analysis stage on budget exhaustion).  Never escapes
-    {!optimize}. *)
 
 (** Fault-injection hook for tests and [rpcc fuzz]: called with the pass
     name at the start of every guarded pass body, inside the isolation

@@ -40,11 +40,6 @@ type counts = {
 
 let zero_counts () = { ops = 0; loads = 0; stores = 0 }
 
-let add_counts a b =
-  a.ops <- a.ops + b.ops;
-  a.loads <- a.loads + b.loads;
-  a.stores <- a.stores + b.stores
-
 type result = {
   ret : Value.t;  (** main's return value *)
   output : string;
@@ -588,3 +583,11 @@ let run ?(fuel = 400_000_000) ?(max_depth = 100_000)
     total = st.total;
     per_func;
   }
+
+type outcome = Completed of result | Trapped of string | Limited of string
+
+let outcome f =
+  match f () with
+  | r -> Completed r
+  | exception Error m -> Trapped m
+  | exception Resource_limit m -> Limited m

@@ -25,9 +25,6 @@ type counts = {
   mutable stores : int;
 }
 
-val zero_counts : unit -> counts
-val add_counts : counts -> counts -> unit
-
 type result = {
   ret : Value.t;  (** [main]'s return value *)
   output : string;
@@ -72,3 +69,10 @@ val run :
   ?deadline:float ->
   Program.t ->
   result
+
+(** How one execution ended: its result, or the message of the {!Error}
+    or {!Resource_limit} it raised. *)
+type outcome = Completed of result | Trapped of string | Limited of string
+
+val outcome : (unit -> result) -> outcome
+(** [outcome (fun () -> run p)] runs [p] and says how the run ended. *)

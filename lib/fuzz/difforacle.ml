@@ -45,15 +45,11 @@ let class_name = function
   | Trap_mismatch -> "trap"
   | Fuel_imbalance -> "fuel"
 
-let class_of_string = function
-  | "crash" -> Some Crash
-  | "degraded" -> Some Degraded_pass
-  | "counts" -> Some Count_regression
-  | "output" -> Some Output_mismatch
-  | "checksum" -> Some Checksum_mismatch
-  | "trap" -> Some Trap_mismatch
-  | "fuel" -> Some Fuel_imbalance
-  | _ -> None
+let class_of_string s =
+  List.find_opt
+    (fun c -> class_name c = s)
+    [ Crash; Degraded_pass; Count_regression; Output_mismatch;
+      Checksum_mismatch; Trap_mismatch; Fuel_imbalance ]
 
 type failure = { config : string; cls : cls; detail : string }
 
@@ -69,8 +65,6 @@ let default_fuel = 2_000_000
 (* Plumbing                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let with_hook hook f = Pipeline.with_fault_hook hook f
-
 let mode_config mode (cfg : Config.t) =
   match mode with
   | Plain -> cfg
@@ -83,29 +77,53 @@ let excerpt s =
   if String.length s <= 96 then s
   else Printf.sprintf "%s... (%d bytes)" (String.sub s 0 96) (String.length s)
 
-let contains_sub ~sub s =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  n = 0 || go 0
+(* ------------------------------------------------------------------ *)
+(* One run, one comparison                                             *)
+(* ------------------------------------------------------------------ *)
 
-(** The per-pass oracle prefixes count regressions with "oracle:" and
-    names the regressed counter; classify those separately because a
-    count-reducing pass that increases dynamic operations is exactly the
-    paper-level unsoundness the harness exists to find. *)
-let reason_class reason =
-  if contains_sub ~sub:"count regressed" reason then Count_regression
-  else Degraded_pass
+type cell = Grid | Native
 
-type run_outcome =
-  | Rok of string * int * int  (** output, checksum, executed ops *)
-  | Rtrap of string
-  | Rfuel of string
-
-let run_program ~fuel ?should_stop p =
-  match Interp.run ~fuel ?should_stop p with
-  | r -> Rok (r.Interp.output, r.Interp.checksum, r.Interp.total.Interp.ops)
-  | exception Interp.Resource_limit m -> Rfuel m
-  | exception Rp_exec.Value.Runtime_error m -> Rtrap m
+let compare_runs cell ~expected got =
+  let open Interp in
+  let finding cls fmt = Printf.ksprintf (fun d -> Some (cls, d)) fmt in
+  let describe = function
+    | Completed r -> Printf.sprintf "completion after %d ops" r.total.ops
+    | Trapped m -> Printf.sprintf "trap %S" (excerpt m)
+    | Limited m -> Printf.sprintf "limit %S" (excerpt m)
+  in
+  let counts (c : counts) = Printf.sprintf "%d/%d/%d" c.ops c.loads c.stores in
+  match (expected, got) with
+  | Completed a, Completed b ->
+    if a.output <> b.output then
+      finding Output_mismatch "expected %S got %S" (excerpt a.output)
+        (excerpt b.output)
+    else if a.checksum <> b.checksum then
+      finding Checksum_mismatch "expected %d got %d" a.checksum b.checksum
+    else if cell = Grid then None
+    else if Stdlib.compare a.ret b.ret <> 0 then
+      Some
+        ( Output_mismatch,
+          Format.asprintf "return value: expected %a got %a" Rp_exec.Value.pp
+            a.ret Rp_exec.Value.pp b.ret )
+    else if a.total <> b.total || a.per_func <> b.per_func then
+      finding Count_regression "expected ops/loads/stores %s got %s"
+        (counts a.total) (counts b.total)
+    else None
+  | Trapped m1, Trapped m2 | Limited m1, Limited m2 when m1 = m2 -> None
+  | Completed _, Trapped m ->
+    finding Trap_mismatch
+      "reference completed but this configuration trapped: %s" (excerpt m)
+  | Trapped m, Completed _ ->
+    finding Trap_mismatch
+      "reference trapped (%s) but this configuration completed" (excerpt m)
+  | Trapped _, Trapped _ ->
+    finding Trap_mismatch "expected %s got %s" (describe expected)
+      (describe got)
+  | Completed a, Limited m ->
+    finding Fuel_imbalance "reference ran %d ops; %s" a.total.ops m
+  | _ ->
+    finding Fuel_imbalance "expected %s got %s" (describe expected)
+      (describe got)
 
 (* ------------------------------------------------------------------ *)
 (* The oracle                                                          *)
@@ -121,23 +139,31 @@ let check ?(mode = Verify) ?(fuel = default_fuel) ?deadline
   (* Reference: O0 front-end semantics.  A program the front end rejects
      is rejected identically under every configuration, so it carries no
      differential signal; same for a reference run that exhausts fuel. *)
-  match
-    let p = Rp_irgen.Irgen.compile_source src in
-    ignore (Pipeline.optimize ~config:Config.o0 p : Pipeline.stage_stats);
-    p
-  with
+  match Pipeline.compile ~config:Config.o0 src with
   | exception Rp_minic.Srcloc.Error (loc, msg) ->
     Rejected (Rp_minic.Srcloc.to_string (loc, msg))
   | exception e -> Rejected (Printexc.to_string e)
-  | p0 -> (
-    match run_program ~fuel ?should_stop p0 with
-    | Rfuel m -> Inconclusive ("reference run: " ^ m)
-    | ref_out ->
-      let ref_ops = match ref_out with Rok (_, _, o) -> o | _ -> 0 in
+  | p0, _ -> (
+    match Interp.outcome (fun () -> Interp.run ~fuel ?should_stop p0) with
+    | Interp.Limited m -> Inconclusive ("reference run: " ^ m)
+    | reference ->
+      let ref_ops =
+        match reference with
+        | Interp.Completed r -> r.Interp.total.Interp.ops
+        | _ -> 0
+      in
       let cfg_fuel = max ((4 * ref_ops) + 10_000) 100_000 in
       let failures = ref [] in
       let add config cls detail =
         failures := { config; cls; detail } :: !failures
+      in
+      (* a limit reached because the wall-clock budget ran out mid-cell
+         carries no differential signal *)
+      let judge config cell ~expected got =
+        match compare_runs cell ~expected got with
+        | Some (Fuel_imbalance, _) when past_deadline () -> ()
+        | Some (cls, detail) -> add config cls detail
+        | None -> ()
       in
       List.iteri
         (fun idx (name, cfg) ->
@@ -158,141 +184,59 @@ let check ?(mode = Verify) ?(fuel = default_fuel) ?deadline
                     ignore (Faultgen.mutate rng fc p : string option)
                   end
             in
-            match with_hook hook (fun () -> Pipeline.optimize ~config:cfg p) with
+            match
+              Pipeline.with_fault_hook hook (fun () ->
+                  Pipeline.optimize ~config:cfg p)
+            with
             | exception e -> add name Crash (Printexc.to_string e)
             | stats ->
               List.iter
                 (fun (pass, reason) ->
-                  add name (reason_class reason)
+                  add name
+                    (match reason with
+                    | Pipeline.Count_regressed _ -> Count_regression
+                    | _ -> Degraded_pass)
                     (Printf.sprintf "pass %s rolled back: %s" pass
-                       (excerpt reason)))
+                       (excerpt (Fmt.str "%a" Pipeline.pp_reason reason))))
                 stats.Pipeline.degraded;
-              (match (ref_out, run_program ~fuel:cfg_fuel ?should_stop p) with
-              | _, Rfuel m ->
-                if not (past_deadline ()) then
-                  add name Fuel_imbalance
-                    (Printf.sprintf "reference ran %d ops; %s" ref_ops m)
-              | Rok (o1, c1, _), Rok (o2, c2, _) ->
-                if o1 <> o2 then
-                  add name Output_mismatch
-                    (Printf.sprintf "expected %S got %S" (excerpt o1)
-                       (excerpt o2))
-                else if c1 <> c2 then
-                  add name Checksum_mismatch
-                    (Printf.sprintf "expected %d got %d" c1 c2)
-              | Rtrap m1, Rtrap m2 ->
-                if m1 <> m2 then
-                  add name Trap_mismatch
-                    (Printf.sprintf "expected trap %S got trap %S" (excerpt m1)
-                       (excerpt m2))
-              | Rtrap m, Rok _ ->
-                add name Trap_mismatch
-                  (Printf.sprintf "reference trapped (%s) but this \
-                                   configuration completed" (excerpt m))
-              | Rok _, Rtrap m ->
-                add name Trap_mismatch
-                  (Printf.sprintf "reference completed but this \
-                                   configuration trapped: %s" (excerpt m))
-              | Rfuel _, _ -> assert false)
+              judge name Grid ~expected:reference
+                (Interp.outcome (fun () -> Interp.run ~fuel:cfg_fuel ?should_stop p))
           end)
         Config.paper_grid;
       (* Interpreter-vs-native cell: one more compile of the same source
          under [Config.default] — no fault injection, no mode hardening,
          because both executors run the *identical* post-regalloc program.
          The compiled backend must reproduce the interpreter bit for bit
-         (output, checksum, dynamic counts, even the trap message), so any
-         difference here is a code-generator bug rather than an optimizer
-         bug.  Infrastructure failures (cc missing, binary killed) raise
-         {!Rp_backend.Native.Error} and are classed [Crash] — visible, but
-         never mistaken for a behavioural divergence. *)
+         (output, checksum, return value, dynamic counts, even the trap
+         message), so any difference here is a code-generator bug rather
+         than an optimizer bug.  Infrastructure failures (cc missing,
+         binary killed) raise {!Rp_backend.Native.Error} and are classed
+         [Crash] — visible, but never mistaken for a behavioural
+         divergence. *)
       (match native with
       | Some cc when not (past_deadline ()) -> (
-        let p = Rp_irgen.Irgen.compile_source src in
-        match Pipeline.optimize ~config:Config.default p with
+        match Pipeline.compile src with
         | exception e -> add "native" Crash (Printexc.to_string e)
-        | (_ : Pipeline.stage_stats) -> (
-          let run_exec f =
-            match f () with
-            | (r : Interp.result) -> Ok r
-            | exception Interp.Resource_limit m -> Error (`Limit m)
-            | exception Rp_exec.Value.Runtime_error m -> Error (`Trap m)
-            | exception Rp_backend.Native.Error m -> Error (`Infra m)
-          in
-          let ir =
-            run_exec (fun () -> Interp.run ~fuel:cfg_fuel ?should_stop p)
+        | p, _ -> (
+          let interpreted =
+            Interp.outcome (fun () -> Interp.run ~fuel:cfg_fuel ?should_stop p)
           in
           let budget =
-            match deadline with
-            | Some d ->
-              let left = d -. Rp_support.Clock.now () in
-              Some (if left > 0.05 then left else 0.05)
-            | None -> None
+            Option.map
+              (fun d -> Float.max (d -. Rp_support.Clock.now ()) 0.05)
+              deadline
           in
-          let nr =
-            run_exec (fun () ->
-                Rp_backend.Native.run ~fuel:cfg_fuel ?deadline:budget ~cc p)
-          in
-          match (ir, nr) with
-          | _, Error (`Infra m) ->
+          match
+            Interp.outcome (fun () ->
+                Rp_backend.Native.run ~fuel:cfg_fuel ?deadline:budget
+                  ?should_stop ~cc p)
+          with
+          (* a stop request ends a running cc with an error, which is no
+             more a finding than a stopped run is *)
+          | exception Rp_backend.Native.Error _ when past_deadline () -> ()
+          | exception Rp_backend.Native.Error m ->
             add "native" Crash ("native backend: " ^ excerpt m)
-          | Error (`Infra _), _ -> assert false
-          | Ok a, Ok b ->
-            if a.Interp.output <> b.Interp.output then
-              add "native" Output_mismatch
-                (Printf.sprintf "interpreter %S native %S"
-                   (excerpt a.Interp.output) (excerpt b.Interp.output))
-            else if a.Interp.checksum <> b.Interp.checksum then
-              add "native" Checksum_mismatch
-                (Printf.sprintf "interpreter %d native %d" a.Interp.checksum
-                   b.Interp.checksum)
-            else if Stdlib.compare a.Interp.ret b.Interp.ret <> 0 then
-              add "native" Output_mismatch
-                (Format.asprintf "return value: interpreter %a native %a"
-                   Rp_exec.Value.pp a.Interp.ret Rp_exec.Value.pp b.Interp.ret)
-            else if
-              a.Interp.total <> b.Interp.total
-              || a.Interp.per_func <> b.Interp.per_func
-            then
-              add "native" Count_regression
-                (Printf.sprintf
-                   "interpreter ops/loads/stores %d/%d/%d native %d/%d/%d"
-                   a.Interp.total.Interp.ops a.Interp.total.Interp.loads
-                   a.Interp.total.Interp.stores b.Interp.total.Interp.ops
-                   b.Interp.total.Interp.loads b.Interp.total.Interp.stores)
-          | Error (`Trap m1), Error (`Trap m2) when m1 = m2 -> ()
-          | Error (`Limit m1), Error (`Limit m2) when m1 = m2 -> ()
-          (* a limit reached because the wall-clock budget ran out mid-cell
-             carries no differential signal, matching the grid's policy *)
-          | _, Error (`Limit _) when past_deadline () -> ()
-          | Error (`Limit _), _ when past_deadline () -> ()
-          | Error (`Trap m1), Error (`Trap m2) ->
-            add "native" Trap_mismatch
-              (Printf.sprintf "interpreter trap %S native trap %S" (excerpt m1)
-                 (excerpt m2))
-          | Ok _, Error (`Trap m) ->
-            add "native" Trap_mismatch
-              (Printf.sprintf "interpreter completed but native trapped: %s"
-                 (excerpt m))
-          | Error (`Trap m), Ok _ ->
-            add "native" Trap_mismatch
-              (Printf.sprintf "interpreter trapped (%s) but native completed"
-                 (excerpt m))
-          | Error (`Limit m1), Error (`Limit m2) ->
-            add "native" Fuel_imbalance
-              (Printf.sprintf "interpreter limit %S native limit %S"
-                 (excerpt m1) (excerpt m2))
-          | Ok _, Error (`Limit m) ->
-            add "native" Fuel_imbalance
-              (Printf.sprintf "interpreter completed but native hit a limit: \
-                               %s" (excerpt m))
-          | Error (`Limit m), Ok _ ->
-            add "native" Fuel_imbalance
-              (Printf.sprintf "interpreter hit a limit (%s) but native \
-                               completed" (excerpt m))
-          | Error (`Trap m1), Error (`Limit m2) | Error (`Limit m1), Error (`Trap m2) ->
-            add "native" Fuel_imbalance
-              (Printf.sprintf "interpreter %S native %S" (excerpt m1)
-                 (excerpt m2))))
+          | native -> judge "native" Native ~expected:interpreted native))
       | _ -> ());
       match List.rev !failures with
       | [] ->

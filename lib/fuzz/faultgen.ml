@@ -209,11 +209,7 @@ let exception_passes =
 let results_equal (a : Interp.result) (b : Interp.result) =
   a.Interp.output = b.Interp.output
   && a.Interp.checksum = b.Interp.checksum
-  && a.Interp.total.Interp.ops = b.Interp.total.Interp.ops
-  && a.Interp.total.Interp.loads = b.Interp.total.Interp.loads
-  && a.Interp.total.Interp.stores = b.Interp.total.Interp.stores
-
-let with_hook hook f = Pipeline.with_fault_hook hook f
+  && a.Interp.total = b.Interp.total
 
 (** What one trial observed.  Trials are pure with respect to the report —
     they run (possibly on a worker domain) and return an outcome, which the
@@ -225,15 +221,6 @@ type outcome =
   | Skipped
   | Escaped of string
 
-(** Reasons recorded by the guard start with "validation:" / "oracle:" for
-    the two validators; anything else is a caught exception. *)
-let classify_reason reason =
-  if String.length reason >= 11 && String.sub reason 0 11 = "validation:" then
-    `Validation
-  else if String.length reason >= 7 && String.sub reason 0 7 = "oracle:" then
-    `Oracle
-  else `Exception
-
 (** One IL-mutation trial: compile [src] under full validation, mutating
     the IL at [target] via the fault hook; classify the pipeline's
     reaction.  [name] identifies the trial in an escape. *)
@@ -241,7 +228,7 @@ let mutation_trial ~should_stop rng m target ~name src : outcome =
   let p = Rp_irgen.Irgen.compile_source src in
   let applied = ref None in
   let run () =
-    with_hook
+    Pipeline.with_fault_hook
       (fun pass ->
         if pass = target && !applied = None then applied := mutate rng m p)
       (fun () -> Pipeline.optimize ~config:fuzz_config p)
@@ -256,7 +243,10 @@ let mutation_trial ~should_stop rng m target ~name src : outcome =
     | None -> Skipped
     | Some desc -> (
       match List.assoc_opt target stats.Pipeline.degraded with
-      | Some reason -> Caught (classify_reason reason)
+      | Some (Pipeline.Invalid_il _) -> Caught `Validation
+      | Some (Pipeline.Changed _ | Pipeline.Count_regressed _) -> Caught `Oracle
+      | Some (Pipeline.Raised _ | Pipeline.Budget_exhausted _) ->
+        Caught `Exception
       | None ->
         (* not rolled back: only acceptable if the finished program is
            still observably identical to a clean compile, the fuzz
@@ -291,7 +281,7 @@ let exception_trial ~should_stop rng ~name src : outcome =
       fmt
   in
   let compile () =
-    with_hook
+    Pipeline.with_fault_hook
       (fun pass -> if pass = target then failwith "injected pass fault")
       (fun () -> Pipeline.compile_and_run ~config:fuzz_config ~should_stop src)
   in

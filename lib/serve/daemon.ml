@@ -177,9 +177,9 @@ let handle_op ~should_stop st (r : Protocol.request) : Json.t =
         let native = mode = Protocol.Native in
         let exec_info = ref ("cached", false) in
         let runner p =
-          let lad =
+          let rung, t =
             Rp_backend.Native.run_laddered ?deadline:st.cfg.job_timeout
-              ~cache:st.cas
+              ~cache:st.cas ~should_stop
               ~interp:(fun () ->
                 let t0 = Clock.now () in
                 let r = Rp_exec.Interp.run ~should_stop p in
@@ -187,10 +187,10 @@ let handle_op ~should_stop st (r : Protocol.request) : Json.t =
               ~cc:(native_cc st) p
           in
           (exec_info :=
-             match lad.Rp_backend.Native.l_mode with
+             match rung with
              | `Native -> ("native", false)
              | `Interp -> ("interp", true));
-          lad.Rp_backend.Native.l_result
+          t.Rp_backend.Native.result
         in
         let c =
           Pipeline.compile_and_run_cached ~config:cfg ~should_stop

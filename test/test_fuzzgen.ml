@@ -97,6 +97,99 @@ let test_verify_mode_contains_dangling () =
     Util.check Alcotest.bool "reported as a degraded pass" true
       (List.exists (fun (f : D.failure) -> f.D.cls = D.Degraded_pass) fs)
 
+(* Every pair of run outcomes through the one comparison, as a grid cell
+   (against O0) and as the native cell (against the interpreter): which
+   class each pair reports, [None] for agreement. *)
+let test_compare_runs () =
+  let module I = Rp_exec.Interp in
+  let counts ops = { I.ops; loads = 2; stores = 1 } in
+  let r =
+    {
+      I.ret = Rp_exec.Value.Vint 0;
+      output = "1\n";
+      checksum = 7;
+      total = counts 10;
+      per_func = [ ("main", counts 10) ];
+    }
+  in
+  let ok = I.Completed r in
+  let trap_a = I.Trapped "division by zero" in
+  let trap_b = I.Trapped "out-of-bounds access" in
+  let limit_a = I.Limited "fuel exhausted (100 operations)" in
+  let limit_b = I.Limited "external stop after 4096 operations" in
+  let changed name f = (name, I.Completed (f r)) in
+  let same = (None, None) and both c = (Some c, Some c) in
+  let rows =
+    [
+      (("completed", ok), ("completed", ok), same);
+      ( ("completed", ok),
+        changed "other output" (fun r -> { r with I.output = "2\n" }),
+        both D.Output_mismatch );
+      ( ("completed", ok),
+        changed "other checksum" (fun r -> { r with I.checksum = 8 }),
+        both D.Checksum_mismatch );
+      ( ("completed", ok),
+        changed "other return value" (fun r ->
+            { r with I.ret = Rp_exec.Value.Vint 1 }),
+        (None, Some D.Output_mismatch) );
+      ( ("completed", ok),
+        changed "other total" (fun r -> { r with I.total = counts 11 }),
+        (None, Some D.Count_regression) );
+      ( ("completed", ok),
+        changed "other per-function count" (fun r ->
+            { r with I.per_func = [ ("main", counts 9) ] }),
+        (None, Some D.Count_regression) );
+      (("completed", ok), ("trap", trap_a), both D.Trap_mismatch);
+      (("completed", ok), ("limit", limit_a), both D.Fuel_imbalance);
+      (("trap", trap_a), ("completed", ok), both D.Trap_mismatch);
+      (("trap", trap_a), ("same trap", trap_a), same);
+      (("trap", trap_a), ("other trap", trap_b), both D.Trap_mismatch);
+      (("trap", trap_a), ("limit", limit_a), both D.Fuel_imbalance);
+      (("limit", limit_a), ("completed", ok), both D.Fuel_imbalance);
+      (("limit", limit_a), ("trap", trap_a), both D.Fuel_imbalance);
+      (("limit", limit_a), ("same limit", limit_a), same);
+      (("limit", limit_a), ("other limit", limit_b), both D.Fuel_imbalance);
+    ]
+  in
+  let verdict cell ~expected got =
+    Option.map
+      (fun (c, _) -> D.class_name c)
+      (D.compare_runs cell ~expected got)
+  in
+  List.iter
+    (fun ((en, expected), (gn, got), (grid, native)) ->
+      let name cell = Printf.sprintf "%s: expected %s, got %s" cell en gn in
+      Util.check
+        Alcotest.(option string)
+        (name "grid")
+        (Option.map D.class_name grid)
+        (verdict D.Grid ~expected got);
+      Util.check
+        Alcotest.(option string)
+        (name "native")
+        (Option.map D.class_name native)
+        (verdict D.Native ~expected got))
+    rows;
+  (* the grid's details are the campaign report's text *)
+  let detail got =
+    Option.map snd (D.compare_runs D.Grid ~expected:ok got)
+  in
+  Util.check
+    Alcotest.(option string)
+    "output detail" (Some {|expected "1|" got "2|"|})
+    (detail (I.Completed { r with I.output = "2\n" }));
+  Util.check
+    Alcotest.(option string)
+    "trap detail"
+    (Some
+       "reference completed but this configuration trapped: division by zero")
+    (detail trap_a);
+  Util.check
+    Alcotest.(option string)
+    "limit detail"
+    (Some "reference ran 10 ops; fuel exhausted (100 operations)")
+    (detail limit_a)
+
 (* ------------------------------------------------------------------ *)
 (* Reducer: synthetic predicates                                       *)
 (* ------------------------------------------------------------------ *)
@@ -153,8 +246,7 @@ let test_shrink_end_to_end () =
   | None -> Alcotest.fail "no divergence to shrink"
   | Some (src, fs) ->
     let target = List.hd fs in
-    let deadline = Unix.gettimeofday () +. 60. in
-    let predicate s =
+    let predicate ~deadline s =
       match D.check ~mode:D.Plain ~deadline ~inject:(fault, seed) s with
       | D.Diverged fs
         when List.exists
@@ -165,10 +257,15 @@ let test_shrink_end_to_end () =
       | D.Inconclusive _ -> Reduce.Quarantine
       | _ -> Reduce.Pass
     in
-    let r = Reduce.run ~budget:60. ~predicate src in
-    (* the reduced program must still reproduce the original failure *)
+    (* deadlines are {!Rp_support.Clock} readings, as in [rpcc reduce] *)
+    let within budget = Rp_support.Clock.now () +. budget in
+    let r =
+      Reduce.run ~budget:60. ~predicate:(predicate ~deadline:(within 60.)) src
+    in
+    (* the reduced program must still reproduce the original failure, on
+       a budget of its own so the reduction's cannot quarantine it *)
     Util.check Alcotest.bool "reduced program still diverges" true
-      (predicate r.Reduce.reduced = Reduce.Fail);
+      (predicate ~deadline:(within 60.) r.Reduce.reduced = Reduce.Fail);
     if r.Reduce.reduced_lines > 25 then
       Alcotest.failf "reducer left %d lines (> 25):\n%s"
         r.Reduce.reduced_lines r.Reduce.reduced
@@ -188,6 +285,8 @@ let () =
             test_planted_drop_store_diverges;
           Util.tc_slow "dangling target contained as degraded"
             test_verify_mode_contains_dangling;
+          Util.tc "one comparison judges every pair of runs"
+            test_compare_runs;
         ] );
       ( "reduce",
         [

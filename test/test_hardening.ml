@@ -105,9 +105,11 @@ let isolation_tests =
             (fun () -> Pipeline.compile_and_run ~config:base demo)
         in
         (match List.assoc_opt pass st.Pipeline.degraded with
-        | Some reason ->
+        | Some (Pipeline.Raised m) ->
           Util.check Alcotest.bool "reason mentions the fault" true
-            (contains reason "injected")
+            (contains m "injected")
+        | Some r ->
+          Alcotest.failf "%s rolled back for %a" pass Pipeline.pp_reason r
         | None -> Alcotest.fail (pass ^ " not recorded as degraded"));
         let (_, st0, r0) =
           Pipeline.compile_and_run ~config:(mk_disabled base) demo
@@ -186,10 +188,10 @@ let validation_tests =
             (fun () -> Pipeline.optimize ~config:cfg p)
         in
         (match List.assoc_opt "promotion" st.Pipeline.degraded with
-        | Some reason ->
-          Util.check Alcotest.bool "flagged by the validator" true
-            (String.length reason >= 11
-            && String.sub reason 0 11 = "validation:")
+        | Some (Pipeline.Invalid_il _) -> ()
+        | Some r ->
+          Alcotest.failf "not flagged by the validator: %a" Pipeline.pp_reason
+            r
         | None -> Alcotest.fail "corrupted pass not degraded");
         (* the rolled-back program must still be valid and runnable *)
         Rp_ir.Validate.assert_ok p;
@@ -206,9 +208,9 @@ let validation_tests =
               Pipeline.optimize ~config:Faultgen.fuzz_config p)
         in
         match List.assoc_opt "licm" st.Pipeline.degraded with
-        | Some reason ->
-          Util.check Alcotest.bool "flagged by the oracle" true
-            (String.length reason >= 7 && String.sub reason 0 7 = "oracle:")
+        | Some (Pipeline.Changed _ | Pipeline.Count_regressed _) -> ()
+        | Some r ->
+          Alcotest.failf "not flagged by the oracle: %a" Pipeline.pp_reason r
         | None -> Alcotest.fail "miscompiled pass not degraded");
   ]
 
@@ -287,7 +289,7 @@ let stats_json_tests =
         | _ -> Alcotest.fail "stats_json not an object");
     Util.tc "degraded passes are reported with reasons" (fun () ->
         let s = Pipeline.zero_stage_stats () in
-        s.Pipeline.degraded <- [ ("licm", "validation: boom") ];
+        s.Pipeline.degraded <- [ ("licm", Pipeline.Invalid_il [ "boom" ]) ];
         s.Pipeline.converged <- false;
         match Pipeline.stats_json Config.default s with
         | Json.Obj fields ->

@@ -305,6 +305,67 @@ let cli_tests =
             Util.check Alcotest.int "exit 0" 0 st;
             Util.check Alcotest.bool "has rows" true
               (List.length (String.split_on_char '\n' out) > 6)));
+    Util.tc "rpcc table prints each of the six cells as rpcc run counts it"
+      (fun () ->
+        (* §3.3 fires on this walk under pointer analysis, so pointer/ptr
+           differs from pointer/with *)
+        let walk =
+          "int A[16]; int B[16][8]; int main() { int i; int j; for (i = 0; \
+           i < 16; i++) { A[i] = i; for (j = 0; j < 8; j++) B[i][j] = i * 5 \
+           + j; } int *pb = &A[0]; for (i = 0; i < 16; i++) { for (j = 0; j \
+           < 8; j++) { *pb = *pb + B[i][j]; } pb = pb + 1; } int s = 0; for \
+           (i = 0; i < 16; i++) s += A[i]; print_int(s); return 0; }"
+        in
+        let words line =
+          List.filter (( <> ) "") (String.split_on_char ' ' line)
+        in
+        with_src walk (fun file ->
+            let (st, table) = rpcc "table" file in
+            Util.check Alcotest.int "exit 0" 0 st;
+            let run_ops flags =
+              let (_, out) = rpcc ("run -q " ^ flags) file in
+              List.find_map
+                (fun line ->
+                  match words line with
+                  | ";" :: ops :: _ when String.starts_with ~prefix:"ops=" ops
+                    ->
+                    Some (String.sub ops 4 (String.length ops - 4))
+                  | _ -> None)
+                (String.split_on_char '\n' out)
+            in
+            List.iter
+              (fun analysis ->
+                match
+                  List.find_map
+                    (fun line ->
+                      match words line with
+                      | [ "ops"; a; without; with_; _; _; ptr ]
+                        when a = analysis ->
+                        Some
+                          [ ("without", without); ("with", with_);
+                            ("ptr", ptr) ]
+                      | _ -> None)
+                    (String.split_on_char '\n' table)
+                with
+                | None ->
+                  Alcotest.failf "no ops row with six cells for %s:\n%s"
+                    analysis table
+                | Some cells ->
+                  List.iter
+                    (fun (cell, ops) ->
+                      let flags =
+                        match cell with
+                        | "without" -> "--promote false"
+                        | "with" -> ""
+                        | _ -> "--ptr-promote"
+                      in
+                      Util.check
+                        Alcotest.(option string)
+                        (analysis ^ "/" ^ cell) (Some ops)
+                        (run_ops
+                           (Printf.sprintf "--analysis %s %s" analysis flags)))
+                    cells)
+              [ "modref"; "pointer" ]));
     Util.tc "rpcc reports front-end errors with exit 2" (fun () ->
         with_src "int main() { return oops; }" (fun file ->
             let (st, _) = rpcc "run" file in

@@ -56,6 +56,7 @@ let ok_trailer =
    loads 7\n\
    stores 3\n\
    outlen 6\n\
+   elapsed_ns 5000\n\
    func 60 4 2 main\n\
    func 40 3 1 helper\n\
    end\n"
@@ -79,6 +80,7 @@ let trailer_tests =
         Util.check Alcotest.int "loads" 7 t.Native.loads;
         Util.check Alcotest.int "stores" 3 t.Native.stores;
         Util.check Alcotest.int "outlen" 6 t.Native.outlen;
+        Util.check Alcotest.int "elapsed_ns" 5000 t.Native.elapsed_ns;
         Util.check Alcotest.int "funcs" 2 (List.length t.Native.funcs);
         let h = List.assoc "helper" t.Native.funcs in
         Util.check Alcotest.int "helper ops" 40 h.I.ops);
@@ -87,26 +89,41 @@ let trailer_tests =
         let t =
           Native.parse_trailer
             "rpcc-native/1\nstatus trap\nmsg division by zero\nchecksum 1\n\
-             ops 5\nloads 0\nstores 0\noutlen 0\nend\n"
+             ops 5\nloads 0\nstores 0\noutlen 0\nelapsed_ns 1\nend\n"
         in
         Util.check Alcotest.bool "status" true (t.Native.status = `Trap);
         Util.check Alcotest.string "msg" "division by zero" t.Native.msg);
+    Util.tc "trailer: elapsed_ns is read on the monotonic clock" (fun () ->
+        let c = Cgen.emit (Util.compile "int main() { return 0; }") in
+        let has sub =
+          let n = String.length sub in
+          let rec go i =
+            i + n <= String.length c && (String.sub c i n = sub || go (i + 1))
+          in
+          go 0
+        in
+        Util.check Alcotest.bool "clock_gettime(CLOCK_MONOTONIC" true
+          (has "clock_gettime(CLOCK_MONOTONIC");
+        Util.check Alcotest.bool "no gettimeofday" false (has "gettimeofday"));
     expect_error "bad magic" "rpcc-native/999\nstatus ok\nend\n";
     expect_error "empty input" "";
     expect_error "truncated (no end marker)"
       "rpcc-native/1\nstatus ok\nret int 1\nchecksum 1\nops 1\nloads 0\n\
-       stores 0\noutlen 0\n";
+       stores 0\noutlen 0\nelapsed_ns 1\n";
     expect_error "garbage line"
       "rpcc-native/1\nstatus ok\nwibble 3\nend\n";
     expect_error "missing counters"
       "rpcc-native/1\nstatus ok\nret int 1\nend\n";
     expect_error "non-numeric field"
       "rpcc-native/1\nstatus ok\nret int 1\nchecksum x\nops 1\nloads 0\n\
-       stores 0\noutlen 0\nend\n";
+       stores 0\noutlen 0\nelapsed_ns 1\nend\n";
     expect_error "unknown status" "rpcc-native/1\nstatus maybe\nend\n";
     expect_error "ok without ret"
       "rpcc-native/1\nstatus ok\nchecksum 1\nops 1\nloads 0\nstores 0\n\
-       outlen 0\nend\n";
+       outlen 0\nelapsed_ns 1\nend\n";
+    expect_error "missing elapsed_ns"
+      "rpcc-native/1\nstatus ok\nret int 1\nchecksum 1\nops 1\nloads 0\n\
+       stores 0\noutlen 0\nend\n";
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -195,6 +212,7 @@ let trailer_adversarial_prop =
     && t.Native.loads = reference.Native.loads
     && t.Native.stores = reference.Native.stores
     && t.Native.outlen = reference.Native.outlen
+    && t.Native.elapsed_ns = reference.Native.elapsed_ns
     && List.for_all
          (fun f -> List.mem f reference.Native.funcs)
          t.Native.funcs
@@ -419,14 +437,12 @@ let interp_thunk prog () = (I.run prog, 0.)
 
 (* the ladder answered from [rung] (the interpreter unless said), with
    the interpreter's result *)
-let check_rung ?(rung = `Interp) prog (lad : Native.laddered) =
+let check_rung ?(rung = `Interp) prog (answered, (t : Native.timed)) =
   let ri = I.run prog in
-  Util.check Alcotest.bool "rung" true (lad.Native.l_mode = rung);
-  Util.check Alcotest.string "output" ri.I.output lad.Native.l_result.I.output;
-  Util.check Alcotest.int "checksum" ri.I.checksum
-    lad.Native.l_result.I.checksum;
-  Util.check Alcotest.bool "totals" true
-    (ri.I.total = lad.Native.l_result.I.total)
+  Util.check Alcotest.bool "rung" true (answered = rung);
+  Util.check Alcotest.string "output" ri.I.output t.Native.result.I.output;
+  Util.check Alcotest.int "checksum" ri.I.checksum t.Native.result.I.checksum;
+  Util.check Alcotest.bool "totals" true (ri.I.total = t.Native.result.I.total)
 
 let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
 
@@ -503,6 +519,141 @@ let failure_path_tests =
         | exception Native.Error m ->
           Util.check Alcotest.bool m true
             (String.starts_with ~prefix:"cc killed by SIGKILL" m));
+    Util.tc "compile: cc's children die with it" (fun () ->
+        (* dead once /proc has no entry or shows a zombie: an orphan's
+           reaping is up to whoever adopts it *)
+        let alive pid =
+          match read_file (Printf.sprintf "/proc/%d/stat" pid) with
+          | stat -> (
+            match String.rindex_opt stat ')' with
+            | Some i -> stat.[i + 2] <> 'Z'
+            | None -> false)
+          | exception Sys_error _ -> false
+        in
+        (* a cc that fails, and one that hangs until a stop request (made
+           once its child has started): the child must be gone once
+           [compile] raises *)
+        List.iter
+          (fun (last, stop) ->
+            let pidfile = Filename.temp_file "rp-cc-child" ".pid" in
+            let started () = String.trim (read_file pidfile) <> "" in
+            let should_stop = if stop then Some started else None in
+            let child () = int_of_string (String.trim (read_file pidfile)) in
+            Fun.protect
+              ~finally:(fun () ->
+                (try Unix.kill (child ()) Sys.sigkill with _ -> ());
+                Sys.remove pidfile)
+              (fun () ->
+                with_fake_cc
+                  ~body:
+                    (Printf.sprintf "sleep 987 &\necho $! > %s\n%s"
+                       (Filename.quote pidfile) last)
+                @@ fun cc _ ->
+                (match
+                   Native.compile ?should_stop ~cc (Util.compile ladder_src)
+                 with
+                | _ -> Alcotest.fail "a failing cc produced a binary"
+                | exception Native.Error _ -> ());
+                let pid = child () in
+                let rec gone polls =
+                  (not (alive pid))
+                  || polls > 0
+                     && (Unix.sleepf 0.01;
+                         gone (polls - 1))
+                in
+                Util.check Alcotest.bool
+                  ("the child of a cc ending in " ^ last ^ " is gone")
+                  true (gone 200)))
+          [ ("exit 1", false); ("wait", true) ]);
+    Util.tc "oracle: a trial stopped while cc runs is inconclusive"
+      (fun () ->
+        (* the stop request ends cc with an error, which carries no more
+           signal than a stopped run: no divergence, no reproducer *)
+        let started = Filename.temp_file "rp-cc-started" "" in
+        Sys.remove started;
+        Fun.protect
+          ~finally:(fun () ->
+            if Sys.file_exists started then Sys.remove started)
+          (fun () ->
+            with_fake_cc
+              ~body:
+                (Printf.sprintf "touch %s\nexec sleep 987"
+                   (Filename.quote started))
+            @@ fun cc _ ->
+            let module D = Rp_fuzz.Difforacle in
+            match
+              D.check
+                ~should_stop:(fun () -> Sys.file_exists started)
+                ~native:cc ladder_src
+            with
+            | D.Inconclusive _ -> ()
+            | o -> Alcotest.failf "expected inconclusive, got %a" D.pp_outcome o));
+    Util.tc "rpcc run --native: a SIGINT while the binary runs exits 130"
+      (fun () ->
+        (* the "binary" a fake cc copies out marks its start, runs 1 s
+           and writes a valid trailer; rpcc alone gets the SIGINT *)
+        let dir = Filename.temp_file "rp-sigint" "" in
+        Sys.remove dir;
+        Sys.mkdir dir 0o700;
+        let file name = Filename.concat dir name in
+        Fun.protect
+          ~finally:(fun () ->
+            ignore (Sys.command ("rm -rf " ^ Filename.quote dir)))
+          (fun () ->
+            Out_channel.with_open_bin (file "prog.c") (fun oc ->
+                output_string oc ladder_src);
+            Out_channel.with_open_bin (file "bin.sh") (fun oc ->
+                Printf.fprintf oc
+                  "#!/bin/sh\ntouch %s\nsleep 1\nprintf 'rpcc-native/1\\n\
+                   status ok\\nret int 0\\nchecksum 5381\\nops 1\\nloads \
+                   0\\nstores 0\\noutlen 0\\nelapsed_ns 1\\nend\\n' > \"$1\"\n"
+                  (Filename.quote (file "started")));
+            with_fake_cc
+              ~body:
+                (Printf.sprintf
+                   "case \"$1\" in --version) echo fake-cc; exit 0;; esac\n\
+                    while [ $# -gt 1 ]; do\n\
+                    [ \"$1\" = -o ] && out=$2; shift\n\
+                    done\n\
+                    cp %s \"$out\""
+                   (Filename.quote (file "bin.sh")))
+            @@ fun cc _ ->
+            let rpcc = Filename.concat (Sys.getcwd ()) "../bin/rpcc.exe" in
+            let env =
+              Unix.environment () |> Array.to_list
+              |> List.filter (fun v ->
+                     not
+                       (String.starts_with ~prefix:"PATH=" v
+                       || String.starts_with ~prefix:"TMPDIR=" v))
+              |> List.append
+                   [
+                     "PATH=" ^ Filename.dirname cc.Native.path ^ ":"
+                     ^ Sys.getenv "PATH";
+                     "TMPDIR=" ^ dir;
+                   ]
+              |> Array.of_list
+            in
+            let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+            let pid =
+              Fun.protect
+                ~finally:(fun () -> Unix.close null)
+                (fun () ->
+                  Unix.create_process_env rpcc
+                    [| rpcc; "run"; "--native"; file "prog.c" |]
+                    env Unix.stdin null null)
+            in
+            let deadline = Rp_support.Clock.now () +. 60. in
+            while
+              (not (Sys.file_exists (file "started")))
+              && Rp_support.Clock.now () < deadline
+            do
+              Unix.sleepf 0.01
+            done;
+            Unix.kill pid Sys.sigint;
+            match Unix.waitpid [] pid with
+            | _, Unix.WEXITED 130 -> ()
+            | _, Unix.WEXITED n -> Alcotest.failf "rpcc exited %d" n
+            | _ -> Alcotest.fail "rpcc was killed"));
     Util.tc "exec_bin: a binary killed by a signal names it" (fun () ->
         let bin = Filename.temp_file "rp-segv" ".bin" in
         Fun.protect
@@ -538,11 +689,10 @@ let failure_path_tests =
 let with_primed_binary cc name f =
   let prog = Util.compile ladder_src in
   with_store name @@ fun cache ->
-  let prime =
+  let rung, _ =
     Native.run_laddered ~cache ~interp:(interp_thunk prog) ~cc:(Some cc) prog
   in
-  Util.check Alcotest.bool "primed natively" true
-    (prime.Native.l_mode = `Native);
+  Util.check Alcotest.bool "primed natively" true (rung = `Native);
   match Util.native_bins (Rp_support.Cas.root cache) with
   | [ path ] -> f prog cache path
   | bins -> Alcotest.failf "expected one binary, found %d" (List.length bins)
@@ -597,7 +747,7 @@ let poisoned_entry_test cc =
           prog
       in
       Util.check Alcotest.int "quarantined" (before + 1) (quarantined ());
-      Util.check Alcotest.bool "recompiled" false lad.Native.l_cache_hit;
+      Util.check Alcotest.bool "recompiled" false (snd lad).Native.cache_hit;
       check_rung ~rung:`Native prog lad)
 
 (* ------------------------------------------------------------------ *)

@@ -239,21 +239,44 @@ let test_gen_fuzz_kill_and_resume () =
 (* bench --json: the planted-hang drill                                *)
 (* ------------------------------------------------------------------ *)
 
+(* A counter of bench's [resilience:] stderr line, printed only when one
+   is nonzero: every counter reads 0 without the line. *)
+let resilience_counter err key =
+  String.split_on_char '\n' err
+  |> List.find_map (fun line ->
+         match String.split_on_char ' ' line with
+         | "resilience:" :: fields -> Some fields
+         | _ -> None)
+  |> Option.value ~default:[]
+  |> List.find_map (fun field ->
+         match String.split_on_char '=' field with
+         | [ k; n ] when k = key -> int_of_string_opt n
+         | _ -> None)
+  |> Option.value ~default:0
+
 let test_bench_planted_hang_degrades_one_cell () =
   let bench = Filename.concat (Sys.getcwd ()) "../bench/main.exe" in
   in_temp_dir "bench" @@ fun dir ->
+  (* the counts document's bytes, the timings document, and the run's
+     resilience counters *)
   let docs sub args =
     let d = Filename.concat dir sub in
     (try Sys.mkdir d 0o755 with Sys_error _ -> ());
-    let (st, _) = run_capture ~dir:d (bench :: "--json" :: args) in
+    let (st, _, err) = run_full ~dir:d (bench :: "--json" :: args) in
     Alcotest.(check int) (sub ^ " exit 0") 0 st;
-    ( Json.of_file (Filename.concat d "BENCH_counts.json"),
-      Json.of_file (Filename.concat d "BENCH_timings.json") )
+    ( read_file (Filename.concat d "BENCH_counts.json"),
+      Json.of_file (Filename.concat d "BENCH_timings.json"),
+      resilience_counter err )
   in
-  let counts sub args = fst (docs sub args) in
+  let counts sub args =
+    let text, _, counter = docs sub args in
+    (text, Json.parse text, counter)
+  in
   let journal = Filename.concat dir "grid.jsonl" in
   (try Sys.remove journal with Sys_error _ -> ());
-  let baseline = counts "base" [ "--jobs"; "4"; "--journal"; journal ] in
+  let baseline_text, baseline, _ =
+    counts "base" [ "--jobs"; "4"; "--journal"; journal ]
+  in
   (* the timeout must be generous enough that only the planted cell hits
      it even on a loaded machine: an honest cell timing out on its first
      attempt would perturb the resilience counters (its retry still keeps
@@ -261,7 +284,7 @@ let test_bench_planted_hang_degrades_one_cell () =
      ~0.8 s alone but multiples of that with four jobs contending on a
      small core count, so 10 s is the margin that keeps them honest
      while the planted hang still trips both attempts. *)
-  let planted =
+  let _, planted, counter =
     counts "planted"
       [
         "--jobs"; "4"; "--job-timeout"; "10"; "--retries"; "1"; "--plant-hang";
@@ -283,17 +306,11 @@ let test_bench_planted_hang_degrades_one_cell () =
       (contains reason "timed out")
   | _ -> Alcotest.fail "planted cell should be degraded");
   (* the run's failure telemetry reflects the drill *)
-  (match Json.member "resilience" planted with
-  | Some r ->
-    let count k =
-      match Json.member k r with Some (Json.Int n) -> n | _ -> -1
-    in
-    Alcotest.(check bool) "at least the two planted timed-out attempts" true
-      (count "timeouts" >= 2);
-    Alcotest.(check bool) "at least the planted retry" true
-      (count "retries" >= 1);
-    Alcotest.(check int) "exactly one quarantined cell" 1 (count "quarantined")
-  | None -> Alcotest.fail "no resilience object");
+  Alcotest.(check bool) "at least the two planted timed-out attempts" true
+    (counter "timeouts" >= 2);
+  Alcotest.(check bool) "at least the planted retry" true
+    (counter "retries" >= 1);
+  Alcotest.(check int) "exactly one quarantined cell" 1 (counter "quarantined");
   (* every other cell is byte-identical to the unplanted baseline *)
   List.iter
     (fun (pname, cells) ->
@@ -312,21 +329,15 @@ let test_bench_planted_hang_degrades_one_cell () =
       | _ -> ())
     (programs baseline);
   (* --resume: the journaled cells are replayed, not recomputed, and the
-     programs section is byte-identical to the run that wrote them *)
+     counts document is byte-identical to the run that wrote them *)
   let resumed_from sub path ~resumed ~recomputed =
-    let counts, timings = docs sub [ "--jobs"; "4"; "--resume"; path ] in
-    let section k j = Json.to_string (Option.get (Json.member k j)) in
+    let counts, timings, counter =
+      docs sub [ "--jobs"; "4"; "--resume"; path ]
+    in
     Alcotest.(check string)
-      (sub ^ ": programs byte-equal")
-      (section "programs" baseline) (section "programs" counts);
-    Alcotest.(check (option int))
-      (sub ^ ": resumed cells")
-      (Some resumed)
-      (match
-         Option.bind (Json.member "resilience" counts) (Json.member "resumed")
-       with
-      | Some (Json.Int n) -> Some n
-      | _ -> None);
+      (sub ^ ": counts document byte-equal")
+      baseline_text counts;
+    Alcotest.(check int) (sub ^ ": resumed cells") resumed (counter "resumed");
     let fresh =
       List.concat_map
         (fun (_, cells) ->
