@@ -73,8 +73,7 @@ type outcome = {
 and timing = {
   st : Pipeline.stage_stats;
   wall : float;  (** compile + run, seconds *)
-  native : (float * float * bool) option;
-      (** [--native]: cc ms, execution ms, binary-cache hit *)
+  native : Native.timed option;  (** [--native]: the ladder's timings *)
 }
 
 let quarantined reason =
@@ -164,23 +163,15 @@ let execute o ~should_stop c =
     match o.native with
     | None -> (st, I.run ~should_stop prog, None, None)
     | Some (cc, cache) ->
-      let timeout = o.campaign.Rp_cli.job_timeout in
       let rung, t =
-        Native.run_laddered ?deadline:timeout ~cache ~should_stop
-          ~interp:(fun () ->
-            let t0 = Clock.now () in
-            let r = I.run ~should_stop ?deadline:timeout prog in
-            (r, 1000. *. Clock.elapsed t0))
-          ~cc:(Some cc) prog
+        Native.run_laddered ?deadline:o.campaign.Rp_cli.job_timeout ~cache
+          ~should_stop ~cc:(Some cc) prog
       in
-      ( st,
-        t.Native.result,
-        Some rung,
-        Some (t.Native.cc_ms, t.Native.exec_ms, t.Native.cache_hit) )
+      (st, t.Native.result, Some rung, Some t)
   with
-  | I.Resource_limit m as e when I.is_external_stop m -> raise e
-  | I.Resource_limit m -> quarantine "resource limit: %s" m
-  | Rp_exec.Value.Runtime_error m -> quarantine "runtime error: %s" m
+  | I.Resource_limit (Stopped _) as e -> raise e
+  | I.Resource_limit l -> quarantine "resource limit: %s" (I.limit_message l)
+  | I.Error m -> quarantine "runtime error: %s" m
   | Stack_overflow -> quarantine "interpreter stack overflow"
 
 (** One supervised job = one cell.  A fatal [--verify-passes] failure
@@ -304,7 +295,7 @@ let export ex =
     the C compiler identity (even for interpreted runs, so an
     interp-vs-native pair taken on one host is self-describing), and the
     OCaml word size. *)
-let host_json o ~cas =
+let host_json o =
   let uname =
     try
       let ic = Unix.open_process_in "uname -srm 2>/dev/null" in
@@ -313,11 +304,7 @@ let host_json o ~cas =
     with Unix.Unix_error _ | Sys_error _ -> None
   in
   let cc =
-    match o.native with
-    | Some (cc, _) -> Some cc
-    (* memoized through the store's identity cache: an all-warm campaign
-       spawns no `cc --version` *)
-    | None -> Native.find_cc ~cache:cas ()
+    match o.native with Some (cc, _) -> Some cc | None -> Native.find_cc ()
   in
   Json.Obj
     [
@@ -333,7 +320,7 @@ let host_json o ~cas =
     native split and ladder rung under [--native], and the compile's
     per-pass stats; plus the job count, the host and the grid's
     wall-clock.  Machine-dependent, for comparing runs on one host. *)
-let write_timings o ~cas outcomes ~since =
+let write_timings o outcomes ~since =
   let grid_wall = Clock.elapsed since in
   let cell c oc =
     match oc.timing with
@@ -347,14 +334,14 @@ let write_timings o ~cas outcomes ~since =
            ( "run_ms",
              Json.Float
                (match t.native with
-               | Some (_, exec_ms, _) -> exec_ms
+               | Some n -> n.Native.exec_ms
                | None -> 1000. *. max 0. (t.wall -. compile_s)) );
          ]
         @ (match t.native with
-          | Some (cc_ms, _, hit) ->
+          | Some n ->
             [
-              ("cc_ms", Json.Float cc_ms);
-              ("cc_cache_hit", Json.Bool hit);
+              ("cc_ms", Json.Float n.Native.cc_ms);
+              ("cc_cache_hit", Json.Bool n.Native.cache_hit);
               ( "exec_mode",
                 Json.Str (if oc.rung = Some `Interp then "interp" else "native")
               );
@@ -385,15 +372,14 @@ let write_timings o ~cas outcomes ~since =
          ("jobs", Json.Int (Rp_cli.jobs o.campaign.Rp_cli.jobs));
          ( "mode",
            Json.Str (if Option.is_none o.native then "interp" else "native") );
-         ("host", host_json o ~cas);
+         ("host", host_json o);
          ("programs", by_program outcomes cell);
          ("total_compile_ms", Json.Float (1000. *. compile_s));
          ("grid_wall_ms", Json.Float (1000. *. grid_wall));
        ]);
   Fmt.pr "wrote BENCH_timings.json@."
 
-let in_process o ~cas =
-  { via = ""; run = run_local o; finish = write_timings o ~cas }
+let in_process o = { via = ""; run = run_local o; finish = write_timings o }
 
 (* ------------------------------------------------------------------ *)
 (* The remote executor: a running rpcc serve daemon                  *)
@@ -845,25 +831,33 @@ let conflicts o =
       "--plant-hang must name a grid cell PROGRAM:CONFIG" );
   ]
 
-(* --native in this process: the compiler, or with --plant-cc-failure one
-   that cannot exist, so every cell's native attempt fails and the
-   interpreter rung answers.  The planted identity keeps its
-   binary keys clear of any real compiler's warm store. *)
-let native_cc o cas =
+(* --native in this process: this user's binary store, and the compiler
+   or, with --plant-cc-failure, one that cannot exist, so every cell's
+   native attempt fails and the interpreter rung answers.  The planted
+   identity keeps its binary keys clear of any real compiler's warm
+   store.  Opened once, before the worker pool spawns. *)
+let native_cc o =
   let flags =
     match o.cc_flags with
     | Some s -> List.filter (( <> ) "") (String.split_on_char ' ' s)
     | None -> [ "-O1" ]
   in
+  let cas =
+    try Rp_support.Cas.open_ (Native.default_cache_dir ())
+    with Native.Error m ->
+      Fmt.epr "--native: %s@." m;
+      exit 2
+  in
   if o.plant_cc_failure then
-    {
-      Native.path = "/nonexistent/rpcc-planted-cc";
-      flags;
-      identity = "planted-broken-cc";
-    }
+    ( {
+        Native.path = "/nonexistent/rpcc-planted-cc";
+        flags;
+        identity = "planted-broken-cc";
+      },
+      cas )
   else
-    match Native.find_cc ~cache:cas ~flags () with
-    | Some cc -> cc
+    match Native.find_cc ~flags () with
+    | Some cc -> (cc, cas)
     | None ->
       Fmt.epr "--native: no working C compiler found (probed `cc --version`)@.";
       exit 2
@@ -886,10 +880,8 @@ let main o =
     match o.via_daemon with
     | Some socket -> export (daemon ~socket ~native:o.native)
     | None ->
-      (* opened once, before the worker pool spawns *)
-      let cas = Rp_support.Cas.open_ (Native.default_cache_dir ()) in
-      let native = if o.native then Some (native_cc o cas, cas) else None in
-      export (in_process (local ~keep_per_func:false native) ~cas)
+      let native = if o.native then Some (native_cc o) else None in
+      export (in_process (local ~keep_per_func:false native))
 
 let opts_t =
   let open Cmdliner in

@@ -3,7 +3,8 @@
     {v
       rpcc run file.c        compile + execute, print output and counts
       rpcc dump file.c       compile, print the final IL
-      rpcc table file.c      the paper's 4-configuration comparison
+      rpcc run-il file.il    execute a serialized IL file
+      rpcc table file.c      the paper's six-configuration grid
       rpcc fuzz              fault-injection campaign on the pipeline
       rpcc gen-fuzz          generative differential testing vs an O0 reference
       rpcc reduce file.c     delta-debug an oracle failure to a minimal repro
@@ -192,10 +193,10 @@ let handle_errors f =
   | Rp_ir.Validate.Invalid (ctx, msg) ->
     Fmt.epr "error: invalid IL after %s:@.%s@." ctx msg;
     exit 2
-  | Rp_exec.Interp.Resource_limit msg ->
-    Fmt.epr "resource limit: %s@." msg;
+  | Rp_exec.Interp.Resource_limit l ->
+    Fmt.epr "resource limit: %s@." (Rp_exec.Interp.limit_message l);
     exit 3
-  | Rp_exec.Value.Runtime_error msg ->
+  | Rp_exec.Interp.Error msg ->
     Fmt.epr "runtime error: %s@." msg;
     exit 1
   | Stack_overflow ->
@@ -210,6 +211,15 @@ let handle_errors f =
 (* ------------------------------------------------------------------ *)
 
 module Json = Rp_support.Json
+
+(** A working C compiler, or exit 2 naming the option that needs it. *)
+let require_cc ?flags what =
+  match Rp_backend.Native.find_cc ?flags () with
+  | Some cc -> cc
+  | None ->
+    Fmt.epr "error: %s needs a working C compiler (probed `cc --version`)@."
+      what;
+    exit 2
 
 (** The [--stats-json] document: schema marker, the pipeline's stats
     (counters, fixpoint iterations, degradation/validation state, per-pass
@@ -268,18 +278,13 @@ let run_cmd =
         let flags =
           List.filter (fun f -> f <> "") (String.split_on_char ' ' cc_flags)
         in
-        (* probe through the binary cache's identity rung: a warm rerun
-           spawns no `cc --version` subprocess at all *)
         let cache =
-          Rp_support.Cas.open_ (Rp_backend.Native.default_cache_dir ())
+          try Rp_support.Cas.open_ (Rp_backend.Native.default_cache_dir ())
+          with Rp_backend.Native.Error m ->
+            Fmt.epr "error: native backend: %s@." m;
+            exit 2
         in
-        match Rp_backend.Native.find_cc ~cache ~flags () with
-        | Some cc -> Some (cc, cache)
-        | None ->
-          Fmt.epr
-            "error: --native needs a working C compiler (probed `cc \
-             --version`)@.";
-          exit 2
+        Some (require_cc ~flags "--native", cache)
     in
     let prog, st = Pipeline.compile ~config src in
     let execute () =
@@ -303,8 +308,8 @@ let run_cmd =
               Rp_backend.Native.run ?fuel ?max_depth ?deadline:timeout ~cache
                 ~should_stop:(fun () -> !interrupted) ~cc prog)
       with
-      | Rp_exec.Interp.Resource_limit m as e ->
-        if timeout <> None && Rp_exec.Interp.is_external_stop m then
+      | Rp_exec.Interp.Resource_limit (Stopped _) as e ->
+        if timeout <> None then
           Rp_support.Resilience.tick resil Rp_support.Resilience.Timeout;
         raise e
       | Rp_backend.Native.Error m ->
@@ -604,14 +609,16 @@ let write_file path s =
   close_out oc
 
 (** Shrink [src] against the signature of [target] and write the result
-    next to [path]; shared by [gen-fuzz --reduce] and [rpcc reduce]. *)
-let reduce_failure ~mode ~fuel ~inject ~budget ~path ~out
+    next to [path]; shared by [gen-fuzz --reduce] and [rpcc reduce].
+    With [?native] every candidate also runs the interpreter-vs-native
+    cell. *)
+let reduce_failure ~mode ~fuel ~inject ?native ~budget ~path ~out
     (target : Rp_fuzz.Difforacle.failure) src =
   let module D = Rp_fuzz.Difforacle in
   let module Reduce = Rp_fuzz.Reduce in
   let deadline = Rp_support.Clock.now () +. budget in
   let predicate s =
-    match D.check ~mode ~fuel ~deadline ?inject s with
+    match D.check ~mode ~fuel ~deadline ?inject ?native s with
     | D.Diverged fs
       when List.exists
              (fun (f : D.failure) ->
@@ -657,17 +664,7 @@ let gen_fuzz_cmd =
     handle_errors @@ fun () ->
     let module D = Rp_fuzz.Difforacle in
     (try Sys.mkdir out_dir 0o755 with Sys_error _ -> ());
-    let native_cc =
-      if not native then None
-      else
-        match Rp_backend.Native.find_cc () with
-        | Some cc -> Some cc
-        | None ->
-          Fmt.epr
-            "error: --native needs a working C compiler (probed `cc \
-             --version`)@.";
-          exit 2
-    in
+    let native_cc = if native then Some (require_cc "--native") else None in
     let inject = Option.map (fun c -> (c, seed)) inject in
     let resil = Rp_support.Resilience.create () in
     (* Trials are independent: each generates its program from (seed,
@@ -743,8 +740,8 @@ let gen_fuzz_cmd =
           let target = List.hd fs in
           Fmt.pr "reducing %s for %a@." path D.pp_failure target;
           ignore
-            (reduce_failure ~mode ~fuel ~inject ~budget ~path ~out:None
-               target src))
+            (reduce_failure ~mode ~fuel ~inject ?native:native_cc ~budget
+               ~path ~out:None target src))
         (List.rev !diverged);
     if !diverged <> [] || !rejected > 0 then exit 1
   in
@@ -802,7 +799,12 @@ let reduce_cmd =
           | None -> Fmt.failwith "unknown failure class '%s'" n)
         cls_name
     in
-    match D.check ~mode ~fuel ?inject src with
+    (* the native cell is the one configuration that needs a compiler *)
+    let native =
+      if config_name = Some "native" then Some (require_cc "--config native")
+      else None
+    in
+    match D.check ~mode ~fuel ?inject ?native src with
     | D.Agree _ ->
       Fmt.pr "no divergence: nothing to reduce@."
     | D.Rejected m ->
@@ -824,8 +826,8 @@ let reduce_cmd =
       | Some target ->
         Fmt.pr "reducing for %a@." D.pp_failure target;
         let r =
-          reduce_failure ~mode ~fuel ~inject ~budget ~path:file ~out target
-            src
+          reduce_failure ~mode ~fuel ~inject ?native ~budget ~path:file ~out
+            target src
         in
         Fmt.pr "%s@." r.Rp_fuzz.Reduce.reduced)
   in
@@ -837,8 +839,9 @@ let reduce_cmd =
           ~doc:
             "Reduce against the failure observed under this configuration \
              (modref/without, modref/with, modref/ptr, pointer/without, \
-             pointer/with, pointer/ptr); default: the first reported \
-             failure.")
+             pointer/with, pointer/ptr, or native: the interpreter-vs-native \
+             cell, which needs a working C compiler); default: the first \
+             reported failure.")
   in
   let class_t =
     Arg.(

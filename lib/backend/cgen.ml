@@ -10,7 +10,9 @@
 
     - one [TICK] per executed instruction, one per block terminator,
       checking fuel after the increment and polling the deadline every
-      4096 operations with the interpreter's exact messages;
+      4096 operations; a limit reaches the trailer as its kind and count
+      ([status limit fuel N], [depth N] or [stop N]), which {!Native}
+      turns into the interpreter's {!Rp_exec.Interp.limit};
     - loads/stores counted {e before} the access is checked (a trapping
       access still counts, exactly as [count_load] precedes [Memory.load]);
     - calls enter with depth-check-then-arity-check, frame objects are
@@ -40,7 +42,7 @@ open Rp_ir
 module P = Rp_exec.Precomp
 module V = Rp_exec.Value
 
-let version = "rpcc-cgen/4"
+let version = "rpcc-cgen/5"
 
 let mangle idx name =
   let b = Bytes.of_string name in
@@ -187,7 +189,7 @@ static const char *g_trailer_path;
 static char g_obuf[1 << 16];
 
 static void rt_trap(const char *fmt, ...) __attribute__((noreturn, format(printf, 1, 2)));
-static void rt_limit(const char *fmt, ...) __attribute__((noreturn, format(printf, 1, 2)));
+static void rt_limit(const char *kind, i64 n) __attribute__((noreturn));
 static void rt_invalid(const char *fmt, ...) __attribute__((noreturn, format(printf, 1, 2)));
 static void rt_badload(val v) __attribute__((noreturn));
 static void rt_badstore(val v) __attribute__((noreturn));
@@ -241,8 +243,11 @@ static void __attribute__((noreturn)) rt_fail(const char *status, const char *fm
 static void rt_trap(const char *fmt, ...) {
   va_list ap; va_start(ap, fmt); rt_fail("trap", fmt, ap);
 }
-static void rt_limit(const char *fmt, ...) {
-  va_list ap; va_start(ap, fmt); rt_fail("limit", fmt, ap);
+static void rt_limit(const char *kind, i64 n) {
+  char status[64];
+  snprintf(status, sizeof status, "limit %s %lld", kind, n);
+  rt_trailer(status, 0, 0);
+  exit(0);
 }
 static void rt_invalid(const char *fmt, ...) {
   va_list ap; va_start(ap, fmt); rt_fail("invalid", fmt, ap);
@@ -512,11 +517,9 @@ RT_INL val rt_f2i(val v) {
 }
 
 #define TICK(fi) do { g_ops++; g_fops[fi]++; \
-  if (__builtin_expect(g_ops > g_fuel, 0)) \
-    rt_limit("fuel exhausted (%lld operations)", g_fuel); \
+  if (__builtin_expect(g_ops > g_fuel, 0)) rt_limit("fuel", g_fuel); \
   if (__builtin_expect((g_ops & 4095) == 0, 0) && g_has_deadline \
-      && rt_now() - g_t0 > g_budget) \
-    rt_limit("external stop after %lld operations", g_ops); } while (0)
+      && rt_now() - g_t0 > g_budget) rt_limit("stop", g_ops); } while (0)
 #define CLOAD(fi) (g_loads++, g_floads[fi]++)
 #define CSTORE(fi) (g_stores++, g_fstores[fi]++)
 |}
@@ -783,9 +786,7 @@ let emit_func ctx buf (g : P.dfunc) =
   let fi = g.P.didx in
   bpf buf "static val %s(i64 nargs, val *args) {\n" (fname g);
   bpf buf "  (void)args;\n";
-  bpf buf
-    "  if (++g_depth > g_maxdepth) rt_limit(\"call stack overflow (max \
-     depth %%lld)\", g_maxdepth);\n";
+  bpf buf "  if (++g_depth > g_maxdepth) rt_limit(\"depth\", g_maxdepth);\n";
   bpf buf "  if (nargs != %d) rt_trap(\"arity mismatch calling %%s\", \"%s\");\n"
     g.P.darity (c_escape g.P.dname);
   for r = 0 to g.P.dnreg - 1 do

@@ -26,88 +26,59 @@ let read_first_line cmd =
     | _ -> None
   with Unix.Unix_error _ | Sys_error _ -> None
 
-(* One probe per compiler path per process: the identity line cannot
-   change under us without the executable changing, and the probe is a
-   fork+exec a warm bench campaign would otherwise pay on every
-   invocation.  Negative results memoize too — a missing cc stays
+(* One probe per compiler path per process: a fork+exec of about a
+   millisecond.  Negative results memoize too — a missing cc stays
    missing for the life of the process. *)
 let cc_memo : (string, string option) Hashtbl.t = Hashtbl.create 4
 let cc_memo_lock = Mutex.create ()
 
-let resolve_in_path p =
-  if String.contains p '/' then if Sys.file_exists p then Some p else None
-  else
-    match Sys.getenv_opt "PATH" with
-    | None -> None
-    | Some path ->
-      List.find_map
-        (fun dir ->
-          if dir = "" then None
-          else
-            let cand = Filename.concat dir p in
-            if Sys.file_exists cand then Some cand else None)
-        (String.split_on_char ':' path)
+let find_cc ?cache:_ ?(path = "cc") ?(flags = [ "-O1" ]) () =
+  let memo =
+    Mutex.protect cc_memo_lock (fun () -> Hashtbl.find_opt cc_memo path)
+  in
+  let identity =
+    match memo with
+    | Some id -> id
+    | None ->
+      let id =
+        read_first_line (Filename.quote path ^ " --version 2>/dev/null")
+      in
+      Mutex.protect cc_memo_lock (fun () -> Hashtbl.replace cc_memo path id);
+      id
+  in
+  Option.map (fun identity -> { path; flags; identity }) identity
 
-let probe_identity path =
-  read_first_line (Filename.quote path ^ " --version 2>/dev/null")
-
-(* The CAS rung makes the probe survive the process: the identity is
-   cached keyed on the resolved executable's (path, size, mtime), so an
-   all-warm-cache campaign in a fresh process spawns no compiler at all
-   — the identity is needed to form binary cache keys {e before} any
-   binary lookup can hit. *)
-let identity_of ?cache path =
-  Mutex.lock cc_memo_lock;
-  let memo = Hashtbl.find_opt cc_memo path in
-  Mutex.unlock cc_memo_lock;
-  match memo with
-  | Some id -> id
-  | None ->
-    let id =
-      match (cache, resolve_in_path path) with
-      | Some cas, Some resolved -> (
-        match Unix.stat resolved with
-        | exception Unix.Unix_error _ -> probe_identity path
-        | st -> (
-          let k =
-            Rp_support.Cas.key
-              [
-                "cc-identity";
-                resolved;
-                string_of_int st.Unix.st_size;
-                Printf.sprintf "%.6f" st.Unix.st_mtime;
-              ]
-          in
-          match Rp_support.Cas.get cas ~key:k ~kind:"cc-id" with
-          | Some id -> Some id
-          | None -> (
-            match probe_identity path with
-            | Some id ->
-              Rp_support.Cas.put cas ~key:k ~kind:"cc-id" id;
-              Some id
-            | None -> None)))
-      | _ -> probe_identity path
-    in
-    Mutex.lock cc_memo_lock;
-    Hashtbl.replace cc_memo path id;
-    Mutex.unlock cc_memo_lock;
-    id
-
-let find_cc ?cache ?(path = "cc") ?(flags = [ "-O1" ]) () =
-  match identity_of ?cache path with
-  | Some identity -> Some { path; flags; identity }
-  | None -> None
-
+(* The store holds binaries this process will exec, so its root is this
+   user's alone: created 0700, and refused when someone else could have
+   planted an object in it. *)
 let default_cache_dir () =
-  Filename.concat (Filename.get_temp_dir_name ()) "rpcc-native-cas"
+  let uid = Unix.getuid () in
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "rpcc-native-cas-%d" uid)
+  in
+  let refuse why = error "binary store %s %s" dir why in
+  match
+    Rp_support.Cas.mkdir_p (Filename.dirname dir);
+    (try Unix.mkdir dir 0o700 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+    Unix.lstat dir
+  with
+  | exception Unix.Unix_error (e, _, _) ->
+    refuse ("cannot be opened: " ^ Unix.error_message e)
+  | { st_kind = S_LNK; _ } -> refuse "is a symbolic link"
+  | { st_kind = S_DIR; st_uid; st_perm; _ } ->
+    if st_uid <> uid then refuse "is owned by another user"
+    else if st_perm land 0o022 <> 0 then refuse "is writable by other users"
+    else dir
+  | _ -> refuse "is not a directory"
 
 (* ------------------------------------------------------------------ *)
 (* Trailer                                                             *)
 (* ------------------------------------------------------------------ *)
 
 type trailer = {
-  status : [ `Ok | `Trap | `Limit | `Invalid ];
-  msg : string;
+  status :
+    [ `Ok | `Trap of string | `Limit of Interp.limit | `Invalid of string ];
   ret : Value.t;
   checksum : int;
   ops : int;
@@ -145,14 +116,19 @@ let parse_trailer (s : string) : trailer =
   in
   let parse_line line =
     match String.split_on_char ' ' line with
-    | [ "status"; ("ok" | "trap" | "limit" | "invalid") as st ] ->
+    | [ "status"; "ok" ] -> status := Some `Ok
+    | [ "status"; "trap" ] -> status := Some `Trap
+    | [ "status"; "invalid" ] -> status := Some `Invalid
+    | [ "status"; "limit"; kind; n ] ->
+      let n = int_of n in
       status :=
         Some
-          (match st with
-          | "ok" -> `Ok
-          | "trap" -> `Trap
-          | "limit" -> `Limit
-          | _ -> `Invalid)
+          (`Limit
+            (match kind with
+            | "fuel" -> Interp.Fuel n
+            | "depth" -> Interp.Depth n
+            | "stop" -> Interp.Stopped n
+            | _ -> fail "unknown limit %S" kind))
     | "msg" :: _ -> msg := rest_after line "msg "
     | [ "ret"; "undef" ] -> ret := Some Value.Vundef
     | [ "ret"; "int"; n ] -> ret := Some (Value.Vint (int_of n))
@@ -193,7 +169,12 @@ let parse_trailer (s : string) : trailer =
   | [] -> fail "empty");
   if not !ended then fail "missing end marker (truncated)";
   let req name = function Some v -> v | None -> fail "missing %s" name in
-  let status = req "status" !status in
+  let status =
+    match req "status" !status with
+    | (`Ok | `Limit _) as st -> st
+    | `Trap -> `Trap !msg
+    | `Invalid -> `Invalid !msg
+  in
   let ret =
     match (status, !ret) with
     | `Ok, Some r -> r
@@ -202,7 +183,6 @@ let parse_trailer (s : string) : trailer =
   in
   {
     status;
-    msg = !msg;
     ret;
     checksum = req "checksum" !checksum;
     ops = req "ops" !ops;
@@ -279,10 +259,12 @@ let truncate_err err =
    OCaml's [Unix.error] has no constructor for it), when another domain's
    child briefly holds an inherited write fd to the binary, and EAGAIN,
    when fork is short of resources.  With [~wall_s] the child is polled
-   every 20 ms and SIGKILLed past that deadline or once [should_stop]
-   turns true.  With [~group] it starts in a process group of its own
-   (through setsid, which execs in place: the pid is the group's id),
-   SIGKILLed whole whenever the child ends. *)
+   every 20 ms and SIGKILLed past that deadline (an {!Error}) or once
+   [should_stop] turns true, which raises [Interp.Resource_limit
+   (Stopped 0)]: the program ran no operation.  With [~group] it starts
+   in a process group of its own (through setsid, which execs in place:
+   the pid is the group's id), SIGKILLed whole whenever the child
+   ends. *)
 let spawn_and_wait ~what ?(wall_s = infinity) ?(group = false)
     ?(should_stop = fun () -> false) argv =
   with_temp ".out" @@ fun out ->
@@ -313,7 +295,7 @@ let spawn_and_wait ~what ?(wall_s = infinity) ?(group = false)
     | 0, _ when should_stop () ->
       kill pid;
       ignore (wait []);
-      error "%s stopped before it finished" what
+      raise (Interp.Resource_limit (Interp.Stopped 0))
     | 0, _ when Rp_support.Clock.now () > deadline ->
       kill pid;
       ignore (wait []);
@@ -469,9 +451,9 @@ let exec_bin_elapsed ?(fuel = 400_000_000) ?(max_depth = 100_000) ?deadline
     error "native output truncated: trailer says %d bytes, captured %d"
       t.outlen (String.length output);
   match t.status with
-  | `Trap -> raise (Interp.Error t.msg)
-  | `Limit -> raise (Interp.Resource_limit t.msg)
-  | `Invalid -> raise (Invalid_argument t.msg)
+  | `Trap m -> raise (Interp.Error m)
+  | `Limit l -> raise (Interp.Resource_limit l)
+  | `Invalid m -> raise (Invalid_argument m)
   | `Ok ->
     if checksum_of_string output <> t.checksum then
       error
@@ -516,20 +498,22 @@ let run ?fuel ?max_depth ?deadline ?cache ?should_stop ~cc prog =
 (* Degradation ladder                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* native → interpreter.  Only {!Error}, infrastructure failure,
-   descends; faithful program outcomes ([Interp.Error],
-   [Resource_limit], [Invalid_argument]) re-raise from whichever rung
-   produced them, because both compute the same answer by contract.
-   The result is therefore independent of the rung; only the rung and
-   the latency differ.  A failed native attempt is not retried: a
-   deterministic cc cannot fix its own failure. *)
-let run_laddered ?fuel ?max_depth ?deadline ?cache ?should_stop ~interp ~cc
-    prog =
+(* native → interpreter, both under the same limits.  Only {!Error},
+   infrastructure failure, descends; faithful program outcomes
+   ([Interp.Error], [Resource_limit] a stop request included,
+   [Invalid_argument]) re-raise from whichever rung produced them,
+   because both compute the same answer by contract.  The result is
+   therefore independent of the rung; only the rung and the latency
+   differ.  A failed native attempt is not retried: a deterministic cc
+   cannot fix its own failure. *)
+let run_laddered ?fuel ?max_depth ?deadline ?cache ?should_stop ~cc prog =
   let native cc =
     run_timed ?fuel ?max_depth ?deadline ?cache ?should_stop ~cc prog
   in
   match Option.map native cc with
   | Some t -> (`Native, t)
   | None | (exception Error _) ->
-    let result, exec_ms = interp () in
+    let t0 = Rp_support.Clock.now () in
+    let result = Interp.run ?fuel ?max_depth ?should_stop ?deadline prog in
+    let exec_ms = 1000. *. Rp_support.Clock.elapsed t0 in
     (`Interp, { result; cc_ms = 0.; exec_ms; cache_hit = false })

@@ -6,15 +6,15 @@
     native run is observably identical to an interpreted run — same
     output, checksum, total and per-function counters, and the same
     {!Rp_exec.Interp.Error} / {!Rp_exec.Interp.Resource_limit} /
-    [Invalid_argument] exceptions with the same messages on erroneous or
-    resource-bounded programs.  Anything that prevents the runner from
-    establishing that answer — no C compiler, a compile failure, a binary
-    the kernel will not exec or that is killed by a signal, a truncated
-    or garbled trailer, a checksum that does not match the captured
-    output, any system error on the way (a missing temp directory, a
-    store that cannot be written) — raises {!Error} instead, so
-    infrastructure failure is always a quarantine and never a wrong
-    answer.  No [Unix_error], [Sys_error] or [End_of_file] leaves
+    [Invalid_argument] exceptions with the same messages and limits on
+    erroneous or resource-bounded programs.  Anything that prevents the
+    runner from establishing that answer — no C compiler, a compile
+    failure, a binary the kernel will not exec or that is killed by a
+    signal, a truncated or garbled trailer, a checksum that does not
+    match the captured output, any system error on the way (a missing
+    temp directory, a store that cannot be written) — raises {!Error}
+    instead, so infrastructure failure is always a quarantine and never
+    a wrong answer.  No [Unix_error], [Sys_error] or [End_of_file] leaves
     {!compile}, {!exec_bin}, {!run}, {!run_timed} or {!run_laddered}.
 
     The compiler runs under fixed limits: 60 s of CPU, 4 GiB of address
@@ -46,19 +46,29 @@ val find_cc :
     The probe is memoized per process (positive {e and} negative), so
     repeated callers — the bench host record, gen-fuzz, a daemon serving
     thousands of native jobs — pay one fork+exec per compiler path.
-    With [?cache] the identity is additionally cached in the CAS keyed
-    on the resolved executable's (path, size, mtime), so a fresh process
-    running an all-warm-cache campaign spawns no compiler subprocess at
-    all; a toolchain upgrade changes the stat triple and re-probes. *)
+
+    [?cache] is ignored.  It stays only because [perfbench/traced.ml]
+    still passes one, and goes when that file next changes. *)
 
 val default_cache_dir : unit -> string
-(** Per-user binary cache root under the system temp directory. *)
+(** This user's binary store root, [$TMPDIR/rpcc-native-cas-UID],
+    created with mode 0700 when missing (a missing [$TMPDIR] is created
+    too, as {!Rp_support.Cas.open_} creates its directories).  The store holds binaries the
+    runner will exec, so a root that is a symbolic link, is owned by
+    another user, or is writable by group or others is refused with an
+    {!Error} naming it: whoever could write there could plant a
+    CRC-valid binary under the key of a program whose source they
+    know. *)
 
 (* ---- trailer protocol (exposed for tests) ------------------------ *)
 
 type trailer = {
-  status : [ `Ok | `Trap | `Limit | `Invalid ];
-  msg : string;  (** trap/limit/invalid message; [""] for [`Ok] *)
+  status :
+    [ `Ok
+    | `Trap of string  (** the trap's message *)
+    | `Limit of Rp_exec.Interp.limit
+      (** from [status limit KIND N]: [fuel], [depth] or [stop] *)
+    | `Invalid of string ];
   ret : Rp_exec.Value.t;
   checksum : int;
   ops : int;
@@ -73,7 +83,8 @@ type trailer = {
 
 val parse_trailer : string -> trailer
 (** Parse the fixed-format trailer ({b rpcc-native/1}).  Raises {!Error}
-    on anything malformed: wrong magic, unknown status, missing fields
+    on anything malformed: wrong magic, unknown status or limit kind,
+    missing fields
     ([elapsed_ns] included), short or garbled records, a missing [end]
     marker.  Strictness is the point — a partial trailer must quarantine,
     not round down to a plausible result. *)
@@ -104,7 +115,9 @@ val compile :
     cc runs in a process group of its own, killed when cc ends, so cc1,
     as and ld die with it and a Ctrl-C reaches it only through
     [should_stop], polled every 20 ms: once true, the group dies and
-    {!Error} is raised.
+    [Interp.Resource_limit (Stopped 0)] is raised, as for a run stopped
+    before its first operation.  The compiled binary is waited for
+    without polling: only cc, never the program, pays for the stop.
 
     [?key] is ignored.  It stays only because [perfbench/traced.ml]
     still passes one, and goes when that file next changes.  Honouring
@@ -181,18 +194,19 @@ val run_laddered :
   ?deadline:float ->
   ?cache:Rp_support.Cas.t ->
   ?should_stop:(unit -> bool) ->
-  interp:(unit -> Rp_exec.Interp.result * float) ->
   cc:cc option ->
   Rp_ir.Program.t ->
   [ `Native | `Interp ] * timed
-(** The graceful degradation ladder: {!run_timed}, then the caller's
-    [interp] thunk (which returns the result plus its run time in ms,
-    the [exec_ms] of a [timed] whose [cc_ms] is 0), with the rung that
-    answered.  Only {!Error} — infrastructure failure: no cc, cc failing or
-    killed, a malformed trailer, a cached binary that will not run —
-    descends to the interpreter.  Faithful program outcomes
-    ({!Rp_exec.Interp.Error}, {!Rp_exec.Interp.Resource_limit},
-    [Invalid_argument]) re-raise from whichever rung produced them: both
+(** The graceful degradation ladder: {!run_timed}, then
+    {!Rp_exec.Interp.run} under the same [fuel], [max_depth], [deadline]
+    and [should_stop] (its run time is the [exec_ms] of a [timed] whose
+    [cc_ms] is 0), with the rung that answered.  Only {!Error} —
+    infrastructure failure: no cc, cc failing or killed, a malformed
+    trailer, a cached binary that will not run — descends to the
+    interpreter.  Faithful program outcomes ({!Rp_exec.Interp.Error},
+    {!Rp_exec.Interp.Resource_limit}, a stop request that ends cc
+    included, and [Invalid_argument]) re-raise from whichever rung
+    produced them: both
     compute the same answer by contract, so the result is
     rung-independent and only the rung and the latency vary.  A failed
     native attempt is not retried, since a deterministic cc cannot fix

@@ -26,8 +26,8 @@
     any other runs one operation at a time with the per-op tick, so fuel
     and the poll fire on exactly the operation they would if every
     operation were counted singly.  Nothing but a completed result and
-    the two limit messages reads the counts, and a trap drops them (see
-    DESIGN.md §6d). *)
+    the [Fuel] and [Stopped] limits reads the counts, and a trap drops
+    them (see DESIGN.md §6d). *)
 
 open Rp_ir
 module P = Precomp
@@ -50,18 +50,18 @@ type result = {
 
 exception Error = Value.Runtime_error
 
-exception Resource_limit of string
-(** Fuel exhaustion or call-stack overflow: the program exceeded an
-    interpreter resource limit rather than performing an erroneous
-    operation.  Kept distinct from {!Error} so drivers can report it with
-    its own exit code and translation-validation oracles can treat a
-    bounded run as inconclusive instead of a miscompile. *)
+type limit = Fuel of int | Depth of int | Stopped of int
 
-let resource_limit fmt = Fmt.kstr (fun s -> raise (Resource_limit s)) fmt
+exception Resource_limit of limit
+(** The program exceeded a resource limit rather than performing an
+    erroneous operation.  Kept distinct from {!Error} so drivers can
+    report it with its own exit code and translation-validation oracles
+    can treat a bounded run as inconclusive instead of a miscompile. *)
 
-(* The prefix of every cooperative-abort message: this interpreter's, the
-   native backend's compiled-in copy, and the daemon's fuzz-batch stop *)
-let is_external_stop m = String.starts_with ~prefix:"external stop" m
+let limit_message = function
+  | Fuel n -> Printf.sprintf "fuel exhausted (%d operations)" n
+  | Depth n -> Printf.sprintf "call stack overflow (max depth %d)" n
+  | Stopped n -> Printf.sprintf "external stop after %d operations" n
 
 type state = {
   prog : Program.t;
@@ -114,18 +114,16 @@ let[@inline] tick st (fc : counts) =
   let t = st.total in
   t.ops <- t.ops + 1;
   fc.ops <- fc.ops + 1;
-  if t.ops > st.fuel then
-    resource_limit "fuel exhausted (%d operations)" st.fuel;
+  if t.ops > st.fuel then raise (Resource_limit (Fuel st.fuel));
   if t.ops land 4095 = 0 && st.should_stop () then
-    resource_limit "external stop after %d operations" t.ops
+    raise (Resource_limit (Stopped t.ops))
 
 (** Enter [cf] with arguments taken from the caller's registers [args]
     ([main] enters with two empty arrays): depth check, then arity check,
     then frame allocation, then the body. *)
 let invoke st cf (caller : Value.t array) (args : int array) : Value.t =
   st.depth <- st.depth + 1;
-  if st.depth > st.max_depth then
-    resource_limit "call stack overflow (max depth %d)" st.max_depth;
+  if st.depth > st.max_depth then raise (Resource_limit (Depth st.max_depth));
   if Array.length args <> cf.arity then
     Value.error "arity mismatch calling %s" cf.name;
   let regs = Array.make cf.nreg Value.Vundef in
@@ -584,7 +582,7 @@ let run ?(fuel = 400_000_000) ?(max_depth = 100_000)
     per_func;
   }
 
-type outcome = Completed of result | Trapped of string | Limited of string
+type outcome = Completed of result | Trapped of string | Limited of limit
 
 let outcome f =
   match f () with

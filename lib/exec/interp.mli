@@ -37,31 +37,38 @@ exception Error of string
 (** Alias of {!Value.Runtime_error}: traps (bounds, use-after-free,
     undefined values, division by zero, tag-set violations). *)
 
-exception Resource_limit of string
-(** Fuel exhaustion or call-stack overflow — the program exceeded an
-    interpreter resource limit rather than trapping.  Reported by [rpcc]
-    with its own exit code (3). *)
+(** Which resource limit ended a run.  [Fuel] and [Depth] are the
+    program's own: deterministic, the same on every rerun.  [Stopped] is
+    the caller's: a [should_stop] poll or [deadline] fired, or, on the
+    native backend, a stop request ended cc before the program ran
+    ([Stopped 0]).  Supervisors tell their own deadline from a program
+    limit by this constructor. *)
+type limit =
+  | Fuel of int  (** the fuel, all spent *)
+  | Depth of int  (** the call-depth limit, exceeded *)
+  | Stopped of int  (** after this many operations *)
 
-val is_external_stop : string -> bool
-(** Whether a {!Resource_limit} message reports a cooperative abort (a
-    [should_stop] poll or [deadline] firing; the native backend raises
-    the same message) rather than the program exhausting fuel or stack:
-    supervisors use it to tell their own deadline from a deterministic
-    limit. *)
+exception Resource_limit of limit
+(** The program exceeded a resource limit rather than trapping.
+    Reported by [rpcc] with its own exit code (3). *)
+
+val limit_message : limit -> string
+(** The one text of a limit, on both backends: [fuel exhausted (N
+    operations)], [call stack overflow (max depth N)], [external stop
+    after N operations]. *)
 
 (** Run the program.
     @param fuel maximum executed operations (default 4×10⁸)
     @param max_depth call-stack limit (default 100000)
     @param should_stop polled every 4096 operations; returning [true]
-    aborts the run with {!Resource_limit} — wall-clock budgets for the
-    fuzz reducer (default: never)
+    aborts the run with [Resource_limit (Stopped n)] — wall-clock budgets
+    for the fuzz reducer (default: never)
     @param deadline wall-clock budget in seconds for this run, which
     must be positive (a budget of 0 or less stops the run at its first
     poll, where the native backend would read it as no deadline); folded
-    into the [should_stop] poll, so exceeding it aborts with
-    {!Resource_limit} just like an external stop (default: none).  This
-    is how the supervised pool's per-job deadlines reach the
-    interpreter. *)
+    into the [should_stop] poll, so exceeding it aborts with [Stopped]
+    just like an external stop (default: none).  This is how the
+    supervised pool's per-job deadlines reach the interpreter. *)
 val run :
   ?fuel:int ->
   ?max_depth:int ->
@@ -70,9 +77,9 @@ val run :
   Program.t ->
   result
 
-(** How one execution ended: its result, or the message of the {!Error}
-    or {!Resource_limit} it raised. *)
-type outcome = Completed of result | Trapped of string | Limited of string
+(** How one execution ended: its result, the message of the {!Error} it
+    raised, or the limit of its {!Resource_limit}. *)
+type outcome = Completed of result | Trapped of string | Limited of limit
 
 val outcome : (unit -> result) -> outcome
 (** [outcome (fun () -> run p)] runs [p] and says how the run ended. *)

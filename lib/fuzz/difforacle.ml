@@ -89,10 +89,12 @@ let compare_runs cell ~expected got =
   let describe = function
     | Completed r -> Printf.sprintf "completion after %d ops" r.total.ops
     | Trapped m -> Printf.sprintf "trap %S" (excerpt m)
-    | Limited m -> Printf.sprintf "limit %S" (excerpt m)
+    | Limited l -> Printf.sprintf "limit %S" (excerpt (limit_message l))
   in
   let counts (c : counts) = Printf.sprintf "%d/%d/%d" c.ops c.loads c.stores in
   match (expected, got) with
+  (* a run the caller stopped carries no differential signal *)
+  | Limited (Stopped _), _ | _, Limited (Stopped _) -> None
   | Completed a, Completed b ->
     if a.output <> b.output then
       finding Output_mismatch "expected %S got %S" (excerpt a.output)
@@ -109,7 +111,8 @@ let compare_runs cell ~expected got =
       finding Count_regression "expected ops/loads/stores %s got %s"
         (counts a.total) (counts b.total)
     else None
-  | Trapped m1, Trapped m2 | Limited m1, Limited m2 when m1 = m2 -> None
+  | Trapped m1, Trapped m2 when m1 = m2 -> None
+  | Limited l1, Limited l2 when l1 = l2 -> None
   | Completed _, Trapped m ->
     finding Trap_mismatch
       "reference completed but this configuration trapped: %s" (excerpt m)
@@ -119,8 +122,9 @@ let compare_runs cell ~expected got =
   | Trapped _, Trapped _ ->
     finding Trap_mismatch "expected %s got %s" (describe expected)
       (describe got)
-  | Completed a, Limited m ->
-    finding Fuel_imbalance "reference ran %d ops; %s" a.total.ops m
+  | Completed a, Limited l ->
+    finding Fuel_imbalance "reference ran %d ops; %s" a.total.ops
+      (limit_message l)
   | _ ->
     finding Fuel_imbalance "expected %s got %s" (describe expected)
       (describe got)
@@ -145,7 +149,8 @@ let check ?(mode = Verify) ?(fuel = default_fuel) ?deadline
   | exception e -> Rejected (Printexc.to_string e)
   | p0, _ -> (
     match Interp.outcome (fun () -> Interp.run ~fuel ?should_stop p0) with
-    | Interp.Limited m -> Inconclusive ("reference run: " ^ m)
+    | Interp.Limited l ->
+      Inconclusive ("reference run: " ^ Interp.limit_message l)
     | reference ->
       let ref_ops =
         match reference with
@@ -157,13 +162,10 @@ let check ?(mode = Verify) ?(fuel = default_fuel) ?deadline
       let add config cls detail =
         failures := { config; cls; detail } :: !failures
       in
-      (* a limit reached because the wall-clock budget ran out mid-cell
-         carries no differential signal *)
       let judge config cell ~expected got =
-        match compare_runs cell ~expected got with
-        | Some (Fuel_imbalance, _) when past_deadline () -> ()
-        | Some (cls, detail) -> add config cls detail
-        | None -> ()
+        Option.iter
+          (fun (cls, detail) -> add config cls detail)
+          (compare_runs cell ~expected got)
       in
       List.iteri
         (fun idx (name, cfg) ->
@@ -231,9 +233,6 @@ let check ?(mode = Verify) ?(fuel = default_fuel) ?deadline
                 Rp_backend.Native.run ~fuel:cfg_fuel ?deadline:budget
                   ?should_stop ~cc p)
           with
-          (* a stop request ends a running cc with an error, which is no
-             more a finding than a stopped run is *)
-          | exception Rp_backend.Native.Error _ when past_deadline () -> ()
           | exception Rp_backend.Native.Error m ->
             add "native" Crash ("native backend: " ^ excerpt m)
           | native -> judge "native" Native ~expected:interpreted native))

@@ -63,9 +63,11 @@ val compare_runs :
   Rp_exec.Interp.outcome ->
   (cls * string) option
 (** [compare_runs cell ~expected got] is [None] when [got] agrees with
-    [expected], else the divergence's class and detail: [Fuel_imbalance]
-    when a limit is involved, [Trap_mismatch] between a completion and a
-    trap or two traps. *)
+    [expected] or either run was stopped ([Limited (Stopped _)]: the
+    caller's deadline or stop request carries no differential signal),
+    else the divergence's class and detail: [Fuel_imbalance] when a
+    limit is involved, [Trap_mismatch] between a completion and a trap
+    or two traps. *)
 
 val default_fuel : int
 (** Reference-run fuel (2×10⁶); grid runs get [max (4×ref_ops + 10k) 100k]. *)
@@ -99,9 +101,9 @@ val check :
     and {!Rp_backend.Native.run}, compared as a {!Native} cell with the
     interpreter's run as the reference: any difference is a
     code-generator bug.  Never fault-injected.  Backend infrastructure
-    failures are classed [Crash], except once the trial is stopped or past
-    its deadline: a stop request ends a running cc with an error, and a
-    cut-off cell carries no signal. *)
+    failures ({!Rp_backend.Native.Error}) are classed [Crash]; a stop
+    request that ends a running cc is the [Stopped] limit, which
+    {!compare_runs} drops like any stopped run. *)
 
 val outcome_json : outcome -> Rp_support.Json.t
 (** Serialize an outcome for a campaign journal record. *)

@@ -259,7 +259,7 @@ let mutation_trial ~should_stop rng m target ~name src : outcome =
         in
         let same =
           match Interp.run ~should_stop p with
-          | exception Rp_exec.Value.Runtime_error _ -> false
+          | exception Interp.Error _ -> false
           | r ->
             r.Interp.output = baseline.Interp.output
             && r.Interp.checksum = baseline.Interp.checksum

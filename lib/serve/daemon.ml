@@ -143,17 +143,12 @@ let compact ~journal_path jsum (records, pending) =
 (* Job execution                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* One probe per process, memoized inside {!Rp_backend.Native.find_cc}
-   (with the CAS rung making it survive restarts), so calling this per
-   native job or health request costs a hashtable lookup. *)
-let native_cc st = Rp_backend.Native.find_cc ~cache:st.cas ()
-
 (** Execute one admitted job.  Deterministic failures — traps, front-end
     rejections, resource exhaustion {e of the program} — become [error]
     responses here, inside the job: retrying them cannot help.  The one
-    exception that escapes is an external-stop [Resource_limit]: that is
-    the pool's own deadline, and propagating it lets the supervision
-    layer do its retry/timeout/quarantine accounting. *)
+    exception that escapes is a [Stopped] [Resource_limit]: that is the
+    pool's own deadline, and propagating it lets the supervision layer
+    do its retry/timeout/quarantine accounting. *)
 let handle_op ~should_stop st (r : Protocol.request) : Json.t =
   let err code m = Protocol.error ~id:r.id ~client:r.client ~code m in
   try
@@ -178,13 +173,9 @@ let handle_op ~should_stop st (r : Protocol.request) : Json.t =
         let exec_info = ref ("cached", false) in
         let runner p =
           let rung, t =
-            Rp_backend.Native.run_laddered ?deadline:st.cfg.job_timeout
-              ~cache:st.cas ~should_stop
-              ~interp:(fun () ->
-                let t0 = Clock.now () in
-                let r = Rp_exec.Interp.run ~should_stop p in
-                (r, (Clock.now () -. t0) *. 1000.))
-              ~cc:(native_cc st) p
+            Rp_backend.Native.(
+              run_laddered ?deadline:st.cfg.job_timeout ~cache:st.cas
+                ~should_stop ~cc:(find_cc ()) p)
           in
           (exec_info :=
              match rung with
@@ -212,10 +203,10 @@ let handle_op ~should_stop st (r : Protocol.request) : Json.t =
             ]
           else []))
   with
-  | Rp_exec.Interp.Resource_limit m when Rp_exec.Interp.is_external_stop m ->
-    raise (Rp_exec.Interp.Resource_limit m)
+  | Rp_exec.Interp.Resource_limit (Stopped _) as e -> raise e
   | Rp_exec.Interp.Error m -> err "trap" m
-  | Rp_exec.Interp.Resource_limit m -> err "resource" m
+  | Rp_exec.Interp.Resource_limit l ->
+    err "resource" (Rp_exec.Interp.limit_message l)
   | Rp_minic.Srcloc.Error (loc, msg) ->
     err "usage" (Rp_minic.Srcloc.to_string (loc, msg))
   | Failure m -> err "usage" m
@@ -228,6 +219,10 @@ let handle_op ~should_stop st (r : Protocol.request) : Json.t =
 (* ------------------------------------------------------------------ *)
 
 let health_json st ~id ~client =
+  (* probed once per process (memoized in find_cc); [null]/[null] when
+     there is no system compiler, so clients can pre-degrade instead of
+     submitting native jobs that will ladder down *)
+  let cc = Rp_backend.Native.find_cc () in
   Protocol.ok ~id ~client
     [
       ( "health",
@@ -236,18 +231,10 @@ let health_json st ~id ~client =
             ("pid", Json.Int (Unix.getpid ()));
             ("uptime_s", Json.Int (int_of_float (Clock.elapsed st.started)));
             ("pass_version", Json.Str Pipeline.pass_version);
-            (* probed once per process (memoized in find_cc, persisted
-               via the CAS identity cache); [null]/[null] when there is
-               no system compiler, so clients can pre-degrade instead of
-               submitting native jobs that will ladder down *)
             ( "cc",
-              match native_cc st with
-              | Some cc -> Json.Str cc.Rp_backend.Native.identity
-              | None -> Json.Null );
-            ( "native",
-              match native_cc st with
-              | Some _ -> Json.Bool true
-              | None -> Json.Null );
+              Option.fold cc ~none:Json.Null ~some:(fun cc ->
+                  Json.Str cc.Rp_backend.Native.identity) );
+            ("native", if cc = None then Json.Null else Json.Bool true);
             ("served", Json.Int st.served);
             ("errors", Json.Int st.errors);
             ("overloaded", Json.Int st.overloaded);
@@ -433,12 +420,6 @@ let remove_stale_socket path =
   | _ -> failwith (path ^ " exists and is not a socket")
   | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 (** A connection's budget to send its batch, and again to take its
     answers: a stalled or silent client costs its own connection only. *)
 let io_timeout = 30.
@@ -457,7 +438,7 @@ let max_connections = 512
 let stop_check = 0.1
 
 let serve (cfg : config) =
-  mkdir_p cfg.state_dir;
+  Cas.mkdir_p cfg.state_dir;
   let cas = Cas.open_ (Filename.concat cfg.state_dir "cas") in
   let journal_path = Filename.concat cfg.state_dir "journal.jsonl" in
   let jsum =

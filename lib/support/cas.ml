@@ -13,7 +13,7 @@ let magic = "rpcc-cas/1"
 
 let mkdir_p dir =
   let rec go d =
-    if d <> "/" && d <> "." && not (Sys.file_exists d) then begin
+    if d <> "" && d <> "/" && d <> "." && not (Sys.file_exists d) then begin
       go (Filename.dirname d);
       try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
     end

@@ -6,7 +6,8 @@
     text, configuration fingerprint, pipeline pass version), so identical
     traffic skips the pipeline entirely and a SIGKILL'd daemon restarts
     warm.  The native backend keeps its compiled binaries ([native-bin])
-    and compiler identities ([cc-id]) in a store of the same kind.
+    in a store of the same kind, whose root it makes private to its user
+    before opening it ([Rp_backend.Native.default_cache_dir]).
 
     Robustness contract:
     - {b Atomic writes.}  {!put} writes to a temp file in the store,
@@ -35,13 +36,16 @@ val open_ : string -> t
 
 val root : t -> string
 
+val mkdir_p : string -> unit
+(** Create a directory (mode 0755) and any missing parents. *)
+
 val key : string list -> string
 (** Collision-resistant hex key of the (order-sensitive,
     length-delimited) parts. *)
 
 val put : t -> key:string -> kind:string -> string -> unit
 (** Store the payload under (key, kind), atomically.  [kind] must be a
-    short [[a-z0-9_-]] label ("run", "native-bin", "cc-id"). *)
+    short [[a-z0-9_-]] label ("run", "native-bin"). *)
 
 val get : t -> key:string -> kind:string -> string option
 (** The verified payload, or [None] on a miss.  A present-but-corrupt

@@ -189,19 +189,24 @@ let error_tests =
           Util.run ~config:raw
             "int f(int n) { return f(n + 1); } int main() { return f(0); }"
         with
-        | exception I.Resource_limit msg ->
-          Util.check Alcotest.bool "mentions overflow" true
-            (String.length msg >= 4)
+        | exception I.Resource_limit (I.Depth _) -> ()
         | _ -> Alcotest.fail "expected a stack-overflow resource limit");
     Util.tc "fuel exhaustion reported" (fun () ->
         match
           Util.run ~config:raw ~fuel:1000
             "int main() { while (1) { } return 0; }"
         with
-        | exception I.Resource_limit msg ->
-          Util.check Alcotest.bool "mentions fuel" true
-            (String.length msg >= 4)
+        | exception I.Resource_limit (I.Fuel 1000) -> ()
         | _ -> Alcotest.fail "expected a fuel resource limit");
+    Util.tc "limits print as rpcc reports them" (fun () ->
+        List.iter
+          (fun (l, text) ->
+            Util.check Alcotest.string text text (I.limit_message l))
+          [
+            (I.Fuel 1000, "fuel exhausted (1000 operations)");
+            (I.Depth 100, "call stack overflow (max depth 100)");
+            (I.Stopped 4096, "external stop after 4096 operations");
+          ]);
     Util.expect_runtime_error ~config:raw "pointer comparison across objects"
       "int a[2]; int b[2]; int main() { int *p = a; int *q = b; return p < \
        q; }";
@@ -329,10 +334,8 @@ let counting_tests =
           let n = ref 0 in
           match I.run ~should_stop:(fun () -> incr n; !n = k) prog with
           | _ -> Alcotest.failf "stop on poll %d: the run completed" k
-          | exception I.Resource_limit m ->
-            Util.check Alcotest.string (Printf.sprintf "poll %d" k)
-              (Printf.sprintf "external stop after %d operations" (4096 * k))
-              m
+          | exception I.Resource_limit (I.Stopped n) ->
+            Util.check Alcotest.int (Printf.sprintf "poll %d" k) (4096 * k) n
         done);
   ]
 

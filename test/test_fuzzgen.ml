@@ -115,8 +115,9 @@ let test_compare_runs () =
   let ok = I.Completed r in
   let trap_a = I.Trapped "division by zero" in
   let trap_b = I.Trapped "out-of-bounds access" in
-  let limit_a = I.Limited "fuel exhausted (100 operations)" in
-  let limit_b = I.Limited "external stop after 4096 operations" in
+  let limit_a = I.Limited (I.Fuel 100) in
+  let limit_b = I.Limited (I.Depth 100) in
+  let stopped = I.Limited (I.Stopped 4096) in
   let changed name f = (name, I.Completed (f r)) in
   let same = (None, None) and both c = (Some c, Some c) in
   let rows =
@@ -149,6 +150,14 @@ let test_compare_runs () =
       (("limit", limit_a), ("trap", trap_a), both D.Fuel_imbalance);
       (("limit", limit_a), ("same limit", limit_a), same);
       (("limit", limit_a), ("other limit", limit_b), both D.Fuel_imbalance);
+      (* a run the caller stopped is no finding, on either side *)
+      (("completed", ok), ("stopped", stopped), same);
+      (("trap", trap_a), ("stopped", stopped), same);
+      (("limit", limit_a), ("stopped", stopped), same);
+      (("stopped", stopped), ("completed", ok), same);
+      (("stopped", stopped), ("trap", trap_a), same);
+      (("stopped", stopped), ("limit", limit_a), same);
+      (("stopped", stopped), ("stopped", stopped), same);
     ]
   in
   let verdict cell ~expected got =
@@ -194,11 +203,6 @@ let test_compare_runs () =
 (* Reducer: synthetic predicates                                       *)
 (* ------------------------------------------------------------------ *)
 
-let contains ~sub s =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  n = 0 || go 0
-
 let test_reduce_synthetic () =
   (* predicate: both marker lines survive — everything else is noise *)
   let src =
@@ -208,16 +212,17 @@ let test_reduce_synthetic () =
         "}" ]
   in
   let predicate s =
-    if contains ~sub:"keep_one" s && contains ~sub:"keep_two" s then
+    if Util.contains ~sub:"keep_one" s && Util.contains ~sub:"keep_two" s
+    then
       Reduce.Fail
     else Reduce.Pass
   in
   let r = Reduce.run ~budget:5. ~predicate src in
   Util.check Alcotest.bool "both markers kept" true
-    (contains ~sub:"keep_one" r.Reduce.reduced
-    && contains ~sub:"keep_two" r.Reduce.reduced);
+    (Util.contains ~sub:"keep_one" r.Reduce.reduced
+    && Util.contains ~sub:"keep_two" r.Reduce.reduced);
   Util.check Alcotest.bool "junk removed" true
-    (not (contains ~sub:"junk" r.Reduce.reduced));
+    (not (Util.contains ~sub:"junk" r.Reduce.reduced));
   Util.check Alcotest.bool "shrunk" true
     (r.Reduce.reduced_lines < r.Reduce.original_lines);
   Util.check Alcotest.bool "accepted some candidates" true

@@ -299,12 +299,6 @@ let cli_tests =
                  && (String.sub out i (String.length re) = re || find (i + 1))
                in
                find 0)));
-    Util.tc "rpcc table prints the 4-config grid" (fun () ->
-        with_src demo (fun file ->
-            let (st, out) = rpcc "table" file in
-            Util.check Alcotest.int "exit 0" 0 st;
-            Util.check Alcotest.bool "has rows" true
-              (List.length (String.split_on_char '\n' out) > 6)));
     Util.tc "rpcc table prints each of the six cells as rpcc run counts it"
       (fun () ->
         (* §3.3 fires on this walk under pointer analysis, so pointer/ptr
@@ -322,6 +316,8 @@ let cli_tests =
         with_src walk (fun file ->
             let (st, table) = rpcc "table" file in
             Util.check Alcotest.int "exit 0" 0 st;
+            Util.check Alcotest.bool "has rows" true
+              (List.length (String.split_on_char '\n' table) > 6);
             let run_ops flags =
               let (_, out) = rpcc ("run -q " ^ flags) file in
               List.find_map
@@ -412,6 +408,54 @@ let cli_tests =
         with_src "int a[2]; int main() { return a[9]; }" (fun file ->
             let (st, _) = rpcc "run -q" file in
             Util.check Alcotest.int "exit 1" 1 st));
+    Util.tc "rpcc reduce --config native replays a native finding"
+      (fun () ->
+        (* a compiler that answers --version and fails every compile:
+           each gen-fuzz --native trial finds a native crash, and the
+           replay line it prints must reproduce it *)
+        let dir = Filename.temp_file "rp-replay" "" in
+        Sys.remove dir;
+        Sys.mkdir dir 0o700;
+        Fun.protect
+          ~finally:(fun () ->
+            ignore (Sys.command ("rm -rf " ^ Filename.quote dir)))
+          (fun () ->
+            let file name = Filename.concat dir name in
+            Out_channel.with_open_bin (file "cc") (fun oc ->
+                output_string oc
+                  "#!/bin/sh\n\
+                   case \"$1\" in --version) echo fake-cc; exit 0;; esac\n\
+                   exit 1\n");
+            Unix.chmod (file "cc") 0o700;
+            let exe = Filename.concat (Sys.getcwd ()) "../bin/rpcc.exe" in
+            let rpcc args =
+              let st =
+                Sys.command
+                  (Printf.sprintf "cd %s && PATH=%s:$PATH %s %s > out 2>&1"
+                     (Filename.quote dir) (Filename.quote dir)
+                     (Filename.quote exe) args)
+              in
+              (st, In_channel.with_open_bin (file "out") In_channel.input_all)
+            in
+            let st, out =
+              rpcc "gen-fuzz --native --trials 1 --seed 3 --jobs 1"
+            in
+            Util.check Alcotest.int "gen-fuzz exit" 1 st;
+            let prefix = "  replay: rpcc " in
+            match
+              List.find_opt
+                (fun l ->
+                  String.starts_with ~prefix l
+                  && Util.contains ~sub:"--config native" l)
+                (String.split_on_char '\n' out)
+            with
+            | None -> Alcotest.failf "no native replay line in:\n%s" out
+            | Some line ->
+              let n = String.length prefix in
+              let replay = String.sub line n (String.length line - n) in
+              let _, out = rpcc (replay ^ " --budget 1") in
+              Util.check Alcotest.bool out true
+                (Util.contains ~sub:"reducing for [native] crash" out)));
     Util.tc "rpcc reports fuel exhaustion with exit 3" (fun () ->
         with_src "int main() { while (1) {} return 0; }" (fun file ->
             let (st, _) = rpcc "run -q --fuel 10000" file in

@@ -91,20 +91,43 @@ let trailer_tests =
             "rpcc-native/1\nstatus trap\nmsg division by zero\nchecksum 1\n\
              ops 5\nloads 0\nstores 0\noutlen 0\nelapsed_ns 1\nend\n"
         in
-        Util.check Alcotest.bool "status" true (t.Native.status = `Trap);
-        Util.check Alcotest.string "msg" "division by zero" t.Native.msg);
+        Util.check Alcotest.bool "status" true
+          (t.Native.status = `Trap "division by zero"));
+    Util.tc "trailer: a limit is its kind and count" (fun () ->
+        List.iter
+          (fun (line, limit) ->
+            let t =
+              Native.parse_trailer
+                ("rpcc-native/1\nstatus limit " ^ line
+               ^ "\nchecksum 1\nops 5\nloads 0\nstores 0\noutlen 0\n\
+                  elapsed_ns 1\nend\n")
+            in
+            Util.check Alcotest.bool line true (t.Native.status = `Limit limit))
+          [
+            ("fuel 4", I.Fuel 4); ("depth 100", I.Depth 100);
+            ("stop 4096", I.Stopped 4096);
+          ]);
+    Util.tc "trailer: no grid cell's C carries a limit's text" (fun () ->
+        let src =
+          "int g; int f(int n) { if (n) return f(n - 1); return g; }\n\
+           int main() { int i; for (i = 0; i < 9; i++) g = g + f(i); \
+           return g; }"
+        in
+        List.iter
+          (fun (cname, config) ->
+            let c = Cgen.emit (fst (Pipeline.compile ~config src)) in
+            List.iter
+              (fun text ->
+                Util.check Alcotest.bool (cname ^ ": " ^ text) false
+                  (Util.contains ~sub:text c))
+              [ "fuel exhausted"; "external stop"; "call stack overflow" ])
+          Config.paper_grid);
     Util.tc "trailer: elapsed_ns is read on the monotonic clock" (fun () ->
         let c = Cgen.emit (Util.compile "int main() { return 0; }") in
-        let has sub =
-          let n = String.length sub in
-          let rec go i =
-            i + n <= String.length c && (String.sub c i n = sub || go (i + 1))
-          in
-          go 0
-        in
         Util.check Alcotest.bool "clock_gettime(CLOCK_MONOTONIC" true
-          (has "clock_gettime(CLOCK_MONOTONIC");
-        Util.check Alcotest.bool "no gettimeofday" false (has "gettimeofday"));
+          (Util.contains ~sub:"clock_gettime(CLOCK_MONOTONIC" c);
+        Util.check Alcotest.bool "no gettimeofday" false
+          (Util.contains ~sub:"gettimeofday" c));
     expect_error "bad magic" "rpcc-native/999\nstatus ok\nend\n";
     expect_error "empty input" "";
     expect_error "truncated (no end marker)"
@@ -118,6 +141,12 @@ let trailer_tests =
       "rpcc-native/1\nstatus ok\nret int 1\nchecksum x\nops 1\nloads 0\n\
        stores 0\noutlen 0\nelapsed_ns 1\nend\n";
     expect_error "unknown status" "rpcc-native/1\nstatus maybe\nend\n";
+    expect_error "unknown limit kind"
+      "rpcc-native/1\nstatus limit time 3\nchecksum 1\nops 1\nloads 0\n\
+       stores 0\noutlen 0\nelapsed_ns 1\nend\n";
+    expect_error "limit without a count"
+      "rpcc-native/1\nstatus limit fuel\nchecksum 1\nops 1\nloads 0\n\
+       stores 0\noutlen 0\nelapsed_ns 1\nend\n";
     expect_error "ok without ret"
       "rpcc-native/1\nstatus ok\nchecksum 1\nops 1\nloads 0\nstores 0\n\
        outlen 0\nelapsed_ns 1\nend\n";
@@ -205,7 +234,6 @@ let trailer_adversarial_prop =
   let reference = Native.parse_trailer ok_trailer in
   let never_lies (t : Native.trailer) =
     t.Native.status = reference.Native.status
-    && t.Native.msg = reference.Native.msg
     && t.Native.ret = reference.Native.ret
     && t.Native.checksum = reference.Native.checksum
     && t.Native.ops = reference.Native.ops
@@ -307,15 +335,16 @@ let error_path_tests cc =
     Util.tc_slow "native fuel exhaustion matches the interpreter" (fun () ->
         let src = "int main() { while (1) {} return 0; }" in
         let prog, _ = Pipeline.compile ~config:Config.default src in
-        let interp_msg =
+        let interp_limit =
           match I.run ~fuel:10_000 prog with
           | _ -> Alcotest.fail "interpreter did not hit fuel"
-          | exception I.Resource_limit m -> m
+          | exception I.Resource_limit l -> l
         in
         match Native.run ~fuel:10_000 ~cc prog with
         | _ -> Alcotest.fail "native did not hit fuel"
-        | exception I.Resource_limit m ->
-          Util.check Alcotest.string "limit message" interp_msg m);
+        | exception I.Resource_limit l ->
+          Util.check Alcotest.string "limit" (I.limit_message interp_limit)
+            (I.limit_message l));
     Util.tc_slow "native fuel runs out on the interpreter's operation"
       (fun () ->
         (* fuel is an argument of the binary: one compile serves every F *)
@@ -433,8 +462,6 @@ let ladder_src = "int main() { print_int(7); return 0; }"
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
-let interp_thunk prog () = (I.run prog, 0.)
-
 (* the ladder answered from [rung] (the interpreter unless said), with
    the interpreter's result *)
 let check_rung ?(rung = `Interp) prog (answered, (t : Native.timed)) =
@@ -469,6 +496,38 @@ let with_fake_cc ?(body = "exit 1") f =
       in
       f { Native.path = script; flags = []; identity = "fake-cc" } calls)
 
+(* needs no C compiler: a private directory holding [prog.c]
+   ([ladder_src]) and a "binary" that touches [ran], runs [body] and
+   writes a valid trailer; [f] gets the directory and a fake cc that
+   answers --version and "compiles" by copying that binary out *)
+let with_fake_toolchain ?(body = "") f =
+  let dir = Filename.temp_file "rp-toolchain" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o700;
+  let file name = Filename.concat dir name in
+  Fun.protect
+    ~finally:(fun () -> ignore (Sys.command ("rm -rf " ^ Filename.quote dir)))
+    (fun () ->
+      Out_channel.with_open_bin (file "prog.c") (fun oc ->
+          output_string oc ladder_src);
+      Out_channel.with_open_bin (file "bin.sh") (fun oc ->
+          Printf.fprintf oc
+            "#!/bin/sh\ntouch %s\n%s\nprintf 'rpcc-native/1\\nstatus \
+             ok\\nret int 0\\nchecksum 5381\\nops 1\\nloads 0\\nstores \
+             0\\noutlen 0\\nelapsed_ns 1\\nend\\n' > \"$1\"\n"
+            (Filename.quote (file "ran"))
+            body);
+      with_fake_cc
+        ~body:
+          (Printf.sprintf
+             "case \"$1\" in --version) echo fake-cc; exit 0;; esac\n\
+              while [ $# -gt 1 ]; do\n\
+              [ \"$1\" = -o ] && out=$2; shift\n\
+              done\n\
+              cp %s \"$out\""
+             (Filename.quote (file "bin.sh")))
+      @@ fun cc _ -> f dir cc)
+
 let failure_path_tests =
   [
     Util.tc "exec_bin: a file the kernel will not exec is an Error, no fd \
@@ -497,9 +556,7 @@ let failure_path_tests =
         with_fake_cc @@ fun cc calls ->
         let prog = Util.compile ladder_src in
         for n = 1 to 2 do
-          check_rung prog
-            (Native.run_laddered ~interp:(interp_thunk prog) ~cc:(Some cc)
-               prog);
+          check_rung prog (Native.run_laddered ~cc:(Some cc) prog);
           Util.check Alcotest.int "cc calls" n (calls ())
         done);
     Util.tc "ladder: a compiler that does not exist answers from the \
@@ -510,8 +567,7 @@ let failure_path_tests =
           { Native.path = "/nonexistent/rpcc-test-cc"; flags = [];
             identity = "test-missing-cc" }
         in
-        check_rung prog
-          (Native.run_laddered ~interp:(interp_thunk prog) ~cc:(Some cc) prog));
+        check_rung prog (Native.run_laddered ~cc:(Some cc) prog));
     Util.tc "compile: a cc killed by a signal names it" (fun () ->
         with_fake_cc ~body:"kill -9 $$" @@ fun cc _ ->
         match Native.compile ~cc (Util.compile ladder_src) with
@@ -532,7 +588,8 @@ let failure_path_tests =
         in
         (* a cc that fails, and one that hangs until a stop request (made
            once its child has started): the child must be gone once
-           [compile] raises *)
+           [compile] raises, an Error for the failure and the stopped
+           limit for the stop *)
         List.iter
           (fun (last, stop) ->
             let pidfile = Filename.temp_file "rp-cc-child" ".pid" in
@@ -553,7 +610,8 @@ let failure_path_tests =
                    Native.compile ?should_stop ~cc (Util.compile ladder_src)
                  with
                 | _ -> Alcotest.fail "a failing cc produced a binary"
-                | exception Native.Error _ -> ());
+                | exception Native.Error _ when not stop -> ()
+                | exception I.Resource_limit (I.Stopped 0) when stop -> ());
                 let pid = child () in
                 let rec gone polls =
                   (not (alive pid))
@@ -565,10 +623,76 @@ let failure_path_tests =
                   ("the child of a cc ending in " ^ last ^ " is gone")
                   true (gone 200)))
           [ ("exit 1", false); ("wait", true) ]);
+    Util.tc "ladder: a stop while cc runs is the stopped limit, never the \
+             interpreter's answer"
+      (fun () ->
+        (* [ladder_src] runs far fewer than 4096 operations, so an
+           interpreter rung would finish before its first poll *)
+        let started = Filename.temp_file "rp-cc-started" "" in
+        Sys.remove started;
+        Fun.protect
+          ~finally:(fun () ->
+            if Sys.file_exists started then Sys.remove started)
+          (fun () ->
+            with_fake_cc
+              ~body:
+                (Printf.sprintf "touch %s\nexec sleep 987"
+                   (Filename.quote started))
+            @@ fun cc _ ->
+            match
+              Native.run_laddered
+                ~should_stop:(fun () -> Sys.file_exists started)
+                ~cc:(Some cc) (Util.compile ladder_src)
+            with
+            | _ -> Alcotest.fail "a stopped job was answered"
+            | exception I.Resource_limit (I.Stopped 0) -> ()));
+    Util.tc "binary store: the root is private to its user" (fun () ->
+        with_fake_toolchain @@ fun dir cc ->
+        let file name = Filename.concat dir name in
+        let root tmp =
+          Filename.concat tmp
+            (Printf.sprintf "rpcc-native-cas-%d" (Unix.getuid ()))
+        in
+        let native ~tmp cmd =
+          Sys.command
+            (Printf.sprintf "cd %s && PATH=%s:$PATH TMPDIR=%s %s > out 2> err"
+               (Filename.quote dir)
+               (Filename.quote (Filename.dirname cc.Native.path))
+               (Filename.quote tmp) cmd)
+        in
+        let here exe = Filename.quote (Filename.concat (Sys.getcwd ()) exe) in
+        (* a root another user could have planted a binary in *)
+        let shared = file "shared" in
+        Sys.mkdir shared 0o700;
+        Sys.mkdir (root shared) 0o700;
+        Unix.chmod (root shared) 0o777;
+        List.iter
+          (fun cmd ->
+            Util.check Alcotest.int (cmd ^ ": exit") 2
+              (native ~tmp:shared cmd);
+            Util.check Alcotest.bool (cmd ^ ": names the root") true
+              (Util.contains ~sub:(root shared) (read_file (file "err")));
+            Util.check Alcotest.bool (cmd ^ ": no binary ran") false
+              (Sys.file_exists (file "ran"));
+            Util.check Alcotest.bool (cmd ^ ": nothing stored") false
+              (Sys.file_exists (Filename.concat (root shared) "objects")))
+          [
+            here "../bin/rpcc.exe" ^ " run --native prog.c";
+            here "../bench/main.exe" ^ " --json --native";
+          ];
+        (* a fresh TMPDIR: the root is made private *)
+        let fresh = file "fresh" in
+        Sys.mkdir fresh 0o755;
+        Util.check Alcotest.int "fresh: exit" 0
+          (native ~tmp:fresh (here "../bin/rpcc.exe" ^ " run --native prog.c"));
+        Util.check Alcotest.bool "fresh: the binary ran" true
+          (Sys.file_exists (file "ran"));
+        Util.check Alcotest.int "fresh: root mode" 0o700
+          (Unix.stat (root fresh)).Unix.st_perm);
     Util.tc "oracle: a trial stopped while cc runs is inconclusive"
       (fun () ->
-        (* the stop request ends cc with an error, which carries no more
-           signal than a stopped run: no divergence, no reproducer *)
+        (* the stop request ends cc with the stopped limit, which
+           carries no signal: no divergence, no reproducer *)
         let started = Filename.temp_file "rp-cc-started" "" in
         Sys.remove started;
         Fun.protect
@@ -590,70 +714,45 @@ let failure_path_tests =
             | o -> Alcotest.failf "expected inconclusive, got %a" D.pp_outcome o));
     Util.tc "rpcc run --native: a SIGINT while the binary runs exits 130"
       (fun () ->
-        (* the "binary" a fake cc copies out marks its start, runs 1 s
-           and writes a valid trailer; rpcc alone gets the SIGINT *)
-        let dir = Filename.temp_file "rp-sigint" "" in
-        Sys.remove dir;
-        Sys.mkdir dir 0o700;
+        (* the "binary" runs 1 s; rpcc alone gets the SIGINT *)
+        with_fake_toolchain ~body:"sleep 1" @@ fun dir cc ->
         let file name = Filename.concat dir name in
-        Fun.protect
-          ~finally:(fun () ->
-            ignore (Sys.command ("rm -rf " ^ Filename.quote dir)))
-          (fun () ->
-            Out_channel.with_open_bin (file "prog.c") (fun oc ->
-                output_string oc ladder_src);
-            Out_channel.with_open_bin (file "bin.sh") (fun oc ->
-                Printf.fprintf oc
-                  "#!/bin/sh\ntouch %s\nsleep 1\nprintf 'rpcc-native/1\\n\
-                   status ok\\nret int 0\\nchecksum 5381\\nops 1\\nloads \
-                   0\\nstores 0\\noutlen 0\\nelapsed_ns 1\\nend\\n' > \"$1\"\n"
-                  (Filename.quote (file "started")));
-            with_fake_cc
-              ~body:
-                (Printf.sprintf
-                   "case \"$1\" in --version) echo fake-cc; exit 0;; esac\n\
-                    while [ $# -gt 1 ]; do\n\
-                    [ \"$1\" = -o ] && out=$2; shift\n\
-                    done\n\
-                    cp %s \"$out\""
-                   (Filename.quote (file "bin.sh")))
-            @@ fun cc _ ->
-            let rpcc = Filename.concat (Sys.getcwd ()) "../bin/rpcc.exe" in
-            let env =
-              Unix.environment () |> Array.to_list
-              |> List.filter (fun v ->
-                     not
-                       (String.starts_with ~prefix:"PATH=" v
-                       || String.starts_with ~prefix:"TMPDIR=" v))
-              |> List.append
-                   [
-                     "PATH=" ^ Filename.dirname cc.Native.path ^ ":"
-                     ^ Sys.getenv "PATH";
-                     "TMPDIR=" ^ dir;
-                   ]
-              |> Array.of_list
-            in
-            let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-            let pid =
-              Fun.protect
-                ~finally:(fun () -> Unix.close null)
-                (fun () ->
-                  Unix.create_process_env rpcc
-                    [| rpcc; "run"; "--native"; file "prog.c" |]
-                    env Unix.stdin null null)
-            in
-            let deadline = Rp_support.Clock.now () +. 60. in
-            while
-              (not (Sys.file_exists (file "started")))
-              && Rp_support.Clock.now () < deadline
-            do
-              Unix.sleepf 0.01
-            done;
-            Unix.kill pid Sys.sigint;
-            match Unix.waitpid [] pid with
-            | _, Unix.WEXITED 130 -> ()
-            | _, Unix.WEXITED n -> Alcotest.failf "rpcc exited %d" n
-            | _ -> Alcotest.fail "rpcc was killed"));
+        let rpcc = Filename.concat (Sys.getcwd ()) "../bin/rpcc.exe" in
+        let env =
+          Unix.environment () |> Array.to_list
+          |> List.filter (fun v ->
+                 not
+                   (String.starts_with ~prefix:"PATH=" v
+                   || String.starts_with ~prefix:"TMPDIR=" v))
+          |> List.append
+               [
+                 "PATH=" ^ Filename.dirname cc.Native.path ^ ":"
+                 ^ Sys.getenv "PATH";
+                 "TMPDIR=" ^ dir;
+               ]
+          |> Array.of_list
+        in
+        let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+        let pid =
+          Fun.protect
+            ~finally:(fun () -> Unix.close null)
+            (fun () ->
+              Unix.create_process_env rpcc
+                [| rpcc; "run"; "--native"; file "prog.c" |]
+                env Unix.stdin null null)
+        in
+        let deadline = Rp_support.Clock.now () +. 60. in
+        while
+          (not (Sys.file_exists (file "ran")))
+          && Rp_support.Clock.now () < deadline
+        do
+          Unix.sleepf 0.01
+        done;
+        Unix.kill pid Sys.sigint;
+        match Unix.waitpid [] pid with
+        | _, Unix.WEXITED 130 -> ()
+        | _, Unix.WEXITED n -> Alcotest.failf "rpcc exited %d" n
+        | _ -> Alcotest.fail "rpcc was killed");
     Util.tc "exec_bin: a binary killed by a signal names it" (fun () ->
         let bin = Filename.temp_file "rp-segv" ".bin" in
         Fun.protect
@@ -677,9 +776,7 @@ let failure_path_tests =
         let lad =
           Fun.protect
             ~finally:(fun () -> Filename.set_temp_dir_name tmp)
-            (fun () ->
-              Native.run_laddered ~interp:(interp_thunk prog) ~cc:(Some cc)
-                prog)
+            (fun () -> Native.run_laddered ~cc:(Some cc) prog)
         in
         check_rung prog lad);
   ]
@@ -689,9 +786,7 @@ let failure_path_tests =
 let with_primed_binary cc name f =
   let prog = Util.compile ladder_src in
   with_store name @@ fun cache ->
-  let rung, _ =
-    Native.run_laddered ~cache ~interp:(interp_thunk prog) ~cc:(Some cc) prog
-  in
+  let rung, _ = Native.run_laddered ~cache ~cc:(Some cc) prog in
   Util.check Alcotest.bool "primed natively" true (rung = `Native);
   match Util.native_bins (Rp_support.Cas.root cache) with
   | [ path ] -> f prog cache path
@@ -719,9 +814,7 @@ let unrunnable_entry_test cc =
               Printf.fprintf oc "%s %s %s %d\n%s" magic kind
                 Rp_support.Crc32.(to_hex (string payload))
                 (String.length payload) payload);
-          check_rung prog
-            (Native.run_laddered ~cache ~interp:(interp_thunk prog)
-               ~cc:(Some cc) prog))
+          check_rung prog (Native.run_laddered ~cache ~cc:(Some cc) prog))
         [
           "not a program\n";
           String.sub binary 0 (String.length binary / 2);
@@ -742,10 +835,7 @@ let poisoned_entry_test cc =
         (Rp_support.Cas.stats cache).Rp_support.Cas.quarantined
       in
       let before = quarantined () in
-      let lad =
-        Native.run_laddered ~cache ~interp:(interp_thunk prog) ~cc:(Some cc)
-          prog
-      in
+      let lad = Native.run_laddered ~cache ~cc:(Some cc) prog in
       Util.check Alcotest.int "quarantined" (before + 1) (quarantined ());
       Util.check Alcotest.bool "recompiled" false (snd lad).Native.cache_hit;
       check_rung ~rung:`Native prog lad)

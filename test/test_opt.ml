@@ -228,7 +228,7 @@ let constprop_tests =
     Util.tc "division by zero is not folded away" (fun () ->
         (* folding 1/0 would hide the trap *)
         match Util.run "int main() { int z = 0; return 1 / z; }" with
-        | exception Rp_exec.Value.Runtime_error _ -> ()
+        | exception Rp_exec.Interp.Error _ -> ()
         | _ -> Alcotest.fail "expected a trap");
     Util.tc "algebraic identities" (fun () ->
         ignore

@@ -318,9 +318,10 @@ let cache_tests =
              long_src
          with
         | _ -> Alcotest.fail "a stopped run must raise"
-        | exception Rp_exec.Interp.Resource_limit m ->
-          Util.check Alcotest.bool "an external stop" true
-            (Rp_exec.Interp.is_external_stop m));
+        | exception Rp_exec.Interp.Resource_limit (Stopped _) -> ()
+        | exception Rp_exec.Interp.Resource_limit l ->
+          Alcotest.failf "expected a stop, got %s"
+            (Rp_exec.Interp.limit_message l));
         nothing_cached "stop";
         let c = Pipeline.compile_and_run_cached ~cas long_src in
         Util.check Alcotest.bool "the stopped key recomputes" false

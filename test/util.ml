@@ -6,6 +6,12 @@ let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
 let tc_slow name f = Alcotest.test_case name `Slow f
 
+(** Whether [sub] occurs in [s]. *)
+let contains ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  n = 0 || go 0
+
 (** Every cached native binary in the content-addressed store rooted at
     [root]. *)
 let native_bins root =
@@ -107,7 +113,7 @@ let expect_frontend_error name src =
 let expect_runtime_error ?config name src =
   tc name (fun () ->
       match run ?config src with
-      | exception Rp_exec.Value.Runtime_error _ -> ()
+      | exception Rp_exec.Interp.Error _ -> ()
       | _ -> Alcotest.fail "expected a runtime error")
 
 (** Memory misuse, with the exact trap message both backends give under
@@ -192,19 +198,19 @@ let fuel_trap_at = 414
 let fuel_trap_msg = "out-of-bounds access to 'a' (offset 39, size 4)"
 
 (** Sweep [run ~fuel] over every budget from 1 to past the trap: each
-    must end in exactly the limit or trap message the per-op threshold
-    gives. *)
+    must end in exactly the [Fuel] limit or the trap the per-op
+    threshold gives. *)
 let fuel_sweep (run : fuel:int -> unit) =
+  let module I = Rp_exec.Interp in
   for fuel = 1 to fuel_trap_at + 40 do
     let got =
       match run ~fuel with
       | () -> "completed"
-      | exception Rp_exec.Interp.Resource_limit m -> m
-      | exception Rp_exec.Value.Runtime_error m -> m
+      | exception I.Resource_limit (I.Fuel n) -> Printf.sprintf "fuel %d" n
+      | exception I.Error m -> m
     in
     let want =
-      if fuel < fuel_trap_at then
-        Printf.sprintf "fuel exhausted (%d operations)" fuel
+      if fuel < fuel_trap_at then Printf.sprintf "fuel %d" fuel
       else fuel_trap_msg
     in
     check Alcotest.string (Printf.sprintf "fuel %d" fuel) want got
