@@ -66,7 +66,7 @@ type outcome = {
       (** for a [--native] cell, the degradation-ladder rung that
           answered *)
   timing : timing option;  (** in-process cells computed by this run *)
-  resumed : bool;  (** taken from a [--resume] journal *)
+  resumed : bool;  (** replayed from the [--journal] *)
 }
 
 (** The timings of one in-process cell. *)
@@ -204,9 +204,10 @@ let job o ~should_stop c =
   | exception Failure m -> Error m
 
 (** Run [cells] on the campaign runner ({!Rp_cli.run_campaign}): per-cell
-    deadlines, bounded retries, one journal record per finished cell, and
-    resumption from a journal.  Returns the outcomes in cell order and
-    prints a [resilience:] line on stderr when a counter is nonzero.
+    deadlines, one attempt per cell, one journal record per finished
+    cell, and replay of the cells the journal already holds.  Returns
+    the outcomes in cell order and prints a [resilience:] line on stderr
+    when a counter is nonzero.
     Under [--verify-passes] the first fatal cell in cell order raises
     [Failure], as a sequential run would; a fatal result is never
     journaled. *)
@@ -800,24 +801,19 @@ type opts = {
 let conflicts o =
   let given = Option.is_some in
   let via_daemon = given o.via_daemon in
-  let { Rp_cli.jobs; job_timeout; retries; journal; resume } = o.campaign in
-  let supervision =
-    given job_timeout || given retries || given journal || given resume
-    || given o.plant_hang
-  in
+  let { Rp_cli.jobs; job_timeout; journal } = o.campaign in
+  let supervision = given job_timeout || given journal || given o.plant_hang in
   [
     (o.native && not o.json, "--native requires --json");
     (via_daemon && not o.json, "--via-daemon requires --json");
     ( supervision && not o.json,
-      "--job-timeout/--retries/--journal/--resume/--plant-hang require \
-       --json" );
+      "--job-timeout/--journal/--plant-hang require --json" );
     ( o.plant_cc_failure && not o.native,
       "--plant-cc-failure requires --native" );
     (given o.cc_flags && not o.native, "--cc-flags requires --native");
     ( via_daemon && (supervision || o.verify),
       "--via-daemon supervises and verifies backend-side: it takes none of \
-       --job-timeout/--retries/--journal/--resume/--plant-hang/\
-       --verify-passes" );
+       --job-timeout/--journal/--plant-hang/--verify-passes" );
     ( via_daemon && (o.plant_cc_failure || given o.cc_flags),
       "--plant-cc-failure/--cc-flags configure a local compiler and cannot \
        be combined with --via-daemon" );

@@ -205,6 +205,14 @@ let handle_errors f =
   | Failure msg ->
     Fmt.epr "error: %s@." msg;
     exit 2
+  | Sys_error msg ->
+    Fmt.epr "error: %s@." msg;
+    exit 2
+  | Unix.Unix_error (e, fn, arg) ->
+    Fmt.epr "error: %s: %s@."
+      (String.concat " " (List.filter (( <> ) "") [ fn; arg ]))
+      (Unix.error_message e);
+    exit 2
 
 (* ------------------------------------------------------------------ *)
 (* Commands                                                            *)
@@ -233,13 +241,15 @@ let require_cc ?flags what =
     rpcc-stats/6's also counted trips of a per-key failure cut-off, a
     counter rpcc-stats/7 dropped; rpcc-stats/7 printed no document at
     all for a run that hit a resource limit, where rpcc-stats/8 prints
-    one whose [result] is [null]. *)
+    one whose [result] is [null]; rpcc-stats/8's resilience object also
+    counted [retries], which rpcc-stats/9 dropped when every supervised
+    job came to run once. *)
 let run_json config (st : Pipeline.stage_stats) resil
     (r : Rp_exec.Interp.result option) =
   match Pipeline.stats_json config st with
   | Json.Obj fields ->
     Json.Obj
-      (("schema", Json.Str "rpcc-stats/8")
+      (("schema", Json.Str "rpcc-stats/9")
        :: fields
       @ [
           ("resilience", Rp_support.Resilience.to_json resil);
@@ -663,7 +673,7 @@ let gen_fuzz_cmd =
       native =
     handle_errors @@ fun () ->
     let module D = Rp_fuzz.Difforacle in
-    (try Sys.mkdir out_dir 0o755 with Sys_error _ -> ());
+    Rp_support.Cas.mkdir_p out_dir;
     let native_cc = if native then Some (require_cc "--native") else None in
     let inject = Option.map (fun c -> (c, seed)) inject in
     let resil = Rp_support.Resilience.create () in
@@ -882,9 +892,9 @@ let reduce_cmd =
 (* ------------------------------------------------------------------ *)
 
 let serve_cmd =
-  let serve socket state_dir jobs queue_bound job_timeout retries =
+  let serve socket state_dir jobs queue_bound job_timeout =
     handle_errors @@ fun () ->
-    let jobs = Rp_cli.jobs jobs and retries = Rp_cli.retries retries in
+    let jobs = Rp_cli.jobs jobs in
     let queue_bound = Rp_cli.positive ~flag:"--queue-bound" queue_bound in
     let job_timeout =
       if job_timeout = 0. then None
@@ -892,8 +902,7 @@ let serve_cmd =
       else Rp_cli.usage "--job-timeout must be >= 0 (0 = no deadline)"
     in
     Rp_serve.Daemon.serve
-      { Rp_serve.Daemon.socket; state_dir; jobs; queue_bound; job_timeout;
-        retries }
+      { Rp_serve.Daemon.socket; state_dir; jobs; queue_bound; job_timeout }
   in
   let socket_t =
     Arg.(
@@ -932,7 +941,8 @@ let serve_cmd =
       & info [ "job-timeout" ] ~docv:"SECONDS"
           ~doc:
             "Per-job wall-clock deadline enforced by the supervised pool \
-             (0 disables it).")
+             (0 disables it).  A job runs once: one past its deadline is \
+             answered with a $(i,resource) error.")
   in
   Cmd.v
     (Cmd.info "serve" ~exits
@@ -945,7 +955,7 @@ let serve_cmd =
           SIGTERM/SIGINT drain gracefully.")
     Term.(
       const serve $ socket_t $ state_dir_t $ Rp_cli.jobs_t $ queue_bound_t
-      $ serve_timeout_t $ Rp_cli.retries_t)
+      $ serve_timeout_t)
 
 let client_cmd =
   let client socket timeout op file config_name native =

@@ -20,11 +20,6 @@ let jobs = function
   | Some 0 -> Pool.recommended_jobs ()
   | Some n -> n
 
-let retries = function
-  | None -> 1
-  | Some n when n < 0 -> usage "--retries must be >= 0"
-  | Some n -> n
-
 let jobs_t =
   Arg.(
     value
@@ -36,15 +31,6 @@ let jobs_t =
            codes are identical at every $(docv); only wall-clock time \
            changes.")
 
-let retries_t =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "retries" ] ~docv:"N"
-        ~doc:
-          "Extra attempts for a job that times out or crashes before it \
-           is quarantined (default 1).")
-
 (* ------------------------------------------------------------------ *)
 (* Campaigns                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -52,43 +38,33 @@ let retries_t =
 type campaign = {
   jobs : int option;
   job_timeout : float option;
-  retries : int option;
   journal : string option;
-  resume : string option;
 }
 
 let campaign_t =
   let opt c name docv doc =
     Arg.(value & opt (some c) None & info [ name ] ~docv ~doc)
   in
-  let make jobs job_timeout retries journal resume =
-    { jobs; job_timeout; retries; journal; resume }
-  in
+  let make jobs job_timeout journal = { jobs; job_timeout; journal } in
   Term.(
     const make $ jobs_t
     $ opt Arg.float "job-timeout" "SECONDS"
         "Per-job wall-clock deadline (a job is one trial or one grid \
          cell).  A job over the deadline is aborted (cooperatively when \
          it is interpreting; by abandoning and replacing its worker \
-         domain when it is wedged), retried per $(b,--retries), then \
-         quarantined."
-    $ retries_t
+         domain when it is wedged) and quarantined: it runs once."
     $ opt Arg.string "journal" "FILE"
-        "Append one fsynced line-JSON record per finished job to \
-         $(docv), so an interrupted or killed campaign can be resumed \
-         with $(b,--resume) without losing completed work."
-    $ opt Arg.string "resume" "FILE"
-        "Replay the finished jobs recorded in a previous run's journal \
-         instead of re-running them, then run only the remainder.  The \
-         result is byte-identical to an uninterrupted run.  A journal \
-         written by another campaign (another command, seed, mode, or \
-         pipeline version) is refused with a usage error before any job \
-         runs.  Combine with $(b,--journal) $(docv) to keep extending \
-         the same journal.")
+        "Replay the finished jobs $(docv) already records instead of \
+         re-running them, run the rest, and append one fsynced line-JSON \
+         record per finished job, so a campaign interrupted or killed \
+         and rerun on the same $(docv) loses no completed work and \
+         prints a byte-identical result.  A journal written by another \
+         campaign (another command, seed, mode, or pipeline version) is \
+         refused with a usage error before any job runs.")
 
-(* The finished jobs of a previous run's journal, by job name; the first
-   record of a job wins.  Any record that is not this campaign's is
-   refused before anything runs or is appended. *)
+(* The finished jobs [path] records, by job name; the first record of a
+   job wins.  Any record that is not this campaign's is refused before
+   anything runs or is appended. *)
 let replay path ~campaign =
   let journaled = Hashtbl.create 128 in
   List.iter
@@ -100,18 +76,29 @@ let replay path ~campaign =
     (Journal.load path);
   journaled
 
+(* Read [path]'s records, then open it for appending; a journal that
+   cannot be read or opened is a usage error before any job runs. *)
+let open_journal path ~campaign =
+  let refuse reason = usage (Printf.sprintf "--journal %s: %s" path reason) in
+  try
+    let journaled = replay path ~campaign in
+    (journaled, Some (Journal.create path))
+  with
+  | Sys_error reason -> refuse reason
+  | Unix.Unix_error (e, _, _) -> refuse (Unix.error_message e)
+
 let run_campaign c ~id ~resilience ~name ~encode ~decode f inputs =
-  let jobs = jobs c.jobs and retries = retries c.retries in
+  let jobs = jobs c.jobs in
   let timeout =
     match c.job_timeout with
     | Some t when not (t > 0.) -> usage "--job-timeout must be > 0"
     | t -> t
   in
   let campaign = Rp_support.Cas.key (Rp_driver.Pipeline.pass_version :: id) in
-  let journaled =
-    match c.resume with
-    | Some path -> replay path ~campaign
-    | None -> Hashtbl.create 1
+  let journaled, writer =
+    match c.journal with
+    | Some path -> open_journal path ~campaign
+    | None -> (Hashtbl.create 1, None)
   in
   let inputs = Array.of_list inputs in
   let outcomes =
@@ -128,7 +115,6 @@ let run_campaign c ~id ~resilience ~name ~encode ~decode f inputs =
     |> List.filter (fun i -> Option.is_none outcomes.(i))
     |> Array.of_list
   in
-  let writer = Option.map Journal.create c.journal in
   let cancel = Atomic.make false in
   let on_result k o =
     match (o, writer) with
@@ -153,7 +139,7 @@ let run_campaign c ~id ~resilience ~name ~encode ~decode f inputs =
         Sys.set_signal Sys.sigint previous;
         Option.iter Journal.close writer)
       (fun () ->
-        Pool.run_supervised ~jobs ?timeout ~retries
+        Pool.run_supervised ~jobs ?timeout
           ~cancel:(fun () -> Atomic.get cancel)
           ~resilience ~on_result f
           (Array.map (fun i -> inputs.(i)) fresh))
@@ -168,7 +154,7 @@ let run_campaign c ~id ~resilience ~name ~encode ~decode f inputs =
     Fmt.epr "interrupted after %d/%d finished jobs%s@." finished
       (Array.length inputs)
       (match c.journal with
-      | Some p -> "; resume with --resume " ^ p
+      | Some p -> "; rerun with --journal " ^ p ^ " to resume"
       | None -> " (no --journal, completed work is lost)");
     exit 130
   end;

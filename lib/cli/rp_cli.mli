@@ -7,10 +7,10 @@
     cmdliner's to reject (exit 124).
 
     {b Campaigns.}  The supervised campaigns — [rpcc fuzz], [rpcc
-    gen-fuzz], the bench grid — share one definition of the five
+    gen-fuzz], the bench grid — share one definition of the three
     campaign flags ({!campaign_t}) and one runner ({!run_campaign}):
-    journal, resume, supervision and SIGINT handling live here and
-    nowhere else.  [rpcc serve] reuses [--jobs] and [--retries]. *)
+    journal, supervision and SIGINT handling live here and nowhere
+    else.  [rpcc serve] reuses [--jobs]. *)
 
 val usage : string -> 'a
 (** Print [usage: MSG] on stderr and exit 2. *)
@@ -24,24 +24,15 @@ val jobs : int option -> int
     domain count ({!Rp_support.Pool.recommended_jobs}); a negative value
     prints [usage: --jobs must be >= 0 (0 = auto)] and exits 2. *)
 
-val retries : int option -> int
-(** The [--retries] value: absent means 1; a negative value prints
-    [usage: --retries must be >= 0] and exits 2. *)
-
 val jobs_t : int option Cmdliner.Term.t
 (** [-j/--jobs N] *)
-
-val retries_t : int option Cmdliner.Term.t
-(** [--retries N] *)
 
 (** The campaign flags, as given: [None] for a flag left at its
     default, so a caller can tell the two apart. *)
 type campaign = {
   jobs : int option;  (** [-j/--jobs N] *)
   job_timeout : float option;  (** [--job-timeout SECONDS] *)
-  retries : int option;  (** [--retries N] *)
   journal : string option;  (** [--journal FILE] *)
-  resume : string option;  (** [--resume FILE] *)
 }
 
 val campaign_t : campaign Cmdliner.Term.t
@@ -58,33 +49,37 @@ val run_campaign :
   'b Rp_support.Pool.supervised list
 (** [run_campaign c ~id ~resilience ~name ~encode ~decode f inputs] runs
     one job [f x] per input and returns, for each input in order, its
-    outcome: [Ok v] for a job replayed from [c.resume] or finished now,
-    [Error] for one quarantined under [--job-timeout]/[--retries] (see
-    {!Rp_support.Pool.run_supervised}, whose events tick [resilience]).
+    outcome: [Ok v] for a job replayed from [c.journal] or finished now,
+    [Error] for one quarantined under [--job-timeout] or because it
+    raised (see {!Rp_support.Pool.run_supervised}, whose events tick
+    [resilience]).  A job runs once.
 
     {b The campaign digest.}  [id] lists every input, besides the job
     itself, that determines a job's answer (the command, a seed, a
     mode); the campaign's digest D is that of
     {!Rp_driver.Pipeline.pass_version} and [id].
 
-    {b Journal.}  With [c.journal], every job that finishes with a
+    {b Journal.}  [c.journal] names the one file a campaign replays and
+    extends.  A job whose name has a record in it is replayed from the
+    first such record through [decode] instead of run, ticking [Resumed]
+    once per job; records naming no input are ignored, and a missing or
+    empty file replays nothing.  Every other job that finishes with a
     value [v] for which [encode v = Some p] appends one fsynced record
     [{"campaign": D, "job": name x, "r": p}] (in {!Rp_support.Journal}'s
     CRC wrapper) as it finishes; [encode] returning [None] keeps a value
-    out of the journal.  With [c.resume], a job whose name has a record
-    in that journal is replayed from the first such record through
-    [decode] instead of run, ticking [Resumed] once per job; records
-    naming no input are ignored, and a missing or empty journal replays
-    nothing.  A record carrying another digest — another campaign's, or
-    a record of another shape — prints [usage: FILE was journaled by
-    another campaign] and exits 2 before any job runs or any record is
+    out of the journal.  A record carrying another digest — another
+    campaign's, or a record of another shape — prints [usage: FILE was
+    journaled by another campaign] and exits 2, and a file that cannot
+    be read or opened for appending prints [usage: --journal FILE:
+    REASON] and exits 2, both before any job runs or any record is
     appended.
 
-    {b Validation.}  A negative [--jobs] or [--retries], or a
-    [--job-timeout] that is not [> 0], prints a usage line and exits 2
-    before the journal is read or any job runs.
+    {b Validation.}  A negative [--jobs], or a [--job-timeout] that is
+    not [> 0], prints a usage line and exits 2 before the journal is
+    read or any job runs.
 
     {b SIGINT.}  While the jobs run, SIGINT cancels the campaign
     cooperatively: workers stop taking jobs, the journal (whose records
     are already on disk) is closed, [interrupted after K/N finished
-    jobs] is printed with a resume hint, and the process exits 130. *)
+    jobs; rerun with --journal FILE to resume] is printed, and the
+    process exits 130. *)

@@ -257,7 +257,8 @@ let check ?(mode = Verify) ?(fuel = default_fuel) ?deadline
 module Json = Rp_support.Json
 
 (** Outcomes round-trip through line-JSON so a campaign journal can
-    replay them on [--resume] without re-running the trial. *)
+    replay them on a rerun with [--journal] without re-running the
+    trial. *)
 let outcome_json : outcome -> Json.t = function
   | Agree { configs; ref_ops } ->
     Json.Obj

@@ -110,7 +110,8 @@ val outcome_json : outcome -> Rp_support.Json.t
 
 val outcome_of_json : Rp_support.Json.t -> outcome option
 (** Inverse of {!outcome_json}; [None] on malformed input.  Used by
-    [--resume] to replay finished trials without re-running them. *)
+    a rerun with [--journal] to replay finished trials without re-running
+    them. *)
 
 val pp_failure : Format.formatter -> failure -> unit
 val pp_outcome : Format.formatter -> outcome -> unit

@@ -22,7 +22,6 @@ type config = {
   jobs : int;
   queue_bound : int;
   job_timeout : float option;
-  retries : int;
 }
 
 let default_config =
@@ -32,7 +31,6 @@ let default_config =
     jobs = 1;
     queue_bound = 64;
     job_timeout = Some 30.;
-    retries = 1;
   }
 
 (** Journal-replay summary, frozen at startup and reported by [health]. *)
@@ -351,15 +349,13 @@ let answer st ~slots ~jobs outcomes =
     let resp =
       match outcomes.(i) with
       | Ok resp -> resp
-      | Error (Pool.Timed_out { elapsed; attempts }) ->
+      | Error (Pool.Timed_out { elapsed }) ->
         Protocol.error ~id:r.Protocol.id ~client:r.Protocol.client
           ~code:"resource"
-          (Printf.sprintf "job timed out after %.1f s (%d attempts)" elapsed
-             attempts)
-      | Error (Pool.Crashed { reason; attempts }) ->
+          (Printf.sprintf "job timed out after %.1f s" elapsed)
+      | Error (Pool.Crashed { reason }) ->
         Protocol.error ~id:r.Protocol.id ~client:r.Protocol.client
-          ~code:"internal"
-          (Printf.sprintf "job crashed after %d attempts: %s" attempts reason)
+          ~code:"internal" ("job crashed: " ^ reason)
     in
     journal_event st ~ev:"done" r
       [ ("resp", Json.Str (Protocol.response_status resp)) ];
@@ -474,8 +470,7 @@ let serve (cfg : config) =
   Unix.listen lfd 64;
   Unix.set_nonblock lfd;
   let pool =
-    Pool.create ~jobs:cfg.jobs ?timeout:cfg.job_timeout ~retries:cfg.retries
-      ~resilience:st.resil ()
+    Pool.create ~jobs:cfg.jobs ?timeout:cfg.job_timeout ~resilience:st.resil ()
   in
   Printf.printf "rpcc-serve listening on %s (pid %d)\n%!" cfg.socket
     (Unix.getpid ());

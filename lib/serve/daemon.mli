@@ -2,7 +2,7 @@
 
     Accepts {!Protocol} batches over a Unix-domain socket and dispatches
     them to one persistent supervised worker pool
-    ({!Rp_support.Pool.create} — per-job deadlines, bounded retries,
+    ({!Rp_support.Pool.create} — per-job deadlines, one attempt per job,
     wedged-worker replacement), backed by a content-addressed store
     ({!Rp_support.Cas}) keyed on (pass version, configuration
     fingerprint, source).
@@ -46,13 +46,16 @@ type config = {
   jobs : int;  (** worker domains in the daemon's pool (at least 1) *)
   queue_bound : int;
       (** max jobs admitted and not yet answered, across connections *)
-  job_timeout : float option;  (** per-job wall-clock deadline, seconds *)
-  retries : int;  (** extra attempts per failed job *)
+  job_timeout : float option;
+      (** per-job wall-clock deadline, seconds: a job past it is answered
+          [error] with code [resource], [job timed out after X s]; a job
+          that raises, code [internal], [job crashed: REASON].  A job runs
+          once. *)
 }
 
 val default_config : config
 (** [socket = "rpcc.sock"], [state_dir = ".rpcc-serve"], [jobs = 1],
-    [queue_bound = 64], 30 s timeout, 1 retry. *)
+    [queue_bound = 64], 30 s timeout. *)
 
 val remove_stale_socket : string -> unit
 (** Clear the way for binding [path].  Probe-first: a leftover socket

@@ -8,8 +8,21 @@ type writer = {
   mutable closed : bool;
 }
 
+let read_all path = In_channel.with_open_bin path In_channel.input_all
+
 let create path =
   let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_APPEND ] 0o644 in
+  (* a process killed mid-record leaves a last line without its newline:
+     cut it off, or the next record would be glued onto it *)
+  (try
+     let s = read_all path in
+     let whole =
+       match String.rindex_opt s '\n' with Some i -> i + 1 | None -> 0
+     in
+     if whole < String.length s then Unix.ftruncate fd whole
+   with e ->
+     Unix.close fd;
+     raise e);
   { path; fd; lock = Mutex.create (); closed = false }
 
 let write_all fd s =
@@ -65,12 +78,7 @@ let unwrap = function
 let load ?(on_skip = fun ~line:_ _ -> ()) path =
   if not (Sys.file_exists path) then []
   else begin
-    let ic = open_in_bin path in
-    let s =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
+    let s = read_all path in
     let lines =
       List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' s)
     in

@@ -5,7 +5,8 @@
     SIGKILL of the process.  The campaign runner ([Rp_cli.run_campaign],
     behind [rpcc gen-fuzz], [rpcc fuzz] and [bench --json]) and the [rpcc
     serve] daemon write one record per unit of work and re-read the file
-    on [--resume] / warm restart to skip work already done.
+    when a campaign is rerun on its [--journal] / on a warm restart, to
+    skip work already done.
 
     Writers are thread-safe: worker domains may {!record} concurrently
     (records are serialized under an internal lock, never interleaved).
@@ -21,7 +22,9 @@
 type writer
 
 val create : string -> writer
-(** Open [path] for appending, creating it if missing. *)
+(** Open [path] for appending, creating it if missing.  A final line
+    without its newline (a record torn by a kill, which {!load} ignores)
+    is cut off first, so the next record starts a line of its own. *)
 
 val record : writer -> Json.t -> unit
 (** Append one record as a single CRC-wrapped JSON line and [fsync].

@@ -17,14 +17,14 @@
 
     Jobs must not print (interleaved output would break the determinism
     guarantee) and must not share mutable state; domain-local state
-    ([Domain.DLS], as used by the pipeline's fault hook and the
-    interpreter's precompile cache) is safe because one domain runs one
-    job at a time.
+    ([Domain.DLS], as used by the pipeline's fault hook) is safe because
+    one domain runs one job at a time.
 
     The supervised layer is one persistent pool ({!create}): per-job
     wall-clock deadlines delivered cooperatively through a [should_stop]
-    closure, detection and replacement of wedged worker domains, bounded
-    retries, and quarantine — see pool.mli for the full contract.  Its
+    closure, detection and replacement of wedged worker domains, and
+    quarantine of a job whose one attempt failed — see pool.mli for the
+    full contract.  Its
     workers outlive batches and block on a condition variable when idle;
     each resolution writes a byte to a self-pipe, so the owner [select]s
     for completions and otherwise sleeps only until the earliest wedge
@@ -37,15 +37,10 @@ type 'a outcome = ('a, exn) result
     the natural default for a [--jobs] flag. *)
 let recommended_jobs () = Domain.recommended_domain_count ()
 
-let run ~jobs ?(on_result = fun _ _ -> ()) (f : 'a -> 'b) (inputs : 'a array) :
-    'b outcome array =
+let run ~jobs (f : 'a -> 'b) (inputs : 'a array) : 'b outcome array =
   let n = Array.length inputs in
   let results : 'b outcome array = Array.make n (Error Exit) in
-  let work i =
-    let o = try Ok (f inputs.(i)) with e -> Error e in
-    results.(i) <- o;
-    on_result i o
-  in
+  let work i = results.(i) <- (try Ok (f inputs.(i)) with e -> Error e) in
   let jobs = max 1 (min jobs n) in
   if jobs <= 1 then
     for i = 0 to n - 1 do
@@ -64,9 +59,8 @@ let run ~jobs ?(on_result = fun _ _ -> ()) (f : 'a -> 'b) (inputs : 'a array) :
       loop ()
     in
     let spawned = Array.init (jobs - 1) (fun _ -> Domain.spawn worker) in
-    (* join even if the calling domain's share of the work (or the
-       caller's [on_result]) raises: no worker domain may leak on an
-       exception path *)
+    (* join even if the calling domain's share of the work raises: no
+       worker domain may leak on an exception path *)
     Fun.protect ~finally:(fun () -> Array.iter Domain.join spawned) worker
   end;
   results
@@ -84,28 +78,23 @@ let run_exn ~jobs f inputs =
 (* ------------------------------------------------------------------ *)
 
 type job_failure =
-  | Timed_out of { elapsed : float; attempts : int }
-  | Crashed of { reason : string; attempts : int }
+  | Timed_out of { elapsed : float }
+  | Crashed of { reason : string }
 
 type 'a supervised = ('a, job_failure) result
 
 let pp_job_failure ppf = function
-  | Timed_out { elapsed; attempts } ->
-    Format.fprintf ppf "timed out after %.1fs (%d attempt%s)" elapsed attempts
-      (if attempts = 1 then "" else "s")
-  | Crashed { reason; attempts } ->
-    Format.fprintf ppf "crashed: %s (%d attempt%s)" reason attempts
-      (if attempts = 1 then "" else "s")
+  | Timed_out { elapsed } -> Format.fprintf ppf "timed out after %.1fs" elapsed
+  | Crashed { reason } -> Format.fprintf ppf "crashed: %s" reason
 
-(** A job with its types erased: the pool schedules, times and retries
-    tasks without knowing their input or result types. *)
+(** A job with its types erased: the pool schedules and times tasks
+    without knowing their input or result types. *)
 type task = {
   state : int Atomic.t;
       (** the claim word: 0 = queued, [t > 0] = the attempt holding
           ticket [t] is in flight, -1 = resolved.  Whoever CASes it to -1
           owns the outcome, so a job resolves once even when its attempt
           races a cancellation. *)
-  failed : int Atomic.t;  (** failed attempts so far *)
   ctl : ctl;
   exec : should_stop:(unit -> bool) -> unit -> unit;
       (** run one attempt; the returned thunk records its [Ok] value and
@@ -126,7 +115,6 @@ type attempt = { task : task; ticket : int; started : float }
 
 type t = {
   timeout : float option;
-  retries : int;
   grace : float;
   resilience : Resilience.t option;
   lock : Mutex.t;
@@ -175,25 +163,14 @@ let settle p (task : task) record =
       wake p)
 
 (** Fail the attempt holding ticket [t] — called once per attempt, by
-    its worker or, for a wedged one, by the supervisor: count it, then
-    re-queue the task while its retry budget lasts, or resolve it as
-    [failure attempts].  A batch cancelled meanwhile has already resolved
-    the task, and the claim CAS then fails. *)
+    its worker or, for a wedged one, by the supervisor: the job is
+    quarantined as [failure].  A batch cancelled meanwhile has already
+    resolved the task, and the claim CAS then fails. *)
 let fail_attempt p (task : task) t ~event failure =
-  let attempts = 1 + Atomic.fetch_and_add task.failed 1 in
-  if attempts <= p.retries && not (cancelled task.ctl) then begin
-    if Atomic.compare_and_set task.state t 0 then begin
-      tick p event;
-      tick p Resilience.Retry;
-      locked p (fun () ->
-          Queue.push task p.queue;
-          Condition.signal p.nonempty)
-    end
-  end
-  else if Atomic.compare_and_set task.state t (-1) then begin
+  if Atomic.compare_and_set task.state t (-1) then begin
     tick p event;
     tick p Resilience.Quarantine;
-    settle p task (fun () -> task.fail ~notify:true (failure attempts))
+    settle p task (fun () -> task.fail ~notify:true failure)
   end
 
 (** Run one attempt of [task] on the worker whose attempt slot is
@@ -239,11 +216,12 @@ let run_attempt p busy (task : task) =
           !timed_out
           || match p.timeout with Some tmo -> elapsed > tmo | None -> false
         in
-        fail_attempt p task t
-          ~event:(if timed_out then Resilience.Timeout else Resilience.Crash)
-          (fun attempts ->
-            if timed_out then Timed_out { elapsed; attempts }
-            else Crashed { reason = Printexc.to_string e; attempts }));
+        if timed_out then
+          fail_attempt p task t ~event:Resilience.Timeout
+            (Timed_out { elapsed })
+        else
+          fail_attempt p task t ~event:Resilience.Crash
+            (Crashed { reason = Printexc.to_string e }));
       true
     end
   end
@@ -266,14 +244,13 @@ let spawn_worker p =
   let busy = Atomic.make None in
   p.workers <- (busy, Domain.spawn (fun () -> work p busy)) :: p.workers
 
-let create ~jobs ?timeout ?(retries = 1) ?(grace = 1.0) ?resilience () =
+let create ~jobs ?timeout ?(grace = 1.0) ?resilience () =
   let wake_r, wake_w = Unix.pipe ~cloexec:true () in
   Unix.set_nonblock wake_r;
   Unix.set_nonblock wake_w;
   let p =
     {
       timeout;
-      retries;
       grace;
       resilience;
       lock = Mutex.create ();
@@ -297,7 +274,7 @@ let submit p ?cancel ?(on_result = fun _ _ -> ())
     'b batch =
   let n = Array.length inputs in
   let results : 'b supervised array =
-    Array.make n (Error (Crashed { reason = "cancelled"; attempts = 0 }))
+    Array.make n (Error (Crashed { reason = "cancelled" }))
   in
   let record i o =
     results.(i) <- o;
@@ -308,7 +285,6 @@ let submit p ?cancel ?(on_result = fun _ _ -> ())
     Array.init n (fun i ->
         {
           state = Atomic.make 0;
-          failed = Atomic.make 0;
           ctl;
           exec =
             (fun ~should_stop ->
@@ -330,8 +306,8 @@ let results b = b.results
 let wake_fd p = p.wake_r
 
 (** Abandon every worker whose attempt has overrun [timeout + grace]
-    without returning: take its job away (retry or quarantine) and spawn
-    a replacement so throughput recovers.  OCaml domains cannot be
+    without returning: take its job away (quarantine it) and spawn a
+    replacement so throughput recovers.  OCaml domains cannot be
     killed; the abandoned one finishes into the void, unjoined. *)
 let sweep p =
   match p.timeout with
@@ -346,7 +322,7 @@ let sweep p =
           if elapsed >= limit && Atomic.compare_and_set busy cur None then begin
             p.workers <- List.filter (fun w' -> w' != w) p.workers;
             fail_attempt p a.task a.ticket ~event:Resilience.Timeout
-              (fun attempts -> Timed_out { elapsed; attempts });
+              (Timed_out { elapsed });
             spawn_worker p
           end
         | None -> ())
@@ -404,8 +380,7 @@ let cancel_batch p (b : _ batch) =
         s <> -1 && (Atomic.compare_and_set task.state s (-1) || claim ())
       in
       if claim () then begin
-        task.fail ~notify:false
-          (Crashed { reason = "cancelled"; attempts = Atomic.get task.failed });
+        task.fail ~notify:false (Crashed { reason = "cancelled" });
         Atomic.decr b.ctl.pending;
         Atomic.decr p.outstanding
       end)
@@ -440,12 +415,12 @@ let wait p (b : _ batch) =
   in
   loop ()
 
-let run_supervised ~jobs ?timeout ?retries ?grace ?cancel ?resilience
-    ?on_result f inputs =
+let run_supervised ~jobs ?timeout ?grace ?cancel ?resilience ?on_result f
+    inputs =
   let n = Array.length inputs in
   if n = 0 then [||]
   else begin
-    let p = create ~jobs:(min jobs n) ?timeout ?retries ?grace ?resilience () in
+    let p = create ~jobs:(min jobs n) ?timeout ?grace ?resilience () in
     Fun.protect
       ~finally:(fun () -> shutdown p)
       (fun () ->

@@ -1,7 +1,6 @@
 (** Fixed-size Domain worker pool with deterministic, index-ordered
     collection ({!run}), and a persistent supervised pool with per-job
-    deadlines, bounded retries, and worker respawn ({!create},
-    {!run_supervised}). *)
+    deadlines and worker respawn ({!create}, {!run_supervised}). *)
 
 type 'a outcome = ('a, exn) result
 
@@ -9,12 +8,7 @@ val recommended_jobs : unit -> int
 (** [Domain.recommended_domain_count ()]: the natural default for a
     [--jobs] flag. *)
 
-val run :
-  jobs:int ->
-  ?on_result:(int -> 'b outcome -> unit) ->
-  ('a -> 'b) ->
-  'a array ->
-  'b outcome array
+val run : jobs:int -> ('a -> 'b) -> 'a array -> 'b outcome array
 (** [run ~jobs f inputs] maps [f] over [inputs] on up to [jobs] domains
     (clamped to [1 .. Array.length inputs]; the calling domain is one of
     them) and returns outcomes in input order.  A job that raises yields
@@ -22,13 +16,8 @@ val run :
     is identical for every [jobs] value.  Jobs must not print or share
     mutable non-atomic state.
 
-    [on_result i o] fires on the domain that finished job [i], as soon as
-    it finishes — out of index order.  It must be thread-safe and must not
-    raise; campaign drivers use it to journal completions incrementally.
-
     All spawned domains are joined even if the calling domain's share of
-    the work — or [on_result] — raises: no domain leaks on exception
-    paths. *)
+    the work raises: no domain leaks on exception paths. *)
 
 val run_exn : jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 (** [run] plus fail-fast collection: re-raises the first captured
@@ -39,19 +28,20 @@ val run_exn : jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 (* Supervised execution                                                *)
 (* ------------------------------------------------------------------ *)
 
-(** Why a supervised job was given up on, after its retry budget:
-    [attempts] is the total number of attempts made. *)
+(** Why a supervised job was given up on.  A job runs once: its one
+    failed attempt resolves it. *)
 type job_failure =
-  | Timed_out of { elapsed : float; attempts : int }
-      (** every attempt exceeded the per-job deadline *)
-  | Crashed of { reason : string; attempts : int }
-      (** every attempt raised ([reason] is the last exception), or the
-          run was cancelled before the job finished
-          ([reason = "cancelled"], [attempts] = attempts started) *)
+  | Timed_out of { elapsed : float }
+      (** the attempt exceeded the per-job deadline after [elapsed]
+          seconds *)
+  | Crashed of { reason : string }
+      (** the attempt raised ([reason] is the exception), or the run was
+          cancelled before the job finished ([reason = "cancelled"]) *)
 
 type 'a supervised = ('a, job_failure) result
 
 val pp_job_failure : Format.formatter -> job_failure -> unit
+(** [timed out after 10.0s], [crashed: REASON]. *)
 
 (** {2 The persistent pool}
 
@@ -73,19 +63,17 @@ type 'b batch
 val create :
   jobs:int ->
   ?timeout:float ->
-  ?retries:int ->
   ?grace:float ->
   ?resilience:Resilience.t ->
   unit ->
   t
 (** Spawn [max 1 jobs] worker domains, supervised under one policy.
 
-    {b Deadlines.}  Each job attempt receives a [should_stop] closure that
-    turns [true] once the attempt has run for [timeout] seconds (or its
-    batch is cancelled, or the pool shuts down); cooperative workloads —
-    anything built on the interpreter's [?should_stop] polling — abort
-    promptly and the attempt counts as timed out.  No [timeout] means no
-    deadline.
+    {b Deadlines.}  Each job receives a [should_stop] closure that turns
+    [true] once the job has run for [timeout] seconds (or its batch is
+    cancelled, or the pool shuts down); cooperative workloads — anything
+    built on the interpreter's [?should_stop] polling — abort promptly
+    and the job counts as timed out.  No [timeout] means no deadline.
 
     {b Supervision.}  A worker whose attempt has overrun
     [timeout + grace] without returning (a wedged compile, a
@@ -95,10 +83,12 @@ val create :
     discarded by a claim check) and a replacement worker is spawned so
     throughput recovers.  [grace] defaults to 1 s.
 
-    {b Retries.}  A failed attempt (timeout or exception) is re-queued up
-    to [retries] extra times (default 1), then the job is quarantined as
-    [Error (Timed_out _ | Crashed _)].  Failure events tick [resilience]
-    (timeouts, retries, crashes, quarantines) when given. *)
+    {b One attempt.}  A job runs once.  An attempt that times out, raises,
+    or is taken from a wedged worker quarantines its job as [Error
+    (Timed_out _ | Crashed _)] at once: a job is meant to be a pure
+    function of its input, so a second attempt could not answer
+    differently.  Failure events tick [resilience] (timeouts, crashes,
+    quarantines) when given. *)
 
 val submit :
   t ->
@@ -110,8 +100,8 @@ val submit :
 (** Queue one job per input and return at once.
 
     [on_result i o] fires on the resolving domain as soon as job [i]
-    resolves (completes, or exhausts its retries) — out of index order,
-    and not on cancellation.  It must be thread-safe and must not raise.
+    resolves (completes, or is quarantined) — out of index order, and
+    not on cancellation.  It must be thread-safe and must not raise.
 
     [cancel] is read by the batch's attempts through [should_stop] and by
     the batch's waiter in {!run_supervised}; see there. *)
@@ -142,7 +132,6 @@ val shutdown : t -> unit
 val run_supervised :
   jobs:int ->
   ?timeout:float ->
-  ?retries:int ->
   ?grace:float ->
   ?cancel:(unit -> bool) ->
   ?resilience:Resilience.t ->
@@ -164,10 +153,10 @@ val run_supervised :
     least every 100 ms.
 
     {b Determinism.}  Completed jobs ([Ok _] slots) carry exactly the
-    value a sequential run would have produced: retrying a deterministic
-    job cannot change its result, and collection is by index, so the
-    [Ok] portion of the result array is byte-identical at any [jobs]
-    value.  Only {e whether} a job times out depends on the wall clock.
+    value a sequential run would have produced, and collection is by
+    index, so the [Ok] portion of the result array is byte-identical at
+    any [jobs] value.  Only {e whether} a job times out depends on the
+    wall clock.
 
     All live workers are joined before returning, even if supervision
     raises. *)

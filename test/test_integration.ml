@@ -460,6 +460,48 @@ let cli_tests =
         with_src "int main() { while (1) {} return 0; }" (fun file ->
             let (st, _) = rpcc "run -q --fuel 10000" file in
             Util.check Alcotest.int "exit 3" 3 st));
+    Util.tc "a path that cannot be opened or created exits 2, never 125"
+      (fun () ->
+        let dir = Filename.temp_file "rp-paths" "" in
+        Sys.remove dir;
+        Sys.mkdir dir 0o700;
+        Fun.protect
+          ~finally:(fun () ->
+            ignore (Sys.command ("rm -rf " ^ Filename.quote dir)))
+        @@ fun () ->
+        let file name = Filename.concat dir name in
+        Sys.mkdir (file "d") 0o700;
+        Out_channel.with_open_bin (file "f") ignore;
+        let exe name = Filename.quote (Filename.concat (Sys.getcwd ()) name) in
+        let rpcc = exe "../bin/rpcc.exe" and bench = exe "../bench/main.exe" in
+        List.iter
+          (fun (cmd, code, stream, sub) ->
+            let st =
+              Sys.command
+                (Printf.sprintf "cd %s && %s > out 2> err"
+                   (Filename.quote dir) cmd)
+            in
+            let text =
+              In_channel.with_open_bin (file stream) In_channel.input_all
+            in
+            Util.check Alcotest.int (cmd ^ ": exit") code st;
+            Util.check Alcotest.bool (cmd ^ ": " ^ text) true
+              (Util.contains ~sub text))
+          [
+            ( rpcc ^ " gen-fuzz --trials 1 --journal missing/j.jsonl", 2, "err",
+              "usage: --journal missing/j.jsonl: No such file or directory" );
+            ( rpcc ^ " fuzz --trials 1 --journal d", 2, "err",
+              "usage: --journal d: " );
+            ( "timeout 30 " ^ rpcc ^ " serve --socket s.sock --state-dir f/x",
+              2, "err", "error: mkdir f/x: Not a directory" );
+            (* --out-dir is created with every missing level *)
+            ( rpcc
+              ^ " gen-fuzz --trials 3 --seed 5 --inject drop_store --out-dir \
+                 a/b/c",
+              1, "out", "gen-fuzz: seed=5 trials=3 " );
+            ( bench ^ " --json --journal missing/j.jsonl", 2, "err",
+              "usage: --journal missing/j.jsonl: No such file or directory" );
+          ]);
   ]
 
 let () =

@@ -876,9 +876,12 @@ let bench_cli_tests =
     Util.tc "bench: a malformed --jobs is a parse error" (fun () ->
         Util.check Alcotest.int "exit code" 124
           (bench_exit "--json --jobs two"));
-    Util.tc "bench: negative --retries is rejected, not clamped" (fun () ->
-        Util.check Alcotest.int "exit code" 2
-          (bench_exit "--json --retries=-3"));
+    Util.tc "bench: --retries and --resume are unknown options" (fun () ->
+        List.iter
+          (fun args ->
+            Util.check Alcotest.int (args ^ " exit code") 124
+              (bench_exit ("--json " ^ args)))
+          [ "--retries 0"; "--resume j.jsonl" ]);
     Util.tc "bench: --job-timeout with --via-daemon is a usage error"
       (fun () ->
         Util.check Alcotest.int "exit code" 2

@@ -1,12 +1,13 @@
 (** The supervised execution layer, end to end: the reducer's deadline
-    contract, [rpcc run --retries] (only a run's own timeout is
-    retried), crash-resumable campaigns (SIGKILL a [gen-fuzz] run
-    mid-flight, resume it from the journal, and demand byte-identical
-    stdout), the bench grid's planted-hang drill (a never-terminating
-    cell must land as a degraded cell under the retry policy while every
-    other cell of BENCH_counts.json stays byte-identical), and the
-    campaign journals' identity: a journal resumes only the campaign that
-    wrote it, once per job. *)
+    contract, [rpcc run --timeout] (a trap is reported as without it, a
+    deadline is counted in the stats document), crash-resumable
+    campaigns (SIGKILL a [gen-fuzz] run mid-flight, rerun it on its
+    [--journal], and demand byte-identical stdout), the bench grid's
+    planted-hang drill (a never-terminating cell must land as a degraded
+    cell after one timed-out attempt while every other cell of
+    BENCH_counts.json stays byte-identical), and the campaign journals'
+    identity: a journal resumes only the campaign that wrote it, once per
+    job. *)
 
 module Json = Rp_support.Json
 module Reduce = Rp_fuzz.Reduce
@@ -120,9 +121,9 @@ let in_temp_dir name f =
     stderr. *)
 let rpcc_run args src =
   let rpcc = Filename.concat (Sys.getcwd ()) "../bin/rpcc.exe" in
-  let file = Filename.temp_file "rp_retries" ".c" in
-  let out = Filename.temp_file "rp_retries_out" ".txt" in
-  let err = Filename.temp_file "rp_retries_err" ".txt" in
+  let file = Filename.temp_file "rp_timeout" ".c" in
+  let out = Filename.temp_file "rp_timeout_out" ".txt" in
+  let err = Filename.temp_file "rp_timeout_err" ".txt" in
   Fun.protect
     ~finally:(fun () -> List.iter Sys.remove [ file; out; err ])
     (fun () ->
@@ -164,7 +165,7 @@ let limit_doc out =
   in
   (Json.member "result" j, counter)
 
-let run_retries_tests =
+let run_timeout_tests =
   [
     Util.tc "a trap is reported, not retried" (fun () ->
         let (bare, _, bare_err) = rpcc_run "" trap_src in
@@ -179,8 +180,7 @@ let run_retries_tests =
           (String.starts_with ~prefix:"resource limit: external stop" err);
         let result, counter = limit_doc out in
         Util.check Alcotest.bool "result null" true (result = Some Json.Null);
-        Util.check Alcotest.int "timeouts" 1 (counter "timeouts");
-        Util.check Alcotest.int "retries" 0 (counter "retries"));
+        Util.check Alcotest.int "timeouts" 1 (counter "timeouts"));
     Util.tc "stats document of a run out of fuel" (fun () ->
         let (st, out, err) = rpcc_run "--fuel 1000 --stats-json" loop_src in
         Util.check Alcotest.int "exit" 3 st;
@@ -219,21 +219,23 @@ let test_gen_fuzz_kill_and_resume () =
   Unix.sleepf 0.3;
   (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
   ignore (Unix.waitpid [] pid);
-  (* resume from whatever the journal captured (possibly nothing, possibly
+  (* rerun on whatever the journal captured (possibly nothing, possibly
      everything — byte-identity must hold regardless) *)
   let (res_st, res_out) =
-    run_capture ~dir
-      ((rpcc :: common "resumed")
-      @ [ "--resume"; journal; "--journal"; journal ])
+    run_capture ~dir ((rpcc :: common "resumed") @ [ "--journal"; journal ])
   in
   Alcotest.(check int) "same exit code" ref_st res_st;
   Alcotest.(check string) "byte-identical stdout after resume" ref_out res_out;
-  (* a second resume replays everything from the journal, still identical *)
+  (* a second rerun replays everything from the journal, still identical,
+     and appends nothing *)
+  let whole = read_file journal in
   let (_, res2_out) =
-    run_capture ~dir ((rpcc :: common "resumed2") @ [ "--resume"; journal ])
+    run_capture ~dir ((rpcc :: common "resumed2") @ [ "--journal"; journal ])
   in
   Alcotest.(check string) "fully-replayed rerun still identical" ref_out
-    res2_out
+    res2_out;
+  Alcotest.(check string) "a full replay appends nothing" whole
+    (read_file journal)
 
 (* ------------------------------------------------------------------ *)
 (* bench --json: the planted-hang drill                                *)
@@ -278,16 +280,14 @@ let test_bench_planted_hang_degrades_one_cell () =
     counts "base" [ "--jobs"; "4"; "--journal"; journal ]
   in
   (* the timeout must be generous enough that only the planted cell hits
-     it even on a loaded machine: an honest cell timing out on its first
-     attempt would perturb the resilience counters (its retry still keeps
-     the counts identical).  The heaviest honest cells (triad) run
-     ~0.8 s alone but multiples of that with four jobs contending on a
-     small core count, so 10 s is the margin that keeps them honest
-     while the planted hang still trips both attempts. *)
+     it even on a loaded machine: an honest cell timing out would be
+     quarantined too.  The heaviest honest cells (triad) run ~0.8 s
+     alone but multiples of that with four jobs contending on a small
+     core count, so 10 s is the margin that keeps them honest. *)
   let _, planted, counter =
     counts "planted"
       [
-        "--jobs"; "4"; "--job-timeout"; "10"; "--retries"; "1"; "--plant-hang";
+        "--jobs"; "4"; "--job-timeout"; "10"; "--plant-hang";
         "mlink:modref/with";
       ]
   in
@@ -302,14 +302,13 @@ let test_bench_planted_hang_degrades_one_cell () =
      |> Option.map (Json.member "modref/with")
    with
   | Some (Some (Json.Obj [ ("degraded", Json.Str reason) ])) ->
-    Alcotest.(check bool) "reason mentions the timeout" true
-      (contains reason "timed out")
+    Alcotest.(check bool) "reason is the one timeout" true
+      (String.starts_with ~prefix:"mlink under modref/with: timed out after "
+         reason
+      && not (contains reason "attempt"))
   | _ -> Alcotest.fail "planted cell should be degraded");
-  (* the run's failure telemetry reflects the drill *)
-  Alcotest.(check bool) "at least the two planted timed-out attempts" true
-    (counter "timeouts" >= 2);
-  Alcotest.(check bool) "at least the planted retry" true
-    (counter "retries" >= 1);
+  (* the run's failure telemetry reflects the drill: one attempt *)
+  Alcotest.(check int) "exactly one timeout" 1 (counter "timeouts");
   Alcotest.(check int) "exactly one quarantined cell" 1 (counter "quarantined");
   (* every other cell is byte-identical to the unplanted baseline *)
   List.iter
@@ -328,11 +327,12 @@ let test_bench_planted_hang_degrades_one_cell () =
           cells
       | _ -> ())
     (programs baseline);
-  (* --resume: the journaled cells are replayed, not recomputed, and the
-     counts document is byte-identical to the run that wrote them *)
+  (* rerun on the journal: the journaled cells are replayed, not
+     recomputed, and the counts document is byte-identical to the run
+     that wrote them *)
   let resumed_from sub path ~resumed ~recomputed =
     let counts, timings, counter =
-      docs sub [ "--jobs"; "4"; "--resume"; path ]
+      docs sub [ "--jobs"; "4"; "--journal"; path ]
     in
     Alcotest.(check string)
       (sub ^ ": counts document byte-equal")
@@ -396,13 +396,11 @@ let fresh_journal dir name =
 let records path =
   List.length (String.split_on_char '\n' (String.trim (read_file path)))
 
-(* Resuming [journal] under [argv] is refused: exit 2 with a usage line,
-   before anything runs or is appended. *)
+(* Rerunning on [journal] under [argv] is refused: exit 2 with a usage
+   line, before anything runs or is appended. *)
 let refused ~dir argv journal =
   let before = read_file journal in
-  let (st, _, err) =
-    run_full ~dir (argv @ [ "--resume"; journal; "--journal"; journal ])
-  in
+  let (st, _, err) = run_full ~dir (argv @ [ "--journal"; journal ]) in
   Alcotest.(check int) "exit 2" 2 st;
   Alcotest.(check bool) "usage on stderr" true
     (String.starts_with ~prefix:"usage: " err);
@@ -416,14 +414,14 @@ let test_fuzz_campaigns_refuse_another_seed () =
         [ rpcc (); cmd; "--trials"; string_of_int trials; "--seed"; seed ]
         @ extra
       in
-      let journal = fresh_journal dir (cmd ^ "-seed1.jsonl") in
-      let (st, _, _) = run_full ~dir (argv "1" @ [ "--journal"; journal ]) in
-      Alcotest.(check int) (cmd ^ " --seed 1 exit 0") 0 st;
+      let journal = fresh_journal dir (cmd ^ "-seed42.jsonl") in
+      let (st, _, _) = run_full ~dir (argv "42" @ [ "--journal"; journal ]) in
+      Alcotest.(check int) (cmd ^ " --seed 42 exit 0") 0 st;
       Alcotest.(check int) (cmd ^ " journaled every trial") trials
         (records journal);
-      refused ~dir (argv "2") journal)
+      refused ~dir (argv "43") journal)
     [
-      ("gen-fuzz", 6, [ "--jobs"; "2"; "--out-dir"; dir ]);
+      ("gen-fuzz", 5, [ "--jobs"; "2"; "--out-dir"; dir ]);
       ("fuzz", 5, [ "--jobs"; "2" ]);
     ]
 
@@ -439,7 +437,7 @@ let test_duplicate_records_resume_once () =
       Alcotest.(check int) (cmd ^ " exit 0") 0 st;
       let twice = Filename.concat dir (cmd ^ "-twice.jsonl") in
       write_file twice (read_file journal ^ read_file journal);
-      let (st2, out2, err2) = run_full ~dir (argv @ [ "--resume"; twice ]) in
+      let (st2, out2, err2) = run_full ~dir (argv @ [ "--journal"; twice ]) in
       Alcotest.(check int) (cmd ^ " resumed exit 0") 0 st2;
       Alcotest.(check string) (cmd ^ " same stdout") out out2;
       Alcotest.(check bool)
@@ -464,20 +462,20 @@ let test_fuzz_resumes_from_a_partial_journal () =
     (String.concat ""
        (List.filteri (fun i _ -> i < 8) lines |> List.map (fun l -> l ^ "\n")));
   let (st, out, _) =
-    run_full ~dir
-      (fuzz [ "--jobs"; "1"; "--resume"; journal; "--journal"; journal ])
+    run_full ~dir (fuzz [ "--jobs"; "1"; "--journal"; journal ])
   in
   Alcotest.(check int) "same exit code" ref_st st;
   Alcotest.(check string) "byte-identical stdout after resume" ref_out out;
   Alcotest.(check int) "the journal is whole again" 20 (records journal);
-  let (_, out2, err2) = run_full ~dir (fuzz [ "--resume"; journal ]) in
+  let (_, out2, err2) = run_full ~dir (fuzz [ "--journal"; journal ]) in
   Alcotest.(check string) "fully-replayed rerun still identical" ref_out out2;
   Alcotest.(check bool) "every trial replayed" true
     (contains err2 "resumed=20 ")
 
 (* SIGINT a journaled grid once it has journaled two cells: it exits 130
-   with a resume hint.  Then one record's digest is rewritten under a
-   valid CRC, and resuming from that journal is refused. *)
+   with a hint to rerun on its journal.  Then one record's digest is
+   rewritten under a valid CRC, and a rerun on that journal is
+   refused. *)
 let test_bench_sigint_then_foreign_record () =
   let bench = Filename.concat (Sys.getcwd ()) "../bench/main.exe" in
   in_temp_dir "bench-foreign" @@ fun dir ->
@@ -510,7 +508,8 @@ let test_bench_sigint_then_foreign_record () =
   | _, Unix.WEXITED 130 -> ()
   | _ -> Alcotest.fail "an interrupted grid must exit 130");
   Alcotest.(check bool) "resume hint" true
-    (contains (read_file err) ("; resume with --resume " ^ journal));
+    (contains (read_file err)
+       ("; rerun with --journal " ^ journal ^ " to resume"));
   let foreign = fresh_journal dir "foreign.jsonl" in
   let w = Rp_support.Journal.create foreign in
   List.iteri
@@ -540,7 +539,7 @@ let () =
           Util.tc "unconstrained reduction shrinks and terminates"
             test_reduce_unconstrained_shrinks_and_terminates;
         ] );
-      ("run-retries", run_retries_tests);
+      ("run-timeout", run_timeout_tests);
       ( "campaigns",
         [
           Util.tc_slow "gen-fuzz survives SIGKILL and resumes byte-identically"

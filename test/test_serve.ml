@@ -791,6 +791,52 @@ let test_journal_compaction_and_health () =
         | Json.Str s -> s
         | _ -> ""))
 
+(* A job past --job-timeout runs once: its answer is one [resource]
+   error naming no attempt count, the daemon goes on serving, and health
+   counts one timeout and one quarantine. *)
+let test_daemon_job_timeout () =
+  let dir = fresh_dir "jobtimeout" in
+  let socket = Filename.concat dir "d.sock" in
+  let state = Filename.concat dir "state" in
+  let log = Filename.concat dir "serve.log" in
+  let pid =
+    spawn_daemon ~extra:[ "--job-timeout"; "0.5" ] ~socket ~state ~log ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
+      ignore (Unix.waitpid [] pid))
+    (fun () ->
+      if not (Client.wait_ready ~socket ()) then
+        Alcotest.fail "daemon did not come up";
+      let hung =
+        one socket
+          (run_req ~id:1 "int g; int main() { while (1) g = g + 1; return 0; }")
+      in
+      let str path =
+        match member_path path hung with Json.Str s -> s | _ -> ""
+      in
+      Util.check Alcotest.string "status" "error"
+        (Protocol.response_status hung);
+      Util.check Alcotest.string "code" "resource" (str [ "code" ]);
+      let msg = str [ "message" ] in
+      Util.check Alcotest.bool ("message: " ^ msg) true
+        (String.starts_with ~prefix:"job timed out after " msg
+        && not (Util.contains ~sub:"attempt" msg));
+      Util.check Alcotest.string "a terminating job still answers" "ok"
+        (Protocol.response_status (one socket (run_req ~id:2 daemon_src)));
+      let health = one socket (req ~id:9 ~op:"health" []) in
+      Util.check
+        Alcotest.(list (pair string int))
+        "resilience"
+        [ ("timeouts", 1); ("resumed", 0); ("crashed", 0); ("quarantined", 1) ]
+        (match member_path [ "health"; "resilience" ] health with
+        | Json.Obj kvs ->
+          List.map
+            (fun (k, v) -> (k, match v with Json.Int n -> n | _ -> -1))
+            kvs
+        | _ -> []))
+
 (** The daemon's native job mode (rpcc-serve/2): a [mode: native] run
     answers with the interpreter-identical result plus an exec stamp;
     a warm re-request — in either mode — re-serves the cached bytes;
@@ -958,7 +1004,7 @@ let jobs_validation_tests =
           [
             ( "bench",
               "cd " ^ q dir ^ " && " ^ q (bench ())
-              ^ " --json --job-timeout 0 --retries 0" );
+              ^ " --json --job-timeout 0" );
             ( "fuzz",
               q (rpcc ()) ^ " fuzz --trials 3 --job-timeout 0 --journal "
               ^ q journal );
@@ -1027,6 +1073,8 @@ let () =
             test_daemon_silent_client;
           Util.tc "serve: live socket refused, stale socket cleared"
             test_socket_steal_rejected;
+          Util.tc "serve: a job past its deadline runs once"
+            test_daemon_job_timeout;
           Util.tc_slow "serve: journal compacted on restart, health identity"
             test_journal_compaction_and_health;
           Util.tc_slow "serve: native mode end-to-end, one cache, health cc"

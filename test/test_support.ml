@@ -177,6 +177,27 @@ let journal_tests =
         match !skipped with
         | [ (2, _) ] -> ()
         | _ -> Alcotest.fail "corrupt interior line must be skipped once");
+    Util.tc "journal: a record after a torn tail starts its own line"
+      (fun () ->
+        let path = tmp () in
+        Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+        let record i =
+          let w = Journal.create path in
+          Journal.record w (Json.Obj [ ("i", Json.Int i) ]);
+          Journal.close w
+        in
+        record 1;
+        (* a kill mid-record leaves no newline; a rerun then appends *)
+        let oc = open_out_gen [ Open_append ] 0o644 path in
+        output_string oc "{\"crc32\":\"00000000\",\"r\":{\"i\": 2";
+        close_out oc;
+        record 2;
+        record 3;
+        let skips = ref 0 in
+        let rs = Journal.load path ~on_skip:(fun ~line:_ _ -> incr skips) in
+        Util.check Alcotest.int "nothing skipped" 0 !skips;
+        Util.check Alcotest.bool "every new record loads" true
+          (rs = List.map (fun i -> Json.Obj [ ("i", Json.Int i) ]) [ 1; 2; 3 ]));
     Util.tc "journal: v2 records carry a CRC; mismatch is skipped" (fun () ->
         let path = tmp () in
         Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
@@ -250,14 +271,14 @@ let resilience_tests =
         Util.check Alcotest.bool "fresh is quiet" false (Resilience.any r);
         Resilience.tick r Resilience.Timeout;
         Resilience.tick r Resilience.Timeout;
-        Resilience.tick r Resilience.Retry;
+        Resilience.tick r Resilience.Quarantine;
         Util.check Alcotest.int "timeouts" 2
           (Resilience.count r Resilience.Timeout);
         Util.check Alcotest.bool "any" true (Resilience.any r);
         Util.check
           Alcotest.(list string)
           "json keys"
-          [ "timeouts"; "retries"; "resumed"; "crashed"; "quarantined" ]
+          [ "timeouts"; "resumed"; "crashed"; "quarantined" ]
           (match Resilience.to_json r with
           | Json.Obj kvs -> List.map fst kvs
           | _ -> []));

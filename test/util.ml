@@ -29,13 +29,12 @@ let native_bins root =
     (ls objects)
 
 (** The report of an [rpcc fuzz] campaign without a journal, run through
-    the same campaign runner at [jobs] workers and no retries, so a trial
-    that crashes shows as quarantined rather than being rerun. *)
+    the same campaign runner at [jobs] workers: a trial that crashes
+    shows as quarantined. *)
 let fuzz_report ~seed ~seeds ~jobs =
   let module F = Rp_fuzz.Faultgen in
   let flags =
-    { Rp_cli.jobs = Some jobs; job_timeout = None; retries = Some 0;
-      journal = None; resume = None }
+    { Rp_cli.jobs = Some jobs; job_timeout = None; journal = None }
   in
   Rp_cli.run_campaign flags ~id:(F.campaign_id ~seed)
     ~resilience:(Rp_support.Resilience.create ()) ~name:string_of_int
