@@ -31,7 +31,6 @@ open Rp_driver
 module I = Rp_exec.Interp
 module P = Rp_suite.Programs
 module Json = Rp_support.Json
-module R = Rp_support.Resilience
 module Clock = Rp_support.Clock
 module Native = Rp_backend.Native
 
@@ -205,19 +204,17 @@ let job o ~should_stop c =
 
 (** Run [cells] on the campaign runner ({!Rp_cli.run_campaign}): per-cell
     deadlines, one attempt per cell, one journal record per finished
-    cell, and replay of the cells the journal already holds.  Returns
-    the outcomes in cell order and prints a [resilience:] line on stderr
-    when a counter is nonzero.
+    cell, replay of the cells the journal already holds, and the
+    runner's [resilience:] line on stderr when a cell was replayed,
+    timed out or crashed.  Returns the outcomes in cell order.
     Under [--verify-passes] the first fatal cell in cell order raises
     [Failure], as a sequential run would; a fatal result is never
     journaled. *)
 let run_local o cells =
-  let resil = R.create () in
   let results =
     (* the grid's counts are mode-independent by contract, so its digest
        covers only the pipeline *)
-    Rp_cli.run_campaign o.campaign ~id:[ "bench" ] ~resilience:resil
-      ~name:cell_name
+    Rp_cli.run_campaign o.campaign ~id:[ "bench" ] ~name:cell_name
       ~encode:(function Ok oc -> Some (answer_json oc.answer) | Error _ -> None)
       ~decode:(fun j ->
         Option.map
@@ -226,19 +223,15 @@ let run_local o cells =
           (answer_of_json j))
       (job o) cells
   in
-  let outcomes =
-    List.map2
-      (fun c -> function
-        | Ok (Ok oc) -> oc
-        | Ok (Error fatal) -> failwith fatal
-        | Error f ->
-          quarantined
-            (Fmt.str "%s under %s: %a" c.prog.P.name c.cname
-               Rp_support.Pool.pp_job_failure f))
-      cells results
-  in
-  if R.any resil then Fmt.epr "resilience: %a@." R.pp resil;
-  outcomes
+  List.map2
+    (fun c -> function
+      | Ok (Ok oc) -> oc
+      | Ok (Error fatal) -> failwith fatal
+      | Error f ->
+        quarantined
+          (Fmt.str "%s under %s: %a" c.prog.P.name c.cname
+             Rp_support.Pool.pp_job_failure f))
+    cells results
 
 (* ------------------------------------------------------------------ *)
 (* The driver                                                          *)

@@ -93,10 +93,17 @@ let regalloc_t =
     value & opt bool true
     & info [ "regalloc" ] ~docv:"BOOL" ~doc:"Run the register allocator.")
 
+(* Numeric flags are checked as cmdliner evaluates them, so a value out
+   of range is a usage error (exit 2) before anything compiles or runs,
+   on every command that takes the flag. *)
 let k_t =
-  Arg.(
-    value & opt int 24
-    & info [ "k"; "registers" ] ~docv:"N" ~doc:"Physical register count.")
+  let min = Rp_regalloc.Regalloc.min_registers in
+  Term.(
+    const (Rp_cli.positive ~min ~flag:"-k/--registers")
+    $ Arg.(
+        value & opt int 24
+        & info [ "k"; "registers" ] ~docv:"N"
+            ~doc:(Printf.sprintf "Physical register count (at least %d)." min)))
 
 let verify_passes_t =
   Arg.(
@@ -146,22 +153,26 @@ let config_t =
 
 (* Execution resource limits, shared by run and run-il. *)
 let fuel_t =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "fuel" ] ~docv:"N"
-        ~doc:
-          "Abort execution after N dynamic operations (exit code 3). \
-           Default: 400M.")
+  Term.(
+    const (Option.map (Rp_cli.positive ~flag:"--fuel"))
+    $ Arg.(
+        value
+        & opt (some int) None
+        & info [ "fuel" ] ~docv:"N"
+            ~doc:
+              "Abort execution after N dynamic operations (exit code 3; N \
+               >= 1).  Default: 400M."))
 
 let max_depth_t =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "max-depth" ] ~docv:"N"
-        ~doc:
-          "Abort execution when the call stack exceeds N frames (exit code \
-           3).  Default: 100k.")
+  Term.(
+    const (Option.map (Rp_cli.positive ~flag:"--max-depth"))
+    $ Arg.(
+        value
+        & opt (some int) None
+        & info [ "max-depth" ] ~docv:"N"
+            ~doc:
+              "Abort execution when the call stack exceeds N frames (exit \
+               code 3; N >= 1).  Default: 100k."))
 
 let exits =
   Cmd.Exit.info 0 ~doc:"on success."
@@ -231,8 +242,9 @@ let require_cc ?flags what =
 
 (** The [--stats-json] document: schema marker, the pipeline's stats
     (counters, fixpoint iterations, degradation/validation state, per-pass
-    timings), the supervision layer's resilience counters, and the dynamic
-    execution result.  Schema history: rpcc-stats/1 lacked the
+    timings), the resource limit that ended the run ([null] when it
+    completed), and the dynamic execution result ([null] when a limit
+    ended it).  Schema history: rpcc-stats/1 lacked the
     converged/degraded/validated_passes keys; rpcc-stats/2 lacked
     resilience; rpcc-stats/3 lacked the canonical [config_name] key
     (its [config] pretty-print does not distinguish [+ptrpromote]);
@@ -243,20 +255,25 @@ let require_cc ?flags what =
     all for a run that hit a resource limit, where rpcc-stats/8 prints
     one whose [result] is [null]; rpcc-stats/8's resilience object also
     counted [retries], which rpcc-stats/9 dropped when every supervised
-    job came to run once. *)
-let run_json config (st : Pipeline.stage_stats) resil
-    (r : Rp_exec.Interp.result option) =
+    job came to run once; rpcc-stats/9 carried a [resilience] object of
+    four supervision counters, of which a single run could tick only
+    [timeouts], where rpcc-stats/10 carries [limit]. *)
+let run_json config (st : Pipeline.stage_stats)
+    (r : (Rp_exec.Interp.result, Rp_exec.Interp.limit) result) =
   match Pipeline.stats_json config st with
   | Json.Obj fields ->
     Json.Obj
-      (("schema", Json.Str "rpcc-stats/9")
+      (("schema", Json.Str "rpcc-stats/10")
        :: fields
       @ [
-          ("resilience", Rp_support.Resilience.to_json resil);
+          ( "limit",
+            match r with
+            | Ok _ -> Json.Null
+            | Error l -> Json.Str (Rp_exec.Interp.limit_message l) );
           ( "result",
             match r with
-            | None -> Json.Null
-            | Some r ->
+            | Error _ -> Json.Null
+            | Ok r ->
               Json.Obj
                 [
                   ("ops", Json.Int r.Rp_exec.Interp.total.Rp_exec.Interp.ops);
@@ -276,7 +293,6 @@ let run_cmd =
     | Some t when not (t > 0.) -> Rp_cli.usage "--timeout must be > 0"
     | _ -> ());
     let src = read_file file in
-    let resil = Rp_support.Resilience.create () in
     (* --native: same compile, but execution through the compiled-C
        backend — counts and trap behaviour are byte-identical to the
        interpreter, run time is the binary's.  Infrastructure failure
@@ -317,27 +333,22 @@ let run_cmd =
             (fun () ->
               Rp_backend.Native.run ?fuel ?max_depth ?deadline:timeout ~cache
                 ~should_stop:(fun () -> !interrupted) ~cc prog)
-      with
-      | Rp_exec.Interp.Resource_limit (Stopped _) as e ->
-        if timeout <> None then
-          Rp_support.Resilience.tick resil Rp_support.Resilience.Timeout;
-        raise e
-      | Rp_backend.Native.Error m ->
+      with Rp_backend.Native.Error m ->
         Fmt.epr "error: native backend: %s@." m;
         exit 2
     in
     let r =
       try execute ()
-      with Rp_exec.Interp.Resource_limit _ as e when stats_json ->
-        (* the document still reports the compile and the resilience
-           counters; the limit keeps its stderr line and exit code *)
-        print_string (Json.to_string (run_json config st resil None));
+      with Rp_exec.Interp.Resource_limit l as e when stats_json ->
+        (* the document still reports the compile and names the limit;
+           the limit keeps its stderr line and exit code *)
+        print_string (Json.to_string (run_json config st (Error l)));
         raise e
     in
     if stats_json then
       (* pure JSON on stdout; program output is suppressed so the document
          stays machine-parseable *)
-      print_string (Json.to_string (run_json config st resil (Some r)))
+      print_string (Json.to_string (run_json config st (Ok r)))
     else begin
       if not quiet then print_string r.Rp_exec.Interp.output;
       Fmt.pr "; config: %a@." Config.pp config;
@@ -347,9 +358,7 @@ let run_cmd =
         r.Rp_exec.Interp.total.Rp_exec.Interp.stores r.Rp_exec.Interp.checksum;
       Fmt.pr "; promoted=%d ptr_promoted=%d hoisted=%d spilled=%d@."
         st.Pipeline.promoted st.Pipeline.ptr_promoted st.Pipeline.hoisted
-        st.Pipeline.spilled;
-      if Rp_support.Resilience.any resil then
-        Fmt.pr "; resilience: %a@." Rp_support.Resilience.pp resil
+        st.Pipeline.spilled
     end
   in
   let quiet_t =
@@ -361,9 +370,9 @@ let run_cmd =
       & info [ "stats-json" ]
           ~doc:
             "Emit compile statistics (counters, analysis fixpoint \
-             iterations, per-pass wall-clock timings), resilience \
-             counters, and dynamic counts as a single JSON document \
-             instead of the human-readable report.")
+             iterations, per-pass wall-clock timings), the resource \
+             limit that ended the run (if any), and dynamic counts as a \
+             single JSON document instead of the human-readable report.")
   in
   let timeout_t =
     Arg.(
@@ -373,7 +382,7 @@ let run_cmd =
           ~doc:
             "Wall-clock deadline for execution, in seconds (must be > 0); \
              exceeding it aborts with exit code 3 (like fuel exhaustion) \
-             and is counted in the stats' resilience object.")
+             and is named in the stats' limit field.")
   in
   let native_t =
     Arg.(
@@ -517,16 +526,17 @@ let seed_t =
            sequence.")
 
 let trials_t ~doc =
-  Arg.(value & opt int 50 & info [ "trials"; "seeds" ] ~docv:"N" ~doc)
+  Term.(
+    const (fun n -> Rp_cli.positive ~flag:"--trials" n)
+    $ Arg.(value & opt int 50 & info [ "trials"; "seeds" ] ~docv:"N" ~doc))
 
 let fuzz_cmd =
   let fuzz seed trials campaign =
     handle_errors @@ fun () ->
     let module F = Rp_fuzz.Faultgen in
-    let resil = Rp_support.Resilience.create () in
     let results =
       Rp_cli.run_campaign campaign ~id:(F.campaign_id ~seed)
-        ~resilience:resil ~name:string_of_int
+        ~name:string_of_int
         ~encode:(fun t -> Some (F.trial_json t))
         ~decode:F.trial_of_json (F.trial ~seed) (List.init trials Fun.id)
     in
@@ -535,8 +545,6 @@ let fuzz_cmd =
         | Ok _ -> ()
         | Error f -> Fmt.epr "trial %d: %a@." i Rp_support.Pool.pp_job_failure f)
       results;
-    if Rp_support.Resilience.any resil then
-      Fmt.epr "; resilience: %a@." Rp_support.Resilience.pp resil;
     let report =
       F.report ~seed ~trials (List.filter_map Result.to_option results)
     in
@@ -602,16 +610,23 @@ let inject_t =
             end."))
 
 let oracle_fuel_t =
-  Arg.(
-    value
-    & opt int Rp_fuzz.Difforacle.default_fuel
-    & info [ "fuel" ] ~docv:"N" ~doc:"Reference-run fuel for the oracle.")
+  Term.(
+    const (fun n -> Rp_cli.positive ~flag:"--fuel" n)
+    $ Arg.(
+        value
+        & opt int Rp_fuzz.Difforacle.default_fuel
+        & info [ "fuel" ] ~docv:"N"
+            ~doc:"Reference-run fuel for the oracle (N >= 1)."))
 
 let budget_t =
-  Arg.(
-    value & opt float 30.
-    & info [ "budget" ] ~docv:"SECONDS"
-        ~doc:"Wall-clock budget for reduction; timeouts are quarantined.")
+  Term.(
+    const (fun b -> if b > 0. then b else Rp_cli.usage "--budget must be > 0")
+    $ Arg.(
+        value & opt float 30.
+        & info [ "budget" ] ~docv:"SECONDS"
+            ~doc:
+              "Wall-clock budget for reduction (must be > 0); timeouts \
+               are quarantined."))
 
 let write_file path s =
   let oc = open_out_bin path in
@@ -676,7 +691,6 @@ let gen_fuzz_cmd =
     Rp_support.Cas.mkdir_p out_dir;
     let native_cc = if native then Some (require_cc "--native") else None in
     let inject = Option.map (fun c -> (c, seed)) inject in
-    let resil = Rp_support.Resilience.create () in
     (* Trials are independent: each generates its program from (seed,
        trial) and checks it against the oracle, so a journal record holds
        only the outcome and replay is exact.  All printing and
@@ -689,7 +703,7 @@ let gen_fuzz_cmd =
             "gen-fuzz"; string_of_int seed; replay_flags mode inject;
             string_of_int fuel; string_of_bool native;
           ]
-        ~resilience:resil ~name:string_of_int
+        ~name:string_of_int
         ~encode:(fun o -> Some (D.outcome_json o))
         ~decode:D.outcome_of_json
         (fun ~should_stop trial ->
@@ -736,8 +750,6 @@ let gen_fuzz_cmd =
                 (replay_flags mode inject) seed)
             fs)
       outcomes;
-    if Rp_support.Resilience.any resil then
-      Fmt.epr "; resilience: %a@." Rp_support.Resilience.pp resil;
     Fmt.pr
       "gen-fuzz: seed=%d trials=%d agreed=%d diverged=%d inconclusive=%d \
        rejected=%d@."

@@ -26,27 +26,24 @@ let read_first_line cmd =
     | _ -> None
   with Unix.Unix_error _ | Sys_error _ -> None
 
-(* One probe per compiler path per process: a fork+exec of about a
-   millisecond.  Negative results memoize too — a missing cc stays
-   missing for the life of the process. *)
-let cc_memo : (string, string option) Hashtbl.t = Hashtbl.create 4
-let cc_memo_lock = Mutex.create ()
+(* One probe per process: a fork+exec of about a millisecond.  A
+   negative result memoizes too — a missing cc stays missing for the
+   life of the process.  A mutex rather than a [Lazy], which raises when
+   two domains force it at once. *)
+let cc_identity : string option option ref = ref None
+let cc_lock = Mutex.create ()
 
-let find_cc ?cache:_ ?(path = "cc") ?(flags = [ "-O1" ]) () =
-  let memo =
-    Mutex.protect cc_memo_lock (fun () -> Hashtbl.find_opt cc_memo path)
-  in
+let find_cc ?cache:_ ?(flags = [ "-O1" ]) () =
   let identity =
-    match memo with
-    | Some id -> id
-    | None ->
-      let id =
-        read_first_line (Filename.quote path ^ " --version 2>/dev/null")
-      in
-      Mutex.protect cc_memo_lock (fun () -> Hashtbl.replace cc_memo path id);
-      id
+    Mutex.protect cc_lock (fun () ->
+        match !cc_identity with
+        | Some id -> id
+        | None ->
+          let id = read_first_line "cc --version 2>/dev/null" in
+          cc_identity := Some id;
+          id)
   in
-  Option.map (fun identity -> { path; flags; identity }) identity
+  Option.map (fun identity -> { path = "cc"; flags; identity }) identity
 
 (* The store holds binaries this process will exec, so its root is this
    user's alone: created 0700, and refused when someone else could have

@@ -37,15 +37,14 @@ type cc = {
 }
 
 val find_cc :
-  ?cache:Rp_support.Cas.t -> ?path:string -> ?flags:string list -> unit ->
-  cc option
-(** Probe for a working C compiler ([cc] on PATH by default, [-O1] by
-    default) and capture its identity line.  [None] when the probe
-    fails — callers skip or error out, visibly, rather than guessing.
+  ?cache:Rp_support.Cas.t -> ?flags:string list -> unit -> cc option
+(** Probe for a working C compiler ([cc] on PATH; [flags] default to
+    [-O1]) and capture its identity line.  [None] when the probe fails —
+    callers skip or error out, visibly, rather than guessing.
 
     The probe is memoized per process (positive {e and} negative), so
     repeated callers — the bench host record, gen-fuzz, a daemon serving
-    thousands of native jobs — pay one fork+exec per compiler path.
+    thousands of native jobs — pay one fork+exec.
 
     [?cache] is ignored.  It stays only because [perfbench/traced.ml]
     still passes one, and goes when that file next changes. *)

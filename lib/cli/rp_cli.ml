@@ -5,14 +5,13 @@ open Cmdliner
 module Json = Rp_support.Json
 module Journal = Rp_support.Journal
 module Pool = Rp_support.Pool
-module R = Rp_support.Resilience
 
 let usage msg =
   prerr_endline ("usage: " ^ msg);
   exit 2
 
-let positive ~flag n =
-  if n < 1 then usage (Printf.sprintf "%s must be >= 1" flag) else n
+let positive ?(min = 1) ~flag n =
+  if n < min then usage (Printf.sprintf "%s must be >= %d" flag min) else n
 
 let jobs = function
   | None -> 1
@@ -87,7 +86,7 @@ let open_journal path ~campaign =
   | Sys_error reason -> refuse reason
   | Unix.Unix_error (e, _, _) -> refuse (Unix.error_message e)
 
-let run_campaign c ~id ~resilience ~name ~encode ~decode f inputs =
+let run_campaign c ~id ~name ~encode ~decode f inputs =
   let jobs = jobs c.jobs in
   let timeout =
     match c.job_timeout with
@@ -105,9 +104,7 @@ let run_campaign c ~id ~resilience ~name ~encode ~decode f inputs =
     Array.map
       (fun x ->
         Option.bind (Hashtbl.find_opt journaled (name x)) decode
-        |> Option.map (fun v ->
-               R.tick resilience R.Resumed;
-               Ok v))
+        |> Option.map Result.ok)
       inputs
   in
   let fresh =
@@ -115,6 +112,7 @@ let run_campaign c ~id ~resilience ~name ~encode ~decode f inputs =
     |> List.filter (fun i -> Option.is_none outcomes.(i))
     |> Array.of_list
   in
+  let resumed = Array.length inputs - Array.length fresh in
   let cancel = Atomic.make false in
   let on_result k o =
     match (o, writer) with
@@ -141,7 +139,7 @@ let run_campaign c ~id ~resilience ~name ~encode ~decode f inputs =
       (fun () ->
         Pool.run_supervised ~jobs ?timeout
           ~cancel:(fun () -> Atomic.get cancel)
-          ~resilience ~on_result f
+          ~on_result f
           (Array.map (fun i -> inputs.(i)) fresh))
   in
   Array.iteri (fun k o -> outcomes.(fresh.(k)) <- Some o) results;
@@ -158,4 +156,13 @@ let run_campaign c ~id ~resilience ~name ~encode ~decode f inputs =
       | None -> " (no --journal, completed work is lost)");
     exit 130
   end;
+  let count p = Array.fold_left (fun n o -> if p o then n + 1 else n) 0 in
+  let timeouts =
+    count (function Error (Pool.Timed_out _) -> true | _ -> false) results
+  and crashed =
+    count (function Error (Pool.Crashed _) -> true | _ -> false) results
+  in
+  if timeouts + resumed + crashed > 0 then
+    Fmt.epr "resilience: timeouts=%d resumed=%d crashed=%d@." timeouts resumed
+      crashed;
   Array.to_list (Array.map Option.get outcomes)

@@ -9,15 +9,16 @@
     {b Campaigns.}  The supervised campaigns — [rpcc fuzz], [rpcc
     gen-fuzz], the bench grid — share one definition of the three
     campaign flags ({!campaign_t}) and one runner ({!run_campaign}):
-    journal, supervision and SIGINT handling live here and nowhere
-    else.  [rpcc serve] reuses [--jobs]. *)
+    journal, supervision, SIGINT handling and the failure report live
+    here and nowhere else.  [rpcc serve] reuses [--jobs]. *)
 
 val usage : string -> 'a
 (** Print [usage: MSG] on stderr and exit 2. *)
 
-val positive : flag:string -> int -> int
-(** A strictly positive argument ([rpcc serve --queue-bound]): values
-    [< 1] print [usage: FLAG must be >= 1] and exit 2. *)
+val positive : ?min:int -> flag:string -> int -> int
+(** An argument that must be at least [min] (default 1: strictly
+    positive, as [rpcc serve --queue-bound], [--fuel] or [--trials]):
+    smaller values print [usage: FLAG must be >= MIN] and exit 2. *)
 
 val jobs : int option -> int
 (** The [--jobs] value: absent means 1, [0] the machine's recommended
@@ -40,19 +41,23 @@ val campaign_t : campaign Cmdliner.Term.t
 val run_campaign :
   campaign ->
   id:string list ->
-  resilience:Rp_support.Resilience.t ->
   name:('a -> string) ->
   encode:('b -> Rp_support.Json.t option) ->
   decode:(Rp_support.Json.t -> 'b option) ->
   (should_stop:(unit -> bool) -> 'a -> 'b) ->
   'a list ->
   'b Rp_support.Pool.supervised list
-(** [run_campaign c ~id ~resilience ~name ~encode ~decode f inputs] runs
-    one job [f x] per input and returns, for each input in order, its
-    outcome: [Ok v] for a job replayed from [c.journal] or finished now,
-    [Error] for one quarantined under [--job-timeout] or because it
-    raised (see {!Rp_support.Pool.run_supervised}, whose events tick
-    [resilience]).  A job runs once.
+(** [run_campaign c ~id ~name ~encode ~decode f inputs] runs one job [f
+    x] per input and returns, for each input in order, its outcome: [Ok
+    v] for a job replayed from [c.journal] or finished now, [Error] for
+    one quarantined under [--job-timeout] or because it raised (see
+    {!Rp_support.Pool.run_supervised}).  A job runs once.
+
+    {b Failure report.}  Before returning, it counts the jobs it
+    replayed and the [Timed_out] and [Crashed] outcomes it returns, and
+    when any count is nonzero prints one stderr line,
+    [resilience: timeouts=T resumed=R crashed=C].  A healthy run with no
+    journal prints nothing.
 
     {b The campaign digest.}  [id] lists every input, besides the job
     itself, that determines a job's answer (the command, a seed, a
@@ -61,8 +66,8 @@ val run_campaign :
 
     {b Journal.}  [c.journal] names the one file a campaign replays and
     extends.  A job whose name has a record in it is replayed from the
-    first such record through [decode] instead of run, ticking [Resumed]
-    once per job; records naming no input are ignored, and a missing or
+    first such record through [decode] instead of run, and counts once
+    as resumed; records naming no input are ignored, and a missing or
     empty file replays nothing.  Every other job that finishes with a
     value [v] for which [encode v = Some p] appends one fsynced record
     [{"campaign": D, "job": name x, "r": p}] (in {!Rp_support.Journal}'s

@@ -303,11 +303,10 @@ let compile ?(config = Config.default) (src : string) : Program.t * stage_stats
 
 (** Compile and execute; returns the program, pipeline stats, and the
     interpreter result (output, checksum, dynamic counts). *)
-let compile_and_run ?(config = Config.default) ?fuel ?max_depth ?should_stop
-    ?deadline (src : string) :
-    Program.t * stage_stats * Rp_exec.Interp.result =
+let compile_and_run ?(config = Config.default) ?fuel ?should_stop
+    (src : string) : Program.t * stage_stats * Rp_exec.Interp.result =
   let (p, s) = compile ~config src in
-  let r = Rp_exec.Interp.run ?fuel ?max_depth ?should_stop ?deadline p in
+  let r = Rp_exec.Interp.run ?fuel ?should_stop p in
   (p, s, r)
 
 (* ------------------------------------------------------------------ *)

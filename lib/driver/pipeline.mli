@@ -67,15 +67,13 @@ val optimize : ?config:Config.t -> ?stats:stage_stats -> Program.t -> stage_stat
 (** Compile Mini-C source text. *)
 val compile : ?config:Config.t -> string -> Program.t * stage_stats
 
-(** Compile and execute.  [should_stop] and [deadline] are forwarded to
-    {!Rp_exec.Interp.run}: the supervised execution layer uses them to
-    impose per-job wall-clock budgets on the run phase. *)
+(** Compile and execute.  [fuel] and [should_stop] are forwarded to
+    {!Rp_exec.Interp.run}: the supervised execution layer's [should_stop]
+    imposes per-job wall-clock budgets on the run phase. *)
 val compile_and_run :
   ?config:Config.t ->
   ?fuel:int ->
-  ?max_depth:int ->
   ?should_stop:(unit -> bool) ->
-  ?deadline:float ->
   string ->
   Program.t * stage_stats * Rp_exec.Interp.result
 

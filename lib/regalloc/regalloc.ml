@@ -393,9 +393,13 @@ let apply_coloring (f : Func.t) resolve (coloring : (Instr.reg, int) Hashtbl.t)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
+let min_registers = 4
+
 (** Allocate [f] onto [k] physical registers. *)
 let alloc_func (p : Program.t) ~k (f : Func.t) : stats =
-  if k < 4 then invalid_arg "Regalloc: need at least 4 registers";
+  if k < min_registers then
+    invalid_arg
+      (Printf.sprintf "Regalloc: need at least %d registers" min_registers);
   let stats = zero_stats () in
   let temps = ref IS.empty in
   let rec round n =

@@ -17,9 +17,12 @@ type stats = {
 
 val zero_stats : unit -> stats
 
+val min_registers : int
+(** The fewest physical registers the allocator can color onto (4). *)
+
 (** Allocate one function onto [k] physical registers (numbered [0..k-1]);
     rewrites instructions, parameters, and [nreg] in place.
-    @raise Invalid_argument when [k < 4]. *)
+    @raise Invalid_argument when [k < min_registers]. *)
 val alloc_func : Program.t -> k:int -> Func.t -> stats
 
 (** Allocate every function of the program. *)

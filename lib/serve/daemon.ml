@@ -4,14 +4,13 @@
     the listener, every connection, the journal, and the request/response
     assembly; admitted jobs run on the daemon's persistent supervised
     pool, which wakes the loop through its fd when a job resolves.  Job
-    bodies touch only thread-safe state (the CAS, the resilience
-    counters); the plain counters below are main-domain-only. *)
+    bodies touch only thread-safe state (the CAS); the plain counters
+    below are main-domain-only. *)
 
 module Json = Rp_support.Json
 module Cas = Rp_support.Cas
 module Pool = Rp_support.Pool
 module Journal = Rp_support.Journal
-module Resilience = Rp_support.Resilience
 module Clock = Rp_support.Clock
 module Config = Rp_driver.Config
 module Pipeline = Rp_driver.Pipeline
@@ -50,12 +49,13 @@ type state = {
   cfg : config;
   cas : Cas.t;
   journal : Journal.writer;
-  resil : Resilience.t;
   jsum : journal_summary;
   started : float;  (** {!Clock.now} at startup, for uptime *)
   mutable served : int;  (** [ok] responses written *)
   mutable errors : int;  (** [error] responses written *)
   mutable overloaded : int;  (** requests bounced by the queue bound *)
+  mutable timeouts : int;  (** jobs the pool timed out *)
+  mutable crashed : int;  (** jobs that crashed on the pool *)
   mutable queued : int;
       (** jobs admitted and not yet answered, across all connections *)
 }
@@ -143,10 +143,10 @@ let compact ~journal_path jsum (records, pending) =
 
 (** Execute one admitted job.  Deterministic failures — traps, front-end
     rejections, resource exhaustion {e of the program} — become [error]
-    responses here, inside the job: retrying them cannot help.  The one
-    exception that escapes is a [Stopped] [Resource_limit]: that is the
-    pool's own deadline, and propagating it lets the supervision layer
-    do its retry/timeout/quarantine accounting. *)
+    responses here, inside the job.  The one exception that escapes is a
+    [Stopped] [Resource_limit]: that is the pool's own deadline, and
+    propagating it lets the pool resolve the job as [Timed_out], which
+    {!answer} reports and counts. *)
 let handle_op ~should_stop st (r : Protocol.request) : Json.t =
   let err code m = Protocol.error ~id:r.id ~client:r.client ~code m in
   try
@@ -239,7 +239,12 @@ let health_json st ~id ~client =
             ("jobs", Json.Int st.cfg.jobs);
             ("queue_bound", Json.Int st.cfg.queue_bound);
             ("cache", Cas.stats_json st.cas);
-            ("resilience", Resilience.to_json st.resil);
+            ( "resilience",
+              Json.Obj
+                [
+                  ("timeouts", Json.Int st.timeouts);
+                  ("crashed", Json.Int st.crashed);
+                ] );
             ( "journal",
               Json.Obj
                 [
@@ -350,10 +355,12 @@ let answer st ~slots ~jobs outcomes =
       match outcomes.(i) with
       | Ok resp -> resp
       | Error (Pool.Timed_out { elapsed }) ->
+        st.timeouts <- st.timeouts + 1;
         Protocol.error ~id:r.Protocol.id ~client:r.Protocol.client
           ~code:"resource"
           (Printf.sprintf "job timed out after %.1f s" elapsed)
       | Error (Pool.Crashed { reason }) ->
+        st.crashed <- st.crashed + 1;
         Protocol.error ~id:r.Protocol.id ~client:r.Protocol.client
           ~code:"internal" ("job crashed: " ^ reason)
     in
@@ -447,12 +454,13 @@ let serve (cfg : config) =
       cfg;
       cas;
       journal = Journal.create journal_path;
-      resil = Resilience.create ();
       jsum;
       started = Clock.now ();
       served = 0;
       errors = 0;
       overloaded = 0;
+      timeouts = 0;
+      crashed = 0;
       queued = 0;
     }
   in
@@ -469,9 +477,7 @@ let serve (cfg : config) =
   Unix.bind lfd (Unix.ADDR_UNIX cfg.socket);
   Unix.listen lfd 64;
   Unix.set_nonblock lfd;
-  let pool =
-    Pool.create ~jobs:cfg.jobs ?timeout:cfg.job_timeout ~resilience:st.resil ()
-  in
+  let pool = Pool.create ~jobs:cfg.jobs ?timeout:cfg.job_timeout () in
   Printf.printf "rpcc-serve listening on %s (pid %d)\n%!" cfg.socket
     (Unix.getpid ());
   let conns = ref [] in

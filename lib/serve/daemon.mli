@@ -33,9 +33,9 @@
     - backpressure: [queue_bound] caps the jobs admitted and not yet
       answered across all connections; requests beyond it receive
       [overloaded] responses instead of queueing unboundedly;
-    - a [health] request reports served/error counters, cache
-      hit/miss/quarantine rates, resilience counters, and the journal
-      replay summary. *)
+    - a [health] request reports served/error counters, the jobs that
+      timed out or crashed ([resilience]: [timeouts], [crashed]), cache
+      hit/miss/quarantine rates, and the journal replay summary. *)
 
 type config = {
   socket : string;

@@ -2,7 +2,6 @@
     See journal.mli. *)
 
 type writer = {
-  path : string;
   fd : Unix.file_descr;
   lock : Mutex.t;
   mutable closed : bool;
@@ -23,7 +22,7 @@ let create path =
    with e ->
      Unix.close fd;
      raise e);
-  { path; fd; lock = Mutex.create (); closed = false }
+  { fd; lock = Mutex.create (); closed = false }
 
 let write_all fd s =
   let b = Bytes.unsafe_of_string s in
@@ -62,8 +61,6 @@ let close w =
         w.closed <- true;
         Unix.close w.fd
       end)
-
-let path w = w.path
 
 (* Classify one parsed line: a wrapper is unwrapped after its CRC checks
    out; anything else is corrupt. *)

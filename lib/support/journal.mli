@@ -33,8 +33,6 @@ val record : writer -> Json.t -> unit
 val close : writer -> unit
 (** Idempotent. *)
 
-val path : writer -> string
-
 val load : ?on_skip:(line:int -> string -> unit) -> string -> Json.t list
 (** Parse every line of [path] in order, returning the unwrapped payload
     records.  A missing file is an empty journal.  An unparseable

@@ -116,7 +116,6 @@ type attempt = { task : task; ticket : int; started : float }
 type t = {
   timeout : float option;
   grace : float;
-  resilience : Resilience.t option;
   lock : Mutex.t;
   nonempty : Condition.t;  (** signalled when [queue] grows or on close *)
   queue : task Queue.t;  (** under [lock] *)
@@ -138,9 +137,6 @@ type 'b batch = {
 let locked p g =
   Mutex.lock p.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock p.lock) g
-
-let tick p ev =
-  match p.resilience with Some r -> Resilience.tick r ev | None -> ()
 
 let cancelled ctl =
   Atomic.get ctl.stopped
@@ -164,14 +160,12 @@ let settle p (task : task) record =
 
 (** Fail the attempt holding ticket [t] — called once per attempt, by
     its worker or, for a wedged one, by the supervisor: the job is
-    quarantined as [failure].  A batch cancelled meanwhile has already
-    resolved the task, and the claim CAS then fails. *)
-let fail_attempt p (task : task) t ~event failure =
-  if Atomic.compare_and_set task.state t (-1) then begin
-    tick p event;
-    tick p Resilience.Quarantine;
+    quarantined as [failure], its slot's one record of what happened.  A
+    batch cancelled meanwhile has already resolved the task, and the
+    claim CAS then fails. *)
+let fail_attempt p (task : task) t failure =
+  if Atomic.compare_and_set task.state t (-1) then
     settle p task (fun () -> task.fail ~notify:true failure)
-  end
 
 (** Run one attempt of [task] on the worker whose attempt slot is
     [busy].  [false] when the supervisor abandoned the worker meanwhile:
@@ -216,12 +210,9 @@ let run_attempt p busy (task : task) =
           !timed_out
           || match p.timeout with Some tmo -> elapsed > tmo | None -> false
         in
-        if timed_out then
-          fail_attempt p task t ~event:Resilience.Timeout
-            (Timed_out { elapsed })
-        else
-          fail_attempt p task t ~event:Resilience.Crash
-            (Crashed { reason = Printexc.to_string e }));
+        fail_attempt p task t
+          (if timed_out then Timed_out { elapsed }
+           else Crashed { reason = Printexc.to_string e }));
       true
     end
   end
@@ -244,7 +235,7 @@ let spawn_worker p =
   let busy = Atomic.make None in
   p.workers <- (busy, Domain.spawn (fun () -> work p busy)) :: p.workers
 
-let create ~jobs ?timeout ?(grace = 1.0) ?resilience () =
+let create ~jobs ?timeout ?(grace = 1.0) () =
   let wake_r, wake_w = Unix.pipe ~cloexec:true () in
   Unix.set_nonblock wake_r;
   Unix.set_nonblock wake_w;
@@ -252,7 +243,6 @@ let create ~jobs ?timeout ?(grace = 1.0) ?resilience () =
     {
       timeout;
       grace;
-      resilience;
       lock = Mutex.create ();
       nonempty = Condition.create ();
       queue = Queue.create ();
@@ -321,8 +311,7 @@ let sweep p =
           let elapsed = Clock.elapsed a.started in
           if elapsed >= limit && Atomic.compare_and_set busy cur None then begin
             p.workers <- List.filter (fun w' -> w' != w) p.workers;
-            fail_attempt p a.task a.ticket ~event:Resilience.Timeout
-              (Timed_out { elapsed });
+            fail_attempt p a.task a.ticket (Timed_out { elapsed });
             spawn_worker p
           end
         | None -> ())
@@ -415,12 +404,11 @@ let wait p (b : _ batch) =
   in
   loop ()
 
-let run_supervised ~jobs ?timeout ?grace ?cancel ?resilience ?on_result f
-    inputs =
+let run_supervised ~jobs ?timeout ?grace ?cancel ?on_result f inputs =
   let n = Array.length inputs in
   if n = 0 then [||]
   else begin
-    let p = create ~jobs:(min jobs n) ?timeout ?grace ?resilience () in
+    let p = create ~jobs:(min jobs n) ?timeout ?grace () in
     Fun.protect
       ~finally:(fun () -> shutdown p)
       (fun () ->

@@ -29,7 +29,9 @@ val run_exn : jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 (* ------------------------------------------------------------------ *)
 
 (** Why a supervised job was given up on.  A job runs once: its one
-    failed attempt resolves it. *)
+    failed attempt resolves it, and this value in its result slot is the
+    one record of the failure — callers that report failures count
+    these. *)
 type job_failure =
   | Timed_out of { elapsed : float }
       (** the attempt exceeded the per-job deadline after [elapsed]
@@ -60,13 +62,7 @@ type t
 type 'b batch
 (** The jobs of one {!submit}, resolved independently of other batches. *)
 
-val create :
-  jobs:int ->
-  ?timeout:float ->
-  ?grace:float ->
-  ?resilience:Resilience.t ->
-  unit ->
-  t
+val create : jobs:int -> ?timeout:float -> ?grace:float -> unit -> t
 (** Spawn [max 1 jobs] worker domains, supervised under one policy.
 
     {b Deadlines.}  Each job receives a [should_stop] closure that turns
@@ -87,8 +83,7 @@ val create :
     or is taken from a wedged worker quarantines its job as [Error
     (Timed_out _ | Crashed _)] at once: a job is meant to be a pure
     function of its input, so a second attempt could not answer
-    differently.  Failure events tick [resilience] (timeouts, crashes,
-    quarantines) when given. *)
+    differently. *)
 
 val submit :
   t ->
@@ -134,7 +129,6 @@ val run_supervised :
   ?timeout:float ->
   ?grace:float ->
   ?cancel:(unit -> bool) ->
-  ?resilience:Resilience.t ->
   ?on_result:(int -> 'b supervised -> unit) ->
   (should_stop:(unit -> bool) -> 'a -> 'b) ->
   'a array ->

@@ -111,12 +111,12 @@ let stats_json_tests =
           [
             "schema"; "config"; "config_name"; "counters"; "analysis_iters";
             "converged"; "degraded"; "validated_passes"; "timings_ms";
-            "total_ms"; "resilience"; "result";
+            "total_ms"; "limit"; "result";
           ]
           (Json.keys j);
         Util.check
           Alcotest.(option string)
-          "schema marker" (Some "rpcc-stats/9")
+          "schema marker" (Some "rpcc-stats/10")
           (match Json.member "schema" j with
           | Some (Json.Str s) -> Some s
           | _ -> None);
@@ -126,13 +126,8 @@ let stats_json_tests =
           (match Json.member "config_name" j with
           | Some (Json.Str s) -> Some s
           | _ -> None);
-        Util.check
-          Alcotest.(list string)
-          "resilience keys"
-          [ "timeouts"; "resumed"; "crashed"; "quarantined" ]
-          (match Json.member "resilience" j with
-          | Some r -> Json.keys r
-          | None -> []);
+        Util.check Alcotest.bool "no limit on a completed run" true
+          (Json.member "limit" j = Some Json.Null);
         Util.check
           Alcotest.(list string)
           "counter keys"

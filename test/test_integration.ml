@@ -502,6 +502,50 @@ let cli_tests =
             ( bench ^ " --json --journal missing/j.jsonl", 2, "err",
               "usage: --journal missing/j.jsonl: No such file or directory" );
           ]);
+    Util.tc "an out-of-range number is a usage error before anything runs"
+      (fun () ->
+        let dir = Filename.temp_file "rp-ranges" "" in
+        Sys.remove dir;
+        Sys.mkdir dir 0o700;
+        Fun.protect
+          ~finally:(fun () ->
+            ignore (Sys.command ("rm -rf " ^ Filename.quote dir)))
+        @@ fun () ->
+        let file name = Filename.concat dir name in
+        let read name =
+          In_channel.with_open_bin (file name) In_channel.input_all
+        in
+        let exe = Filename.concat (Sys.getcwd ()) "../bin/rpcc.exe" in
+        let rpcc args =
+          Sys.command
+            (Printf.sprintf "cd %s && %s %s > out 2> err" (Filename.quote dir)
+               (Filename.quote exe) args)
+        in
+        Out_channel.with_open_bin (file "demo.c") (fun oc ->
+            output_string oc demo);
+        Util.check Alcotest.int "dump exit" 0 (rpcc "dump --format il demo.c");
+        Sys.rename (file "out") (file "demo.il");
+        List.iter
+          (fun (args, usage) ->
+            Util.check Alcotest.int (args ^ ": exit") 2 (rpcc args);
+            Util.check Alcotest.string (args ^ ": stderr")
+              ("usage: " ^ usage ^ "\n") (read "err");
+            Util.check Alcotest.string (args ^ ": nothing ran") "" (read "out"))
+          [
+            ("run -k 3 demo.c", "-k/--registers must be >= 4");
+            ("dump -k 2 demo.c", "-k/--registers must be >= 4");
+            ("table -k 2 demo.c", "-k/--registers must be >= 4");
+            ("run --fuel 0 demo.c", "--fuel must be >= 1");
+            ("run-il --fuel=-5 demo.il", "--fuel must be >= 1");
+            ("gen-fuzz --trials 1 --fuel=-1", "--fuel must be >= 1");
+            ("reduce --fuel 0 demo.c", "--fuel must be >= 1");
+            ("run --max-depth=-1 demo.c", "--max-depth must be >= 1");
+            ("run-il --max-depth 0 demo.il", "--max-depth must be >= 1");
+            ("fuzz --trials=-2", "--trials must be >= 1");
+            ("gen-fuzz --trials 0", "--trials must be >= 1");
+            ("gen-fuzz --trials 1 --budget 0", "--budget must be > 0");
+            ("reduce --budget=-1 demo.c", "--budget must be > 0");
+          ]);
   ]
 
 let () =

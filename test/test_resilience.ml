@@ -1,6 +1,7 @@
 (** The supervised execution layer, end to end: the reducer's deadline
     contract, [rpcc run --timeout] (a trap is reported as without it, a
-    deadline is counted in the stats document), crash-resumable
+    deadline is named in the stats document's [limit], which reads the
+    same on both backends), crash-resumable
     campaigns (SIGKILL a [gen-fuzz] run mid-flight, rerun it on its
     [--journal], and demand byte-identical stdout), the bench grid's
     planted-hang drill (a never-terminating cell must land as a degraded
@@ -114,12 +115,13 @@ let in_temp_dir name f =
   f dir
 
 (* ------------------------------------------------------------------ *)
-(* rpcc run --timeout: a trap is reported, a deadline is counted       *)
+(* rpcc run --timeout: a trap is reported, a limit is named           *)
 (* ------------------------------------------------------------------ *)
 
-(** [rpcc run ARGS] on a file holding [src]: the exit status, stdout and
+(** [rpcc run ARGS] on a file holding [src], after the shell assignments
+    [env] (such as ["TMPDIR=DIR "]): the exit status, stdout and
     stderr. *)
-let rpcc_run args src =
+let rpcc_run ?(env = "") args src =
   let rpcc = Filename.concat (Sys.getcwd ()) "../bin/rpcc.exe" in
   let file = Filename.temp_file "rp_timeout" ".c" in
   let out = Filename.temp_file "rp_timeout_out" ".txt" in
@@ -131,8 +133,8 @@ let rpcc_run args src =
       output_string oc src;
       close_out oc;
       let cmd =
-        Printf.sprintf "%s run %s %s > %s 2> %s" (Filename.quote rpcc) args
-          (Filename.quote file) (Filename.quote out) (Filename.quote err)
+        Printf.sprintf "%s%s run %s %s > %s 2> %s" env (Filename.quote rpcc)
+          args (Filename.quote file) (Filename.quote out) (Filename.quote err)
       in
       let status = Sys.command cmd in
       (status, read_file out, read_file err))
@@ -153,17 +155,11 @@ let loop_src =
    return 0;\n\
    }"
 
-(* The --stats-json document of a run stopped by a resource limit:
-   parseable, its result null, its resilience counter [key] read back. *)
+(* The --stats-json document of a run stopped by a resource limit,
+   parsed: its result and its limit. *)
 let limit_doc out =
   let j = Json.parse out in
-  let counter key =
-    match Json.member "resilience" j with
-    | Some r -> (
-      match Json.member key r with Some (Json.Int n) -> n | _ -> -1)
-    | None -> -1
-  in
-  (Json.member "result" j, counter)
+  (Json.member "result" j, Json.member "limit" j)
 
 let run_timeout_tests =
   [
@@ -176,19 +172,46 @@ let run_timeout_tests =
     Util.tc "stats document of a run that timed out" (fun () ->
         let (st, out, err) = rpcc_run "--timeout 0.05 --stats-json" loop_src in
         Util.check Alcotest.int "exit" 3 st;
-        Util.check Alcotest.bool "limit on stderr" true
-          (String.starts_with ~prefix:"resource limit: external stop" err);
-        let result, counter = limit_doc out in
+        let result, limit = limit_doc out in
         Util.check Alcotest.bool "result null" true (result = Some Json.Null);
-        Util.check Alcotest.int "timeouts" 1 (counter "timeouts"));
+        match limit with
+        | Some (Json.Str m) ->
+          Util.check Alcotest.bool ("limit: " ^ m) true
+            (String.starts_with ~prefix:"external stop after " m);
+          Util.check Alcotest.string "stderr names the same limit"
+            ("resource limit: " ^ m ^ "\n")
+            err
+        | _ -> Alcotest.fail "no limit string in the document");
     Util.tc "stats document of a run out of fuel" (fun () ->
-        let (st, out, err) = rpcc_run "--fuel 1000 --stats-json" loop_src in
-        Util.check Alcotest.int "exit" 3 st;
-        Util.check Alcotest.string "stderr"
-          "resource limit: fuel exhausted (1000 operations)\n" err;
-        let result, counter = limit_doc out in
-        Util.check Alcotest.bool "result null" true (result = Some Json.Null);
-        Util.check Alcotest.int "timeouts" 0 (counter "timeouts"));
+        (* the limit is the interpreter's on both backends; the native row
+           runs only with a C compiler, on a private binary store *)
+        let store = Filename.temp_file "rp-fuel-store" "" in
+        Sys.remove store;
+        Sys.mkdir store 0o700;
+        Fun.protect
+          ~finally:(fun () ->
+            ignore (Sys.command ("rm -rf " ^ Filename.quote store)))
+        @@ fun () ->
+        let native =
+          match Rp_backend.Native.find_cc () with
+          | None -> []
+          | Some _ ->
+            [ ("native", "TMPDIR=" ^ Filename.quote store ^ " ", "--native") ]
+        in
+        List.iter
+          (fun (label, env, args) ->
+            let (st, out, err) =
+              rpcc_run ~env (args ^ " --fuel 1000 --stats-json") loop_src
+            in
+            Util.check Alcotest.int (label ^ ": exit") 3 st;
+            Util.check Alcotest.string (label ^ ": stderr")
+              "resource limit: fuel exhausted (1000 operations)\n" err;
+            let result, limit = limit_doc out in
+            Util.check Alcotest.bool (label ^ ": result null") true
+              (result = Some Json.Null);
+            Util.check Alcotest.bool (label ^ ": limit") true
+              (limit = Some (Json.Str "fuel exhausted (1000 operations)")))
+          (("interp", "", "") :: native));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -307,9 +330,9 @@ let test_bench_planted_hang_degrades_one_cell () =
          reason
       && not (contains reason "attempt"))
   | _ -> Alcotest.fail "planted cell should be degraded");
-  (* the run's failure telemetry reflects the drill: one attempt *)
+  (* the run's failure report reflects the drill: one attempt *)
   Alcotest.(check int) "exactly one timeout" 1 (counter "timeouts");
-  Alcotest.(check int) "exactly one quarantined cell" 1 (counter "quarantined");
+  Alcotest.(check int) "no crash" 0 (counter "crashed");
   (* every other cell is byte-identical to the unplanted baseline *)
   List.iter
     (fun (pname, cells) ->

@@ -829,7 +829,7 @@ let test_daemon_job_timeout () =
       Util.check
         Alcotest.(list (pair string int))
         "resilience"
-        [ ("timeouts", 1); ("resumed", 0); ("crashed", 0); ("quarantined", 1) ]
+        [ ("timeouts", 1); ("crashed", 0) ]
         (match member_path [ "health"; "resilience" ] health with
         | Json.Obj kvs ->
           List.map

@@ -264,26 +264,6 @@ let journal_tests =
           (Crc32.of_hex "xyzw" = None));
   ]
 
-let resilience_tests =
-  [
-    Util.tc "resilience: tick/any/json" (fun () ->
-        let r = Resilience.create () in
-        Util.check Alcotest.bool "fresh is quiet" false (Resilience.any r);
-        Resilience.tick r Resilience.Timeout;
-        Resilience.tick r Resilience.Timeout;
-        Resilience.tick r Resilience.Quarantine;
-        Util.check Alcotest.int "timeouts" 2
-          (Resilience.count r Resilience.Timeout);
-        Util.check Alcotest.bool "any" true (Resilience.any r);
-        Util.check
-          Alcotest.(list string)
-          "json keys"
-          [ "timeouts"; "resumed"; "crashed"; "quarantined" ]
-          (match Resilience.to_json r with
-          | Json.Obj kvs -> List.map fst kvs
-          | _ -> []));
-  ]
-
 let () =
   Alcotest.run "support"
     [
@@ -291,5 +271,4 @@ let () =
       ("union_find", uf_tests @ uf_props);
       ("worklist", worklist_tests);
       ("journal", journal_tests);
-      ("resilience", resilience_tests);
     ]

@@ -36,8 +36,7 @@ let fuzz_report ~seed ~seeds ~jobs =
   let flags =
     { Rp_cli.jobs = Some jobs; job_timeout = None; journal = None }
   in
-  Rp_cli.run_campaign flags ~id:(F.campaign_id ~seed)
-    ~resilience:(Rp_support.Resilience.create ()) ~name:string_of_int
+  Rp_cli.run_campaign flags ~id:(F.campaign_id ~seed) ~name:string_of_int
     ~encode:(fun t -> Some (F.trial_json t)) ~decode:F.trial_of_json
     (F.trial ~seed) (List.init seeds Fun.id)
   |> List.filter_map Result.to_option
